@@ -3,8 +3,10 @@
 Everything in this module is exact.  Prime-field scalars are Python ints in
 ``[0, p)``, rational scalars are ``fractions.Fraction``; no floating point
 appears anywhere.  Matrices are dense row-major and small (ambient dimensions
-stay below ~125), so elimination costs are negligible and clarity wins over
-cleverness.
+stay below ~125), but elimination is not cheap: with tangent frames built from
+first-order jets, the rank of the stacked frames is the costliest step of a
+secant-dimension computation on wide matrices (120 x 225 for the quadratic
+Veronese of P^14 at k = 14).
 
 Rank computation is the one place the two field kinds diverge: prime fields
 use plain Gaussian elimination, rationals use fraction-free Bareiss
@@ -31,6 +33,8 @@ __all__ = [
     "exact_rank",
     "subspace_intersect",
     "jet2_eval",
+    "max_exponents",
+    "power_table",
     "uni_roots_mod_p",
     "is_prime",
     "dot",
@@ -733,15 +737,19 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
             raise ConstructionError("point arity mismatch")
-        powers = _power_table(point, self.terms)
-        acc = self.field.zero
+        return self.evaluate_at(power_table(point, max_exponents(self.nvars, (self,))))
+
+    def evaluate_at(self, powers: Sequence[Sequence[Scalar]]) -> Scalar:
+        """Value from a power table of the point that covers every exponent
+        here (see ``power_table``); one table can serve many polynomials."""
+        acc = None
         for expo, coef in self.terms.items():
             term = coef
             for i, e in enumerate(expo):
                 if e:
                     term = term * powers[i][e]
-            acc = acc + term
-        return acc
+            acc = term if acc is None else acc + term
+        return self.field.zero if acc is None else acc
 
     def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute args[i] for variable i.  All args share one arity."""
@@ -787,21 +795,26 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def _power_table(point: Sequence[Scalar], terms: dict) -> list[list[Scalar]]:
-    """powers[i][e] = point[i]**e, built once per evaluation."""
-    if not terms:
-        return []
-    nvars = len(point)
+def max_exponents(nvars: int, polys: Iterable[MultiPoly]) -> list[int]:
+    """Largest exponent of each variable over all terms of the polynomials."""
     max_e = [0] * nvars
-    for expo in terms:
-        for i, e in enumerate(expo):
-            if e > max_e[i]:
-                max_e[i] = e
+    for poly in polys:
+        for expo in poly.terms:
+            for i, e in enumerate(expo):
+                if e > max_e[i]:
+                    max_e[i] = e
+    return max_e
+
+
+def power_table(point: Sequence[Scalar], max_e: Sequence[int]) -> list[list[Scalar]]:
+    """powers[i][e] = point[i]**e for every e <= max_e[i]."""
+    if len(point) != len(max_e):
+        raise ConstructionError("point arity mismatch")
     table = []
-    for i in range(nvars):
-        row = [point[i].field.one]
-        for _ in range(max_e[i]):
-            row.append(row[-1] * point[i])
+    for x, top in zip(point, max_e):
+        row = [x.field.one]
+        for _ in range(top):
+            row.append(row[-1] * x)
         table.append(row)
     return table
 
@@ -850,7 +863,7 @@ def jet2_eval(f: MultiPoly, point: Sequence[Scalar]) -> Jet2:
         raise ConstructionError("point arity mismatch")
     field = f.field
     n = f.nvars
-    powers = _power_table(point, f.terms)
+    powers = power_table(point, max_exponents(n, (f,)))
 
     def mono(expo: Sequence[int]) -> Scalar:
         acc = field.one

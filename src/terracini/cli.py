@@ -450,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="terracini",
         description="Secant defects, contact loci, and tangential projections over prime fields.",
-        epilog="The environment variable TERRACINI_THREADS caps worker threads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (

@@ -39,11 +39,22 @@ DEFAULT_HYPERPLANE_DRAWS = 5
 DEFAULT_WITNESS_TUPLES = 3
 
 
+def _hyperplanes_through(frames: Sequence[Matrix]) -> Matrix:
+    return Matrix.hstack(frames).transpose().null_space()
+
+
 def tangent_hyperplane_space(x: VarietyHandle, ws: Sequence[Witness]) -> Matrix:
     """Basis (as columns) of the hyperplanes containing every tangent space
     at the given witnesses.  Zero columns means the span fills the ambient."""
-    stacked = Matrix.hstack([x.tangent_frame(w) for w in ws])
-    return stacked.transpose().null_space()
+    return _hyperplanes_through([x.tangent_frame(w) for w in ws])
+
+
+def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tuple[Scalar, ...]:
+    for _ in range(MAX_RESAMPLE):
+        cs = [x.field.random_scalar(rng) for _ in range(space.cols)]
+        if any(c.value != 0 for c in cs):
+            return space.matvec(cs)
+    raise NoTangentHyperplane("could not draw a nonzero combination")
 
 
 def tangent_hyperplane(
@@ -55,11 +66,7 @@ def tangent_hyperplane(
         raise NoTangentHyperplane(
             f"tangent spaces at {len(ws)} points of {x.label} span the ambient space"
         )
-    for _ in range(MAX_RESAMPLE):
-        cs = [x.field.random_scalar(rng) for _ in range(space.cols)]
-        if any(c.value != 0 for c in cs):
-            return space.matvec(cs)
-    raise NoTangentHyperplane("could not draw a nonzero combination")
+    return _draw_hyperplane(x, space, rng)
 
 
 def contact_corank(x: VarietyHandle, coeffs: Sequence[Scalar], w: Witness) -> int:
@@ -102,13 +109,13 @@ def nu_estimate(
     best: Optional[int] = None
     space_dim: Optional[int] = None
     for _ in range(witness_tuples):
-        ws = _nondegenerate_tuple(x, k + 1, n, rng)
-        space = tangent_hyperplane_space(x, ws)
+        ws, frames = _nondegenerate_tuple(x, k + 1, n, rng)
+        space = _hyperplanes_through(frames)
         if space.cols == 0:
             return NuEstimate(k=k, nu=None, hyperplane_space_dim=0)
         space_dim = space.cols if space_dim is None else min(space_dim, space.cols)
         for _ in range(hyperplane_draws):
-            coeffs = tangent_hyperplane(x, ws, rng)
+            coeffs = _draw_hyperplane(x, space, rng)
             corank = max(contact_corank(x, coeffs, w) for w in ws)
             best = corank if best is None else min(best, corank)
     return NuEstimate(k=k, nu=best, hyperplane_space_dim=space_dim)

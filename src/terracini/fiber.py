@@ -22,9 +22,7 @@ points are singular and never sampled, so they are not counted as preimages.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -90,14 +88,6 @@ class FunctorialityReport:
     witnesses: int
     frame_ranks: tuple[int, ...]
     span_consistent: bool
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("TERRACINI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _last_nonzero(vals: Sequence[int]) -> int:
@@ -593,16 +583,9 @@ def fiber_probe(
     center_hits: dict[int, int] = {}
     agreements: list[bool] = []
 
-    def run(prime: int):
-        return prime, _one_prime(x.blueprint, k, prime, trials, seed_tag)
-
-    workers = min(_worker_cap(), len(primes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, primes))
-    else:
-        results = [run(p) for p in primes]
-    for prime, (counts, hits, agreement) in sorted(results):
+    results = {p: _one_prime(x.blueprint, k, p, trials, seed_tag) for p in primes}
+    for prime in sorted(results):
+        counts, hits, agreement = results[prime]
         if any(c < 1 for c in counts):
             raise DegenerateWitness(
                 f"a probe point lost its own witness over F_{prime}"

@@ -46,11 +46,21 @@ def expected_secant_dim(x: VarietyHandle, k: int, rng: random.Random) -> int:
     return min(x.span_dim(), n * (k + 1) + k)
 
 
-def _nondegenerate_tuple(x: VarietyHandle, count: int, n: int, rng: random.Random) -> list[Witness]:
+def _nondegenerate_tuple(
+    x: VarietyHandle, count: int, n: int, rng: random.Random
+) -> tuple[list[Witness], list[Matrix]]:
+    """Distinct witnesses whose tangent frames all have full rank n + 1,
+    returned with those frames so callers never rebuild them."""
     for _ in range(MAX_RESAMPLE):
         ws = sample_distinct(x, count, rng)
-        if all(exact_rank(x.tangent_frame(w)) == n + 1 for w in ws):
-            return ws
+        frames = []
+        for w in ws:
+            frame = x.tangent_frame(w)
+            if exact_rank(frame) != n + 1:
+                break
+            frames.append(frame)
+        else:
+            return ws, frames
     raise DegenerateWitness(
         f"could not draw {count} witnesses with full frames on {x.label}"
     )
@@ -67,9 +77,8 @@ def terracini_dim(
     n = x.intrinsic_dim(rng)
     best, best_ws = -1, ()
     for _ in range(trials):
-        ws = _nondegenerate_tuple(x, k + 1, n, rng)
-        stacked = Matrix.hstack([x.tangent_frame(w) for w in ws])
-        dim = exact_rank(stacked) - 1
+        ws, frames = _nondegenerate_tuple(x, k + 1, n, rng)
+        dim = exact_rank(Matrix.hstack(frames)) - 1
         if dim > best:
             best, best_ws = dim, tuple(ws)
     return best, best_ws
@@ -133,8 +142,8 @@ def tangential_projection(
         raise ConfigError("need at least one tangent space to project from")
     field = x.field
     n = x.intrinsic_dim(rng)
-    ws = _nondegenerate_tuple(x, h, n, rng)
-    center = Matrix.hstack([x.tangent_frame(w) for w in ws])
+    ws, frames = _nondegenerate_tuple(x, h, n, rng)
+    center = Matrix.hstack(frames)
     echelon, pivots = center.transpose().rref()
     c = len(pivots)
     r1 = x.ambient_r + 1

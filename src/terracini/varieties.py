@@ -12,6 +12,11 @@ around the witness.  Pullbacks are then a single contraction and composite
 handles (images, cones, sections, projections) chain by the chain rule, so
 linear projections commute with jets by construction.
 
+A chart jet is first order until its second order is read: tangent frames,
+and so every secant dimension, need only ``point`` and ``first``, while the
+``second`` block (Hessians, section corrections) is computed on first read.
+Every check that can reject a witness runs on the first-order part.
+
 Charts are affine and a draw that lands off-chart is resampled; misses are
 measure zero over the large analysis primes.  The resample cap is 64
 everywhere.
@@ -19,10 +24,10 @@ everywhere.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     FieldSpec,
@@ -34,7 +39,9 @@ from .algebra import (
     dot,
     exact_rank,
     jet2_eval,
+    max_exponents,
     normalize_point,
+    power_table,
     subspace_intersect,
     uni_roots_mod_p,
 )
@@ -91,21 +98,44 @@ class Witness:
     base: Optional["Witness"] = None
 
 
-@dataclass(frozen=True)
 class ChartJet:
     """Exact 2-jet of a local parameterization at a witness.
 
     ``first[a]`` and ``second[a][b]`` are ambient vectors; ``second`` is
-    symmetric in its two chart indices.
+    symmetric in its two chart indices.  ``second`` is computed on first read
+    by the closure the handle kind supplies, then kept.
     """
 
-    point: tuple[Scalar, ...]
-    first: tuple[tuple[Scalar, ...], ...]
-    second: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    def __init__(
+        self,
+        point: tuple[Scalar, ...],
+        first: tuple[tuple[Scalar, ...], ...],
+        second_fn: Callable[[], tuple[tuple[tuple[Scalar, ...], ...], ...]],
+    ) -> None:
+        self.point = point
+        self.first = first
+        self._second_fn = second_fn
+
+    @cached_property
+    def second(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        return self._second_fn()
 
     @property
     def dim(self) -> int:
         return len(self.first)
+
+
+def _gradient_polys(polys: Sequence[MultiPoly], nvars: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    return tuple(tuple(p.diff(i) for i in range(nvars)) for p in polys)
+
+
+def _values_and_gradients(polys, grads, max_e, point) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
+    """Value and ambient gradient of each polynomial, from one power table."""
+    powers = power_table(point, max_e)
+    return [
+        (p.evaluate_at(powers), tuple(d.evaluate_at(powers) for d in row))
+        for p, row in zip(polys, grads)
+    ]
 
 
 def _contract_ambient_jet(ambient: Jet2, chart: ChartJet) -> Jet2:
@@ -201,19 +231,20 @@ class VarietyHandle:
         return _contract_ambient_jet(jet2_eval(g, chart.point), chart)
 
     def intrinsic_dim(self, rng: random.Random) -> int:
-        """Tangent-frame rank minus one, checked constant over three draws."""
+        """Generic tangent-frame rank minus one: the max over three draws.
+
+        A frame's rank drops only on a proper closed subset (where a
+        projection ramifies, say), so a lower draw is a special witness, not
+        an ill-formed handle.
+        """
         if self._dim_cache is not None:
             return self._dim_cache
         dims = []
         for _ in range(3):
             w = self.sample(rng)
             dims.append(exact_rank(self.tangent_frame(w)) - 1)
-        if len(set(dims)) != 1:
-            raise ConstructionError(
-                f"handle {self.label!r} is ill-formed: unstable dimension {dims}"
-            )
-        self._dim_cache = dims[0]
-        return dims[0]
+        self._dim_cache = max(dims)
+        return self._dim_cache
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label!r}, r={self.ambient_r})"
@@ -267,9 +298,12 @@ class ParametricHandle(VarietyHandle):
         self.polys = tuple(polys)
         self.n = n
         self._d1 = tuple(tuple(p.diff(a) for p in self.polys) for a in range(n))
-        self._d2 = tuple(
-            tuple(tuple(p.diff(a).diff(b) for p in self.polys) for b in range(n))
-            for a in range(n)
+        self._max_e = max_exponents(n, self.polys)
+
+    @cached_property
+    def _d2(self) -> tuple[tuple[tuple[MultiPoly, ...], ...], ...]:
+        return tuple(
+            tuple(tuple(p.diff(b) for p in row) for b in range(self.n)) for row in self._d1
         )
 
     @property
@@ -281,7 +315,8 @@ class ParametricHandle(VarietyHandle):
         return frozenset(i for i, p in enumerate(self.polys) if not p.is_zero())
 
     def _eval_map(self, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return tuple(p.evaluate(u) for p in self.polys)
+        powers = power_table(u, self._max_e)
+        return tuple(p.evaluate_at(powers) for p in self.polys)
 
     def sample(self, rng: random.Random) -> Witness:
         def one():
@@ -297,19 +332,20 @@ class ParametricHandle(VarietyHandle):
         return self._eval_map(w.params)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
-        u = w.params
-        point = self._eval_map(u)
-        first = tuple(tuple(p.evaluate(u) for p in self._d1[a]) for a in range(self.n))
-        second = tuple(
-            tuple(tuple(p.evaluate(u) for p in self._d2[a][b]) for b in range(self.n))
-            for a in range(self.n)
-        )
-        return ChartJet(point, first, second)
+        # derivatives never raise an exponent, so one table serves them all
+        powers = power_table(w.params, self._max_e)
+        point = tuple(p.evaluate_at(powers) for p in self.polys)
+        first = tuple(tuple(p.evaluate_at(powers) for p in row) for row in self._d1)
+        return ChartJet(point, first, lambda: tuple(
+            tuple(tuple(p.evaluate_at(powers) for p in col) for col in row) for row in self._d2
+        ))
 
 
 def _monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= d in n variables, graded-lex."""
-    out = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
+    out = [()]
+    for _ in range(n):
+        out = [e + (a,) for e in out for a in range(d + 1 - sum(e))]
     out.sort(key=lambda e: (sum(e), e))
     return out
 
@@ -409,20 +445,23 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         if gu.value == 0 and gv.value == 0:
             raise DegenerateWitness("singular curve point")
         t = (-gv, gu)
-        tht = (
-            t[0] * t[0] * jet.hessian[0][0]
-            + 2 * t[0] * t[1] * jet.hessian[0][1]
-            + t[1] * t[1] * jet.hessian[1][1]
-        )
-        # second-order correction along a direction transverse to the curve
-        if gu.value != 0:
-            corr = ((-tht) / gu, field.zero)
-        else:
-            corr = (field.zero, (-tht) / gv)
         zero = field.zero
         point = (w.params[0], w.params[1], field.one)
         first = ((t[0], t[1], zero),)
-        second = (((corr[0], corr[1], zero),),)
+
+        def second():
+            tht = (
+                t[0] * t[0] * jet.hessian[0][0]
+                + 2 * t[0] * t[1] * jet.hessian[0][1]
+                + t[1] * t[1] * jet.hessian[1][1]
+            )
+            # second-order correction along a direction transverse to the curve
+            if gu.value != 0:
+                corr = ((-tht) / gu, zero)
+            else:
+                corr = (zero, (-tht) / gv)
+            return (((corr[0], corr[1], zero),),)
+
         return ChartJet(point, first, second)
 
 
@@ -500,6 +539,8 @@ class MapImageHandle(VarietyHandle):
         self.base = base
         self.polys = tuple(polys)
         self._span_r = span_r
+        self._grads = _gradient_polys(self.polys, base.ambient_r + 1)
+        self._max_e = max_exponents(base.ambient_r + 1, self.polys)
 
     @property
     def chart_dim(self) -> int:
@@ -534,17 +575,21 @@ class MapImageHandle(VarietyHandle):
     def chart_jet2(self, w: Witness) -> ChartJet:
         base_chart = self.base.chart_jet2(w.base)
         n = base_chart.dim
-        values, grads, hesses = [], [], []
-        for p in self.polys:
-            pulled = _contract_ambient_jet(jet2_eval(p, base_chart.point), base_chart)
-            values.append(pulled.value)
-            grads.append(pulled.gradient)
-            hesses.append(pulled.hessian)
-        point = tuple(values)
-        first = tuple(tuple(g[a] for g in grads) for a in range(n))
-        second = tuple(
-            tuple(tuple(h[a][b] for h in hesses) for b in range(n)) for a in range(n)
+        evaluated = _values_and_gradients(self.polys, self._grads, self._max_e, base_chart.point)
+        point = tuple(value for value, _ in evaluated)
+        first = tuple(
+            tuple(dot(grad, base_chart.first[a]) for _, grad in evaluated) for a in range(n)
         )
+
+        def second():
+            hesses = [
+                _contract_ambient_jet(jet2_eval(p, base_chart.point), base_chart).hessian
+                for p in self.polys
+            ]
+            return tuple(
+                tuple(tuple(h[a][b] for h in hesses) for b in range(n)) for a in range(n)
+            )
+
         return ChartJet(point, first, second)
 
 
@@ -645,14 +690,17 @@ class ConeHandle(VarietyHandle):
         point = self._point(base_chart.point, mu)
         first = tuple(base_chart.first) + tuple(self.vertex.column(j) for j in range(self.m))
         n = nb + self.m
-        zero_vec = tuple(self.field.zero for _ in range(self.ambient_r + 1))
-        second = tuple(
-            tuple(
-                base_chart.second[a][b] if a < nb and b < nb else zero_vec
-                for b in range(n)
+
+        def second():
+            zero_vec = tuple(self.field.zero for _ in range(self.ambient_r + 1))
+            return tuple(
+                tuple(
+                    base_chart.second[a][b] if a < nb and b < nb else zero_vec
+                    for b in range(n)
+                )
+                for a in range(n)
             )
-            for a in range(n)
-        )
+
         return ChartJet(point, first, second)
 
 
@@ -718,6 +766,8 @@ class SectionHandle(VarietyHandle):
                 raise ConstructionError(
                     "at most one constraint may be nonlinear on a cone ruling"
                 )
+        self._grads = _gradient_polys(self.constraints, base.ambient_r + 1)
+        self._max_e = max_exponents(base.ambient_r + 1, self.constraints)
 
     @property
     def chart_dim(self) -> int:
@@ -845,58 +895,46 @@ class SectionHandle(VarietyHandle):
         base_chart = self.base.chart_jet2(w.base)
         nb = base_chart.dim
         field = self.field
-        grads, hesses = [], []
-        for g in self.constraints:
-            pulled = _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart)
-            if pulled.value.value != 0:
+        grads = []
+        for value, grad in _values_and_gradients(
+            self.constraints, self._grads, self._max_e, base_chart.point
+        ):
+            if value.value != 0:
                 raise DegenerateWitness("witness is off the section")
-            grads.append(list(pulled.gradient))
-            hesses.append(pulled.hessian)
+            grads.append([dot(grad, base_chart.first[i]) for i in range(nb)])
         gmat = Matrix(field, grads)
         if exact_rank(gmat) != len(self.constraints):
             raise DegenerateWitness("constraint gradients are dependent at the witness")
         kernel = gmat.null_space()
         ns = kernel.cols
         kcols = [kernel.column(a) for a in range(ns)]
-        first = []
-        for a in range(ns):
-            vec = _linear_combo(base_chart.first, kcols[a], field, self.ambient_r + 1)
-            first.append(vec)
-        second = [[None] * ns for _ in range(ns)]
-        for a in range(ns):
-            for b in range(a, ns):
-                rhs = []
-                for h in hesses:
-                    acc = field.zero
-                    for i in range(nb):
-                        if kcols[a][i].value == 0:
-                            continue
-                        acc = acc + kcols[a][i] * dot(h[i], kcols[b])
-                    rhs.append(-acc)
-                solved = _affine_solve(field, grads, rhs, nb)
-                if solved is None:
-                    raise DegenerateWitness("no second-order correction at the witness")
-                corr, _ = solved
-                vec = [field.zero] * (self.ambient_r + 1)
-                for i in range(nb):
-                    for j in range(nb):
-                        cij = kcols[a][i] * kcols[b][j]
-                        if cij.value == 0:
-                            continue
-                        svec = base_chart.second[i][j]
-                        for c in range(len(vec)):
-                            vec[c] = vec[c] + cij * svec[c]
-                for i in range(nb):
-                    if corr[i].value == 0:
-                        continue
-                    dvec = base_chart.first[i]
-                    for c in range(len(vec)):
-                        vec[c] = vec[c] + corr[i] * dvec[c]
-                second[a][b] = tuple(vec)
-                second[b][a] = tuple(vec)
-        return ChartJet(
-            base_chart.point, tuple(first), tuple(tuple(row) for row in second)
+        first = tuple(
+            _linear_combo(base_chart.first, kcols[a], field, self.ambient_r + 1)
+            for a in range(ns)
         )
+
+        def second():
+            # independent gradient rows make every correction system solvable
+            hesses = [
+                _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart).hessian
+                for g in self.constraints
+            ]
+            base_second = [v for row in base_chart.second for v in row]
+            out = [[None] * ns for _ in range(ns)]
+            for a in range(ns):
+                for b in range(a, ns):
+                    rhs = [-dot(kcols[a], [dot(row, kcols[b]) for row in h]) for h in hesses]
+                    solved = _affine_solve(field, grads, rhs, nb)
+                    if solved is None:
+                        raise DegenerateWitness("no second-order correction at the witness")
+                    corr, _ = solved
+                    coeffs = [x * y for x in kcols[a] for y in kcols[b]] + list(corr)
+                    out[a][b] = out[b][a] = _linear_combo(
+                        base_second + list(base_chart.first), coeffs, field, self.ambient_r + 1
+                    )
+            return tuple(tuple(row) for row in out)
+
+        return ChartJet(base_chart.point, first, second)
 
 
 def _unit(m: int, j: int) -> tuple[int, ...]:
@@ -1061,11 +1099,9 @@ class ProjectionHandle(VarietyHandle):
         n = base_chart.dim
         point = self.proj.matvec(base_chart.point)
         first = tuple(self.proj.matvec(v) for v in base_chart.first)
-        second = tuple(
-            tuple(self.proj.matvec(base_chart.second[a][b]) for b in range(n))
-            for a in range(n)
-        )
-        return ChartJet(point, first, second)
+        return ChartJet(point, first, lambda: tuple(
+            tuple(self.proj.matvec(base_chart.second[a][b]) for b in range(n)) for a in range(n)
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: config validation, report shapes, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -104,6 +105,28 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     deltas = {row["k"]: row["delta"] for row in report["per_k"]}
     assert deltas == {1: 0, 2: 1}
     assert report["delta_towers"][0]["consistent"]
+
+
+# sha256 of the report with its two host-dependent fields dropped: the
+# package version (read from installed metadata) and the echoed --out path
+PINNED_REPORTS = {
+    ("defect-scan", "veronese-2-3", (1, 3)): "389e794d7bf7584e3820132f6722d67e86751c67e0c620470cae5b0715a5c8bd",
+    # deferred section, cone and map-image Hessians feed every contact corank
+    ("contact-scan", "counter2", (1, 2)): "ec4420fb0f6922a83c83b25bd6d481460507bf3bf1f0f283b7a68fdb40ac142b",
+}
+
+
+@pytest.mark.parametrize("verb, variety, k_range", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, capsys, verb, variety, k_range):
+    cfg = write_config(tmp_path, {"variety": variety, "k_range": list(k_range), "seed": 0})
+    out_path = tmp_path / "report.json"
+    assert cli.main([verb, "--config", cfg, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(out_path.read_text())
+    del report["version"]
+    del report["config"]["output"]["path"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_REPORTS[(verb, variety, k_range)]
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_contact_corank_rejects_non_tangent_hyperplanes():
 def test_tangent_hyperplane_really_contains_the_frames():
     rng = random.Random(47)
     ver = veronese(F, 2, 3)
-    ws = _nondegenerate_tuple(ver, 2, 2, rng)
+    ws, _ = _nondegenerate_tuple(ver, 2, 2, rng)
     coeffs = tangent_hyperplane(ver, ws, rng)
     for w in ws:
         frame = ver.tangent_frame(w)

@@ -8,7 +8,9 @@ import pytest
 
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank
 from terracini.errors import ConstructionError, DegenerateWitness
+from terracini.secant import terracini_dim
 from terracini.varieties import (
+    ProjectionHandle,
     build,
     cone,
     generic_hyperplane_section,
@@ -139,28 +141,68 @@ def test_intrinsic_dim_agrees_with_chart_dim_on_honest_handles():
 # -- jets --------------------------------------------------------------------
 
 
-def test_quadratic_map_taylor_is_exact():
-    """For a degree-2 map the chart 2-jet reproduces the map exactly at any
-    offset, not just infinitesimally."""
-    rng = random.Random(64)
-    ver = veronese(F, 2, 2)
+def _assert_taylor_exact(handle, chart_map, rng):
+    """The chart 2-jet reproduces an exactly quadratic chart map at any
+    offset, not just infinitesimally.  ``second`` is read only after the
+    first-order frame at the same witness."""
     half = F.scalar(2).inverse()
+    n = handle.chart_dim
     for _ in range(3):
-        w = ver.sample(rng)
-        jet = ver.chart_jet2(w)
+        w = handle.sample(rng)
+        frame = handle.tangent_frame(w)
+        jet = handle.chart_jet2(w)
+        assert frame == Matrix.from_columns(F, [jet.point] + list(jet.first))
         for _ in range(4):
-            h = [F.random_scalar(rng) for _ in range(2)]
-            direct = ver._eval_map(tuple(p + d for p, d in zip(w.params, h)))
+            h = [F.random_scalar(rng) for _ in range(n)]
+            direct = chart_map(tuple(p + d for p, d in zip(w.params, h)))
             pred = list(jet.point)
-            for a in range(2):
+            for a in range(n):
                 for i, v in enumerate(jet.first[a]):
                     pred[i] = pred[i] + h[a] * v
-            for a in range(2):
-                for b in range(2):
+            for a in range(n):
+                for b in range(n):
                     c = half * h[a] * h[b]
                     for i, v in enumerate(jet.second[a][b]):
                         pred[i] = pred[i] + c * v
             assert tuple(pred) == direct
+
+
+def test_quadratic_map_taylor_is_exact():
+    rng = random.Random(64)
+    ver = veronese(F, 2, 2)
+    _assert_taylor_exact(ver, ver._eval_map, rng)
+
+    proj = Matrix(F, [[F.random_scalar(rng) for _ in range(6)] for _ in range(4)])
+    projected = ProjectionHandle(ver, proj, "projected-veronese", {})
+    _assert_taylor_exact(projected, lambda u: proj.matvec(ver._eval_map(u)), rng)
+
+    # linear re-embedding into P^7 frees two coordinates for a vertex line
+    emb = map_image(ver, [MultiPoly.variable(F, 6, i) for i in range(6)] + [MultiPoly.zero(F, 6)] * 2, rng)
+    vertex = Matrix.from_columns(F, [[F.scalar(1 if i == j else 0) for i in range(8)] for j in (6, 7)])
+    K = cone(emb, vertex)
+    _assert_taylor_exact(K, lambda t: K._point(emb._apply(ver._eval_map(t[:2])), t[2:]), rng)
+
+
+class _Poisoned:
+    def evaluate_at(self, powers):
+        raise AssertionError("a second derivative was evaluated")
+
+
+def test_frames_and_secant_dims_never_evaluate_second_derivatives():
+    clean, poisoned = veronese(F, 2, 3), veronese(F, 2, 3)
+    poisoned._d2 = tuple(
+        tuple(tuple(_Poisoned() for _ in poisoned.polys) for _ in range(2)) for _ in range(2)
+    )
+    rng = random.Random(93)
+    for _ in range(3):
+        w = clean.sample(rng)
+        assert poisoned.tangent_frame(w) == clean.tangent_frame(w)
+    with pytest.raises(AssertionError):
+        poisoned.chart_jet2(w).second
+    for k in (1, 2, 3):
+        dim_p, ws_p = terracini_dim(poisoned, k, random.Random(k))
+        dim_c, ws_c = terracini_dim(clean, k, random.Random(k))
+        assert (dim_p, ws_p) == (dim_c, ws_c)
 
 
 def test_curve_jet_kills_its_own_equation_to_second_order():
