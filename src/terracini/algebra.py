@@ -1,25 +1,21 @@
-"""Exact arithmetic substrate: fields, matrices, sparse polynomials, 2-jets.
+"""Exact arithmetic substrate: prime fields, matrices, sparse polynomials, 2-jets.
 
-Everything in this module is exact.  Prime-field scalars are Python ints in
-``[0, p)``, rational scalars are ``fractions.Fraction``; no floating point
-appears anywhere.  Matrices are dense row-major and small (ambient dimensions
-stay below ~125), but elimination is not cheap: with tangent frames built from
-first-order jets, the rank of the stacked frames is the costliest step of a
-secant-dimension computation on wide matrices (120 x 225 for the quadratic
-Veronese of P^14 at k = 14).
+Everything in this module is exact.  Scalars live in a prime field F_p as
+Python ints in ``[0, p)``; no floating point appears anywhere.  Matrices are
+dense row-major and small (ambient dimensions stay below ~125), but
+elimination is not cheap: with tangent frames built from first-order jets,
+the rank of the stacked frames is the costliest step of a secant-dimension
+computation on wide matrices (120 x 225 for the quadratic Veronese of P^14 at
+k = 14).
 
-Rank computation is the one place the two field kinds diverge: prime fields
-use plain Gaussian elimination, rationals use fraction-free Bareiss
-elimination on a denominator-cleared integer matrix to avoid coefficient
-blowup inside the loop.
+Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine
+on lifted int rows, ``_gauss_jordan``.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, ConstructionError
@@ -39,12 +35,7 @@ __all__ = [
     "is_prime",
     "dot",
     "normalize_point",
-    "RATIONALS",
-    "PRIME",
 ]
-
-RATIONALS = "rationals"
-PRIME = "prime"
 
 # Witness set is deterministic for every n < 3.3 * 10^24, far above any
 # modulus this package accepts.
@@ -81,49 +72,34 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Selects the working field: exact rationals or a prime field F_p.
+    """The working field F_p; prime fields are the only kind.
 
     The modulus must be a verified prime of at least 257; small
     characteristics would collide with the degrees (up to 6) handled by the
     geometry layers.
     """
 
-    kind: str
-    modulus: int | None = None
+    modulus: int
 
     def __post_init__(self) -> None:
-        if self.kind == RATIONALS:
-            if self.modulus is not None:
-                raise ConstructionError("rationals take no modulus")
-        elif self.kind == PRIME:
-            if not isinstance(self.modulus, int) or self.modulus < _MIN_MODULUS:
-                raise ConstructionError(
-                    f"modulus must be an int >= {_MIN_MODULUS}, got {self.modulus!r}"
-                )
-            if not is_prime(self.modulus):
-                raise ConstructionError(f"modulus {self.modulus} is not prime")
-        else:
-            raise ConstructionError(f"unknown field kind {self.kind!r}")
-
-    @staticmethod
-    def rationals() -> "FieldSpec":
-        return FieldSpec(RATIONALS)
+        if not isinstance(self.modulus, int) or self.modulus < _MIN_MODULUS:
+            raise ConstructionError(
+                f"modulus must be an int >= {_MIN_MODULUS}, got {self.modulus!r}"
+            )
+        if not is_prime(self.modulus):
+            raise ConstructionError(f"modulus {self.modulus} is not prime")
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec(PRIME, p)
+        return FieldSpec(p)
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int (or Fraction over the rationals) into this field."""
-        if self.kind == PRIME:
-            if isinstance(value, Scalar):
-                value = value.lift()
-            if not isinstance(value, int):
-                raise ConstructionError(f"prime field wants ints, got {value!r}")
-            return Scalar(self, value % self.modulus)
+        """Reduce an int (or another scalar's representative) into this field."""
         if isinstance(value, Scalar):
             value = value.value
-        return Scalar(self, Fraction(value))
+        if not isinstance(value, int):
+            raise ConstructionError(f"prime field wants ints, got {value!r}")
+        return Scalar(self, value % self.modulus)
 
     @property
     def zero(self) -> "Scalar":
@@ -134,9 +110,7 @@ class FieldSpec:
         return self.scalar(1)
 
     def random_scalar(self, rng: random.Random) -> "Scalar":
-        if self.kind == PRIME:
-            return Scalar(self, rng.randrange(self.modulus))
-        return Scalar(self, Fraction(rng.randrange(-999, 1000), rng.randrange(1, 50)))
+        return Scalar(self, rng.randrange(self.modulus))
 
     def random_nonzero(self, rng: random.Random) -> "Scalar":
         while True:
@@ -150,7 +124,7 @@ class Scalar:
 
     __slots__ = ("field", "value")
 
-    def __init__(self, field: FieldSpec, value) -> None:
+    def __init__(self, field: FieldSpec, value: int) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
 
@@ -170,16 +144,12 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.kind == PRIME:
-            return Scalar(self.field, (self.value + other.value) % self.field.modulus)
-        return Scalar(self.field, self.value + other.value)
+        return Scalar(self.field, (self.value + other.value) % self.field.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.kind == PRIME:
-            return Scalar(self.field, (-self.value) % self.field.modulus)
-        return Scalar(self.field, -self.value)
+        return Scalar(self.field, (-self.value) % self.field.modulus)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -197,18 +167,15 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.kind == PRIME:
-            return Scalar(self.field, (self.value * other.value) % self.field.modulus)
-        return Scalar(self.field, self.value * other.value)
+        return Scalar(self.field, (self.value * other.value) % self.field.modulus)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.field.kind == PRIME:
-            return Scalar(self.field, pow(self.value, self.field.modulus - 2, self.field.modulus))
-        return Scalar(self.field, 1 / self.value)
+        p = self.field.modulus
+        return Scalar(self.field, pow(self.value, p - 2, p))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -234,12 +201,6 @@ class Scalar:
 
     def __bool__(self):
         return self.value != 0
-
-    def lift(self) -> int:
-        """Canonical integer representative (prime fields only)."""
-        if self.field.kind != PRIME:
-            raise ConstructionError("lift is defined over prime fields")
-        return self.value
 
     def __repr__(self):
         return f"Scalar({self.value!r})"
@@ -384,51 +345,22 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self) -> tuple[list[list[Scalar]], list[int]]:
-        """Reduced row echelon form and pivot column indices.
+    def lifted(self) -> list[list[int]]:
+        """Fresh int rows of the entries' representatives in [0, p)."""
+        return [[x.value for x in row] for row in self.entries]
 
-        Runs over either field with exact division; used for kernels and
-        pivot bookkeeping, not for rank over the rationals (see rank()).
-        """
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c].value != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c].value != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return m, pivots
+    def rref(self) -> tuple[list[list[Scalar]], list[int]]:
+        """Reduced row echelon form and pivot column indices."""
+        field = self.field
+        rows = self.lifted()
+        pivots = _gauss_jordan(rows, field.modulus)
+        return [[Scalar(field, x) for x in row] for row in rows], pivots
 
     def rank(self) -> int:
-        """Exact rank.  Bareiss over the rationals, Gauss over prime fields."""
-        if self._rank is not None:
-            return self._rank
-        if self.rows == 0 or self.cols == 0:
-            rk = 0
-        elif self.field.kind == PRIME:
-            rk = _rank_mod_p(
-                [[x.value for x in row] for row in self.entries], self.field.modulus
-            )
-        else:
-            rk = _rank_bareiss([[x.value for x in row] for row in self.entries])
-        object.__setattr__(self, "_rank", rk)
-        return rk
+        """Exact rank: the pivot count of the reduced form."""
+        if self._rank is None:
+            object.__setattr__(self, "_rank", len(_gauss_jordan(self.lifted(), self.field.modulus)))
+        return self._rank
 
     def null_space(self) -> "Matrix":
         """Matrix whose columns are a basis of the right kernel.
@@ -436,17 +368,9 @@ class Matrix:
         A trivial kernel yields a matrix with zero columns (rows x 0).
         """
         if self.cols == 0:
-            return Matrix(self.field, [[] for _ in range(0)])
+            return Matrix(self.field, [])
         rref, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        zero, one = self.field.zero, self.field.one
-        cols = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for r, p in enumerate(pivots):
-                v[p] = -rref[r][f]
-            cols.append(tuple(v))
+        cols = _kernel_basis(self.field, rref, pivots, self.cols)
         if not cols:
             return Matrix(self.field, [[] for _ in range(self.cols)])
         return Matrix.from_columns(self.field, cols)
@@ -459,75 +383,82 @@ class Matrix:
         return Matrix.from_columns(self.field, [self.column(j) for j in pivots])
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination on raw int rows, mod p."""
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][c] % p != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _gauss_jordan(rows: list[list[int]], p: int) -> list[int]:
+    """Reduce int rows with entries in [0, p) to reduced row echelon form mod
+    p, in place, and return the pivot columns.
 
-
-def _rank_bareiss(rows: list[list]) -> int:
-    """Fraction-free Bareiss elimination after clearing denominators.
-
-    Each input row is scaled by the lcm of its denominators (row scaling
-    preserves rank), then the classic two-step Bareiss update keeps every
-    intermediate value an integer.
+    Columns are scanned left to right and each pivot is the first nonzero
+    entry at or below the current row; the scan stops once every row holds a
+    pivot.  This is the package's only row reduction: ranks, kernels, affine
+    solves and inverses all read their answer off its result.
     """
-    cleared: list[list[int]] = []
-    for row in rows:
-        denom_lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                g = _gcd(denom_lcm, d)
-                denom_lcm = denom_lcm // g * d
-        cleared.append([int(x * denom_lcm) for x in row])
-    m = cleared
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
+    nrows = len(rows)
+    pivots: list[int] = []
+    if nrows == 0:
+        return pivots
+    r = 0
+    for c in range(len(rows[0])):
         pivot = None
-        for i in range(rank, nrows):
-            if m[i][c] != 0:
+        for i in range(r, nrows):
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for i in range(rank + 1, nrows):
-            f = m[i][c]
-            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], m[rank])]
-        prev = pv
-        rank += 1
-        if rank == nrows:
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        prow = rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
             break
-    return rank
+    return pivots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _kernel_basis(
+    field: FieldSpec, rref: Sequence[Sequence[Scalar]], pivots: Sequence[int], ncols: int
+) -> list[tuple[Scalar, ...]]:
+    """One kernel vector per free column of a reduced matrix's first ncols
+    columns, read off its reduced rows."""
+    pivot_set = set(pivots)
+    zero, one = field.zero, field.one
+    cols = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for r, c in enumerate(pivots):
+            v[c] = -rref[r][f]
+        cols.append(tuple(v))
+    return cols
+
+
+def _affine_solve(field: FieldSpec, rows, rhs, nvars: int):
+    """Solve A x = rhs exactly.  Returns (particular, kernel basis) or None.
+
+    Both come from one reduction of [A | rhs]: its first nvars columns are
+    the reduced form of A.  With no equations the whole space comes back
+    (particular 0, full basis).
+    """
+    zero = field.zero
+    if not rows:
+        one = field.one
+        basis = [
+            tuple(one if i == j else zero for j in range(nvars)) for i in range(nvars)
+        ]
+        return [zero] * nvars, basis
+    rref, pivots = Matrix(field, [list(r) + [b] for r, b in zip(rows, rhs)]).rref()
+    if nvars in pivots:
+        return None  # inconsistent
+    particular = [zero] * nvars
+    for r, c in enumerate(pivots):
+        particular[c] = rref[r][nvars]
+    return particular, _kernel_basis(field, rref, pivots, nvars)
 
 
 def exact_rank(m: Matrix) -> int:
@@ -913,8 +844,6 @@ def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = 
     randomized equal-degree splitting.  The random shifts only steer the
     recursion; the returned set is a deterministic function of f.
     """
-    if field.kind != PRIME:
-        raise ConstructionError("root finding needs a prime field")
     if f.field != field:
         raise FieldMismatchError("polynomial field differs")
     if f.nvars != 1:

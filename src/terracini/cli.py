@@ -113,8 +113,15 @@ class RunConfig:
                 _validate_tree(self.variety)
         self.field = self._int(raw, "field", ANALYSIS_PRIME, minimum=2)
         primes = raw.get("enum_primes", list(DEFAULT_FIBER_PRIMES))
-        if not isinstance(primes, list) or not all(isinstance(p, int) and p > 2 for p in primes):
-            raise ConfigError("enum_primes must be a list of odd primes")
+        if not isinstance(primes, list):
+            raise ConfigError("enum_primes must be a list of distinct primes")
+        for p in primes:
+            try:
+                FieldSpec.prime(p)
+            except ConstructionError as exc:
+                raise ConfigError(f"enum_primes: {exc}") from exc
+        if len(set(primes)) != len(primes):
+            raise ConfigError(f"enum_primes lists a prime twice: {primes}")
         self.enum_primes = tuple(primes)
         k_range = raw.get("k_range", [1, 1])
         if (

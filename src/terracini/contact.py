@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Matrix, Scalar, exact_rank
+from .algebra import FieldSpec, Jet2, Matrix, Scalar, exact_rank
 from .errors import ConfigError, DegenerateWitness, NoTangentHyperplane
 from .secant import _nondegenerate_tuple, tangential_projection
-from .varieties import MAX_RESAMPLE, VarietyHandle, Witness
+from .varieties import MAX_RESAMPLE, VarietyHandle, Witness, _contract_linear_form
 
 __all__ = [
     "DEFAULT_HYPERPLANE_DRAWS",
@@ -71,11 +71,13 @@ def tangent_hyperplane(
 
 def contact_corank(x: VarietyHandle, coeffs: Sequence[Scalar], w: Witness) -> int:
     """Corank of the chart Hessian of a hyperplane tangent at the witness."""
-    jet = x.pullback_jet2(coeffs, w)
+    return _tangent_corank(x.pullback_jet2(coeffs, w), x.field)
+
+
+def _tangent_corank(jet: Jet2, field: FieldSpec) -> int:
     if jet.value.value != 0 or not jet.gradient_is_zero():
         raise DegenerateWitness("hyperplane is not tangent at the witness")
-    n = len(jet.gradient)
-    return n - exact_rank(jet.hessian_matrix(x.field))
+    return len(jet.gradient) - exact_rank(jet.hessian_matrix(field))
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,14 @@ def nu_estimate(
         if space.cols == 0:
             return NuEstimate(k=k, nu=None, hyperplane_space_dim=0)
         space_dim = space.cols if space_dim is None else min(space_dim, space.cols)
+        # chart jets draw no randomness; each is built once and its second
+        # order, on first read, serves every drawn hyperplane
+        charts = [x.chart_jet2(w) for w in ws]
         for _ in range(hyperplane_draws):
             coeffs = _draw_hyperplane(x, space, rng)
-            corank = max(contact_corank(x, coeffs, w) for w in ws)
+            corank = max(
+                _tangent_corank(_contract_linear_form(coeffs, chart), x.field) for chart in charts
+            )
             best = corank if best is None else min(best, corank)
     return NuEstimate(k=k, nu=best, hyperplane_space_dim=space_dim)
 

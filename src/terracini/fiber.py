@@ -28,7 +28,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FieldSpec, Matrix, MultiPoly, Scalar, exact_rank, normalize_point
+from .algebra import (
+    FieldSpec,
+    Matrix,
+    MultiPoly,
+    Scalar,
+    _affine_solve,
+    _gauss_jordan,
+    exact_rank,
+    normalize_point,
+    uni_roots_mod_p,
+)
 from .errors import BudgetExhausted, ConfigError, DegenerateWitness
 from .secant import tangential_projection
 from .seeding import derive_rng
@@ -97,10 +107,6 @@ def _last_nonzero(vals: Sequence[int]) -> int:
     raise DegenerateWitness("projected probe point is zero")
 
 
-def _lift_matrix(m: Matrix) -> list[list[int]]:
-    return [[x.lift() for x in m.row(i)] for i in range(m.rows)]
-
-
 # ---------------------------------------------------------------------------
 # parametric grid scan
 # ---------------------------------------------------------------------------
@@ -113,11 +119,11 @@ def _compose_projection_int(xp: ParametricHandle, proj: Matrix) -> list[list[tup
     for i in range(proj.rows):
         acc: dict[tuple[int, ...], int] = {}
         for j, poly in enumerate(xp.polys):
-            pij = proj[i, j].lift()
+            pij = proj[i, j].value
             if pij == 0:
                 continue
             for e, c in poly.terms.items():
-                acc[e] = (acc.get(e, 0) + pij * c.lift()) % p
+                acc[e] = (acc.get(e, 0) + pij * c.value) % p
         out.append(sorted((c, e) for e, c in acc.items() if c))
     return out
 
@@ -206,7 +212,7 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
     p = curve.field.modulus
     if p * p > budget:
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {budget}")
-    terms = [(c.lift(), e) for e, c in curve.f_affine.terms.items()]
+    terms = [(c.value, e) for e, c in curve.f_affine.terms.items()]
     max_e = max((max(e) for _, e in terms), default=0)
     tables = _power_tables(p, max_e)
     pts: list[tuple[int, int, int]] = []
@@ -240,24 +246,19 @@ def _eval_terms_int(terms: list[tuple[int, tuple[int, ...]]], point: Sequence[in
     return total % p
 
 
-def _solve_square_int(a: list[list[int]], p: int) -> Optional[list[list[int]]]:
-    """Inverse of a small square matrix mod p, or None if singular."""
-    m = len(a)
-    aug = [row[:] + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, m) if aug[i][col] % p), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] % p:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[m:] for row in aug]
+def _square_solver(b_rows: list[list[int]], m: int, p: int):
+    """Pick m independent rows of the constant matrix and invert them.
+
+    The rows are the pivot columns of the transpose's reduced form: the
+    greedy basis, which is also the lexicographically first invertible
+    choice of m rows.  None when the rows have rank below m.
+    """
+    sel = _gauss_jordan([list(col) for col in zip(*b_rows)], p)
+    if len(sel) < m:
+        return None
+    aug = [b_rows[i] + [int(a == j) for j in range(m)] for a, i in enumerate(sel)]
+    _gauss_jordan(aug, p)
+    return sel, [row[m:] for row in aug]
 
 
 class _RulingScan:
@@ -270,13 +271,13 @@ class _RulingScan:
         kone, emb, curve = _unpack_cone_section(x)
         self.kone, self.emb, self.curve = kone, emb, curve
         self.m = kone.m
-        self.proj_int = _lift_matrix(proj)
-        self.vertex_int = _lift_matrix(kone.vertex)
+        self.proj_int = proj.lifted()
+        self.vertex_int = kone.vertex.lifted()
         self.comp_terms = [
-            [(c.lift(), e) for e, c in poly.terms.items()] for poly in emb.polys
+            [(c.value, e) for e, c in poly.terms.items()] for poly in emb.polys
         ]
         self.constraint_terms = [
-            [(c.lift(), e) for e, c in g.terms.items()] for g in x.constraints
+            [(c.value, e) for e, c in g.terms.items()] for g in x.constraints
         ]
         self.points = _curve_points_int(curve, budget)
         p = self.p
@@ -311,7 +312,7 @@ class _RulingScan:
         found: set[tuple[int, ...]] = set()
         details: list[tuple] = []
         center_hits = 0
-        square = self._square_solver(b_rows)
+        square = _square_solver(b_rows, self.m, p)
         for c, y, py in self.ruling_cache:
             rhs = [(-(q[jq] * py[i] - q[i] * py[jq])) % p for i in keep]
             if square is not None:
@@ -351,31 +352,18 @@ class _RulingScan:
                     details.append((c, mu))
         return found, center_hits, details
 
-    def _square_solver(self, b_rows: list[list[int]]):
-        """Pick m independent rows of the constant matrix and invert them."""
-        p, m = self.p, self.m
-        from itertools import combinations
-
-        for sel in combinations(range(len(b_rows)), m):
-            inv = _solve_square_int([b_rows[i] for i in sel], p)
-            if inv is not None:
-                return list(sel), inv
-        return None
-
     def _solve_underdetermined(self, b_rows, rhs, c) -> list[list[int]]:
         """Rank-deficient proportionality system: solve exactly, then push the
         leftover freedom through the cutting polynomial on this ruling."""
         fp = self.fp
         rows = [[fp.scalar(x) for x in row] for row in b_rows]
         rvec = [fp.scalar(x) for x in rhs]
-        from .varieties import _affine_solve
-
         solved = _affine_solve(fp, rows, rvec, self.m)
         if solved is None:
             return []
         part, basis = solved
         if not basis:
-            return [[s.lift() for s in part]]
+            return [[s.value for s in part]]
         if len(basis) > 1:
             # a plane of candidates inside one ruling only happens at special
             # probe points; declare the trial degenerate rather than guess
@@ -385,11 +373,11 @@ class _RulingScan:
         mu_line = []
         for j in range(self.m):
             mu_line.append(
-                MultiPoly.constant(fp, 1, part[j].lift()) + s * basis[0][j]
+                MultiPoly.constant(fp, 1, part[j].value) + s * basis[0][j]
             )
         coords = []
         for a in range(len(y)):
-            poly = MultiPoly.constant(fp, 1, y[a].lift())
+            poly = MultiPoly.constant(fp, 1, y[a].value)
             for j in range(self.m):
                 poly = poly + mu_line[j] * self.kone.vertex[a, j]
             coords.append(poly)
@@ -400,16 +388,14 @@ class _RulingScan:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
                 raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            from .algebra import uni_roots_mod_p
-
             roots = sorted(uni_roots_mod_p(restricted, fp), key=lambda r: r.value)
             if not out:
                 out = [
-                    [ml.evaluate((r,)).lift() for ml in mu_line] for r in roots
+                    [ml.evaluate((r,)).value for ml in mu_line] for r in roots
                 ]
             else:
                 keep = {tuple(o) for o in out} & {
-                    tuple(ml.evaluate((r,)).lift() for ml in mu_line) for r in roots
+                    tuple(ml.evaluate((r,)).value for ml in mu_line) for r in roots
                 }
                 out = [list(t) for t in sorted(keep)]
         return out
@@ -448,7 +434,7 @@ def _probe_q(xp: VarietyHandle, proj: Matrix, rng: random.Random) -> list[int]:
         w = xp.sample(rng)
         img = proj.matvec(xp.reevaluate(w))
         if any(v.value != 0 for v in img):
-            return [v.lift() for v in img]
+            return [v.value for v in img]
     raise DegenerateWitness("probe witnesses keep landing in the center")
 
 

@@ -34,8 +34,8 @@ from .algebra import (
     Jet2,
     Matrix,
     MultiPoly,
-    PRIME,
     Scalar,
+    _affine_solve,
     dot,
     exact_rank,
     jet2_eval,
@@ -156,6 +156,18 @@ def _contract_ambient_jet(ambient: Jet2, chart: ChartJet) -> Jet2:
     return Jet2(ambient.value, grad, tuple(tuple(row) for row in hess))
 
 
+def _contract_linear_form(coeffs: Sequence[Scalar], chart: ChartJet) -> Jet2:
+    """Pull a linear form back through a chart 2-jet: one chart can serve
+    every form drawn at its witness."""
+    n = chart.dim
+    value = dot(coeffs, chart.point)
+    grad = tuple(dot(coeffs, chart.first[a]) for a in range(n))
+    hess = tuple(
+        tuple(dot(coeffs, chart.second[a][b]) for b in range(n)) for a in range(n)
+    )
+    return Jet2(value, grad, hess)
+
+
 class VarietyHandle:
     """Common capability surface; concrete kinds fill in the chart 2-jet."""
 
@@ -214,14 +226,7 @@ class VarietyHandle:
         """
         if len(coeffs) != self.ambient_r + 1:
             raise ConstructionError("linear form arity mismatch")
-        chart = self.chart_jet2(w)
-        n = chart.dim
-        value = dot(coeffs, chart.point)
-        grad = tuple(dot(coeffs, chart.first[a]) for a in range(n))
-        hess = tuple(
-            tuple(dot(coeffs, chart.second[a][b]) for b in range(n)) for a in range(n)
-        )
-        return Jet2(value, grad, hess)
+        return _contract_linear_form(coeffs, self.chart_jet2(w))
 
     def pullback_poly_jet2(self, g: MultiPoly, w: Witness) -> Jet2:
         """Chart 2-jet of an arbitrary ambient polynomial at the witness."""
@@ -465,22 +470,8 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         return ChartJet(point, first, second)
 
 
-def _scalar_to_bp(x: Scalar):
-    """Portable JSON form: a lifted int mod p, a [num, den] pair over Q."""
-    if x.field.kind == PRIME:
-        return x.lift()
-    return [x.value.numerator, x.value.denominator]
-
-
-def _scalar_from_bp(field: FieldSpec, x) -> Scalar:
-    if isinstance(x, list):
-        num, den = x
-        return field.scalar(num) / field.scalar(den)
-    return field.scalar(x)
-
-
 def _poly_to_int_coeffs(g: MultiPoly) -> list:
-    return [[_scalar_to_bp(c), list(e)] for e, c in g.sorted_terms()]
+    return [[c.value, list(e)] for e, c in g.sorted_terms()]
 
 
 def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.Random) -> bool:
@@ -499,7 +490,7 @@ def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.
             continue
         coeffs = [0] * (g.total_degree() + 1)
         for e, c in g.terms.items():
-            coeffs[e[0]] = c.lift()
+            coeffs[e[0]] = c.value
         deriv = [(i * coeffs[i]) % p for i in range(1, len(coeffs))]
         if _poly_gcd(coeffs, deriv, p) == [1]:
             return True
@@ -509,8 +500,6 @@ def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.
 def implicit_plane_curve(
     field: FieldSpec, f: MultiPoly, genus_hint: int, rng: random.Random, label: str | None = None
 ) -> ImplicitPlaneCurveHandle:
-    if field.kind != PRIME:
-        raise ConstructionError("implicit plane curves are supported over prime fields only")
     if f.field != field:
         raise FieldMismatchError("curve equation field differs")
     if f.nvars != 3 or not f.is_homogeneous() or f.total_degree() < 1:
@@ -520,7 +509,7 @@ def implicit_plane_curve(
     label = label or "plane-curve"
     bp = {
         "constructor": "implicit_plane_curve",
-        "terms": [[c.lift(), list(e)] for e, c in f.sorted_terms()],
+        "terms": _poly_to_int_coeffs(f),
         "genus_hint": genus_hint,
     }
     return ImplicitPlaneCurveHandle(field, f, genus_hint, label, bp)
@@ -723,7 +712,7 @@ def cone(base: VarietyHandle, vertex: Matrix, label: str | None = None) -> ConeH
         "constructor": "cone",
         "base": base.blueprint,
         "vertex": [
-            [_scalar_to_bp(x) for x in vertex.column(j)] for j in range(vertex.cols)
+            [x.value for x in vertex.column(j)] for j in range(vertex.cols)
         ],
     }
     return ConeHandle(base, vertex, label, bp)
@@ -957,31 +946,6 @@ def _linear_combo(vectors, coeffs, field, length) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def _affine_solve(field: FieldSpec, rows, rhs, nvars: int):
-    """Solve A x = rhs exactly.  Returns (particular, kernel basis) or None.
-
-    With no equations the whole space comes back (particular 0, full basis).
-    """
-    if not rows:
-        zero = field.zero
-        one = field.one
-        basis = [
-            tuple(one if i == j else zero for j in range(nvars)) for i in range(nvars)
-        ]
-        return [zero] * nvars, basis
-    aug = Matrix(field, [list(r) + [b] for r, b in zip(rows, rhs)])
-    rref, pivots = aug.rref()
-    if nvars in pivots:
-        return None  # inconsistent
-    particular = [field.zero] * nvars
-    for r, p in enumerate(pivots):
-        particular[p] = rref[r][nvars]
-    amat = Matrix(field, rows)
-    kernel = amat.null_space()
-    basis = [kernel.column(j) for j in range(kernel.cols)]
-    return particular, basis
-
-
 def _check_not_identically_zero(base: VarietyHandle, g: MultiPoly, rng: random.Random) -> None:
     hits = 0
     for _ in range(5):
@@ -1000,8 +964,6 @@ def hypersurface_section(
         raise FieldMismatchError("hypersurface field differs")
     if h.nvars != base.ambient_r + 1 or not h.is_homogeneous() or h.total_degree() < 1:
         raise ConstructionError("hypersurface must be homogeneous on the ambient coordinates")
-    if base.field.kind != PRIME:
-        raise ConstructionError("section sampling solves univariates and needs a prime field")
     _check_not_identically_zero(base, h, rng)
     label = label or f"section-of-{base.label}"
     bp = {
@@ -1020,8 +982,6 @@ def generic_hyperplane_section(
     Applied to a section handle this extends its constraint list, keeping the
     one-nonlinear-constraint sampling discipline intact.
     """
-    if x.field.kind != PRIME:
-        raise ConstructionError("section sampling needs a prime field")
     coeffs = [rng.randrange(1, _DRAW_RANGE) for _ in range(x.ambient_r + 1)]
     lam = MultiPoly.from_int_terms(
         x.field, x.ambient_r + 1, [(c, _unit(x.ambient_r + 1, i)) for i, c in enumerate(coeffs)]
@@ -1112,7 +1072,7 @@ class ProjectionHandle(VarietyHandle):
 def _poly_from_blueprint(field: FieldSpec, nvars: int, terms) -> MultiPoly:
     out = MultiPoly.zero(field, nvars)
     for coef, expo in terms:
-        s = _scalar_from_bp(field, coef)
+        s = field.scalar(coef)
         out = out + MultiPoly(field, nvars, {tuple(expo): s})
     return out
 
@@ -1143,7 +1103,7 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
         base = build(blueprint["base"], field, rng)
         cols = blueprint["vertex"]
         vertex = Matrix.from_columns(
-            field, [[_scalar_from_bp(field, x) for x in col] for col in cols]
+            field, [[field.scalar(x) for x in col] for col in cols]
         )
         return cone(base, vertex, label=label)
     if kind == "hypersurface_section":

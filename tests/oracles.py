@@ -33,15 +33,20 @@ def det_cofactor(rows):
     return total
 
 
-def rank_by_minors(rows) -> int:
-    """Largest size of a nonvanishing square minor.  Exponential, tiny inputs only."""
+def rank_by_minors(rows, p: int | None = None) -> int:
+    """Largest size of a nonvanishing square minor.  Exponential, tiny inputs only.
+
+    With a modulus p the rows hold integers and a minor counts when its
+    integer determinant is nonzero mod p; without one, entries are exact
+    rationals (or integers) and the rank is over Q.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     for size in range(min(nrows, ncols), 0, -1):
         for ris in combinations(range(nrows), size):
             for cis in combinations(range(ncols), size):
-                sub = [[rows[i][j] for j in cis] for i in ris]
-                if det_cofactor(sub) != 0:
+                det = det_cofactor([[rows[i][j] for j in cis] for i in ris])
+                if (det if p is None else det % p) != 0:
                     return size
     return 0
 
@@ -75,6 +80,41 @@ def rank_by_reverse_echelon(rows: list[list[int]], p: int) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def solve_square_int(a: list[list[int]], p: int) -> list[list[int]] | None:
+    """Inverse of a small square matrix mod p, or None if singular.
+
+    The ruling scan's own inverse before it moved onto the shared
+    elimination routine, kept verbatim as the differential reference.
+    """
+    m = len(a)
+    aug = [row[:] + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
+    r = 0
+    for col in range(m):
+        piv = next((i for i in range(r, m) if aug[i][col] % p), None)
+        if piv is None:
+            return None
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][col], p - 2, p)
+        aug[r] = [x * inv % p for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] % p:
+                f = aug[i][col]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
+        r += 1
+    return [row[m:] for row in aug]
+
+
+def square_solver_by_combinations(b_rows: list[list[int]], m: int, p: int):
+    """The ruling scan's former row choice: the first m-subset of rows, in
+    combinations order, whose square matrix is invertible mod p, with its
+    inverse; None when no subset is."""
+    for sel in combinations(range(len(b_rows)), m):
+        inv = solve_square_int([b_rows[i] for i in sel], p)
+        if inv is not None:
+            return list(sel), inv
+    return None
 
 
 def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[Scalar]:

@@ -12,6 +12,7 @@ from terracini.algebra import (
     Jet2,
     Matrix,
     MultiPoly,
+    _affine_solve,
     exact_rank,
     jet2_eval,
     normalize_point,
@@ -19,6 +20,7 @@ from terracini.algebra import (
     uni_roots_mod_p,
 )
 from terracini.errors import ConstructionError, FieldMismatchError
+from terracini.fiber import _square_solver
 
 from oracles import (
     jet_by_symbolic_diff,
@@ -26,9 +28,9 @@ from oracles import (
     rank_by_reverse_echelon,
     random_fraction_matrix,
     roots_by_scan,
+    square_solver_by_combinations,
 )
 
-QQ = FieldSpec.rationals()
 F1009 = FieldSpec.prime(1009)
 F2003 = FieldSpec.prime(2003)
 
@@ -42,7 +44,7 @@ def test_field_spec_rejects_small_or_composite_modulus():
     with pytest.raises(ConstructionError):
         FieldSpec.prime(1000)
     with pytest.raises(ConstructionError):
-        FieldSpec(kind="prime", modulus=None)
+        FieldSpec(modulus=None)
     assert FieldSpec.prime(257).modulus == 257
 
 
@@ -61,30 +63,32 @@ def test_scalar_arithmetic_and_fermat_inverse():
 def test_scalar_field_mismatch_raises():
     with pytest.raises(FieldMismatchError):
         F1009.one + F2003.one
-    with pytest.raises(FieldMismatchError):
-        QQ.one * F1009.one
-
-
-def test_rational_scalars_are_fractions():
-    x = QQ.scalar(3) / QQ.scalar(7)
-    assert x.value == Fraction(3, 7)
-    assert (x * 7).value == 3
 
 
 # -- matrices ---------------------------------------------------------------
 
 
-def test_rank_matches_minor_expansion_oracle_over_rationals():
-    # pinned random 5x7 instance, full-rank and low-rank variants
+def _reduce_mod_1009(rows):
+    return [[x.numerator * pow(x.denominator, -1, 1009) % 1009 for x in row] for row in rows]
+
+
+def test_rank_matches_minor_expansion_oracle_mod_p():
+    # pinned random 5x7 rational instance, full-rank and low-rank variants,
+    # reduced mod p; the Fraction minor oracle gives the rank over Q
     rng = random.Random(1201)
     raw = random_fraction_matrix(rng, 5, 7)
-    m = Matrix.from_rows(QQ, raw)
-    assert exact_rank(m) == rank_by_minors(raw)
+    reduced = _reduce_mod_1009(raw)
+    assert exact_rank(Matrix.from_rows(F1009, reduced)) == rank_by_minors(reduced, 1009) == rank_by_minors(raw)
 
     raw_low = random_fraction_matrix(rng, 5, 7, rank_target=3)
-    m_low = Matrix.from_rows(QQ, raw_low)
-    assert rank_by_minors(raw_low) == 3
-    assert exact_rank(m_low) == 3
+    reduced_low = _reduce_mod_1009(raw_low)
+    assert rank_by_minors(raw_low) == rank_by_minors(reduced_low, 1009) == 3
+    assert exact_rank(Matrix.from_rows(F1009, reduced_low)) == 3
+
+    # rank 2 over Q but 1 over F_1009: the 2x2 minor is 1009 itself
+    rows = [[1, 2], [3, 6 + 1009]]
+    assert rank_by_minors([[Fraction(x) for x in row] for row in rows]) == 2
+    assert rank_by_minors(rows, 1009) == exact_rank(Matrix.from_rows(F1009, rows)) == 1
 
 
 def test_rank_matches_independent_echelon_over_prime_field():
@@ -92,13 +96,15 @@ def test_rank_matches_independent_echelon_over_prime_field():
     raw = [[rng.randrange(1009) for _ in range(7)] for _ in range(5)]
     m = Matrix.from_rows(F1009, raw)
     assert exact_rank(m) == rank_by_reverse_echelon(raw, 1009)
-    assert exact_rank(m) == rank_by_minors([[Fraction(x) for x in row] for row in raw]) or exact_rank(m) <= 5
+    assert exact_rank(m) == rank_by_minors(raw, 1009)
 
 
 def test_rank_trivial_cases():
     assert exact_rank(Matrix.identity(F1009, 4)) == 4
     assert exact_rank(Matrix.zeros(F1009, 3, 5)) == 0
-    assert exact_rank(Matrix.zeros(QQ, 2, 2)) == 0
+    assert exact_rank(Matrix.zeros(F2003, 2, 2)) == 0
+    assert exact_rank(Matrix(F1009, [])) == 0
+    assert exact_rank(Matrix(F1009, [[], []])) == 0
 
 
 def test_rank_transpose_and_permutation_invariance():
@@ -120,9 +126,9 @@ def test_rank_transpose_and_permutation_invariance():
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_rank_agrees_between_rational_and_minor_oracle(rows):
-    m = Matrix.from_rows(QQ, rows)
-    assert exact_rank(m) == rank_by_minors([[Fraction(x) for x in row] for row in rows])
+def test_rank_agrees_with_minor_oracle_mod_p(rows):
+    m = Matrix.from_rows(F1009, rows)
+    assert exact_rank(m) == rank_by_minors(rows, 1009)
 
 
 def test_null_space_is_exact_kernel():
@@ -134,6 +140,60 @@ def test_null_space_is_exact_kernel():
     for j in range(ker.cols):
         image = m.matvec(ker.column(j))
         assert all(x.value == 0 for x in image)
+
+
+@st.composite
+def _int_matrices(draw, max_rows=6, max_cols=8):
+    """Integer rows mod 1009 of any shape up to max_rows x max_cols, as a
+    product L R through a drawn inner size, so zero, tall, wide and
+    rank-deficient matrices all come up."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols)) if nrows else 0
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    entry = st.integers(0, 1008)
+    left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=inner, max_size=inner))
+    return [[sum(left[i][k] * right[k][j] for k in range(inner)) % 1009 for j in range(ncols)] for i in range(nrows)]
+
+
+def _apply(raw, vec):
+    return [sum(a * x.value for a, x in zip(row, vec)) % 1009 for row in raw]
+
+
+@given(_int_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_kernel_against_independent_references(raw, data):
+    m = Matrix.from_rows(F1009, raw)
+    ncols = m.cols
+    rank = exact_rank(m)
+    assert rank == rank_by_reverse_echelon(raw, 1009)
+
+    ker = m.null_space()
+    assert ker.cols == ncols - rank
+    for j in range(ker.cols):
+        assert not any(_apply(raw, ker.column(j)))
+
+    # consistent right-hand sides are images A x0; a drawn one may not be
+    if data.draw(st.booleans()):
+        x0 = [F1009.scalar(v) for v in data.draw(st.lists(st.integers(0, 1008), min_size=ncols, max_size=ncols))]
+        rhs = _apply(raw, x0)
+    else:
+        rhs = data.draw(st.lists(st.integers(0, 1008), min_size=m.rows, max_size=m.rows))
+    solved = _affine_solve(F1009, m.entries, [F1009.scalar(b) for b in rhs], ncols)
+    if rank_by_reverse_echelon([row + [b] for row, b in zip(raw, rhs)], 1009) > rank:
+        assert solved is None
+    else:
+        particular, basis = solved
+        assert _apply(raw, particular) == rhs
+        assert len(basis) == ncols - rank
+        assert rank_by_reverse_echelon([[x.value for x in v] for v in basis], 1009) == len(basis)
+        for v in basis:
+            assert not any(_apply(raw, v))
+
+    # the ruling scan's square solver against its former combinations search
+    for width in range(1, ncols + 1):
+        b_rows = [row[:width] for row in raw]
+        assert _square_solver(b_rows, width, 1009) == square_solver_by_combinations(b_rows, width, 1009)
 
 
 def test_subspace_intersect_rank_identity():
@@ -231,10 +291,10 @@ def test_jet2_matches_symbolic_differentiation_oracle():
 
 
 def test_jet2_zero_hessian_below_degree_two():
-    f = MultiPoly.from_int_terms(QQ, 2, [(3, (1, 0)), (7, (0, 1)), (11, (0, 0))])
-    jet = jet2_eval(f, (QQ.scalar(5), QQ.scalar(-2)))
+    f = MultiPoly.from_int_terms(F1009, 2, [(3, (1, 0)), (7, (0, 1)), (11, (0, 0))])
+    jet = jet2_eval(f, (F1009.scalar(5), F1009.scalar(-2)))
     assert all(all(h.value == 0 for h in row) for row in jet.hessian)
-    assert jet.gradient == (QQ.scalar(3), QQ.scalar(7))
+    assert jet.gradient == (F1009.scalar(3), F1009.scalar(7))
 
 
 def test_jet2_hessian_exactly_symmetric_and_validated():
@@ -315,8 +375,8 @@ def test_roots_reject_bad_inputs():
         uni_roots_mod_p(MultiPoly.zero(F1009, 1), F1009)
     with pytest.raises(ConstructionError):
         uni_roots_mod_p(MultiPoly.variable(F1009, 2, 0), F1009)
-    with pytest.raises(ConstructionError):
-        uni_roots_mod_p(_uni(QQ, [1, 1]), QQ)
+    with pytest.raises(FieldMismatchError):
+        uni_roots_mod_p(_uni(F2003, [1, 1]), F1009)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1008), min_size=2, max_size=5))

@@ -49,6 +49,9 @@ def test_malformed_json_reports_line(tmp_path, capsys):
         {"variety": "veronese-2-2", "bogus_key": 1},
         {"variety": "veronese-2-2", "output": {"format": "yaml"}},
         {"variety": "no-such-builtin"},
+        # a repeated prime would count as two primes agreeing
+        {"variety": "veronese-1-4", "enum_primes": [1009, 1009]},
+        {"variety": "veronese-2-2", "enum_primes": [9, 1009]},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):
@@ -113,6 +116,8 @@ PINNED_REPORTS = {
     ("defect-scan", "veronese-2-3", (1, 3)): "389e794d7bf7584e3820132f6722d67e86751c67e0c620470cae5b0715a5c8bd",
     # deferred section, cone and map-image Hessians feed every contact corank
     ("contact-scan", "counter2", (1, 2)): "ec4420fb0f6922a83c83b25bd6d481460507bf3bf1f0f283b7a68fdb40ac142b",
+    # the cone-section ruling scan: its square solver and underdetermined solves
+    ("fiber-probe", "counter1", (1, 1)): "2f627ca640790398a65ff9d5d3cadaee83375f898ac96f2022c13b02e24f970f",
 }
 
 

@@ -53,8 +53,8 @@ def test_veronese22_contact_hessian_is_a_doubled_line():
     u = MultiPoly.variable(F, 2, 0)
     v = MultiPoly.variable(F, 2, 1)
     du, dv = u2 - u1, v2 - v1
-    ell = (u - MultiPoly.constant(F, 2, u1.lift())) * dv - (
-        v - MultiPoly.constant(F, 2, v1.lift())
+    ell = (u - MultiPoly.constant(F, 2, u1.value)) * dv - (
+        v - MultiPoly.constant(F, 2, v1.value)
     ) * du
     m = quadric_from_affine(F, ell * ell)
 

@@ -129,5 +129,5 @@ def test_counter1_terracini_matrix_rank_by_independent_elimination():
 
     dim, ws = terracini_dim(x, 1, rng)
     stacked = Matrix.hstack([x.tangent_frame(w) for w in ws])
-    lifted = [[s.lift() for s in stacked.row(i)] for i in range(stacked.rows)]
+    lifted = [[s.value for s in stacked.row(i)] for i in range(stacked.rows)]
     assert rank_by_reverse_echelon(lifted, F.modulus) == dim + 1 == 6

@@ -126,7 +126,7 @@ def test_frame_rank_matches_reverse_echelon_oracle():
     ver = veronese(F, 2, 2)
     w = ver.sample(rng)
     frame = ver.tangent_frame(w)
-    lifted = [[x.lift() for x in frame.row(i)] for i in range(frame.rows)]
+    lifted = [[x.value for x in frame.row(i)] for i in range(frame.rows)]
     assert exact_rank(frame) == rank_by_reverse_echelon(lifted, F.modulus) == 3
 
 
