@@ -1,15 +1,21 @@
 """Exact arithmetic substrate: prime fields, matrices, sparse polynomials, 2-jets.
 
-Everything in this module is exact.  Scalars live in a prime field F_p as
-Python ints in ``[0, p)``; no floating point appears anywhere.  Matrices are
-dense row-major and small (ambient dimensions stay below ~125), but
-elimination is not cheap: with tangent frames built from first-order jets,
+Everything in this module is exact.  A field element is a plain Python int
+in ``[0, p)`` everywhere in the package: in matrix entries, polynomial
+coefficients, jets, witnesses and root sets.  The modulus travels with the
+containers that hold a ``FieldSpec`` (``Matrix``, ``MultiPoly``); helpers on
+bare vectors (``dot``, ``normalize_point``, ``power_table``) take ``p``.
+Every operation reduces its result into ``[0, p)``, and no floating point
+appears anywhere.
+
+Matrices are dense row-major and small (ambient dimensions stay below ~125),
+but elimination is not cheap: with tangent frames built from first-order jets,
 the rank of the stacked frames is the costliest step of a secant-dimension
 computation on wide matrices (120 x 225 for the quadratic Veronese of P^14 at
 k = 14).
 
 Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine
-on lifted int rows, ``_gauss_jordan``.
+on int rows, ``_gauss_jordan``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .errors import FieldMismatchError, ConstructionError
 
 __all__ = [
     "FieldSpec",
-    "Scalar",
     "Matrix",
     "MultiPoly",
     "Jet2",
@@ -33,6 +38,7 @@ __all__ = [
     "power_table",
     "uni_roots_mod_p",
     "is_prime",
+    "inverse",
     "dot",
     "normalize_point",
 ]
@@ -72,11 +78,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The working field F_p; prime fields are the only kind.
+    """The working field F_p; its elements are plain ints in ``[0, p)``.
 
     The modulus must be a verified prime of at least 257; small
     characteristics would collide with the degrees (up to 6) handled by the
-    geometry layers.
+    geometry layers.  The field object itself carries no elements: it rides
+    on the containers (``Matrix``, ``MultiPoly``) so that mixing two fields
+    raises, and it is the entry point for outside data via ``scalar``.
     """
 
     modulus: int
@@ -93,160 +101,55 @@ class FieldSpec:
     def prime(p: int) -> "FieldSpec":
         return FieldSpec(p)
 
-    def scalar(self, value) -> "Scalar":
-        """Reduce an int (or another scalar's representative) into this field."""
-        if isinstance(value, Scalar):
-            value = value.value
+    def scalar(self, value) -> int:
+        """Reduce an outside int into ``[0, p)``; anything else is rejected."""
         if not isinstance(value, int):
             raise ConstructionError(f"prime field wants ints, got {value!r}")
-        return Scalar(self, value % self.modulus)
+        return value % self.modulus
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
-    def random_scalar(self, rng: random.Random) -> "Scalar":
-        return Scalar(self, rng.randrange(self.modulus))
-
-    def random_nonzero(self, rng: random.Random) -> "Scalar":
-        while True:
-            s = self.random_scalar(rng)
-            if s.value != 0:
-                return s
+    def random_scalar(self, rng: random.Random) -> int:
+        return rng.randrange(self.modulus)
 
 
-class Scalar:
-    """One field element.  Immutable; arithmetic checks field compatibility."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):  # pragma: no cover - guard
-        raise AttributeError("Scalar is immutable")
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, (self.value + other.value) % self.field.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(self.field, (-self.value) % self.field.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, (self.value * other.value) % self.field.modulus)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.field.modulus
-        return Scalar(self.field, pow(self.value, p - 2, p))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Scalar({self.value!r})"
+def inverse(a: int, p: int) -> int:
+    """Inverse of a mod p by Fermat; zero has none."""
+    if a % p == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return pow(a, p - 2, p)
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """Exact inner product of two equal-length scalar vectors."""
+def dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
+    """Exact inner product mod p of two equal-length vectors."""
     if len(u) != len(v):
         raise ConstructionError(f"length mismatch {len(u)} vs {len(v)}")
-    acc = u[0].field.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    return sum(a * b for a, b in zip(u, v)) % p
 
 
-def normalize_point(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Scale a nonzero vector so its last nonzero coordinate is 1.
+def normalize_point(vec: Sequence[int], p: int) -> tuple[int, ...]:
+    """Scale a nonzero vector mod p so its last nonzero coordinate is 1.
 
     This is the canonical representative used for projective point identity
     everywhere in the package (witness dedup, fiber counting).
     """
-    last = None
     for i in range(len(vec) - 1, -1, -1):
-        if vec[i].value != 0:
-            last = i
-            break
-    if last is None:
-        raise ConstructionError("cannot normalize the zero vector")
-    inv = vec[last].inverse()
-    return tuple(x * inv for x in vec)
+        if vec[i]:
+            inv = inverse(vec[i], p)
+            return tuple(x * inv % p for x in vec)
+    raise ConstructionError("cannot normalize the zero vector")
 
 
 class Matrix:
-    """Dense exact matrix, row-major, immutable after construction."""
+    """Dense exact matrix over one field, row-major, immutable after
+    construction.  Entries are ints in ``[0, p)``."""
 
     __slots__ = ("field", "entries", "_rank")
 
-    def __init__(self, field: FieldSpec, entries: Sequence[Sequence[Scalar]]) -> None:
+    def __init__(self, field: FieldSpec, entries: Sequence[Sequence[int]]) -> None:
         rows = tuple(tuple(row) for row in entries)
         width = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != width:
                 raise ConstructionError("ragged rows")
-            for x in row:
-                if x.field != field:
-                    raise FieldMismatchError("entry field differs from matrix field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_rank", None)
@@ -261,21 +164,20 @@ class Matrix:
         return cls(field, [[field.scalar(x) for x in row] for row in rows])
 
     @classmethod
-    def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence[Scalar]]) -> "Matrix":
+    def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence[int]]) -> "Matrix":
         if not cols:
             return cls(field, [])
-        height = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(height)])
+        if any(len(col) != len(cols[0]) for col in cols):
+            raise ConstructionError("ragged columns")
+        return cls(field, list(zip(*cols)))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)])
+        return cls(field, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def hstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -289,7 +191,7 @@ class Matrix:
                 raise FieldMismatchError("hstack across fields")
             if m.rows != height:
                 raise ConstructionError("hstack height mismatch")
-        return cls(field, [sum((list(m.entries[i]) for m in mats), []) for i in range(height)])
+        return cls(field, [sum((m.entries[i] for m in mats), ()) for i in range(height)])
 
     # -- shape ---------------------------------------------------------
 
@@ -301,21 +203,21 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, ij) -> Scalar:
+    def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
+    def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
+    def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[tuple[Scalar, ...]]:
+    def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)])
+        return Matrix(self.field, self.columns())
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -330,36 +232,33 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def matvec(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ConstructionError("matvec shape mismatch")
-        return tuple(dot(row, v) for row in self.entries)
+        p = self.field.modulus
+        return tuple(dot(row, v, p) for row in self.entries)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatchError("matmul across fields")
         if self.cols != other.rows:
             raise ConstructionError("matmul shape mismatch")
+        p = self.field.modulus
         cols = other.columns()
-        return Matrix(self.field, [[dot(row, c) for c in cols] for row in self.entries])
+        return Matrix(self.field, [[dot(row, c, p) for c in cols] for row in self.entries])
 
     # -- elimination ---------------------------------------------------
 
-    def lifted(self) -> list[list[int]]:
-        """Fresh int rows of the entries' representatives in [0, p)."""
-        return [[x.value for x in row] for row in self.entries]
-
-    def rref(self) -> tuple[list[list[Scalar]], list[int]]:
+    def rref(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        field = self.field
-        rows = self.lifted()
-        pivots = _gauss_jordan(rows, field.modulus)
-        return [[Scalar(field, x) for x in row] for row in rows], pivots
+        rows = [list(row) for row in self.entries]
+        return rows, _gauss_jordan(rows, self.field.modulus)
 
     def rank(self) -> int:
         """Exact rank: the pivot count of the reduced form."""
         if self._rank is None:
-            object.__setattr__(self, "_rank", len(_gauss_jordan(self.lifted(), self.field.modulus)))
+            rows = [list(row) for row in self.entries]
+            object.__setattr__(self, "_rank", len(_gauss_jordan(rows, self.field.modulus)))
         return self._rank
 
     def null_space(self) -> "Matrix":
@@ -370,7 +269,7 @@ class Matrix:
         if self.cols == 0:
             return Matrix(self.field, [])
         rref, pivots = self.rref()
-        cols = _kernel_basis(self.field, rref, pivots, self.cols)
+        cols = _kernel_basis(self.field.modulus, rref, pivots, self.cols)
         if not cols:
             return Matrix(self.field, [[] for _ in range(self.cols)])
         return Matrix.from_columns(self.field, cols)
@@ -406,7 +305,7 @@ def _gauss_jordan(rows: list[list[int]], p: int) -> list[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
+        inv = inverse(rows[r][c], p)
         prow = rows[r] = [(x * inv) % p for x in rows[r]]
         for i in range(nrows):
             f = rows[i][c]
@@ -420,20 +319,19 @@ def _gauss_jordan(rows: list[list[int]], p: int) -> list[int]:
 
 
 def _kernel_basis(
-    field: FieldSpec, rref: Sequence[Sequence[Scalar]], pivots: Sequence[int], ncols: int
-) -> list[tuple[Scalar, ...]]:
+    p: int, rref: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+) -> list[tuple[int, ...]]:
     """One kernel vector per free column of a reduced matrix's first ncols
     columns, read off its reduced rows."""
     pivot_set = set(pivots)
-    zero, one = field.zero, field.one
     cols = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [zero] * ncols
-        v[f] = one
+        v = [0] * ncols
+        v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
+            v[c] = -rref[r][f] % p
         cols.append(tuple(v))
     return cols
 
@@ -445,20 +343,16 @@ def _affine_solve(field: FieldSpec, rows, rhs, nvars: int):
     the reduced form of A.  With no equations the whole space comes back
     (particular 0, full basis).
     """
-    zero = field.zero
     if not rows:
-        one = field.one
-        basis = [
-            tuple(one if i == j else zero for j in range(nvars)) for i in range(nvars)
-        ]
-        return [zero] * nvars, basis
+        basis = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+        return [0] * nvars, basis
     rref, pivots = Matrix(field, [list(r) + [b] for r, b in zip(rows, rhs)]).rref()
     if nvars in pivots:
         return None  # inconsistent
-    particular = [zero] * nvars
+    particular = [0] * nvars
     for r, c in enumerate(pivots):
         particular[c] = rref[r][nvars]
-    return particular, _kernel_basis(field, rref, pivots, nvars)
+    return particular, _kernel_basis(field.modulus, rref, pivots, nvars)
 
 
 def exact_rank(m: Matrix) -> int:
@@ -504,23 +398,24 @@ def _grlex_key(expo: tuple[int, ...]) -> tuple:
 class MultiPoly:
     """Sparse multivariate polynomial over one FieldSpec.
 
-    Terms map exponent tuples to nonzero coefficients; zero coefficients are
-    never stored, so structural equality is semantic equality.  Printing and
-    serialization iterate terms in graded-lex order for determinism.
+    Terms map exponent tuples to nonzero coefficients in ``[0, p)``; the
+    constructor reduces every coefficient and drops zeros, so structural
+    equality is semantic equality.  Printing and serialization iterate terms
+    in graded-lex order for determinism.
     """
 
     __slots__ = ("field", "nvars", "terms")
 
-    def __init__(self, field: FieldSpec, nvars: int, terms: dict[tuple[int, ...], Scalar]) -> None:
-        clean: dict[tuple[int, ...], Scalar] = {}
+    def __init__(self, field: FieldSpec, nvars: int, terms: dict[tuple[int, ...], int]) -> None:
+        p = field.modulus
+        clean: dict[tuple[int, ...], int] = {}
         for expo, coef in terms.items():
             if len(expo) != nvars:
                 raise ConstructionError(f"exponent arity {len(expo)} != nvars {nvars}")
             if any(e < 0 for e in expo):
                 raise ConstructionError("negative exponent")
-            if coef.field != field:
-                raise FieldMismatchError("coefficient field differs")
-            if coef.value != 0:
+            coef %= p
+            if coef:
                 clean[tuple(expo)] = coef
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
@@ -543,7 +438,7 @@ class MultiPoly:
     def variable(cls, field: FieldSpec, nvars: int, index: int) -> "MultiPoly":
         expo = [0] * nvars
         expo[index] = 1
-        return cls(field, nvars, {tuple(expo): field.one})
+        return cls(field, nvars, {tuple(expo): 1})
 
     @classmethod
     def monomial(cls, field: FieldSpec, expo: Sequence[int], coef=1) -> "MultiPoly":
@@ -590,37 +485,32 @@ class MultiPoly:
             raise ConstructionError("mixed variable counts")
 
     def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, int):
             other = MultiPoly.constant(self.field, self.nvars, other)
         self._check(other)
         acc = dict(self.terms)
         for expo, coef in other.terms.items():
-            cur = acc.get(expo)
-            acc[expo] = coef if cur is None else cur + coef
+            acc[expo] = acc.get(expo, 0) + coef
         return MultiPoly(self.field, self.nvars, acc)
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, int):
             other = MultiPoly.constant(self.field, self.nvars, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            s = self.field.scalar(other) if isinstance(other, int) else other
-            if s.field != self.field:
-                raise FieldMismatchError("scalar field differs")
+        if isinstance(other, int):
+            s = self.field.scalar(other)
             return MultiPoly(self.field, self.nvars, {e: c * s for e, c in self.terms.items()})
         self._check(other)
-        acc: dict[tuple[int, ...], Scalar] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = acc.get(expo)
-                acc[expo] = prod if cur is None else cur + prod
+                acc[expo] = acc.get(expo, 0) + c1 * c2
         return MultiPoly(self.field, self.nvars, acc)
 
     __rmul__ = __mul__
@@ -652,7 +542,7 @@ class MultiPoly:
     # -- calculus ---------------------------------------------------------
 
     def diff(self, index: int) -> "MultiPoly":
-        acc: dict[tuple[int, ...], Scalar] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for expo, coef in self.terms.items():
             e = expo[index]
             if e == 0:
@@ -660,27 +550,27 @@ class MultiPoly:
             reduced = list(expo)
             reduced[index] = e - 1
             key = tuple(reduced)
-            contrib = coef * e
-            cur = acc.get(key)
-            acc[key] = contrib if cur is None else cur + contrib
+            acc[key] = acc.get(key, 0) + coef * e
         return MultiPoly(self.field, self.nvars, acc)
 
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+    def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.nvars:
             raise ConstructionError("point arity mismatch")
-        return self.evaluate_at(power_table(point, max_exponents(self.nvars, (self,))))
+        p = self.field.modulus
+        return self.evaluate_at(power_table(point, max_exponents(self.nvars, (self,)), p))
 
-    def evaluate_at(self, powers: Sequence[Sequence[Scalar]]) -> Scalar:
+    def evaluate_at(self, powers: Sequence[Sequence[int]]) -> int:
         """Value from a power table of the point that covers every exponent
         here (see ``power_table``); one table can serve many polynomials."""
-        acc = None
+        p = self.field.modulus
+        acc = 0
         for expo, coef in self.terms.items():
             term = coef
             for i, e in enumerate(expo):
                 if e:
-                    term = term * powers[i][e]
-            acc = term if acc is None else acc + term
-        return self.field.zero if acc is None else acc
+                    term = term * powers[i][e] % p
+            acc += term
+        return acc % p
 
     def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute args[i] for variable i.  All args share one arity."""
@@ -704,14 +594,14 @@ class MultiPoly:
 
         out = MultiPoly.zero(self.field, target_nvars)
         for expo, coef in self.terms.items():
-            term = MultiPoly.constant(self.field, target_nvars, 1) * coef
+            term = MultiPoly.constant(self.field, target_nvars, coef)
             for i, e in enumerate(expo):
                 if e:
                     term = term * arg_power(i, e)
             out = out + term
         return out
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def __repr__(self):
@@ -722,7 +612,7 @@ class MultiPoly:
             mono = "*".join(
                 f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(expo) if e
             )
-            bits.append(f"{coef.value}{'*' + mono if mono else ''}")
+            bits.append(f"{coef}{'*' + mono if mono else ''}")
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
@@ -737,15 +627,15 @@ def max_exponents(nvars: int, polys: Iterable[MultiPoly]) -> list[int]:
     return max_e
 
 
-def power_table(point: Sequence[Scalar], max_e: Sequence[int]) -> list[list[Scalar]]:
-    """powers[i][e] = point[i]**e for every e <= max_e[i]."""
+def power_table(point: Sequence[int], max_e: Sequence[int], p: int) -> list[list[int]]:
+    """powers[i][e] = point[i]**e mod p for every e <= max_e[i]."""
     if len(point) != len(max_e):
         raise ConstructionError("point arity mismatch")
     table = []
     for x, top in zip(point, max_e):
-        row = [x.field.one]
+        row = [1]
         for _ in range(top):
-            row.append(row[-1] * x)
+            row.append(row[-1] * x % p)
         table.append(row)
     return table
 
@@ -759,9 +649,9 @@ def power_table(point: Sequence[Scalar], max_e: Sequence[int]) -> list[list[Scal
 class Jet2:
     """Value, gradient, and symmetric Hessian of a function at one point."""
 
-    value: Scalar
-    gradient: tuple[Scalar, ...]
-    hessian: tuple[tuple[Scalar, ...], ...]
+    value: int
+    gradient: tuple[int, ...]
+    hessian: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.gradient)
@@ -777,13 +667,13 @@ class Jet2:
         return len(self.gradient)
 
     def gradient_is_zero(self) -> bool:
-        return all(g.value == 0 for g in self.gradient)
+        return not any(self.gradient)
 
     def hessian_matrix(self, field: FieldSpec) -> Matrix:
         return Matrix(field, self.hessian)
 
 
-def jet2_eval(f: MultiPoly, point: Sequence[Scalar]) -> Jet2:
+def jet2_eval(f: MultiPoly, point: Sequence[int]) -> Jet2:
     """Exact 2-jet of f at point by term-wise exponent bookkeeping.
 
     The Hessian of any polynomial of total degree <= 1 comes out identically
@@ -792,32 +682,32 @@ def jet2_eval(f: MultiPoly, point: Sequence[Scalar]) -> Jet2:
     """
     if len(point) != f.nvars:
         raise ConstructionError("point arity mismatch")
-    field = f.field
+    p = f.field.modulus
     n = f.nvars
-    powers = power_table(point, max_exponents(n, (f,)))
+    powers = power_table(point, max_exponents(n, (f,)), p)
 
-    def mono(expo: Sequence[int]) -> Scalar:
-        acc = field.one
+    def mono(expo: Sequence[int]) -> int:
+        acc = 1
         for i, e in enumerate(expo):
             if e:
-                acc = acc * powers[i][e]
+                acc = acc * powers[i][e] % p
         return acc
 
-    value = field.zero
-    grad = [field.zero] * n
-    hess = [[field.zero] * n for _ in range(n)]
+    value = 0
+    grad = [0] * n
+    hess = [[0] * n for _ in range(n)]
     for expo, coef in f.terms.items():
-        value = value + coef * mono(expo)
+        value += coef * mono(expo)
         for i, ei in enumerate(expo):
             if ei == 0:
                 continue
             red = list(expo)
             red[i] = ei - 1
-            grad[i] = grad[i] + coef * ei * mono(red)
+            grad[i] += coef * ei * mono(red)
             if ei >= 2:
                 red2 = list(expo)
                 red2[i] = ei - 2
-                hess[i][i] = hess[i][i] + coef * (ei * (ei - 1)) * mono(red2)
+                hess[i][i] += coef * (ei * (ei - 1)) * mono(red2)
             for j in range(i + 1, n):
                 ej = expo[j]
                 if ej == 0:
@@ -826,9 +716,13 @@ def jet2_eval(f: MultiPoly, point: Sequence[Scalar]) -> Jet2:
                 red2[i] = ei - 1
                 red2[j] = ej - 1
                 cross = coef * (ei * ej) * mono(red2)
-                hess[i][j] = hess[i][j] + cross
-                hess[j][i] = hess[j][i] + cross
-    return Jet2(value, tuple(grad), tuple(tuple(row) for row in hess))
+                hess[i][j] += cross
+                hess[j][i] += cross
+    return Jet2(
+        value % p,
+        tuple(g % p for g in grad),
+        tuple(tuple(h % p for h in row) for row in hess),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +730,7 @@ def jet2_eval(f: MultiPoly, point: Sequence[Scalar]) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = None) -> frozenset[Scalar]:
+def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = None) -> frozenset[int]:
     """All roots in F_p of a nonzero univariate polynomial.
 
     Splits off the product of linear factors with gcd(f, x^p - x), where x^p
@@ -852,12 +746,10 @@ def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = 
         raise ConstructionError("zero polynomial has every root")
     if rng is None:
         rng = random.Random(0xC0FFEE)
-    p = field.modulus
     coeffs = [0] * (f.total_degree() + 1)
     for expo, coef in f.terms.items():
-        coeffs[expo[0]] = coef.value
-    roots = _roots_int(coeffs, p, rng)
-    return frozenset(Scalar(field, r) for r in roots)
+        coeffs[expo[0]] = coef
+    return frozenset(_roots_int(coeffs, field.modulus, rng))
 
 
 def _poly_trim(a: list[int]) -> list[int]:

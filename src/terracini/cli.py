@@ -111,15 +111,12 @@ class RunConfig:
                 builtin_blueprint(self.variety)  # validates the name
             else:
                 _validate_tree(self.variety)
-        self.field = self._int(raw, "field", ANALYSIS_PRIME, minimum=2)
+        self.field = _checked_prime(raw.get("field", ANALYSIS_PRIME), "field")
         primes = raw.get("enum_primes", list(DEFAULT_FIBER_PRIMES))
         if not isinstance(primes, list):
             raise ConfigError("enum_primes must be a list of distinct primes")
         for p in primes:
-            try:
-                FieldSpec.prime(p)
-            except ConstructionError as exc:
-                raise ConfigError(f"enum_primes: {exc}") from exc
+            _checked_prime(p, "enum_primes")
         if len(set(primes)) != len(primes):
             raise ConfigError(f"enum_primes lists a prime twice: {primes}")
         self.enum_primes = tuple(primes)
@@ -163,7 +160,18 @@ class RunConfig:
         }
 
 
+def _checked_prime(p, key: str) -> int:
+    """The one primality rule, ``FieldSpec``'s, for every prime in a config."""
+    try:
+        FieldSpec.prime(p)
+    except ConstructionError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return p
+
+
 def load_config(path: Optional[str], args: argparse.Namespace, need_variety: bool) -> RunConfig:
+    """Read the config file, fold the command-line overrides into it, and
+    validate the result as one whole."""
     raw: dict = {}
     if path is not None:
         try:
@@ -173,15 +181,19 @@ def load_config(path: Optional[str], args: argparse.Namespace, need_variety: boo
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        for key, flag in (("seed", args.seed), ("field", args.field_prime)):
+            if flag is not None:
+                raw[key] = flag
+        output = raw.get("output", {})
+        if isinstance(output, dict):
+            output = dict(output)
+            for key, flag in (("path", args.out), ("format", args.format)):
+                if flag is not None:
+                    output[key] = flag
+            raw["output"] = output
     cfg = RunConfig(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.field_prime is not None:
-        cfg.field = args.field_prime
-    if args.out is not None:
-        cfg.out_path = args.out
-    if args.format is not None:
-        cfg.format = args.format
     if need_variety and cfg.variety is None:
         raise ConfigError("this command needs a 'variety' entry in --config")
     return cfg

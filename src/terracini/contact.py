@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import FieldSpec, Jet2, Matrix, Scalar, exact_rank
+from .algebra import FieldSpec, Jet2, Matrix, exact_rank
 from .errors import ConfigError, DegenerateWitness, NoTangentHyperplane
 from .secant import _nondegenerate_tuple, tangential_projection
 from .varieties import MAX_RESAMPLE, VarietyHandle, Witness, _contract_linear_form
@@ -49,17 +49,17 @@ def tangent_hyperplane_space(x: VarietyHandle, ws: Sequence[Witness]) -> Matrix:
     return _hyperplanes_through([x.tangent_frame(w) for w in ws])
 
 
-def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tuple[Scalar, ...]:
+def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tuple[int, ...]:
     for _ in range(MAX_RESAMPLE):
         cs = [x.field.random_scalar(rng) for _ in range(space.cols)]
-        if any(c.value != 0 for c in cs):
+        if any(cs):
             return space.matvec(cs)
     raise NoTangentHyperplane("could not draw a nonzero combination")
 
 
 def tangent_hyperplane(
     x: VarietyHandle, ws: Sequence[Witness], rng: random.Random
-) -> tuple[Scalar, ...]:
+) -> tuple[int, ...]:
     """One uniformly drawn hyperplane through all the tangent spaces."""
     space = tangent_hyperplane_space(x, ws)
     if space.cols == 0:
@@ -69,13 +69,13 @@ def tangent_hyperplane(
     return _draw_hyperplane(x, space, rng)
 
 
-def contact_corank(x: VarietyHandle, coeffs: Sequence[Scalar], w: Witness) -> int:
+def contact_corank(x: VarietyHandle, coeffs: Sequence[int], w: Witness) -> int:
     """Corank of the chart Hessian of a hyperplane tangent at the witness."""
     return _tangent_corank(x.pullback_jet2(coeffs, w), x.field)
 
 
 def _tangent_corank(jet: Jet2, field: FieldSpec) -> int:
-    if jet.value.value != 0 or not jet.gradient_is_zero():
+    if jet.value != 0 or not jet.gradient_is_zero():
         raise DegenerateWitness("hyperplane is not tangent at the witness")
     return len(jet.gradient) - exact_rank(jet.hessian_matrix(field))
 
@@ -119,10 +119,11 @@ def nu_estimate(
         # chart jets draw no randomness; each is built once and its second
         # order, on first read, serves every drawn hyperplane
         charts = [x.chart_jet2(w) for w in ws]
+        p = x.field.modulus
         for _ in range(hyperplane_draws):
             coeffs = _draw_hyperplane(x, space, rng)
             corank = max(
-                _tangent_corank(_contract_linear_form(coeffs, chart), x.field) for chart in charts
+                _tangent_corank(_contract_linear_form(coeffs, chart, p), x.field) for chart in charts
             )
             best = corank if best is None else min(best, corank)
     return NuEstimate(k=k, nu=best, hyperplane_space_dim=space_dim)

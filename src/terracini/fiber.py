@@ -32,7 +32,6 @@ from .algebra import (
     FieldSpec,
     Matrix,
     MultiPoly,
-    Scalar,
     _affine_solve,
     _gauss_jordan,
     exact_rank,
@@ -119,11 +118,11 @@ def _compose_projection_int(xp: ParametricHandle, proj: Matrix) -> list[list[tup
     for i in range(proj.rows):
         acc: dict[tuple[int, ...], int] = {}
         for j, poly in enumerate(xp.polys):
-            pij = proj[i, j].value
+            pij = proj[i, j]
             if pij == 0:
                 continue
             for e, c in poly.terms.items():
-                acc[e] = (acc.get(e, 0) + pij * c.value) % p
+                acc[e] = (acc.get(e, 0) + pij * c) % p
         out.append(sorted((c, e) for e, c in acc.items() if c))
     return out
 
@@ -212,7 +211,7 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
     p = curve.field.modulus
     if p * p > budget:
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {budget}")
-    terms = [(c.value, e) for e, c in curve.f_affine.terms.items()]
+    terms = [(c, e) for e, c in curve.f_affine.terms.items()]
     max_e = max((max(e) for _, e in terms), default=0)
     tables = _power_tables(p, max_e)
     pts: list[tuple[int, int, int]] = []
@@ -226,24 +225,12 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
             pts.append((u, int(v), 1))
     # the line at infinity: z = 0, y = 1, then the lone corner point
     f = curve.f
-    fp = curve.field
     for u in range(p):
-        if f.evaluate((fp.scalar(u), fp.one, fp.zero)).value == 0:
+        if f.evaluate((u, 1, 0)) == 0:
             pts.append((u, 1, 0))
-    if f.evaluate((fp.one, fp.zero, fp.zero)).value == 0:
+    if f.evaluate((1, 0, 0)) == 0:
         pts.append((1, 0, 0))
     return pts
-
-
-def _eval_terms_int(terms: list[tuple[int, tuple[int, ...]]], point: Sequence[int], p: int) -> int:
-    total = 0
-    for c, e in terms:
-        v = c
-        for xi, ei in zip(point, e):
-            if ei:
-                v = v * pow(xi, ei, p) % p
-        total += v
-    return total % p
 
 
 def _square_solver(b_rows: list[list[int]], m: int, p: int):
@@ -271,40 +258,22 @@ class _RulingScan:
         kone, emb, curve = _unpack_cone_section(x)
         self.kone, self.emb, self.curve = kone, emb, curve
         self.m = kone.m
-        self.proj_int = proj.lifted()
-        self.vertex_int = kone.vertex.lifted()
-        self.comp_terms = [
-            [(c.value, e) for e, c in poly.terms.items()] for poly in emb.polys
-        ]
-        self.constraint_terms = [
-            [(c.value, e) for e, c in g.terms.items()] for g in x.constraints
-        ]
+        self.proj = proj
         self.points = _curve_points_int(curve, budget)
-        p = self.p
         # projection composed with the vertex: constant across rulings
-        self.pv = [
-            [
-                sum(self.proj_int[i][a] * self.vertex_int[a][j] for a in range(len(self.vertex_int))) % p
-                for j in range(self.m)
-            ]
-            for i in range(len(self.proj_int))
-        ]
-        self.ruling_cache: list[tuple[tuple[int, int, int], list[int], list[int]]] = []
+        self.pv = proj.matmul(kone.vertex).entries
+        self.ruling_cache: list[tuple[tuple[int, int, int], tuple[int, ...], tuple[int, ...]]] = []
         for c in self.points:
-            y = [_eval_terms_int(t, c, p) for t in self.comp_terms]
+            y = emb._apply(c)
             if not any(y):
                 continue  # base locus of the embedding
-            py = [
-                sum(self.proj_int[i][a] * y[a] for a in range(len(y))) % p
-                for i in range(len(self.proj_int))
-            ]
-            self.ruling_cache.append((c, y, py))
+            self.ruling_cache.append((c, y, proj.matvec(y)))
 
     def preimages(self, q: list[int]) -> tuple[set[tuple[int, ...]], int, list[tuple]]:
         """Distinct preimage points of [q], excluded-center tally, details."""
         p = self.p
         jq = _last_nonzero(q)
-        nrows = len(self.proj_int)
+        nrows = self.proj.rows
         b_rows = []
         keep = [i for i in range(nrows) if i != jq]
         for i in keep:
@@ -329,55 +298,39 @@ class _RulingScan:
                     continue
                 solutions = [mus]
             else:
-                solutions = self._solve_underdetermined(b_rows, rhs, c)
+                solutions = self._solve_underdetermined(b_rows, rhs, y)
             for mu in solutions:
-                xpt = [
-                    (y[a] + sum(self.vertex_int[a][j] * mu[j] for j in range(self.m))) % p
-                    for a in range(len(y))
-                ]
-                if any(
-                    _eval_terms_int(t, xpt, p) != 0 for t in self.constraint_terms
-                ):
+                xpt = self.kone._point(y, mu)
+                if any(g.evaluate(xpt) != 0 for g in self.x.constraints):
                     continue
-                px = [
-                    sum(self.proj_int[i][a] * xpt[a] for a in range(len(xpt))) % p
-                    for i in range(nrows)
-                ]
-                if not any(px):
+                if not any(self.proj.matvec(xpt)):
                     center_hits += 1
                     continue
-                key = self._normalize(xpt)
+                key = normalize_point(xpt, p)
                 if key not in found:
                     found.add(key)
                     details.append((c, mu))
         return found, center_hits, details
 
-    def _solve_underdetermined(self, b_rows, rhs, c) -> list[list[int]]:
+    def _solve_underdetermined(self, b_rows, rhs, y) -> list[list[int]]:
         """Rank-deficient proportionality system: solve exactly, then push the
-        leftover freedom through the cutting polynomial on this ruling."""
+        leftover freedom through the cutting polynomial on the ruling over y."""
         fp = self.fp
-        rows = [[fp.scalar(x) for x in row] for row in b_rows]
-        rvec = [fp.scalar(x) for x in rhs]
-        solved = _affine_solve(fp, rows, rvec, self.m)
+        solved = _affine_solve(fp, b_rows, rhs, self.m)
         if solved is None:
             return []
         part, basis = solved
         if not basis:
-            return [[s.value for s in part]]
+            return [part]
         if len(basis) > 1:
             # a plane of candidates inside one ruling only happens at special
             # probe points; declare the trial degenerate rather than guess
             raise DegenerateWitness("probe point has a positive-dimensional fiber")
-        y = [fp.scalar(v) for v in self._ruling_y(c)]
         s = MultiPoly.variable(fp, 1, 0)
-        mu_line = []
-        for j in range(self.m):
-            mu_line.append(
-                MultiPoly.constant(fp, 1, part[j].value) + s * basis[0][j]
-            )
+        mu_line = [MultiPoly.constant(fp, 1, part[j]) + s * basis[0][j] for j in range(self.m)]
         coords = []
         for a in range(len(y)):
-            poly = MultiPoly.constant(fp, 1, y[a].value)
+            poly = MultiPoly.constant(fp, 1, y[a])
             for j in range(self.m):
                 poly = poly + mu_line[j] * self.kone.vertex[a, j]
             coords.append(poly)
@@ -388,39 +341,27 @@ class _RulingScan:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
                 raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            roots = sorted(uni_roots_mod_p(restricted, fp), key=lambda r: r.value)
+            roots = sorted(uni_roots_mod_p(restricted, fp))
             if not out:
-                out = [
-                    [ml.evaluate((r,)).value for ml in mu_line] for r in roots
-                ]
+                out = [[ml.evaluate((r,)) for ml in mu_line] for r in roots]
             else:
                 keep = {tuple(o) for o in out} & {
-                    tuple(ml.evaluate((r,)).value for ml in mu_line) for r in roots
+                    tuple(ml.evaluate((r,)) for ml in mu_line) for r in roots
                 }
                 out = [list(t) for t in sorted(keep)]
         return out
-
-    def _ruling_y(self, c) -> list[int]:
-        return [_eval_terms_int(t, c, self.p) for t in self.comp_terms]
-
-    def _normalize(self, xpt: list[int]) -> tuple[int, ...]:
-        p = self.p
-        last = max(i for i, v in enumerate(xpt) if v)
-        inv = pow(xpt[last], p - 2, p)
-        return tuple(v * inv % p for v in xpt)
 
     def witness_for(self, c, mu) -> Witness:
         """Rebuild a full witness chain for an enumerated preimage."""
         if c[2] != 1:
             raise DegenerateWitness("preimage ruling is off the affine curve chart")
-        fp = self.fp
-        params = (fp.scalar(c[0]), fp.scalar(c[1]))
-        curve_w = Witness(params, (params[0], params[1], fp.one))
-        y = self.emb._apply(self.curve.reevaluate(curve_w))
-        emb_w = Witness(curve_w.params, normalize_point(y), base=curve_w)
-        mu_s = tuple(fp.scalar(v) for v in mu)
-        pt = self.kone._point(y, mu_s)
-        cone_w = Witness(emb_w.params + mu_s, normalize_point(pt), base=emb_w)
+        p = self.p
+        curve_w = Witness(c[:2], c)
+        y = self.emb._apply(c)
+        emb_w = Witness(curve_w.params, normalize_point(y, p), base=curve_w)
+        mu = tuple(mu)
+        pt = self.kone._point(y, mu)
+        cone_w = Witness(emb_w.params + mu, normalize_point(pt, p), base=emb_w)
         return Witness(cone_w.params, cone_w.point, base=cone_w)
 
 
@@ -433,8 +374,8 @@ def _probe_q(xp: VarietyHandle, proj: Matrix, rng: random.Random) -> list[int]:
     for _ in range(64):
         w = xp.sample(rng)
         img = proj.matvec(xp.reevaluate(w))
-        if any(v.value != 0 for v in img):
-            return [v.value for v in img]
+        if any(img):
+            return list(img)
     raise DegenerateWitness("probe witnesses keep landing in the center")
 
 

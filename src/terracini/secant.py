@@ -140,7 +140,7 @@ def tangential_projection(
     """
     if h < 1:
         raise ConfigError("need at least one tangent space to project from")
-    field = x.field
+    p = x.field.modulus
     n = x.intrinsic_dim(rng)
     ws, frames = _nondegenerate_tuple(x, h, n, rng)
     center = Matrix.hstack(frames)
@@ -156,12 +156,12 @@ def tangential_projection(
     for j in range(r1):
         if j in pivot_set:
             continue
-        row = [field.zero] * r1
-        row[j] = field.one
+        row = [0] * r1
+        row[j] = 1
         for a, pc in enumerate(pivots):
-            row[pc] = -echelon[a][j]
+            row[pc] = -echelon[a][j] % p
         rows.append(row)
-    proj = Matrix(field, rows)
+    proj = Matrix(x.field, rows)
     handle = ProjectionHandle(
         x,
         proj,

@@ -34,10 +34,10 @@ from .algebra import (
     Jet2,
     Matrix,
     MultiPoly,
-    Scalar,
     _affine_solve,
     dot,
     exact_rank,
+    inverse,
     jet2_eval,
     max_exponents,
     normalize_point,
@@ -93,8 +93,8 @@ class Witness:
     the witness of the underlying handle for composite kinds.
     """
 
-    params: tuple[Scalar, ...]
-    point: tuple[Scalar, ...]
+    params: tuple[int, ...]
+    point: tuple[int, ...]
     base: Optional["Witness"] = None
 
 
@@ -108,16 +108,16 @@ class ChartJet:
 
     def __init__(
         self,
-        point: tuple[Scalar, ...],
-        first: tuple[tuple[Scalar, ...], ...],
-        second_fn: Callable[[], tuple[tuple[tuple[Scalar, ...], ...], ...]],
+        point: tuple[int, ...],
+        first: tuple[tuple[int, ...], ...],
+        second_fn: Callable[[], tuple[tuple[tuple[int, ...], ...], ...]],
     ) -> None:
         self.point = point
         self.first = first
         self._second_fn = second_fn
 
     @cached_property
-    def second(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+    def second(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return self._second_fn()
 
     @property
@@ -129,41 +129,39 @@ def _gradient_polys(polys: Sequence[MultiPoly], nvars: int) -> tuple[tuple[Multi
     return tuple(tuple(p.diff(i) for i in range(nvars)) for p in polys)
 
 
-def _values_and_gradients(polys, grads, max_e, point) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
+def _values_and_gradients(polys, grads, max_e, point, p) -> list[tuple[int, tuple[int, ...]]]:
     """Value and ambient gradient of each polynomial, from one power table."""
-    powers = power_table(point, max_e)
+    powers = power_table(point, max_e, p)
     return [
         (p.evaluate_at(powers), tuple(d.evaluate_at(powers) for d in row))
         for p, row in zip(polys, grads)
     ]
 
 
-def _contract_ambient_jet(ambient: Jet2, chart: ChartJet) -> Jet2:
+def _contract_ambient_jet(ambient: Jet2, chart: ChartJet, p: int) -> Jet2:
     """Pull an ambient 2-jet back through a chart 2-jet (chain rule)."""
     n = chart.dim
-    grad = tuple(dot(ambient.gradient, chart.first[a]) for a in range(n))
-    hess = [[None] * n for _ in range(n)]
+    grad = tuple(dot(ambient.gradient, chart.first[a], p) for a in range(n))
+    hess = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            acc = dot(ambient.gradient, chart.second[a][b])
+            acc = dot(ambient.gradient, chart.second[a][b], p)
             da, db = chart.first[a], chart.first[b]
             for i, hrow in enumerate(ambient.hessian):
-                if da[i].value == 0:
-                    continue
-                acc = acc + da[i] * dot(hrow, db)
-            hess[a][b] = acc
-            hess[b][a] = acc
+                if da[i]:
+                    acc += da[i] * dot(hrow, db, p)
+            hess[a][b] = hess[b][a] = acc % p
     return Jet2(ambient.value, grad, tuple(tuple(row) for row in hess))
 
 
-def _contract_linear_form(coeffs: Sequence[Scalar], chart: ChartJet) -> Jet2:
+def _contract_linear_form(coeffs: Sequence[int], chart: ChartJet, p: int) -> Jet2:
     """Pull a linear form back through a chart 2-jet: one chart can serve
     every form drawn at its witness."""
     n = chart.dim
-    value = dot(coeffs, chart.point)
-    grad = tuple(dot(coeffs, chart.first[a]) for a in range(n))
+    value = dot(coeffs, chart.point, p)
+    grad = tuple(dot(coeffs, chart.first[a], p) for a in range(n))
     hess = tuple(
-        tuple(dot(coeffs, chart.second[a][b]) for b in range(n)) for a in range(n)
+        tuple(dot(coeffs, chart.second[a][b], p) for b in range(n)) for a in range(n)
     )
     return Jet2(value, grad, hess)
 
@@ -192,7 +190,7 @@ class VarietyHandle:
     def chart_jet2(self, w: Witness) -> ChartJet:
         raise NotImplementedError
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
         """Raw (unnormalized) ambient representative recomputed from params."""
         raise NotImplementedError
 
@@ -218,7 +216,7 @@ class VarietyHandle:
         jet = self.chart_jet2(w)
         return Matrix.from_columns(self.field, [jet.point] + list(jet.first))
 
-    def pullback_jet2(self, coeffs: Sequence[Scalar], w: Witness) -> Jet2:
+    def pullback_jet2(self, coeffs: Sequence[int], w: Witness) -> Jet2:
         """2-jet on the local chart of the linear form with these coefficients.
 
         For a form vanishing at the witness, the gradient vanishes exactly
@@ -226,14 +224,14 @@ class VarietyHandle:
         """
         if len(coeffs) != self.ambient_r + 1:
             raise ConstructionError("linear form arity mismatch")
-        return _contract_linear_form(coeffs, self.chart_jet2(w))
+        return _contract_linear_form(coeffs, self.chart_jet2(w), self.field.modulus)
 
     def pullback_poly_jet2(self, g: MultiPoly, w: Witness) -> Jet2:
         """Chart 2-jet of an arbitrary ambient polynomial at the witness."""
         if g.nvars != self.ambient_r + 1:
             raise ConstructionError("ambient polynomial arity mismatch")
         chart = self.chart_jet2(w)
-        return _contract_ambient_jet(jet2_eval(g, chart.point), chart)
+        return _contract_ambient_jet(jet2_eval(g, chart.point), chart, self.field.modulus)
 
     def intrinsic_dim(self, rng: random.Random) -> int:
         """Generic tangent-frame rank minus one: the max over three draws.
@@ -270,10 +268,9 @@ def sample_distinct(handle: VarietyHandle, count: int, rng: random.Random) -> li
 
     def one():
         w = handle.sample(rng)
-        key = tuple(s.value for s in w.point)
-        if key in seen:
+        if w.point in seen:
             return None
-        seen.add(key)
+        seen.add(w.point)
         return w
 
     for _ in range(count):
@@ -319,26 +316,26 @@ class ParametricHandle(VarietyHandle):
     def coord_support(self) -> frozenset[int]:
         return frozenset(i for i, p in enumerate(self.polys) if not p.is_zero())
 
-    def _eval_map(self, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        powers = power_table(u, self._max_e)
+    def _eval_map(self, u: Sequence[int]) -> tuple[int, ...]:
+        powers = power_table(u, self._max_e, self.field.modulus)
         return tuple(p.evaluate_at(powers) for p in self.polys)
 
     def sample(self, rng: random.Random) -> Witness:
         def one():
             u = tuple(self.field.random_scalar(rng) for _ in range(self.n))
             pt = self._eval_map(u)
-            if all(x.value == 0 for x in pt):
+            if not any(pt):
                 return None
-            return Witness(u, normalize_point(pt))
+            return Witness(u, normalize_point(pt, self.field.modulus))
 
         return _resample_loop(one, self.label)
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
         return self._eval_map(w.params)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         # derivatives never raise an exponent, so one table serves them all
-        powers = power_table(w.params, self._max_e)
+        powers = power_table(w.params, self._max_e, self.field.modulus)
         point = tuple(p.evaluate_at(powers) for p in self.polys)
         first = tuple(tuple(p.evaluate_at(powers) for p in row) for row in self._d1)
         return ChartJet(point, first, lambda: tuple(
@@ -411,67 +408,63 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
 
     def sample(self, rng: random.Random) -> Witness:
         f, field = self.f, self.field
+        p = field.modulus
 
         def one():
             a = [field.random_scalar(rng) for _ in range(3)]
             b = [field.random_scalar(rng) for _ in range(3)]
-            if all(x.value == 0 for x in b):
+            if not any(b):
                 return None
             s = MultiPoly.variable(field, 1, 0)
-            line = [_scalar_const(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
+            line = [MultiPoly.constant(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
             restricted = f.compose(line)
             if restricted.total_degree() < 1:
                 return None
-            roots = sorted(uni_roots_mod_p(restricted, field, rng), key=lambda r: r.value)
+            roots = sorted(uni_roots_mod_p(restricted, field, rng))
             if not roots:
                 return None
             s0 = rng.choice(roots)
-            pt = tuple(ai + s0 * bi for ai, bi in zip(a, b))
-            if pt[2].value == 0:
+            pt = tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))
+            if pt[2] == 0:
                 return None  # off the working chart
-            pt = normalize_point(pt)
+            pt = normalize_point(pt, p)
             params = (pt[0], pt[1])
-            jet = jet2_eval(self.f_affine, params)
-            if all(g.value == 0 for g in jet.gradient):
+            if jet2_eval(self.f_affine, params).gradient_is_zero():
                 return None  # singular point, resample
             return Witness(params, pt)
 
         return _resample_loop(one, self.label)
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
-        return (w.params[0], w.params[1], self.field.one)
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
+        return (w.params[0], w.params[1], 1)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
-        field = self.field
+        p = self.field.modulus
         jet = jet2_eval(self.f_affine, w.params)
-        if jet.value.value != 0:
+        if jet.value != 0:
             raise DegenerateWitness("witness is not on the curve")
-        gu, gv = jet.gradient
-        if gu.value == 0 and gv.value == 0:
+        if jet.gradient_is_zero():
             raise DegenerateWitness("singular curve point")
-        t = (-gv, gu)
-        zero = field.zero
-        point = (w.params[0], w.params[1], field.one)
-        first = ((t[0], t[1], zero),)
+        gu, gv = jet.gradient
+        t = (-gv % p, gu)
+        point = (w.params[0], w.params[1], 1)
+        first = ((t[0], t[1], 0),)
 
         def second():
-            tht = (
-                t[0] * t[0] * jet.hessian[0][0]
-                + 2 * t[0] * t[1] * jet.hessian[0][1]
-                + t[1] * t[1] * jet.hessian[1][1]
-            )
+            h = jet.hessian
+            tht = t[0] * t[0] * h[0][0] + 2 * t[0] * t[1] * h[0][1] + t[1] * t[1] * h[1][1]
             # second-order correction along a direction transverse to the curve
-            if gu.value != 0:
-                corr = ((-tht) / gu, zero)
+            if gu:
+                corr = (-tht * inverse(gu, p) % p, 0)
             else:
-                corr = (zero, (-tht) / gv)
-            return (((corr[0], corr[1], zero),),)
+                corr = (0, -tht * inverse(gv, p) % p)
+            return (((corr[0], corr[1], 0),),)
 
         return ChartJet(point, first, second)
 
 
 def _poly_to_int_coeffs(g: MultiPoly) -> list:
-    return [[c.value, list(e)] for e, c in g.sorted_terms()]
+    return [[c, list(e)] for e, c in g.sorted_terms()]
 
 
 def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.Random) -> bool:
@@ -484,13 +477,13 @@ def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.
         a = [field.random_scalar(rng) for _ in range(3)]
         b = [field.random_scalar(rng) for _ in range(3)]
         s = MultiPoly.variable(field, 1, 0)
-        line = [_scalar_const(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
+        line = [MultiPoly.constant(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
         g = f.compose(line)
         if g.total_degree() != f.total_degree():
             continue
         coeffs = [0] * (g.total_degree() + 1)
         for e, c in g.terms.items():
-            coeffs[e[0]] = c.value
+            coeffs[e[0]] = c
         deriv = [(i * coeffs[i]) % p for i in range(1, len(coeffs))]
         if _poly_gcd(coeffs, deriv, p) == [1]:
             return True
@@ -545,35 +538,36 @@ class MapImageHandle(VarietyHandle):
     def assumptions(self) -> tuple[str, ...]:
         return self.base.assumptions()
 
-    def _apply(self, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    def _apply(self, x: Sequence[int]) -> tuple[int, ...]:
         return tuple(p.evaluate(x) for p in self.polys)
 
     def sample(self, rng: random.Random) -> Witness:
         def one():
             bw = self.base.sample(rng)
             pt = self._apply(self.base.reevaluate(bw))
-            if all(x.value == 0 for x in pt):
+            if not any(pt):
                 return None  # base-locus hit
-            return Witness(bw.params, normalize_point(pt), base=bw)
+            return Witness(bw.params, normalize_point(pt, self.field.modulus), base=bw)
 
         return _resample_loop(one, self.label)
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
         return self._apply(self.base.reevaluate(w.base))
 
     def chart_jet2(self, w: Witness) -> ChartJet:
+        p = self.field.modulus
         base_chart = self.base.chart_jet2(w.base)
         n = base_chart.dim
-        evaluated = _values_and_gradients(self.polys, self._grads, self._max_e, base_chart.point)
+        evaluated = _values_and_gradients(self.polys, self._grads, self._max_e, base_chart.point, p)
         point = tuple(value for value, _ in evaluated)
         first = tuple(
-            tuple(dot(grad, base_chart.first[a]) for _, grad in evaluated) for a in range(n)
+            tuple(dot(grad, base_chart.first[a], p) for _, grad in evaluated) for a in range(n)
         )
 
         def second():
             hesses = [
-                _contract_ambient_jet(jet2_eval(p, base_chart.point), base_chart).hessian
-                for p in self.polys
+                _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart, p).hessian
+                for g in self.polys
             ]
             return tuple(
                 tuple(tuple(h[a][b] for h in hesses) for b in range(n)) for a in range(n)
@@ -646,9 +640,7 @@ class ConeHandle(VarietyHandle):
 
     @property
     def coord_support(self) -> frozenset[int]:
-        vsupp = frozenset(
-            i for i in range(self.vertex.rows) if any(x.value != 0 for x in self.vertex.row(i))
-        )
+        vsupp = frozenset(i for i in range(self.vertex.rows) if any(self.vertex.row(i)))
         return self.base.coord_support | vsupp
 
     def span_dim(self) -> int:
@@ -657,18 +649,18 @@ class ConeHandle(VarietyHandle):
     def assumptions(self) -> tuple[str, ...]:
         return self.base.assumptions()
 
-    def _point(self, y: Sequence[Scalar], mu: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        shift = self.vertex.matvec(mu) if self.m else tuple(self.field.zero for _ in y)
-        return tuple(a + b for a, b in zip(y, shift))
+    def _point(self, y: Sequence[int], mu: Sequence[int]) -> tuple[int, ...]:
+        p = self.field.modulus
+        return tuple((a + b) % p for a, b in zip(y, self.vertex.matvec(mu)))
 
     def sample(self, rng: random.Random) -> Witness:
         bw = self.base.sample(rng)
         y = self.base.reevaluate(bw)
         mu = tuple(self.field.random_scalar(rng) for _ in range(self.m))
         pt = self._point(y, mu)
-        return Witness(bw.params + mu, normalize_point(pt), base=bw)
+        return Witness(bw.params + mu, normalize_point(pt, self.field.modulus), base=bw)
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
         mu = w.params[len(w.params) - self.m :] if self.m else ()
         return self._point(self.base.reevaluate(w.base), mu)
 
@@ -681,7 +673,7 @@ class ConeHandle(VarietyHandle):
         n = nb + self.m
 
         def second():
-            zero_vec = tuple(self.field.zero for _ in range(self.ambient_r + 1))
+            zero_vec = (0,) * (self.ambient_r + 1)
             return tuple(
                 tuple(
                     base_chart.second[a][b] if a < nb and b < nb else zero_vec
@@ -703,7 +695,7 @@ def cone(base: VarietyHandle, vertex: Matrix, label: str | None = None) -> ConeH
     if exact_rank(vertex) != vertex.cols:
         raise ConstructionError("vertex columns are dependent")
     for i in base.coord_support:
-        if any(x.value != 0 for x in vertex.row(i)):
+        if any(vertex.row(i)):
             raise ConstructionError(
                 "vertex support overlaps the base coordinate block"
             )
@@ -711,9 +703,7 @@ def cone(base: VarietyHandle, vertex: Matrix, label: str | None = None) -> ConeH
     bp = {
         "constructor": "cone",
         "base": base.blueprint,
-        "vertex": [
-            [x.value for x in vertex.column(j)] for j in range(vertex.cols)
-        ],
+        "vertex": [list(col) for col in vertex.columns()],
     }
     return ConeHandle(base, vertex, label, bp)
 
@@ -786,31 +776,33 @@ class SectionHandle(VarietyHandle):
     def _sample_parametric(self, rng: random.Random) -> Witness | None:
         base: ParametricHandle = self.base
         field = self.field
+        p = field.modulus
         n = base.n
         a = [field.random_scalar(rng) for _ in range(n)]
         b = [field.random_scalar(rng) for _ in range(n)]
-        if all(x.value == 0 for x in b):
+        if not any(b):
             return None
         s = MultiPoly.variable(field, 1, 0)
-        line = [_scalar_const(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
-        phi_line = [p.compose(line) for p in base.polys]
+        line = [MultiPoly.constant(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
+        phi_line = [g.compose(line) for g in base.polys]
         restricted = self.constraints[0].compose(phi_line)
         if restricted.total_degree() < 1:
             return None
-        roots = sorted(uni_roots_mod_p(restricted, field, rng), key=lambda r: r.value)
+        roots = sorted(uni_roots_mod_p(restricted, field, rng))
         if not roots:
             return None
         s0 = rng.choice(roots)
-        u = tuple(ai + s0 * bi for ai, bi in zip(a, b))
+        u = tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))
         pt = base._eval_map(u)
-        if all(x.value == 0 for x in pt):
+        if not any(pt):
             return None
-        bw = Witness(u, normalize_point(pt))
+        bw = Witness(u, normalize_point(pt, p))
         return Witness(u, bw.point, base=bw)
 
     def _sample_cone(self, rng: random.Random) -> Witness | None:
         base: ConeHandle = self.base
         field = self.field
+        p = field.modulus
         m = base.m
         bw = base.base.sample(rng)
         y = base.base.reevaluate(bw)
@@ -818,7 +810,7 @@ class SectionHandle(VarietyHandle):
         mu_vars = [MultiPoly.variable(field, m, j) for j in range(m)]
         coords = []
         for i in range(self.ambient_r + 1):
-            c = _scalar_const(field, m, y[i])
+            c = MultiPoly.constant(field, m, y[i])
             for j in range(m):
                 c = c + mu_vars[j] * base.vertex[i, j]
             coords.append(c)
@@ -826,10 +818,8 @@ class SectionHandle(VarietyHandle):
         for g in self.constraints:
             restricted = g.compose(coords)
             if restricted.total_degree() <= 1:
-                row = [restricted.terms.get(_unit(m, j), field.zero) for j in range(m)]
-                const = restricted.terms.get((0,) * m, field.zero)
-                lin_rows.append(row)
-                lin_rhs.append(-const)
+                lin_rows.append([restricted.terms.get(_unit(m, j), 0) for j in range(m)])
+                lin_rhs.append(-restricted.terms.get((0,) * m, 0) % p)
             else:
                 nonlinear.append(restricted)
         solved = _affine_solve(field, lin_rows, lin_rhs, m)
@@ -844,20 +834,18 @@ class SectionHandle(VarietyHandle):
                 return None
             t0 = [field.random_scalar(rng) for _ in range(nfree)]
             d = [field.random_scalar(rng) for _ in range(nfree)]
-            if all(x.value == 0 for x in d):
+            if not any(d):
                 return None
             s = MultiPoly.variable(field, 1, 0)
             mu_line = []
             for j in range(m):
-                start = mu_part[j] + sum(
-                    (basis[k][j] * t0[k] for k in range(nfree)), field.zero
-                )
-                slope = sum((basis[k][j] * d[k] for k in range(nfree)), field.zero)
-                mu_line.append(_scalar_const(field, 1, start) + s * slope)
+                start = mu_part[j] + sum(basis[k][j] * t0[k] for k in range(nfree))
+                slope = sum(basis[k][j] * d[k] for k in range(nfree))
+                mu_line.append(MultiPoly.constant(field, 1, start) + s * slope)
             restricted = nonlinear[0].compose(mu_line)
             if restricted.total_degree() < 1:
                 return None
-            roots = sorted(uni_roots_mod_p(restricted, field, rng), key=lambda r: r.value)
+            roots = sorted(uni_roots_mod_p(restricted, field, rng))
             if not roots:
                 return None
             s0 = rng.choice(roots)
@@ -865,17 +853,17 @@ class SectionHandle(VarietyHandle):
         else:
             t = [field.random_scalar(rng) for _ in range(nfree)]
             mu = tuple(
-                mu_part[j] + sum((basis[k][j] * t[k] for k in range(nfree)), field.zero)
+                (mu_part[j] + sum(basis[k][j] * t[k] for k in range(nfree))) % p
                 for j in range(m)
             )
         pt = base._point(y, mu)
         for g in self.constraints:
-            if g.evaluate(pt).value != 0:
+            if g.evaluate(pt) != 0:
                 raise ConstructionError("internal: constraint not satisfied at sample")
-        cone_w = Witness(bw.params + mu, normalize_point(pt), base=bw)
+        cone_w = Witness(bw.params + mu, normalize_point(pt, p), base=bw)
         return Witness(cone_w.params, cone_w.point, base=cone_w)
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
         return self.base.reevaluate(w.base)
 
     # -- jets ---------------------------------------------------------------
@@ -884,42 +872,40 @@ class SectionHandle(VarietyHandle):
         base_chart = self.base.chart_jet2(w.base)
         nb = base_chart.dim
         field = self.field
+        p = field.modulus
         grads = []
         for value, grad in _values_and_gradients(
-            self.constraints, self._grads, self._max_e, base_chart.point
+            self.constraints, self._grads, self._max_e, base_chart.point, p
         ):
-            if value.value != 0:
+            if value != 0:
                 raise DegenerateWitness("witness is off the section")
-            grads.append([dot(grad, base_chart.first[i]) for i in range(nb)])
+            grads.append([dot(grad, base_chart.first[i], p) for i in range(nb)])
         gmat = Matrix(field, grads)
         if exact_rank(gmat) != len(self.constraints):
             raise DegenerateWitness("constraint gradients are dependent at the witness")
         kernel = gmat.null_space()
         ns = kernel.cols
         kcols = [kernel.column(a) for a in range(ns)]
-        first = tuple(
-            _linear_combo(base_chart.first, kcols[a], field, self.ambient_r + 1)
-            for a in range(ns)
-        )
+        first = tuple(_linear_combo(base_chart.first, kcols[a], p) for a in range(ns))
 
         def second():
             # independent gradient rows make every correction system solvable
             hesses = [
-                _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart).hessian
+                _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart, p).hessian
                 for g in self.constraints
             ]
             base_second = [v for row in base_chart.second for v in row]
             out = [[None] * ns for _ in range(ns)]
             for a in range(ns):
                 for b in range(a, ns):
-                    rhs = [-dot(kcols[a], [dot(row, kcols[b]) for row in h]) for h in hesses]
+                    rhs = [-dot(kcols[a], [dot(row, kcols[b], p) for row in h], p) % p for h in hesses]
                     solved = _affine_solve(field, grads, rhs, nb)
                     if solved is None:
                         raise DegenerateWitness("no second-order correction at the witness")
                     corr, _ = solved
-                    coeffs = [x * y for x in kcols[a] for y in kcols[b]] + list(corr)
+                    coeffs = [x * y % p for x in kcols[a] for y in kcols[b]] + list(corr)
                     out[a][b] = out[b][a] = _linear_combo(
-                        base_second + list(base_chart.first), coeffs, field, self.ambient_r + 1
+                        base_second + list(base_chart.first), coeffs, p
                     )
             return tuple(tuple(row) for row in out)
 
@@ -932,25 +918,21 @@ def _unit(m: int, j: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _scalar_const(field: FieldSpec, nvars: int, s: Scalar) -> MultiPoly:
-    return MultiPoly(field, nvars, {(0,) * nvars: s}) if s.value != 0 else MultiPoly.zero(field, nvars)
-
-
-def _linear_combo(vectors, coeffs, field, length) -> tuple[Scalar, ...]:
-    out = [field.zero] * length
+def _linear_combo(vectors, coeffs, p: int) -> tuple[int, ...]:
+    """sum_k coeffs[k] vectors[k] mod p; the vectors share one length."""
+    out = [0] * len(vectors[0])
     for vec, c in zip(vectors, coeffs):
-        if c.value == 0:
-            continue
-        for i in range(length):
-            out[i] = out[i] + c * vec[i]
-    return tuple(out)
+        if c:
+            for i, x in enumerate(vec):
+                out[i] += c * x
+    return tuple(x % p for x in out)
 
 
 def _check_not_identically_zero(base: VarietyHandle, g: MultiPoly, rng: random.Random) -> None:
     hits = 0
     for _ in range(5):
         w = base.sample(rng)
-        if g.evaluate(base.reevaluate(w)).value != 0:
+        if g.evaluate(base.reevaluate(w)) != 0:
             hits += 1
     if hits == 0:
         raise ConstructionError("constraint vanishes identically on the base (5 samples)")
@@ -983,24 +965,31 @@ def generic_hyperplane_section(
     one-nonlinear-constraint sampling discipline intact.
     """
     coeffs = [rng.randrange(1, _DRAW_RANGE) for _ in range(x.ambient_r + 1)]
-    lam = MultiPoly.from_int_terms(
-        x.field, x.ambient_r + 1, [(c, _unit(x.ambient_r + 1, i)) for i, c in enumerate(coeffs)]
-    )
-    if isinstance(x, SectionHandle):
-        base, constraints, parent_bp = x.base, list(x.constraints) + [lam], x.blueprint
-    elif isinstance(x, (ParametricHandle, ConeHandle)):
-        base, constraints, parent_bp = x, [lam], x.blueprint
-    else:
+    if not isinstance(x, (SectionHandle, ParametricHandle, ConeHandle)):
         raise ConstructionError(
             f"generic hyperplane sections are not supported over {x.kind} handles"
         )
+    lam, base, constraints = _hyperplane_cut(x, coeffs)
     probe_dim = x.intrinsic_dim(rng)
     if probe_dim < 2:
         raise ConstructionError("hyperplane sections need dim >= 2")
     _check_not_identically_zero(x, lam, rng)
     label = label or f"hyperplane-cut-{x.label}"
-    bp = {"constructor": "hyperplane_section", "base": parent_bp, "hyperplane": coeffs}
+    bp = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": coeffs}
     return SectionHandle(base, constraints, label, bp)
+
+
+def _hyperplane_cut(x: VarietyHandle, coeffs: list[int]) -> tuple[MultiPoly, VarietyHandle, list[MultiPoly]]:
+    """The linear form with these integer coefficients, and the base handle
+    and constraint list of x cut by it: a cut of a section extends its
+    constraint list, anything else becomes the base of a one-cut section."""
+    n = x.ambient_r + 1
+    if not isinstance(coeffs, list) or len(coeffs) != n:
+        raise ConstructionError(f"a hyperplane needs a list of {n} coefficients, got {coeffs!r}")
+    lam = MultiPoly.from_int_terms(x.field, n, [(c, _unit(n, i)) for i, c in enumerate(coeffs)])
+    if isinstance(x, SectionHandle):
+        return lam, x.base, list(x.constraints) + [lam]
+    return lam, x, [lam]
 
 
 # ---------------------------------------------------------------------------
@@ -1045,13 +1034,13 @@ class ProjectionHandle(VarietyHandle):
         def one():
             bw = self.base.sample(rng)
             img = self.proj.matvec(self.base.reevaluate(bw))
-            if all(x.value == 0 for x in img):
+            if not any(img):
                 return None  # witness in the projection center
-            return Witness(bw.params, normalize_point(img), base=bw)
+            return Witness(bw.params, normalize_point(img, self.field.modulus), base=bw)
 
         return _resample_loop(one, self.label)
 
-    def reevaluate(self, w: Witness) -> tuple[Scalar, ...]:
+    def reevaluate(self, w: Witness) -> tuple[int, ...]:
         return self.proj.matvec(self.base.reevaluate(w.base))
 
     def chart_jet2(self, w: Witness) -> ChartJet:
@@ -1112,25 +1101,7 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
         return hypersurface_section(base, h, rng, label=label)
     if kind == "hyperplane_section":
         inner = build(blueprint["base"], field, rng)
-        lam = MultiPoly.from_int_terms(
-            field,
-            inner.ambient_r + 1,
-            [
-                (c, _unit(inner.ambient_r + 1, i))
-                for i, c in enumerate(blueprint["hyperplane"])
-            ],
-        )
+        lam, base, constraints = _hyperplane_cut(inner, blueprint["hyperplane"])
         _check_not_identically_zero(inner, lam, rng)
-        if isinstance(inner, SectionHandle):
-            handle = SectionHandle(
-                inner.base,
-                list(inner.constraints) + [lam],
-                label or f"hyperplane-cut-{inner.label}",
-                blueprint,
-            )
-        else:
-            handle = SectionHandle(
-                inner, [lam], label or f"hyperplane-cut-{inner.label}", blueprint
-            )
-        return handle
+        return SectionHandle(base, constraints, label or f"hyperplane-cut-{inner.label}", blueprint)
     raise ConstructionError(f"unknown constructor {kind!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from terracini.algebra import FieldSpec, MultiPoly, Scalar
+from terracini.algebra import FieldSpec, MultiPoly
 
 
 def det_cofactor(rows):
@@ -117,15 +117,10 @@ def square_solver_by_combinations(b_rows: list[list[int]], m: int, p: int):
     return None
 
 
-def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[Scalar]:
+def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[int]:
     """Every root of a univariate polynomial by testing all p field elements."""
     assert f.nvars == 1
-    out = set()
-    for v in range(field.modulus):
-        x = field.scalar(v)
-        if f.evaluate((x,)).value == 0:
-            out.add(x)
-    return frozenset(out)
+    return frozenset(x for x in range(field.modulus) if f.evaluate((x,)) == 0)
 
 
 def jet_by_symbolic_diff(f: MultiPoly, point):

@@ -13,7 +13,9 @@ from terracini.algebra import (
     Matrix,
     MultiPoly,
     _affine_solve,
+    dot,
     exact_rank,
+    inverse,
     jet2_eval,
     normalize_point,
     subspace_intersect,
@@ -49,20 +51,33 @@ def test_field_spec_rejects_small_or_composite_modulus():
 
 
 def test_scalar_arithmetic_and_fermat_inverse():
-    a = F1009.scalar(123)
-    b = F1009.scalar(456)
-    assert (a * b).value == 123 * 456 % 1009
-    assert (a / b * b) == a
-    assert (a - a).value == 0
-    inv = F1009.scalar(2).inverse()
-    assert (inv * 2).value == 1
-    with pytest.raises(ZeroDivisionError):
-        F1009.zero.inverse()
+    # outside ints enter reduced into [0, p); nothing else enters
+    assert F1009.scalar(-1) == 1008
+    assert F1009.scalar(5 * 1009 + 3) == 3
+    for bad in (1.5, "3", None):
+        with pytest.raises(ConstructionError):
+            F1009.scalar(bad)
+    a, b = F1009.scalar(123), F1009.scalar(456)
+    assert a * inverse(b, 1009) % 1009 * b % 1009 == a
+    assert inverse(2, 1009) * 2 % 1009 == 1
+    for zero in (0, 1009):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero, 1009)
 
 
 def test_scalar_field_mismatch_raises():
+    # elements are bare ints, so the containers carry the field check
     with pytest.raises(FieldMismatchError):
-        F1009.one + F2003.one
+        MultiPoly.variable(F1009, 1, 0) + MultiPoly.variable(F2003, 1, 0)
+    with pytest.raises(FieldMismatchError):
+        MultiPoly.variable(F1009, 1, 0) * MultiPoly.variable(F2003, 1, 0)
+    a, b = Matrix.identity(F1009, 2), Matrix.identity(F2003, 2)
+    with pytest.raises(FieldMismatchError):
+        Matrix.hstack([a, b])
+    with pytest.raises(FieldMismatchError):
+        a.matmul(b)
+    with pytest.raises(FieldMismatchError):
+        subspace_intersect(a, b)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -107,6 +122,13 @@ def test_rank_trivial_cases():
     assert exact_rank(Matrix(F1009, [[], []])) == 0
 
 
+def test_empty_products_are_zero():
+    assert dot((), (), 1009) == 0
+    assert Matrix(F1009, [[], []]).matvec([]) == (0, 0)
+    with pytest.raises(ConstructionError):
+        dot((1,), (), 1009)
+
+
 def test_rank_transpose_and_permutation_invariance():
     rng = random.Random(5)
     for _ in range(20):
@@ -139,7 +161,7 @@ def test_null_space_is_exact_kernel():
     assert ker.cols == 8 - exact_rank(m)
     for j in range(ker.cols):
         image = m.matvec(ker.column(j))
-        assert all(x.value == 0 for x in image)
+        assert not any(image)
 
 
 @st.composite
@@ -157,7 +179,7 @@ def _int_matrices(draw, max_rows=6, max_cols=8):
 
 
 def _apply(raw, vec):
-    return [sum(a * x.value for a, x in zip(row, vec)) % 1009 for row in raw]
+    return [sum(a * x for a, x in zip(row, vec)) % 1009 for row in raw]
 
 
 @given(_int_matrices(), st.data())
@@ -186,7 +208,7 @@ def test_elimination_kernel_against_independent_references(raw, data):
         particular, basis = solved
         assert _apply(raw, particular) == rhs
         assert len(basis) == ncols - rank
-        assert rank_by_reverse_echelon([[x.value for x in v] for v in basis], 1009) == len(basis)
+        assert rank_by_reverse_echelon([list(v) for v in basis], 1009) == len(basis)
         for v in basis:
             assert not any(_apply(raw, v))
 
@@ -217,12 +239,11 @@ def test_subspace_intersect_same_and_disjoint_spans():
 
 
 def test_normalize_point_last_nonzero_is_one():
-    v = (F1009.scalar(3), F1009.scalar(5), F1009.zero)
-    w = normalize_point(v)
-    assert w[1].value == 1
-    assert w[0] == F1009.scalar(3) / F1009.scalar(5)
+    w = normalize_point((3, 5, 0), 1009)
+    assert w[1] == 1
+    assert w[0] == 3 * inverse(5, 1009) % 1009
     with pytest.raises(ConstructionError):
-        normalize_point((F1009.zero, F1009.zero))
+        normalize_point((0, 0), 1009)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -293,7 +314,7 @@ def test_jet2_matches_symbolic_differentiation_oracle():
 def test_jet2_zero_hessian_below_degree_two():
     f = MultiPoly.from_int_terms(F1009, 2, [(3, (1, 0)), (7, (0, 1)), (11, (0, 0))])
     jet = jet2_eval(f, (F1009.scalar(5), F1009.scalar(-2)))
-    assert all(all(h.value == 0 for h in row) for row in jet.hessian)
+    assert all(all(h == 0 for h in row) for row in jet.hessian)
     assert jet.gradient == (F1009.scalar(3), F1009.scalar(7))
 
 
@@ -308,11 +329,7 @@ def test_jet2_hessian_exactly_symmetric_and_validated():
         for j in range(4):
             assert jet.hessian[i][j] == jet.hessian[j][i]
     with pytest.raises(ConstructionError):
-        Jet2(
-            F2003.zero,
-            (F2003.zero, F2003.zero),
-            ((F2003.zero, F2003.one), (F2003.zero, F2003.zero)),
-        )
+        Jet2(0, (0, 0), ((0, 1), (0, 0)))
 
 
 @given(st.integers(min_value=0, max_value=1008), st.integers(min_value=0, max_value=1008))
@@ -324,8 +341,8 @@ def test_jet2_additivity(a, b):
     g = y * y * y - x * y
     pt = (F1009.scalar(a), F1009.scalar(b))
     jf, jg, js = jet2_eval(f, pt), jet2_eval(g, pt), jet2_eval(f + g, pt)
-    assert js.value == jf.value + jg.value
-    assert js.gradient == tuple(p + q for p, q in zip(jf.gradient, jg.gradient))
+    assert js.value == (jf.value + jg.value) % 1009
+    assert js.gradient == tuple((p + q) % 1009 for p, q in zip(jf.gradient, jg.gradient))
 
 
 # -- univariate roots ----------------------------------------------------------
@@ -348,8 +365,7 @@ def test_roots_of_factored_cubic():
     f = (x - MultiPoly.constant(F1009, 1, 3)) * (x - MultiPoly.constant(F1009, 1, 17)) * (
         x - MultiPoly.constant(F1009, 1, 500)
     )
-    roots = {s.value for s in uni_roots_mod_p(f, F1009)}
-    assert roots == {3, 17, 500}
+    assert uni_roots_mod_p(f, F1009) == {3, 17, 500}
 
 
 def test_roots_value_independent_of_rng():
@@ -363,7 +379,7 @@ def test_roots_value_independent_of_rng():
 def test_roots_handle_multiplicity_and_rootless():
     x = MultiPoly.variable(F2003, 1, 0)
     sq = (x - MultiPoly.constant(F2003, 1, 42)) ** 2
-    assert {s.value for s in uni_roots_mod_p(sq, F2003)} == {42}
+    assert uni_roots_mod_p(sq, F2003) == {42}
     # x^2 + 1 has no roots when p = 3 mod 4
     f = _uni(F2003, [1, 0, 1])
     assert uni_roots_mod_p(f, F2003) == frozenset()

@@ -129,5 +129,4 @@ def test_counter1_terracini_matrix_rank_by_independent_elimination():
 
     dim, ws = terracini_dim(x, 1, rng)
     stacked = Matrix.hstack([x.tangent_frame(w) for w in ws])
-    lifted = [[s.value for s in stacked.row(i)] for i in range(stacked.rows)]
-    assert rank_by_reverse_echelon(lifted, F.modulus) == dim + 1 == 6
+    assert rank_by_reverse_echelon([list(row) for row in stacked.entries], F.modulus) == dim + 1 == 6

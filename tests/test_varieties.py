@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank
+from terracini import cli, varieties
+from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
 from terracini.errors import ConstructionError, DegenerateWitness
-from terracini.secant import terracini_dim
+from terracini.instances import SUITE_MEMBERS
+from terracini.secant import tangential_projection, terracini_dim
 from terracini.varieties import (
     ProjectionHandle,
     build,
@@ -23,6 +25,7 @@ from terracini.varieties import (
 )
 
 from oracles import fermat_cubic_points, rank_by_reverse_echelon
+from test_cli import PINNED_TREES
 
 F = FieldSpec.prime(2147483647)
 F257 = FieldSpec.prime(257)
@@ -70,7 +73,6 @@ def random_cubic_form(field, nvars, seed):
 def test_conic_two_routes_share_tangent_lines():
     """The parametric conic and its implicit equation agree pointwise and
     to first order, checked by stacking frames at a shared point."""
-    from terracini.algebra import normalize_point
     from terracini.varieties import Witness
 
     rng = random.Random(31)
@@ -81,14 +83,14 @@ def test_conic_two_routes_share_tangent_lines():
     eqn = x0 * x2 - x1 * x1
     for _ in range(5):
         w = par.sample(rng)
-        assert eqn.evaluate(par.reevaluate(w)).value == 0
+        assert eqn.evaluate(par.reevaluate(w)) == 0
 
     # shared point: [1 : u : u^2] ~ (1/u^2, 1/u, 1)
     u = F.scalar(87123)
-    wp = Witness((u,), normalize_point(par.reevaluate(Witness((u,), (F.one,) * 3))))
-    inv = u.inverse()
-    affine = (inv * inv, inv)
-    wi = Witness(affine, (affine[0], affine[1], F.one))
+    wp = Witness((u,), normalize_point(par.reevaluate(Witness((u,), (1,) * 3)), F.modulus))
+    inv = inverse(u, F.modulus)
+    affine = (inv * inv % F.modulus, inv)
+    wi = Witness(affine, (affine[0], affine[1], 1))
 
     frame_p = par.tangent_frame(wp)
     frame_i = imp.tangent_frame(wi)
@@ -112,9 +114,8 @@ def test_curve_samples_live_on_the_exhaustive_point_set():
     seen = set()
     for _ in range(30):
         w = curve.sample(rng)
-        key = tuple(s.value for s in w.point)
-        assert key in pts
-        seen.add(key)
+        assert w.point in pts
+        seen.add(w.point)
     assert len(seen) >= 10  # line cuts spread over the curve
 
 
@@ -126,8 +127,8 @@ def test_frame_rank_matches_reverse_echelon_oracle():
     ver = veronese(F, 2, 2)
     w = ver.sample(rng)
     frame = ver.tangent_frame(w)
-    lifted = [[x.value for x in frame.row(i)] for i in range(frame.rows)]
-    assert exact_rank(frame) == rank_by_reverse_echelon(lifted, F.modulus) == 3
+    rows = [list(row) for row in frame.entries]
+    assert exact_rank(frame) == rank_by_reverse_echelon(rows, F.modulus) == 3
 
 
 def test_intrinsic_dim_agrees_with_chart_dim_on_honest_handles():
@@ -145,7 +146,8 @@ def _assert_taylor_exact(handle, chart_map, rng):
     """The chart 2-jet reproduces an exactly quadratic chart map at any
     offset, not just infinitesimally.  ``second`` is read only after the
     first-order frame at the same witness."""
-    half = F.scalar(2).inverse()
+    p = F.modulus
+    half = inverse(2, p)
     n = handle.chart_dim
     for _ in range(3):
         w = handle.sample(rng)
@@ -154,17 +156,17 @@ def _assert_taylor_exact(handle, chart_map, rng):
         assert frame == Matrix.from_columns(F, [jet.point] + list(jet.first))
         for _ in range(4):
             h = [F.random_scalar(rng) for _ in range(n)]
-            direct = chart_map(tuple(p + d for p, d in zip(w.params, h)))
+            direct = chart_map(tuple((t + d) % p for t, d in zip(w.params, h)))
             pred = list(jet.point)
             for a in range(n):
                 for i, v in enumerate(jet.first[a]):
-                    pred[i] = pred[i] + h[a] * v
+                    pred[i] += h[a] * v
             for a in range(n):
                 for b in range(n):
                     c = half * h[a] * h[b]
                     for i, v in enumerate(jet.second[a][b]):
-                        pred[i] = pred[i] + c * v
-            assert tuple(pred) == direct
+                        pred[i] += c * v
+            assert tuple(x % p for x in pred) == direct
 
 
 def test_quadratic_map_taylor_is_exact():
@@ -211,9 +213,9 @@ def test_curve_jet_kills_its_own_equation_to_second_order():
     curve = implicit_plane_curve(F, f, 1, rng)
     for _ in range(4):
         jet = curve.pullback_poly_jet2(f, curve.sample(rng))
-        assert jet.value.value == 0
-        assert all(g.value == 0 for g in jet.gradient)
-        assert all(x.value == 0 for row in jet.hessian for x in row)
+        assert jet.value == 0
+        assert jet.gradient_is_zero()
+        assert not any(any(row) for row in jet.hessian)
 
 
 def test_section_chart_kills_constraints_to_second_order():
@@ -225,18 +227,18 @@ def test_section_chart_kills_constraints_to_second_order():
 
     for _ in range(3):
         jet = S.pullback_poly_jet2(H, S.sample(rng))
-        assert jet.value.value == 0
-        assert all(g.value == 0 for g in jet.gradient)
-        assert all(x.value == 0 for row in jet.hessian for x in row)
+        assert jet.value == 0
+        assert jet.gradient_is_zero()
+        assert not any(any(row) for row in jet.hessian)
 
     Sh = generic_hyperplane_section(S, rng)
     assert Sh.chart_dim == 1
     w = Sh.sample(rng)
     for g in Sh.constraints:
         jet = Sh.pullback_poly_jet2(g, w)
-        assert jet.value.value == 0
-        assert all(s.value == 0 for s in jet.gradient)
-        assert all(x.value == 0 for row in jet.hessian for x in row)
+        assert jet.value == 0
+        assert jet.gradient_is_zero()
+        assert not any(any(row) for row in jet.hessian)
     assert Sh.intrinsic_dim(rng) == 1
 
 
@@ -248,10 +250,10 @@ def test_section_over_parametric_solves_one_constraint():
     assert S.chart_dim == 1
     for _ in range(3):
         w = S.sample(rng)
-        assert g.evaluate(S.reevaluate(w)).value == 0
+        assert g.evaluate(S.reevaluate(w)) == 0
         jet = S.pullback_poly_jet2(g, w)
-        assert all(s.value == 0 for s in jet.gradient)
-        assert all(x.value == 0 for row in jet.hessian for x in row)
+        assert jet.gradient_is_zero()
+        assert not any(any(row) for row in jet.hessian)
 
 
 def test_off_section_witness_is_rejected():
@@ -260,7 +262,7 @@ def test_off_section_witness_is_rejected():
     H = random_cubic_form(F, 5, seed=17)
     S = hypersurface_section(K, H, rng)
     stray = K.sample(rng)  # generic cone point misses the cubic
-    assert H.evaluate(K.reevaluate(stray)).value != 0
+    assert H.evaluate(K.reevaluate(stray)) != 0
     with pytest.raises(DegenerateWitness):
         S.chart_jet2(type(stray)(stray.params, stray.point, base=stray))
 
@@ -304,8 +306,6 @@ def test_cone_and_section_span_bookkeeping():
 
 
 def test_witness_reevaluation_matches_its_point():
-    from terracini.algebra import normalize_point
-
     rng = random.Random(404)
     zoo = [
         veronese(F, 2, 2),
@@ -316,7 +316,7 @@ def test_witness_reevaluation_matches_its_point():
     for handle in zoo:
         for _ in range(3):
             w = handle.sample(rng)
-            assert normalize_point(handle.reevaluate(w)) == w.point
+            assert normalize_point(handle.reevaluate(w), F.modulus) == w.point
 
 
 def test_distinct_sampling_never_repeats():
@@ -341,4 +341,49 @@ def test_blueprint_rebuild_across_primes():
         assert rebuilt.ambient_r == Sh.ambient_r
         w = rebuilt.sample(random.Random(8))
         for g in rebuilt.constraints:
-            assert g.evaluate(rebuilt.reevaluate(w)).value == 0
+            assert g.evaluate(rebuilt.reevaluate(w)) == 0
+
+
+# -- the field-element representation -------------------------------------------
+
+
+def _assert_elements(values, p, what):
+    bad = [v for v in values if type(v) is not int or not 0 <= v < p]
+    assert not bad, f"{what} holds {bad[:3]}, not ints in [0, {p})"
+
+
+@pytest.mark.parametrize("name", SUITE_MEMBERS + tuple(sorted(PINNED_TREES)))
+def test_field_elements_are_ints_in_range(name, monkeypatch):
+    """Every field element a handle hands out is a plain int in [0, p): a
+    forgotten reduction would pass most other checks unnoticed."""
+    roots = []
+
+    def recording_roots(*args, **kwargs):
+        out = real_roots(*args, **kwargs)
+        roots.extend(out)
+        return out
+
+    real_roots = varieties.uni_roots_mod_p
+    monkeypatch.setattr(varieties, "uni_roots_mod_p", recording_roots)
+    x = cli._construct(cli.RunConfig({"variety": PINNED_TREES.get(name, name)}))
+    p = x.field.modulus
+    rng = random.Random(2718)
+    for w in sample_distinct(x, 2, rng):
+        # every layer of a composite handle, with the witness it chains to
+        handle = x
+        while w is not None:
+            what = f"{name}, {handle.kind} layer:"
+            _assert_elements(w.params + w.point, p, f"{what} witness")
+            jet = handle.chart_jet2(w)
+            _assert_elements(jet.point, p, f"{what} chart-jet point")
+            _assert_elements([v for vec in jet.first for v in vec], p, f"{what} chart-jet first")
+            second = [v for row in jet.second for vec in row for v in vec]
+            _assert_elements(second, p, f"{what} chart-jet second")
+            frame = handle.tangent_frame(w)
+            _assert_elements([v for row in frame.entries for v in row], p, f"{what} tangent frame")
+            handle, w = getattr(handle, "base", None), w.base
+    projected, _ = tangential_projection(x, 1, rng)
+    _assert_elements([v for row in projected.proj.entries for v in row], p, f"{name} projection")
+    _assert_elements(roots, p, f"{name} root set")
+    if name.startswith("counter"):
+        assert roots  # curve and section sampling both root-find
