@@ -136,6 +136,8 @@ class RunConfig:
         if not isinstance(output, dict):
             raise ConfigError("output must be an object")
         self.out_path: Optional[str] = output.get("path")
+        if self.out_path is not None and not isinstance(self.out_path, str):
+            raise ConfigError("output.path must be a string")
         self.format = output.get("format", "structured")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
@@ -456,8 +458,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ Inconclusive on purpose.
 
 Two enumeration strategies cover every built-in shape:
 
-* parametric charts with at most two parameters scan the full grid F_p^n
-  (vectorized, chunk-free since rows are only p long);
-* cone sections scan the base curve exhaustively and solve the linear
-  proportionality conditions ruling by ruling, so only candidate rulings ever
-  see the cutting polynomial.
+* parametric charts with at most two parameters scan the full grid F_p^n.
+  Lying over a probe point is the vanishing of polynomials in the chart
+  parameters: blocks of grid rows evaluate the first one as a product of
+  power tables and its coefficient array, and the others are checked
+  exactly, only at the zeros of the first;
+* cone sections scan the base curve exhaustively with the same grid kernel
+  and solve the linear proportionality conditions ruling by ruling, so only
+  candidate rulings ever see the cutting polynomial.
 
 Points mapping into the projection center are excluded from counts and
 tallied separately.  The cone scan covers the smooth ruling stratum; vertex
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +35,8 @@ from .algebra import (
     FieldSpec,
     Matrix,
     MultiPoly,
-    _affine_solve,
     _gauss_jordan,
+    _kernel_basis,
     exact_rank,
     normalize_point,
     uni_roots_mod_p,
@@ -67,6 +70,9 @@ ENUM_BUDGET = 10_000_000
 DEFAULT_FIBER_TRIALS = 5
 DEFAULT_FIBER_PRIMES = (1009, 2003, 3001)
 MAX_PROBE_RETRIES = 64
+# int64 cells the grid kernel evaluates at once: a block is this many cells'
+# worth of grid rows (at least one row), which bounds each temporary
+GRID_BLOCK_CELLS = 1 << 14
 # any positive-dimensional fiber over F_p carries on the order of p points,
 # while honest finite fibers stay tiny; counts past this floor mark a probe
 # point as non-generic
@@ -111,81 +117,84 @@ def _last_nonzero(vals: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compose_projection_int(xp: ParametricHandle, proj: Matrix) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Integer term lists of proj . chart map, one list per output row."""
-    p = xp.field.modulus
-    out = []
-    for i in range(proj.rows):
-        acc: dict[tuple[int, ...], int] = {}
-        for j, poly in enumerate(xp.polys):
-            pij = proj[i, j]
-            if pij == 0:
-                continue
-            for e, c in poly.terms.items():
-                acc[e] = (acc.get(e, 0) + pij * c) % p
-        out.append(sorted((c, e) for e, c in acc.items() if c))
+def _coefficients(polys: Sequence[MultiPoly], n: int) -> np.ndarray:
+    """Coefficient arrays ``C[k, a, b]`` of ``u^a v^b``.  A one-parameter
+    chart is the line ``u = 0`` of the same grid, its parameter being ``v``."""
+    terms = [[((0,) * (2 - n) + e, c) for e, c in poly.terms.items()] for poly in polys]
+    na = 1 + max((e[0] for ts in terms for e, _ in ts), default=0)
+    nb = 1 + max((e[1] for ts in terms for e, _ in ts), default=0)
+    out = np.zeros((len(polys), na, nb), dtype=np.int64)
+    for k, ts in enumerate(terms):
+        for (a, b), c in ts:
+            out[k, a, b] = c
     return out
 
 
-def _power_tables(p: int, max_e: int) -> list[np.ndarray]:
+def _grid_zeros(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Common zeros of the polynomials ``coeffs[k]`` on the chart grid F_p^n.
+
+    Yields one ``(u, v)`` pair of index arrays per block of grid rows, in
+    u-major, v-ascending order.  The first nonzero polynomial is evaluated on
+    the whole block as ``(U @ C) @ V`` with power tables ``U`` and ``V``; the
+    others are evaluated exactly, one after another, only at the surviving
+    zeros.  Identically zero polynomials impose nothing and are dropped; with
+    none left, every grid point is a zero.
+    """
+    na, nb = coeffs.shape[1:]
+    live = coeffs[coeffs.any(axis=(1, 2))]
+    first = live[0] if len(live) else np.zeros((na, nb), dtype=np.int64)
     base = np.arange(p, dtype=np.int64)
-    tables = [np.ones(p, dtype=np.int64)]
-    for _ in range(max_e):
-        tables.append(tables[-1] * base % p)
-    return tables
+    pows = np.ones((p, max(na, nb)), dtype=np.int64)  # pows[x, e] = x^e mod p
+    for e in range(1, pows.shape[1]):
+        pows[:, e] = pows[:, e - 1] * base % p
+    u_pows, v_pows = pows[:, :na], pows[:, :nb]
+    v_grid = np.ascontiguousarray(v_pows.T)
+    u_count = p if n == 2 else 1
+    step = max(1, GRID_BLOCK_CELLS // p)
+    for u0 in range(0, u_count, step):
+        block = u_pows[u0 : min(u0 + step, u_count)]
+        vals = (block @ first) % p @ v_grid
+        np.remainder(vals, p, out=vals)
+        us, vs = np.divmod(np.flatnonzero(vals == 0), p)
+        for poly in live[1:]:
+            if not len(us):
+                break
+            ok = ((block[us] @ poly) % p * v_pows[vs]).sum(axis=1) % p == 0
+            us, vs = us[ok], vs[ok]
+        yield us + u0, vs
 
 
 def _scan_parametric(
     xp: ParametricHandle, proj: Matrix, qs: list[list[int]], budget: int
 ) -> tuple[list[int], int]:
+    """Preimage count of each probe point [q] over the chart grid, and the
+    number of grid points mapped into the projection center.
+
+    A grid point lies over [q] when every ``q[jq] row_i - q[i] row_jq``
+    vanishes there but not every row does.  The first set contains the
+    center, which does not depend on q, so each count is a difference of two
+    zero counts; this is exact because ``q[jq]`` is nonzero.
+    """
     p = xp.field.modulus
     n = xp.n
     if n > 2 or p**n > budget:
         raise BudgetExhausted(
             f"parametric grid {p}^{n} exceeds the enumeration budget {budget}"
         )
-    rows_terms = _compose_projection_int(xp, proj)
-    nrows = len(rows_terms)
-    max_e = max((max(e) for terms in rows_terms for _, e in terms if terms), default=0)
-    tables = _power_tables(p, max_e)
-    jqs = [_last_nonzero(q) for q in qs]
-    counts = [0] * len(qs)
-    center_hits = 0
+    comps = _coefficients(xp.polys, n)
+    rows = np.array(proj.entries, dtype=np.int64) @ comps.reshape(len(comps), -1) % p
+    rows = rows.reshape(-1, *comps.shape[1:])
 
-    def handle_block(row_vals: np.ndarray) -> None:
-        nonlocal center_hits
-        zero = (row_vals == 0).all(axis=0)
-        center_hits += int(zero.sum())
-        live = ~zero
-        for t, q in enumerate(qs):
-            jq = jqs[t]
-            ok = live.copy()
-            for i in range(nrows):
-                if i == jq:
-                    continue
-                diff = (row_vals[i] * q[jq] - row_vals[jq] * q[i]) % p
-                ok &= diff == 0
-            counts[t] += int(ok.sum())
+    def zeros(family: np.ndarray) -> int:
+        return sum(len(us) for us, _ in _grid_zeros(family, p, n))
 
-    if n == 1:
-        vals = np.stack(
-            [
-                sum((c * tables[e[0]] for c, e in terms), np.zeros(p, dtype=np.int64)) % p
-                for terms in rows_terms
-            ]
-        )
-        handle_block(vals)
-    else:
-        for u in range(p):
-            block = []
-            for terms in rows_terms:
-                acc = np.zeros(p, dtype=np.int64)
-                for c, e in terms:
-                    cu = c * pow(u, e[0], p) % p
-                    if cu:
-                        acc += cu * tables[e[1]] % p
-                block.append(acc % p)
-            handle_block(np.stack(block))
+    center_hits = zeros(rows)
+    counts = []
+    for q in qs:
+        jq = _last_nonzero(q)
+        # row jq of the family cancels to the zero polynomial and drops out
+        family = (q[jq] * rows - np.array(q, dtype=np.int64)[:, None, None] * rows[jq]) % p
+        counts.append(zeros(family) - center_hits)
     return counts, center_hits
 
 
@@ -208,44 +217,49 @@ def _unpack_cone_section(x: SectionHandle):
 
 def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tuple[int, int, int]]:
     """Every projective point of the plane curve over its prime field."""
-    p = curve.field.modulus
+    fp = curve.field
+    p = fp.modulus
     if p * p > budget:
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {budget}")
-    terms = [(c, e) for e, c in curve.f_affine.terms.items()]
-    max_e = max((max(e) for _, e in terms), default=0)
-    tables = _power_tables(p, max_e)
-    pts: list[tuple[int, int, int]] = []
-    for u in range(p):
-        acc = np.zeros(p, dtype=np.int64)
-        for c, e in terms:
-            cu = c * pow(u, e[0], p) % p
-            if cu:
-                acc += cu * tables[e[1]] % p
-        for v in np.nonzero(acc % p == 0)[0]:
-            pts.append((u, int(v), 1))
+    pts = [
+        (u, v, 1)
+        for us, vs in _grid_zeros(_coefficients([curve.f_affine], 2), p, 2)
+        for u, v in zip(us.tolist(), vs.tolist())
+    ]
     # the line at infinity: z = 0, y = 1, then the lone corner point
-    f = curve.f
-    for u in range(p):
-        if f.evaluate((u, 1, 0)) == 0:
-            pts.append((u, 1, 0))
-    if f.evaluate((1, 0, 0)) == 0:
+    x = MultiPoly.variable(fp, 1, 0)
+    at_infinity = curve.f.compose([x, MultiPoly.constant(fp, 1, 1), MultiPoly.constant(fp, 1, 0)])
+    for _, xs in _grid_zeros(_coefficients([at_infinity], 1), p, 1):
+        pts += [(u, 1, 0) for u in xs.tolist()]
+    if curve.f.evaluate((1, 0, 0)) == 0:
         pts.append((1, 0, 0))
     return pts
 
 
-def _square_solver(b_rows: list[list[int]], m: int, p: int):
-    """Pick m independent rows of the constant matrix and invert them.
+class _ConstantSystem:
+    """The proportionality system's constant matrix, reduced once per probe
+    point.  Reducing ``[b_rows | I]`` gives the reduced form R of ``b_rows``
+    and an invertible E with E b_rows = R; the pivots depend only on the
+    ``b_rows`` columns, so ``[R | E rhs]`` is the reduced form of
+    ``[b_rows | rhs]``.  Hence ``solve`` and ``basis`` give exactly what
+    ``_affine_solve`` would, without one reduction per ruling."""
 
-    The rows are the pivot columns of the transpose's reduced form: the
-    greedy basis, which is also the lexicographically first invertible
-    choice of m rows.  None when the rows have rank below m.
-    """
-    sel = _gauss_jordan([list(col) for col in zip(*b_rows)], p)
-    if len(sel) < m:
-        return None
-    aug = [b_rows[i] + [int(a == j) for j in range(m)] for a, i in enumerate(sel)]
-    _gauss_jordan(aug, p)
-    return sel, [row[m:] for row in aug]
+    def __init__(self, b_rows: list[list[int]], m: int, p: int) -> None:
+        aug = [row + [int(i == j) for j in range(len(b_rows))] for i, row in enumerate(b_rows)]
+        self.pivots = [c for c in _gauss_jordan(aug, p) if c < m]
+        self.transform = [row[m:] for row in aug]
+        self.basis = _kernel_basis(p, aug, self.pivots, m)
+        self.m, self.p = m, p
+
+    def solve(self, rhs: list[int]) -> Optional[list[int]]:
+        """A particular solution of b_rows . mu = rhs, or None if there is none."""
+        t = [sum(e * r for e, r in zip(row, rhs)) % self.p for row in self.transform]
+        if any(t[len(self.pivots) :]):
+            return None
+        part = [0] * self.m
+        for r, c in enumerate(self.pivots):
+            part[c] = t[r]
+        return part
 
 
 class _RulingScan:
@@ -273,33 +287,20 @@ class _RulingScan:
         """Distinct preimage points of [q], excluded-center tally, details."""
         p = self.p
         jq = _last_nonzero(q)
-        nrows = self.proj.rows
-        b_rows = []
-        keep = [i for i in range(nrows) if i != jq]
-        for i in keep:
-            b_rows.append([(q[jq] * self.pv[i][j] - q[i] * self.pv[jq][j]) % p for j in range(self.m)])
+        keep = [i for i in range(self.proj.rows) if i != jq]
+        system = _ConstantSystem(
+            [[(q[jq] * self.pv[i][j] - q[i] * self.pv[jq][j]) % p for j in range(self.m)] for i in keep],
+            self.m,
+            p,
+        )
         found: set[tuple[int, ...]] = set()
         details: list[tuple] = []
         center_hits = 0
-        square = _square_solver(b_rows, self.m, p)
         for c, y, py in self.ruling_cache:
-            rhs = [(-(q[jq] * py[i] - q[i] * py[jq])) % p for i in keep]
-            if square is not None:
-                sel, inv = square
-                mus = [
-                    sum(inv[a][b] * rhs[sel[b]] for b in range(self.m)) % p
-                    for a in range(self.m)
-                ]
-                if any(
-                    sum(b_rows[i][j] * mus[j] for j in range(self.m)) % p != rhs[i]
-                    for i in range(len(b_rows))
-                    if i not in set(sel)
-                ):
-                    continue
-                solutions = [mus]
-            else:
-                solutions = self._solve_underdetermined(b_rows, rhs, y)
-            for mu in solutions:
+            part = system.solve([(-(q[jq] * py[i] - q[i] * py[jq])) % p for i in keep])
+            if part is None:
+                continue
+            for mu in self._on_ruling(part, system.basis, y):
                 xpt = self.kone._point(y, mu)
                 if any(g.evaluate(xpt) != 0 for g in self.x.constraints):
                     continue
@@ -312,14 +313,11 @@ class _RulingScan:
                     details.append((c, mu))
         return found, center_hits, details
 
-    def _solve_underdetermined(self, b_rows, rhs, y) -> list[list[int]]:
-        """Rank-deficient proportionality system: solve exactly, then push the
-        leftover freedom through the cutting polynomial on the ruling over y."""
+    def _on_ruling(self, part: list[int], basis: list[tuple[int, ...]], y) -> list[list[int]]:
+        """Candidate vertex coefficients on the ruling over y: the particular
+        solution itself, or the leftover freedom pushed through the cutting
+        polynomial when the proportionality system is rank-deficient."""
         fp = self.fp
-        solved = _affine_solve(fp, b_rows, rhs, self.m)
-        if solved is None:
-            return []
-        part, basis = solved
         if not basis:
             return [part]
         if len(basis) > 1:

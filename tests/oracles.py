@@ -9,7 +9,8 @@ elimination or jet internals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from terracini.algebra import FieldSpec, MultiPoly
 
@@ -82,39 +83,34 @@ def rank_by_reverse_echelon(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def solve_square_int(a: list[list[int]], p: int) -> list[list[int]] | None:
-    """Inverse of a small square matrix mod p, or None if singular.
+def fiber_counts_by_brute_force(polys, proj, qs, p: int, n: int) -> tuple[list[int], int]:
+    """Preimage counts of each [q] under proj . (polys) over every point of
+    F_p^n, and the number of points mapped to zero (the projection center).
 
-    The ruling scan's own inverse before it moved onto the shared
-    elimination routine, kept verbatim as the differential reference.
+    ``polys`` are ``{exponent tuple: coefficient}`` dicts and ``proj`` a list
+    of rows.  A point lies over [q] when its image is nonzero and every 2x2
+    minor of (image, q) vanishes: plain cross-multiplication, with no pivot
+    row and no difference polynomials.
     """
-    m = len(a)
-    aug = [row[:] + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, m) if aug[i][col] % p), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] % p:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[m:] for row in aug]
-
-
-def square_solver_by_combinations(b_rows: list[list[int]], m: int, p: int):
-    """The ruling scan's former row choice: the first m-subset of rows, in
-    combinations order, whose square matrix is invertible mod p, with its
-    inverse; None when no subset is."""
-    for sel in combinations(range(len(b_rows)), m):
-        inv = solve_square_int([b_rows[i] for i in sel], p)
-        if inv is not None:
-            return list(sel), inv
-    return None
+    counts = [0] * len(qs)
+    center = 0
+    for point in product(range(p), repeat=n):
+        vals = [
+            sum(c * prod(pow(x, e, p) for x, e in zip(point, expo)) for expo, c in poly.items()) % p
+            for poly in polys
+        ]
+        img = [sum(a * v for a, v in zip(row, vals)) % p for row in proj]
+        if not any(img):
+            center += 1
+            continue
+        for t, q in enumerate(qs):
+            if all(
+                (img[i] * q[j] - img[j] * q[i]) % p == 0
+                for i in range(len(q))
+                for j in range(i + 1, len(q))
+            ):
+                counts[t] += 1
+    return counts, center
 
 
 def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[int]:

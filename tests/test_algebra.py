@@ -22,7 +22,7 @@ from terracini.algebra import (
     uni_roots_mod_p,
 )
 from terracini.errors import ConstructionError, FieldMismatchError
-from terracini.fiber import _square_solver
+from terracini.fiber import _ConstantSystem
 
 from oracles import (
     jet_by_symbolic_diff,
@@ -30,7 +30,6 @@ from oracles import (
     rank_by_reverse_echelon,
     random_fraction_matrix,
     roots_by_scan,
-    square_solver_by_combinations,
 )
 
 F1009 = FieldSpec.prime(1009)
@@ -212,10 +211,16 @@ def test_elimination_kernel_against_independent_references(raw, data):
         for v in basis:
             assert not any(_apply(raw, v))
 
-    # the ruling scan's square solver against its former combinations search
-    for width in range(1, ncols + 1):
+    # the ruling scan's once-reduced constant system against a reduction of
+    # [A | rhs] per right-hand side, on every leading block of columns
+    for width in range(ncols + 1):
         b_rows = [row[:width] for row in raw]
-        assert _square_solver(b_rows, width, 1009) == square_solver_by_combinations(b_rows, width, 1009)
+        system = _ConstantSystem(b_rows, width, 1009)
+        part = system.solve(rhs)
+        expected = _affine_solve(F1009, b_rows, rhs, width)
+        assert (part is None) == (expected is None)
+        if expected is not None:
+            assert (part, system.basis) == expected
 
 
 def test_subspace_intersect_rank_identity():

@@ -61,6 +61,9 @@ def test_malformed_json_reports_line(tmp_path, capsys):
         {"variety": {"constructor": "hyperplane_section", "base": {"constructor": "veronese", "n": 2, "d": 2}, "hyperplane": [1, 2, 3]}},
         {"variety": {"constructor": "hyperplane_section", "base": {"constructor": "veronese", "n": 2, "d": 2}, "hyperplane": list(range(1, 8))}},
         {"variety": {"constructor": "cone", "base": {"constructor": "rnc", "d": 2}, "vertex": [[0, 0, 0, 1, 0], [0, 0, 0, 0]]}},
+        # open() would take an int as a file descriptor
+        {"variety": "veronese-2-2", "output": {"path": 5}},
+        {"variety": "veronese-2-2", "output": {"path": "/nonexistent/dir/r.json"}},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):
@@ -79,6 +82,7 @@ def test_invalid_configs_exit_2(tmp_path, capsys, payload):
         # paper-suite never builds a field from it, so only validation stops it
         ["paper-suite", "--field-prime", "9"],
         ["paper-suite", "--seed", "-1"],
+        ["defect-scan", "--out", "/nonexistent/dir/r.json"],
     ],
 )
 def test_invalid_flags_exit_2(tmp_path, capsys, argv):
@@ -169,6 +173,8 @@ PINNED_REPORTS = {
     ("contact-scan", "hyperplane-cut-veronese-3-2", (1, 2)): "06b7f8e0cafd0370c3ac5e6c63ba37be3f67304d2ddf0e21504263192e04cfdc",
     # chart jets through a linear projection
     ("contact-scan", "tangential-1-veronese-2-3", (1, 2)): "90905c27f9b9acbce8751b8711d70285db9fa2ce40591c29f50586d7d5e610fc",
+    # the blocked grid scan over a two-parameter chart: the benchmark's probe
+    ("fiber-probe", "veronese-2-4", (1, 1)): "2dbf12d6bdb42a65d45e9767e469c3a9fe22721b8cd8ff60339e79ab58233198",
 }
 
 

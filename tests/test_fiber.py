@@ -1,14 +1,25 @@
 """Fiber probes: exhaustive preimage counts of tangential projections."""
 
 import random
+import tracemalloc
+from math import prod
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from terracini import fiber
 from terracini.algebra import FieldSpec, exact_rank
 from terracini.errors import BudgetExhausted
 from terracini.fiber import (
+    ENUM_BUDGET,
     FiberReport,
+    _curve_points_int,
     _grade,
+    _probe_q,
+    _scan_parametric,
     fiber_probe,
     tangent_functoriality_check,
 )
@@ -16,6 +27,8 @@ from terracini.instances import ANALYSIS_PRIME, builtin, builtin_blueprint
 from terracini.secant import tangential_projection
 from terracini.seeding import derive_rng
 from terracini.varieties import build, veronese
+
+from oracles import fermat_cubic_points, fiber_counts_by_brute_force
 
 FIELD = FieldSpec.prime(ANALYSIS_PRIME)
 
@@ -136,3 +149,85 @@ def test_functoriality_flags_collapsing_projection():
     assert not rep.generically_finite
     assert not rep.span_consistent
     assert rep.frame_ranks == ()
+
+
+@st.composite
+def _grid_scan_cases(draw):
+    """A random map F_p^n -> P^r through a projection, with probe points.
+
+    Drawn structure: every coordinate vanishing at the origin puts the origin
+    in the center, and a zero projection row with q[0] = 0 makes that row's
+    difference polynomial identically zero.  The small block size makes the
+    scan cross many block boundaries, the last block partial."""
+    p = draw(st.sampled_from([31, 101]))
+    n = draw(st.integers(1, 2))
+    coeff = st.integers(0, p - 1)
+    expo = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
+    polys = [draw(st.dictionaries(expo, coeff, min_size=1, max_size=4)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        polys = [{e: c for e, c in poly.items() if any(e)} for poly in polys]
+    nrows = draw(st.integers(2, 4))
+    proj = [draw(st.lists(coeff, min_size=len(polys), max_size=len(polys))) for _ in range(nrows)]
+    zero_row = draw(st.booleans())
+    if zero_row:
+        proj[0] = [0] * len(polys)
+    qs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            # the image of a grid point, so that the fiber is not empty
+            point = draw(st.tuples(*[coeff] * n))
+            vals = [sum(c * prod(pow(x, k, p) for x, k in zip(point, e)) for e, c in poly.items()) for poly in polys]
+            q = [sum(a * v for a, v in zip(row, vals)) % p for row in proj]
+        else:
+            q = draw(st.lists(coeff, min_size=nrows, max_size=nrows))
+        if zero_row:
+            q[0] = 0
+        if any(q):
+            qs.append(q)
+    block_cells = draw(st.sampled_from([64, fiber.GRID_BLOCK_CELLS]))
+    return p, n, polys, proj, qs or [[0] * (nrows - 1) + [1]], block_cells
+
+
+@given(_grid_scan_cases())
+@settings(max_examples=100, deadline=None)
+def test_grid_scan_matches_brute_force_enumeration(case):
+    # FieldSpec rejects primes this small, and the brute force needs them
+    # small; the scan reads only the modulus, the chart's term dicts and the
+    # projection's entries, so plain stand-ins carry them
+    p, n, polys, proj, qs, block_cells = case
+    xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=[SimpleNamespace(terms=t) for t in polys])
+    with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells):
+        got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
+    assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
+
+
+def test_curve_points_match_brute_force_in_scan_order():
+    """The cone scan's rulings follow this order: u-major affine points with
+    v ascending, then the points at infinity, then (1, 0, 0).  At p = 257 the
+    affine grid spans several blocks, the last one partial."""
+    curve = build(
+        {"constructor": "implicit_plane_curve", "terms": [[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]]], "genus_hint": 1},
+        FieldSpec.prime(257),
+        random.Random(0),
+    )
+    pts = _curve_points_int(curve, ENUM_BUDGET)
+    assert pts == sorted(pts, key=lambda c: (c[2] == 0, c == (1, 0, 0), c))
+    assert len(pts) == len(set(pts))
+    assert set(pts) == fermat_cubic_points(257)
+
+
+def test_grid_scan_memory_is_bounded():
+    """One scan at p = 3001 keeps its numpy temporaries to a few grid blocks."""
+    fp = FieldSpec.prime(3001)
+    rng = random.Random(3)
+    xp = build(builtin_blueprint("veronese-2-4"), fp, rng)
+    projected, _ = tangential_projection(xp, 1, rng)
+    qs = [_probe_q(xp, projected.proj, rng) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        counts, _ = _scan_parametric(xp, projected.proj, qs, ENUM_BUDGET)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [1] * 5
+    assert peak < 1 << 20
