@@ -36,6 +36,7 @@ __all__ = [
     "jet2_eval",
     "max_exponents",
     "power_table",
+    "restrict_univariate",
     "uni_roots_mod_p",
     "is_prime",
     "inverse",
@@ -445,12 +446,19 @@ class MultiPoly:
         return cls(field, len(expo), {tuple(expo): field.scalar(coef)})
 
     @classmethod
+    def univariate(cls, field: FieldSpec, coeffs: Sequence[int]) -> "MultiPoly":
+        """The one-variable polynomial sum_e coeffs[e] x^e."""
+        return cls(field, 1, {(e,): c for e, c in enumerate(coeffs)})
+
+    @classmethod
     def from_int_terms(cls, field: FieldSpec, nvars: int, terms: Iterable[tuple[int, Sequence[int]]]) -> "MultiPoly":
-        """Build from (coefficient, exponents) pairs with integer data."""
-        out = cls.zero(field, nvars)
+        """Build from (coefficient, exponents) pairs with integer data;
+        coefficients of a repeated exponent add up."""
+        acc: dict[tuple[int, ...], int] = {}
         for coef, expo in terms:
-            out = out + cls.monomial(field, tuple(expo), coef)
-        return out
+            expo = tuple(expo)
+            acc[expo] = acc.get(expo, 0) + field.scalar(coef)
+        return cls(field, nvars, acc)
 
     # -- predicates -----------------------------------------------------
 
@@ -582,24 +590,20 @@ class MultiPoly:
         for g in args:
             if g.nvars != target_nvars or g.field != self.field:
                 raise ConstructionError("compose arguments disagree")
-        pow_cache: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(self.field, target_nvars, 1)} for _ in args
-        ]
-
-        def arg_power(i: int, e: int) -> MultiPoly:
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = arg_power(i, e - 1) * args[i]
-            return cache[e]
-
-        out = MultiPoly.zero(self.field, target_nvars)
+        # powers[i][e] = args[i]**e, grown on demand
+        powers = [[MultiPoly.constant(self.field, target_nvars, 1)] for _ in args]
+        acc: dict[tuple[int, ...], int] = {}
         for expo, coef in self.terms.items():
             term = MultiPoly.constant(self.field, target_nvars, coef)
             for i, e in enumerate(expo):
                 if e:
-                    term = term * arg_power(i, e)
-            out = out + term
-        return out
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * args[i])
+                    term = term * row[e]
+            for e2, c in term.terms.items():
+                acc[e2] = acc.get(e2, 0) + c
+        return MultiPoly(self.field, target_nvars, acc)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -638,6 +642,38 @@ def power_table(point: Sequence[int], max_e: Sequence[int], p: int) -> list[list
             row.append(row[-1] * x % p)
         table.append(row)
     return table
+
+
+def restrict_univariate(f: MultiPoly, args: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients, lowest degree first and trimmed (the zero polynomial is
+    ``[]``), of f with the univariate polynomial ``args[i]`` substituted for
+    variable i.  Arguments are coefficient lists; a line ``a + s b`` is the
+    argument list ``[a_i, b_i]``.
+
+    This is ``compose`` for one-variable arguments, on plain int lists: the
+    powers of each argument are built once, and each term is one product of
+    cached powers.
+    """
+    if len(args) != f.nvars:
+        raise ConstructionError("restriction arity mismatch")
+    p = f.field.modulus
+    powers = []
+    for arg, top in zip(args, max_exponents(f.nvars, (f,))):
+        row = [[1]]
+        for _ in range(top):
+            row.append(_poly_mul(row[-1], arg, p))
+        powers.append(row)
+    acc: list[int] = []
+    for expo, coef in f.terms.items():
+        term = [coef]
+        for row, e in zip(powers, expo):
+            if e:
+                term = _poly_mul(term, row[e], p)
+        if len(term) > len(acc):
+            acc += [0] * (len(term) - len(acc))
+        for k, c in enumerate(term):
+            acc[k] += c
+    return _poly_trim([c % p for c in acc])
 
 
 # ---------------------------------------------------------------------------
@@ -733,10 +769,14 @@ def jet2_eval(f: MultiPoly, point: Sequence[int]) -> Jet2:
 def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = None) -> frozenset[int]:
     """All roots in F_p of a nonzero univariate polynomial.
 
-    Splits off the product of linear factors with gcd(f, x^p - x), where x^p
-    is computed by square-and-multiply mod f, then isolates single roots by
-    randomized equal-degree splitting.  The random shifts only steer the
-    recursion; the returned set is a deterministic function of f.
+    Splits off the product of linear factors with gcd(f, x^p - x), then
+    isolates single roots by randomized equal-degree splitting (Cantor and
+    Zassenhaus): gcd((x + a)^((p-1)/2) - 1, g) for random shifts a.  Both
+    powers are taken modulo a polynomial made monic once, from the most
+    significant bit of the exponent down: a square at every bit, and at a
+    set bit one multiplication by x + a, which is a shift plus a single
+    reduction step.  The random shifts only steer the recursion; the
+    returned set is a deterministic function of f.
     """
     if f.field != field:
         raise FieldMismatchError("polynomial field differs")
@@ -758,6 +798,18 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
+def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product of two coefficient lists, reduced into [0, p)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out]
+
+
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
     a = a[:]
     inv_lead = pow(m[-1], p - 2, p)
@@ -770,36 +822,46 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
         a.pop()
     return _poly_trim(a)
 
-def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(out, m, p)
+
+def _poly_monic(m: list[int], p: int) -> list[int]:
+    """m scaled by the inverse of its leading coefficient."""
+    inv = pow(m[-1], p - 2, p)
+    return [c * inv % p for c in m]
 
 
-def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
-        e >>= 1
-    return result
+def _linear_power_mod(a: int, e: int, m: list[int], p: int) -> list[int]:
+    """(x + a)^e mod the monic m of degree d >= 1, most significant bit of e
+    first.  The working power is kept as d coefficients, zeros included."""
+    d = len(m) - 1
+    neg = [p - c for c in m[:d]]  # x^d = sum neg[i] x^i mod m
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, x in enumerate(r):
+            if x:
+                sq[2 * i] += x * x
+                x2 = 2 * x
+                for j in range(i + 1, d):
+                    sq[i + j] += x2 * r[j]
+        for k in range(2 * d - 2, d - 1, -1):
+            top = sq[k] % p
+            if top:
+                shift = k - d
+                for i, c in enumerate(neg):
+                    sq[shift + i] += top * c
+        if bit == "1":
+            # (x + a) r = x r + a r: a shift, then one reduction step
+            top = sq[d - 1] % p
+            sq = [top * c + a * x + prev for c, x, prev in zip(neg, sq, [0] + sq[: d - 1])]
+        r = [c % p for c in sq[:d]]
+    return _poly_trim(r)
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
         a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+    return _poly_monic(a, p) if a else a
 
 
 def _roots_int(coeffs: list[int], p: int, rng: random.Random) -> set[int]:
@@ -809,8 +871,8 @@ def _roots_int(coeffs: list[int], p: int, rng: random.Random) -> set[int]:
     if len(coeffs) == 1:
         return set()
     # product of distinct linear factors: gcd(f, x^p - x)
-    xp = _poly_powmod([0, 1], p, coeffs, p)
-    xp_minus_x = xp[:]
+    coeffs = _poly_monic(coeffs, p)
+    xp_minus_x = _linear_power_mod(0, p, coeffs, p)
     while len(xp_minus_x) < 2:
         xp_minus_x.append(0)
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
@@ -840,8 +902,7 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: set[int]) -> No
     half = (p - 1) // 2
     while True:
         a = rng.randrange(p)
-        probe = _poly_powmod([a, 1], half, g, p)
-        probe = probe[:]
+        probe = _linear_power_mod(a, half, g, p)
         if probe:
             probe[0] = (probe[0] - 1) % p
         else:

@@ -52,16 +52,43 @@ __all__ = ["RunConfig", "load_config", "main"]
 SCHEMA = "terracini-report/v1"
 FORMATS = ("table", "csv", "structured")
 
-# required blueprint keys per constructor, checked before any computation
-_TREE_ARITY = {
-    "veronese": ("n", "d"),
-    "rnc": ("d",),
-    "implicit_plane_curve": ("terms", "genus_hint"),
-    "map_image": ("base", "components", "arity"),
-    "cone": ("base", "vertex"),
-    "hypersurface_section": ("base", "h"),
-    "hyperplane_section": ("base", "hyperplane"),
-    "tangential_projection": ("base", "points"),
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _is_poly(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int_list(t[1]) for t in x
+    )
+
+
+_INT = (_is_int, "an integer")
+_POLY = (_is_poly, "a list of [coefficient, [exponents]] pairs")
+_BASE = None  # a nested constructor node, validated recursively
+
+# required blueprint keys per constructor and their types, checked before any
+# computation
+_TREE_KEYS = {
+    "veronese": {"n": _INT, "d": _INT},
+    "rnc": {"d": _INT},
+    "implicit_plane_curve": {"terms": _POLY, "genus_hint": _INT},
+    "map_image": {
+        "base": _BASE,
+        "components": (lambda x: isinstance(x, list) and all(map(_is_poly, x)), "a list of polynomials"),
+        "arity": _INT,
+    },
+    "cone": {
+        "base": _BASE,
+        "vertex": (lambda x: isinstance(x, list) and all(map(_is_int_list, x)), "a list of integer columns"),
+    },
+    "hypersurface_section": {"base": _BASE, "h": _POLY},
+    "hyperplane_section": {"base": _BASE, "hyperplane": (_is_int_list, "a list of integers")},
+    "tangential_projection": {"base": _BASE, "points": _INT},
 }
 
 
@@ -76,13 +103,20 @@ def _validate_tree(node) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"constructor node must be an object, got {type(node).__name__}")
     kind = node.get("constructor")
-    if kind not in _TREE_ARITY:
+    if not isinstance(kind, str) or kind not in _TREE_KEYS:
         raise ConfigError(f"unknown constructor {kind!r}")
-    missing = [k for k in _TREE_ARITY[kind] if k not in node]
+    keys = _TREE_KEYS[kind]
+    missing = [k for k in keys if k not in node]
     if missing:
         raise ConfigError(f"constructor {kind!r} is missing keys {missing}")
-    if "base" in node:
-        _validate_tree(node["base"])
+    unknown = sorted(set(node) - {"constructor", *keys})
+    if unknown:
+        raise ConfigError(f"constructor {kind!r} has unknown keys {unknown}")
+    for key, rule in keys.items():
+        if rule is _BASE:
+            _validate_tree(node[key])
+        elif not rule[0](node[key]):
+            raise ConfigError(f"constructor {kind!r}: {key!r} must be {rule[1]}, got {node[key]!r}")
 
 
 class RunConfig:
@@ -124,7 +158,7 @@ class RunConfig:
         if (
             not isinstance(k_range, list)
             or len(k_range) != 2
-            or not all(isinstance(k, int) for k in k_range)
+            or not all(_is_int(k) for k in k_range)
             or not 0 <= k_range[0] <= k_range[1]
         ):
             raise ConfigError("k_range must be [k_min, k_max] with 0 <= k_min <= k_max")
@@ -145,7 +179,7 @@ class RunConfig:
     @staticmethod
     def _int(raw: dict, key: str, default: int, minimum: int) -> int:
         val = raw.get(key, default)
-        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+        if not _is_int(val) or val < minimum:
             raise ConfigError(f"{key} must be an integer >= {minimum}")
         return val
 

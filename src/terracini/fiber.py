@@ -39,6 +39,7 @@ from .algebra import (
     _kernel_basis,
     exact_rank,
     normalize_point,
+    restrict_univariate,
     uni_roots_mod_p,
 )
 from .errors import BudgetExhausted, ConfigError, DegenerateWitness
@@ -227,8 +228,7 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
         for u, v in zip(us.tolist(), vs.tolist())
     ]
     # the line at infinity: z = 0, y = 1, then the lone corner point
-    x = MultiPoly.variable(fp, 1, 0)
-    at_infinity = curve.f.compose([x, MultiPoly.constant(fp, 1, 1), MultiPoly.constant(fp, 1, 0)])
+    at_infinity = MultiPoly.univariate(fp, restrict_univariate(curve.f, [[0, 1], [1], []]))
     for _, xs in _grid_zeros(_coefficients([at_infinity], 1), p, 1):
         pts += [(u, 1, 0) for u in xs.tolist()]
     if curve.f.evaluate((1, 0, 0)) == 0:
@@ -317,35 +317,39 @@ class _RulingScan:
         """Candidate vertex coefficients on the ruling over y: the particular
         solution itself, or the leftover freedom pushed through the cutting
         polynomial when the proportionality system is rank-deficient."""
-        fp = self.fp
+        fp, p = self.fp, self.p
         if not basis:
             return [part]
         if len(basis) > 1:
             # a plane of candidates inside one ruling only happens at special
             # probe points; declare the trial degenerate rather than guess
             raise DegenerateWitness("probe point has a positive-dimensional fiber")
-        s = MultiPoly.variable(fp, 1, 0)
-        mu_line = [MultiPoly.constant(fp, 1, part[j]) + s * basis[0][j] for j in range(self.m)]
-        coords = []
-        for a in range(len(y)):
-            poly = MultiPoly.constant(fp, 1, y[a])
-            for j in range(self.m):
-                poly = poly + mu_line[j] * self.kone.vertex[a, j]
-            coords.append(poly)
+        direction = basis[0]
+        vertex = self.kone.vertex.entries
+        # the candidate line x = y + V part + s V direction, in ambient coordinates
+        line = [
+            (
+                (y[a] + sum(v * c for v, c in zip(row, part))) % p,
+                sum(v * c for v, c in zip(row, direction)) % p,
+            )
+            for a, row in enumerate(vertex)
+        ]
+
+        def mu_at(r: int) -> list[int]:
+            return [(c + r * dc) % p for c, dc in zip(part, direction)]
+
         out = []
         for g in self.x.constraints:
-            restricted = g.compose(coords)
-            if restricted.is_zero():
+            restricted = restrict_univariate(g, line)
+            if not restricted:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
                 raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            roots = sorted(uni_roots_mod_p(restricted, fp))
+            roots = sorted(uni_roots_mod_p(MultiPoly.univariate(fp, restricted), fp))
             if not out:
-                out = [[ml.evaluate((r,)) for ml in mu_line] for r in roots]
+                out = [mu_at(r) for r in roots]
             else:
-                keep = {tuple(o) for o in out} & {
-                    tuple(ml.evaluate((r,)) for ml in mu_line) for r in roots
-                }
+                keep = {tuple(o) for o in out} & {tuple(mu_at(r)) for r in roots}
                 out = [list(t) for t in sorted(keep)]
         return out
 

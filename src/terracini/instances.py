@@ -14,7 +14,6 @@ part of the instance identity; changing a tag changes the instance.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Sequence
 
@@ -58,9 +57,11 @@ def analysis_field(alt: bool = False) -> FieldSpec:
 
 
 def _degree_monomials(nvars: int, d: int) -> list[tuple[int, ...]]:
-    out = [e for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) == d]
-    out.sort()
-    return out
+    """Exponent tuples of total degree d in nvars >= 1 variables, in
+    ascending lexicographic order."""
+    if nvars == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d + 1) for rest in _degree_monomials(nvars - 1, d - a)]
 
 
 def _pinned_stream(tag: str) -> random.Random:

@@ -42,6 +42,7 @@ from .algebra import (
     max_exponents,
     normalize_point,
     power_table,
+    restrict_univariate,
     subspace_intersect,
     uni_roots_mod_p,
 )
@@ -415,12 +416,10 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
             b = [field.random_scalar(rng) for _ in range(3)]
             if not any(b):
                 return None
-            s = MultiPoly.variable(field, 1, 0)
-            line = [MultiPoly.constant(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
-            restricted = f.compose(line)
-            if restricted.total_degree() < 1:
+            restricted = restrict_univariate(f, list(zip(a, b)))
+            if len(restricted) < 2:
                 return None
-            roots = sorted(uni_roots_mod_p(restricted, field, rng))
+            roots = sorted(uni_roots_mod_p(MultiPoly.univariate(field, restricted), field, rng))
             if not roots:
                 return None
             s0 = rng.choice(roots)
@@ -476,14 +475,9 @@ def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.
     for _ in range(6):
         a = [field.random_scalar(rng) for _ in range(3)]
         b = [field.random_scalar(rng) for _ in range(3)]
-        s = MultiPoly.variable(field, 1, 0)
-        line = [MultiPoly.constant(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
-        g = f.compose(line)
-        if g.total_degree() != f.total_degree():
+        coeffs = restrict_univariate(f, list(zip(a, b)))
+        if len(coeffs) != f.total_degree() + 1:
             continue
-        coeffs = [0] * (g.total_degree() + 1)
-        for e, c in g.terms.items():
-            coeffs[e[0]] = c
         deriv = [(i * coeffs[i]) % p for i in range(1, len(coeffs))]
         if _poly_gcd(coeffs, deriv, p) == [1]:
             return True
@@ -539,7 +533,8 @@ class MapImageHandle(VarietyHandle):
         return self.base.assumptions()
 
     def _apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(p.evaluate(x) for p in self.polys)
+        powers = power_table(x, self._max_e, self.field.modulus)
+        return tuple(g.evaluate_at(powers) for g in self.polys)
 
     def sample(self, rng: random.Random) -> Witness:
         def one():
@@ -720,6 +715,13 @@ class SectionHandle(VarietyHandle):
     solves the linear constraints exactly, restricts the nonlinear one to a
     random line inside the solved subspace, and root-finds; this is the only
     place the package solves equations, and it only ever solves univariates.
+
+    Over a cone, the restriction to a ruling happens once per handle: the
+    constructor expands each constraint as g(y + V mu), grouped into
+    coefficient polynomials in y per mu-monomial, and a draw only evaluates
+    those at its base point y.  The restriction to a random line (in mu over
+    a cone, in the chart over a parametric base) depends on the draw and is
+    made per draw, on coefficient lists (``restrict_univariate``).
     """
 
     kind = "section"
@@ -747,6 +749,8 @@ class SectionHandle(VarietyHandle):
                 )
         self._grads = _gradient_polys(self.constraints, base.ambient_r + 1)
         self._max_e = max_exponents(base.ambient_r + 1, self.constraints)
+        if isinstance(base, ConeHandle):
+            self._ruling_forms, self._ruling_max_e = _ruling_forms(self.constraints, base.vertex)
 
     @property
     def chart_dim(self) -> int:
@@ -782,13 +786,12 @@ class SectionHandle(VarietyHandle):
         b = [field.random_scalar(rng) for _ in range(n)]
         if not any(b):
             return None
-        s = MultiPoly.variable(field, 1, 0)
-        line = [MultiPoly.constant(field, 1, ai) + s * bi for ai, bi in zip(a, b)]
-        phi_line = [g.compose(line) for g in base.polys]
-        restricted = self.constraints[0].compose(phi_line)
-        if restricted.total_degree() < 1:
+        line = list(zip(a, b))
+        phi_line = [restrict_univariate(g, line) for g in base.polys]
+        restricted = restrict_univariate(self.constraints[0], phi_line)
+        if len(restricted) < 2:
             return None
-        roots = sorted(uni_roots_mod_p(restricted, field, rng))
+        roots = sorted(uni_roots_mod_p(MultiPoly.univariate(field, restricted), field, rng))
         if not roots:
             return None
         s0 = rng.choice(roots)
@@ -806,22 +809,13 @@ class SectionHandle(VarietyHandle):
         m = base.m
         bw = base.base.sample(rng)
         y = base.base.reevaluate(bw)
-        # restrict every constraint to the ruling x = y + V mu
-        mu_vars = [MultiPoly.variable(field, m, j) for j in range(m)]
-        coords = []
-        for i in range(self.ambient_r + 1):
-            c = MultiPoly.constant(field, m, y[i])
-            for j in range(m):
-                c = c + mu_vars[j] * base.vertex[i, j]
-            coords.append(c)
         lin_rows, lin_rhs, nonlinear = [], [], []
-        for g in self.constraints:
-            restricted = g.compose(coords)
-            if restricted.total_degree() <= 1:
-                lin_rows.append([restricted.terms.get(_unit(m, j), 0) for j in range(m)])
-                lin_rhs.append(-restricted.terms.get((0,) * m, 0) % p)
+        for terms in self._restrict_to_ruling(y):
+            if max(map(sum, terms), default=-1) <= 1:
+                lin_rows.append([terms.get(_unit(m, j), 0) for j in range(m)])
+                lin_rhs.append(-terms.get((0,) * m, 0) % p)
             else:
-                nonlinear.append(restricted)
+                nonlinear.append(MultiPoly(field, m, terms))
         solved = _affine_solve(field, lin_rows, lin_rhs, m)
         if solved is None:
             return None
@@ -836,20 +830,21 @@ class SectionHandle(VarietyHandle):
             d = [field.random_scalar(rng) for _ in range(nfree)]
             if not any(d):
                 return None
-            s = MultiPoly.variable(field, 1, 0)
-            mu_line = []
-            for j in range(m):
-                start = mu_part[j] + sum(basis[k][j] * t0[k] for k in range(nfree))
-                slope = sum(basis[k][j] * d[k] for k in range(nfree))
-                mu_line.append(MultiPoly.constant(field, 1, start) + s * slope)
-            restricted = nonlinear[0].compose(mu_line)
-            if restricted.total_degree() < 1:
+            mu_line = [
+                (
+                    (mu_part[j] + sum(basis[k][j] * t0[k] for k in range(nfree))) % p,
+                    sum(basis[k][j] * d[k] for k in range(nfree)) % p,
+                )
+                for j in range(m)
+            ]
+            restricted = restrict_univariate(nonlinear[0], mu_line)
+            if len(restricted) < 2:
                 return None
-            roots = sorted(uni_roots_mod_p(restricted, field, rng))
+            roots = sorted(uni_roots_mod_p(MultiPoly.univariate(field, restricted), field, rng))
             if not roots:
                 return None
             s0 = rng.choice(roots)
-            mu = tuple(ml.evaluate((s0,)) for ml in mu_line)
+            mu = tuple((start + s0 * slope) % p for start, slope in mu_line)
         else:
             t = [field.random_scalar(rng) for _ in range(nfree)]
             mu = tuple(
@@ -857,11 +852,27 @@ class SectionHandle(VarietyHandle):
                 for j in range(m)
             )
         pt = base._point(y, mu)
-        for g in self.constraints:
-            if g.evaluate(pt) != 0:
-                raise ConstructionError("internal: constraint not satisfied at sample")
+        powers = power_table(pt, self._max_e, p)
+        if any(g.evaluate_at(powers) for g in self.constraints):
+            raise ConstructionError("internal: constraint not satisfied at sample")
         cone_w = Witness(bw.params + mu, normalize_point(pt, p), base=bw)
         return Witness(cone_w.params, cone_w.point, base=cone_w)
+
+    def _restrict_to_ruling(self, y: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
+        """The nonzero terms, keyed by mu-exponent, of each constraint
+        restricted to the ruling x = y + V mu: its mu-coefficients evaluated
+        at y, from one power table."""
+        p = self.field.modulus
+        powers = power_table(y, self._ruling_max_e, p)
+        out = []
+        for forms in self._ruling_forms:
+            terms = {}
+            for mu_e, coeff in forms:
+                c = coeff.evaluate_at(powers)
+                if c:
+                    terms[mu_e] = c
+            out.append(terms)
+        return out
 
     def reevaluate(self, w: Witness) -> tuple[int, ...]:
         return self.base.reevaluate(w.base)
@@ -910,6 +921,30 @@ class SectionHandle(VarietyHandle):
             return tuple(tuple(row) for row in out)
 
         return ChartJet(base_chart.point, first, second)
+
+
+def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix):
+    """Each constraint g as g(y + V mu), a polynomial in (y, mu), with its
+    terms grouped by mu-monomial into coefficient polynomials in y; and the
+    largest exponent of each y variable among them."""
+    field = vertex.field
+    r1, m = vertex.rows, vertex.cols
+    y_vars = [MultiPoly.variable(field, r1 + m, i) for i in range(r1)]
+    mu_vars = [MultiPoly.variable(field, r1 + m, r1 + j) for j in range(m)]
+    coords = []
+    for i in range(r1):
+        c = y_vars[i]
+        for j in range(m):
+            c = c + mu_vars[j] * vertex[i, j]
+        coords.append(c)
+    forms = []
+    for g in constraints:
+        grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for expo, coef in g.compose(coords).terms.items():
+            grouped.setdefault(expo[r1:], {})[expo[:r1]] = coef
+        forms.append(tuple((mu_e, MultiPoly(field, r1, ys)) for mu_e, ys in grouped.items()))
+    max_e = max_exponents(r1, (coeff for f in forms for _, coeff in f))
+    return tuple(forms), max_e
 
 
 def _unit(m: int, j: int) -> tuple[int, ...]:
@@ -1058,14 +1093,6 @@ class ProjectionHandle(VarietyHandle):
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_blueprint(field: FieldSpec, nvars: int, terms) -> MultiPoly:
-    out = MultiPoly.zero(field, nvars)
-    for coef, expo in terms:
-        s = field.scalar(coef)
-        out = out + MultiPoly(field, nvars, {tuple(expo): s})
-    return out
-
-
 def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | None = None) -> VarietyHandle:
     """Instantiate a handle over a field from its integer-model blueprint.
 
@@ -1079,12 +1106,12 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
     if kind == "rnc":
         return rational_normal_curve(field, blueprint["d"], label=label)
     if kind == "implicit_plane_curve":
-        f = _poly_from_blueprint(field, 3, blueprint["terms"])
+        f = MultiPoly.from_int_terms(field, 3, blueprint["terms"])
         return implicit_plane_curve(field, f, blueprint["genus_hint"], rng, label=label)
     if kind == "map_image":
         base = build(blueprint["base"], field, rng)
         polys = [
-            _poly_from_blueprint(field, blueprint["arity"], t)
+            MultiPoly.from_int_terms(field, blueprint["arity"], t)
             for t in blueprint["components"]
         ]
         return map_image(base, polys, rng, label=label)
@@ -1097,7 +1124,7 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
         return cone(base, vertex, label=label)
     if kind == "hypersurface_section":
         base = build(blueprint["base"], field, rng)
-        h = _poly_from_blueprint(field, base.ambient_r + 1, blueprint["h"])
+        h = MultiPoly.from_int_terms(field, base.ambient_r + 1, blueprint["h"])
         return hypersurface_section(base, h, rng, label=label)
     if kind == "hyperplane_section":
         inner = build(blueprint["base"], field, rng)

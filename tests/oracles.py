@@ -3,7 +3,8 @@
 Each routine recomputes a quantity along a different code path than the
 library: ranks by minor expansion, roots by brute scan, jets by building
 derivative polynomials symbolically.  Nothing here imports library
-elimination or jet internals.
+elimination or jet internals; the root-finder reference shares only the
+univariate gcd, trim, exact division and square root with the library.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from terracini.algebra import FieldSpec, MultiPoly
+from terracini.algebra import (
+    FieldSpec,
+    MultiPoly,
+    _poly_divide_exact,
+    _poly_gcd,
+    _poly_trim,
+    _sqrt_mod,
+)
 
 
 def det_cofactor(rows):
@@ -111,6 +119,94 @@ def fiber_counts_by_brute_force(polys, proj, qs, p: int, n: int) -> tuple[list[i
             ):
                 counts[t] += 1
     return counts, center
+
+
+# -- a second route to the root finder's powers and random draws:
+# square-and-multiply on full products, each reduced by a long division that
+# inverts the modulus's leading coefficient, with no monic modulus and no
+# bit-serial shortcut.
+
+
+def poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
+    a = a[:]
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(a) >= len(m):
+        factor = a[-1] * inv_lead % p
+        if factor:
+            shift = len(a) - len(m)
+            for i, c in enumerate(m):
+                a[shift + i] = (a[shift + i] - factor * c) % p
+        a.pop()
+    return _poly_trim(a)
+
+
+def poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return poly_mod(out, m, p)
+
+
+def poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    result = [1]
+    base = poly_mod(base, m, p)
+    while e:
+        if e & 1:
+            result = poly_mulmod(result, base, m, p)
+        base = poly_mulmod(base, base, m, p)
+        e >>= 1
+    return result
+
+
+def roots_reference(coeffs: list[int], p: int, rng) -> set[int]:
+    """The roots of a nonzero coefficient list, drawing from rng exactly as
+    the root finder did with ``poly_powmod``."""
+    coeffs = _poly_trim([c % p for c in coeffs])
+    if len(coeffs) == 1:
+        return set()
+    xp = poly_powmod([0, 1], p, coeffs, p)
+    xp_minus_x = xp[:]
+    while len(xp_minus_x) < 2:
+        xp_minus_x.append(0)
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    g = _poly_gcd(coeffs, _poly_trim(xp_minus_x), p)
+    out: set[int] = set()
+    _split_linear_reference(g, p, rng, out)
+    return out
+
+
+def _split_linear_reference(g: list[int], p: int, rng, out: set[int]) -> None:
+    deg = len(g) - 1
+    if deg <= 0:
+        return
+    if deg == 1:
+        out.add((-g[0]) % p)
+        return
+    if deg == 2:
+        b, c = g[1], g[0]
+        r = _sqrt_mod((b * b - 4 * c) % p, p)
+        inv2 = pow(2, p - 2, p)
+        out.add(((-b + r) * inv2) % p)
+        out.add(((-b - r) * inv2) % p)
+        return
+    half = (p - 1) // 2
+    while True:
+        a = rng.randrange(p)
+        probe = poly_powmod([a, 1], half, g, p)
+        probe = probe[:]
+        if probe:
+            probe[0] = (probe[0] - 1) % p
+        else:
+            probe = [(p - 1) % p]
+        h = _poly_gcd(_poly_trim(probe), g, p)
+        if 0 < len(h) - 1 < deg:
+            _split_linear_reference(h, p, rng, out)
+            _split_linear_reference(_poly_divide_exact(g, h, p), p, rng, out)
+            return
 
 
 def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[int]:

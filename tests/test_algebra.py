@@ -13,11 +13,14 @@ from terracini.algebra import (
     Matrix,
     MultiPoly,
     _affine_solve,
+    _linear_power_mod,
+    _poly_monic,
     dot,
     exact_rank,
     inverse,
     jet2_eval,
     normalize_point,
+    restrict_univariate,
     subspace_intersect,
     uni_roots_mod_p,
 )
@@ -26,10 +29,12 @@ from terracini.fiber import _ConstantSystem
 
 from oracles import (
     jet_by_symbolic_diff,
+    poly_powmod,
     rank_by_minors,
     rank_by_reverse_echelon,
     random_fraction_matrix,
     roots_by_scan,
+    roots_reference,
 )
 
 F1009 = FieldSpec.prime(1009)
@@ -286,6 +291,38 @@ def test_multipoly_compose_matches_pointwise_evaluation():
         assert g.evaluate(pt) == direct
 
 
+def _coefficient_list(g: MultiPoly) -> list[int]:
+    out = [0] * (g.total_degree() + 1)
+    for (e,), c in g.terms.items():
+        out[e] = c
+    return out
+
+
+@st.composite
+def restriction_cases(draw):
+    """A polynomial in 1-4 variables and one univariate argument per
+    variable: zero arguments, trailing zeros, and (with two equal arguments
+    and a factor x0 - x1) restrictions that vanish identically."""
+    nvars = draw(st.integers(1, 4))
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.lists(st.tuples(st.integers(0, 1008), expo), max_size=8))
+    f = MultiPoly.from_int_terms(F1009, nvars, terms)
+    args = draw(st.lists(st.lists(st.integers(0, 1008), max_size=4), min_size=nvars, max_size=nvars))
+    if nvars >= 2 and draw(st.booleans()):
+        x = [MultiPoly.variable(F1009, nvars, i) for i in range(nvars)]
+        f = f * (x[0] - x[1])
+        args[1] = args[0]
+    return f, args
+
+
+@given(restriction_cases())
+@settings(max_examples=200, deadline=None)
+def test_restriction_kernel_matches_compose(case):
+    f, args = case
+    direct = f.compose([MultiPoly.univariate(F1009, a) for a in args])
+    assert restrict_univariate(f, args) == _coefficient_list(direct)
+
+
 def test_multipoly_homogeneity_and_support():
     f = MultiPoly.from_int_terms(F1009, 3, [(2, (2, 1, 0)), (5, (0, 0, 3))])
     assert f.is_homogeneous()
@@ -406,3 +443,49 @@ def test_roots_against_scan_property(coeffs):
     coeffs = coeffs + [1]  # force nonzero leading coefficient
     f = _uni(F1009, coeffs)
     assert uni_roots_mod_p(f, F1009) == roots_by_scan(f, F1009)
+
+
+_ROOT_PRIMES = (1009, 2003, 2**31 - 19, 2**31 - 1)
+
+
+@given(
+    st.sampled_from(_ROOT_PRIMES),
+    st.lists(st.integers(0, 2**31), min_size=1, max_size=8),
+    st.integers(1, 2**31),
+    st.integers(0, 2**31),
+    st.sampled_from(["p", "half", "small", "any"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_linear_power_matches_square_and_multiply_reference(p, low, lead, a, which):
+    m = [c % p for c in low] + [lead % p or 1]
+    e = {"p": p, "half": (p - 1) // 2, "small": a % 4, "any": a * lead}[which]
+    a %= p
+    assert _linear_power_mod(a, e, _poly_monic(m, p), p) == poly_powmod([a, 1], e, m, p)
+
+
+@st.composite
+def root_cases(draw):
+    """A nonzero univariate of degree 1-8, often with planted roots, some
+    repeated, and a seed for the splitting draws."""
+    p = draw(st.sampled_from(_ROOT_PRIMES))
+    planted = draw(st.lists(st.integers(0, p - 1), max_size=6))
+    cofactor = draw(st.lists(st.integers(0, p - 1), max_size=8 - len(planted)))
+    coeffs = cofactor + [draw(st.integers(1, p - 1))]
+    for r in planted:  # multiply by x - r
+        coeffs = [(lo - r * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return p, coeffs, draw(st.integers(0, 2**32))
+
+
+@given(root_cases())
+@settings(max_examples=200, deadline=None)
+def test_roots_and_random_draws_match_reference(case):
+    """Same root set as a brute scan (at F_1009) and as the reference root
+    finder, which leaves the random stream in the same state."""
+    p, coeffs, seed = case
+    field = FieldSpec.prime(p)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    roots = uni_roots_mod_p(MultiPoly.univariate(field, coeffs), field, rng)
+    assert roots == roots_reference(coeffs, p, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    if p == 1009:
+        assert roots == roots_by_scan(MultiPoly.univariate(field, coeffs), field)

@@ -64,6 +64,18 @@ def test_malformed_json_reports_line(tmp_path, capsys):
         # open() would take an int as a file descriptor
         {"variety": "veronese-2-2", "output": {"path": 5}},
         {"variety": "veronese-2-2", "output": {"path": "/nonexistent/dir/r.json"}},
+        # blueprint nodes of the wrong type, rejected before any computation
+        {"variety": {"constructor": "veronese", "n": "2", "d": 2}},
+        {"variety": {"constructor": "veronese", "n": 2, "d": 2.0}},
+        {"variety": {"constructor": "veronese", "n": True, "d": 2}},
+        {"variety": {"constructor": "rnc", "d": "3"}},
+        {"variety": {"constructor": ["rnc"], "d": 3}},
+        {"variety": {"constructor": "implicit_plane_curve", "terms": 5, "genus_hint": 1}},
+        {"variety": {"constructor": "implicit_plane_curve", "terms": [[1, ["a", 0, 3]]], "genus_hint": 1}},
+        {"variety": {"constructor": "hypersurface_section", "base": {"constructor": "veronese", "n": 2, "d": 2}, "h": 7}},
+        {"variety": {"constructor": "map_image", "base": {"constructor": "rnc", "d": 2}, "components": [[[1, [1, 0, 0]]], [[1, [0, 1, 0]]]], "arity": "3"}},
+        {"variety": "veronese-2-2", "k_range": [True, True]},
+        {"variety": {"constructor": "veronese", "n": 2, "d": 2, "bogus": 1}},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):
@@ -154,6 +166,19 @@ PINNED_TREES = {
         "base": {"constructor": "veronese", "n": 2, "d": 3},
         "points": 1,
     },
+    # a cubic pulled back to a line of the chart has degree 6, so sampling
+    # root-finds through the randomized equal-degree splitting
+    "cubic-section-veronese-2-2": {
+        "constructor": "hypersurface_section",
+        "base": {"constructor": "veronese", "n": 2, "d": 2},
+        "h": [
+            [1, [3, 0, 0, 0, 0, 0]],
+            [1, [0, 3, 0, 0, 0, 0]],
+            [1, [0, 0, 0, 0, 0, 3]],
+            [2, [1, 1, 1, 0, 0, 0]],
+            [5, [0, 0, 1, 1, 1, 0]],
+        ],
+    },
 }
 
 # sha256 of the report with its two host-dependent fields dropped: the
@@ -175,6 +200,9 @@ PINNED_REPORTS = {
     ("contact-scan", "tangential-1-veronese-2-3", (1, 2)): "90905c27f9b9acbce8751b8711d70285db9fa2ce40591c29f50586d7d5e610fc",
     # the blocked grid scan over a two-parameter chart: the benchmark's probe
     ("fiber-probe", "veronese-2-4", (1, 1)): "2dbf12d6bdb42a65d45e9767e469c3a9fe22721b8cd8ff60339e79ab58233198",
+    # sampling a section of a parametric handle by a cubic: degree-6 restrictions
+    ("defect-scan", "cubic-section-veronese-2-2", (1, 2)): "e228eee78f45b43f84d76f61e4c317d4a1876d4bb487147226ec8f290d051de5",
+    ("contact-scan", "cubic-section-veronese-2-2", (1, 2)): "d640b657c2c8ce7a98af28501235821d88d9fe028174b08853b2b27c9156a6d1",
 }
 
 

@@ -256,6 +256,35 @@ def test_section_over_parametric_solves_one_constraint():
         assert not any(any(row) for row in jet.hessian)
 
 
+@pytest.mark.parametrize("name", ["counter1", "counter2", "counter3-n3"])
+def test_ruling_form_matches_direct_restriction(name):
+    """The per-handle form g(y + V mu), evaluated at y, is the constraint
+    restricted to the ruling over y, term for term.  The threefold is also
+    cut by a hyperplane, which gives a second, linear constraint."""
+    x = cli._construct(cli.RunConfig({"variety": name}))
+    if name == "counter3-n3":
+        x = generic_hyperplane_section(x, random.Random(5))
+        assert len(x.constraints) == 2
+    field, vertex = x.field, x.base.vertex
+    m = vertex.cols
+    mu = [MultiPoly.variable(field, m, j) for j in range(m)]
+    rng = random.Random(314)
+    for trial in range(5):
+        if trial == 0:
+            y = [0] * (x.ambient_r + 1)  # every coefficient but g(V mu)'s vanishes
+        elif trial < 3:
+            y = [field.random_scalar(rng) for _ in range(x.ambient_r + 1)]
+        else:
+            base = x.base.base
+            y = base.reevaluate(base.sample(rng))
+        coords = [
+            sum((mu[j] * vertex[i, j] for j in range(m)), MultiPoly.constant(field, m, y[i]))
+            for i in range(x.ambient_r + 1)
+        ]
+        direct = [g.compose(coords).terms for g in x.constraints]
+        assert x._restrict_to_ruling(y) == direct
+
+
 def test_off_section_witness_is_rejected():
     rng = random.Random(5150)
     K = cone_over_embedded_curve(rng)
