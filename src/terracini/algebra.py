@@ -14,8 +14,10 @@ the rank of the stacked frames is the costliest step of a secant-dimension
 computation on wide matrices (120 x 225 for the quadratic Veronese of P^14 at
 k = 14).
 
-Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine
-on int rows, ``_gauss_jordan``.
+Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine,
+``_gauss_jordan``.  It reduces a matrix of at least ``WIDE_CELLS`` cells as
+one exact ``int64`` numpy array when p < 2^31, and every other matrix on
+plain int rows; both paths hand back the same int rows.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MIN_MODULUS = 257
+
+# Matrices with at least this many cells reduce as one int64 array; below it
+# numpy's per-call overhead loses to plain int lists.
+WIDE_CELLS = 1024
+# With entries in [0, p), p < 2^31, every a - f*b lies within +-2^62.
+_INT64_MODULUS_BOUND = 1 << 31
 
 
 def is_prime(n: int) -> bool:
@@ -291,7 +299,22 @@ def _gauss_jordan(rows: list[list[int]], p: int) -> list[int]:
     entry at or below the current row; the scan stops once every row holds a
     pivot.  This is the package's only row reduction: ranks, kernels, affine
     solves and inverses all read their answer off its result.
+
+    A matrix of at least ``WIDE_CELLS`` cells reduces as one ``int64`` array
+    when p < 2^31, where every ``a - f*b`` of entries in [0, p) lies within
+    +-2^62 and so stays exact.  Smaller matrices, where numpy's per-call
+    overhead dominates, and larger moduli, where ``int64`` would overflow,
+    reduce on int lists.  The reduced row echelon form of a matrix is
+    unique, so both paths return the same rows (as Python ints in [0, p))
+    and the same pivots.
     """
+    if rows and len(rows) * len(rows[0]) >= WIDE_CELLS and p < _INT64_MODULUS_BOUND:
+        return _gauss_jordan_int64(rows, p)
+    return _gauss_jordan_lists(rows, p)
+
+
+def _gauss_jordan_lists(rows: list[list[int]], p: int) -> list[int]:
+    """``_gauss_jordan`` on Python int lists, for any prime p."""
     nrows = len(rows)
     pivots: list[int] = []
     if nrows == 0:
@@ -316,6 +339,52 @@ def _gauss_jordan(rows: list[list[int]], p: int) -> list[int]:
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _gauss_jordan_int64(rows: list[list[int]], p: int) -> list[int]:
+    """``_gauss_jordan`` on one ``int64`` array, for p < 2^31.
+
+    Each pivot is one rank-one update of the block from its column on: every
+    other row loses its entry in that column times the pivot row, so rows
+    already zero there stay as they are.  Left of the pivot column the pivot
+    row is already zero.  The product goes to one scratch array per call, and
+    the rows are written back one at a time as int lists; both keep the peak
+    memory of a 120 x 225 reduction near the list path's.
+    """
+    # numpy arrives with the package through fiber.py; importing it here,
+    # not ahead of the rest of the package, keeps the process's resident
+    # memory where it was (importing it first added about 1.5 MB).
+    import numpy as np
+
+    a = np.array(rows, dtype=np.int64)
+    step = np.empty_like(a)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        pivot = r + int(below[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        prow = a[r, c:]
+        prow *= inverse(int(prow[0]), p)
+        prow %= p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        block, product = a[:, c:], step[:, c:]
+        np.multiply.outer(factors, prow, out=product)
+        block -= product
+        block %= p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    del step
+    for i in range(nrows):
+        rows[i] = a[i].tolist()
     return pivots
 
 

@@ -169,6 +169,9 @@ class RunConfig:
         output = raw.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("output must be an object")
+        unknown = set(output) - {"path", "format"}
+        if unknown:
+            raise ConfigError(f"unknown output keys: {sorted(unknown)}")
         self.out_path: Optional[str] = output.get("path")
         if self.out_path is not None and not isinstance(self.out_path, str):
             raise ConfigError("output.path must be a string")

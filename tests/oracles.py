@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 from terracini.algebra import (
     FieldSpec,
@@ -290,3 +290,27 @@ def double_point_condition_nullity(d: int, points, p: int) -> int:
                 )
             rows.append(row)
     return len(monos) - rank_by_reverse_echelon(rows, p)
+
+
+# (n, d, k) of the four sporadic defective secants of Veronese varieties
+AH_SPORADIC = frozenset({(2, 4, 4), (3, 4, 8), (4, 3, 6), (4, 4, 13)})
+
+
+def ah_parameter_count(n: int, d: int, k: int) -> int:
+    """Expected dim S^k(v_d(P^n)): min(C(n+d, d) - 1, n(k+1) + k)."""
+    return min(comb(n + d, d) - 1, n * (k + 1) + k)
+
+
+def ah_secant_dim(n: int, d: int, k: int) -> int:
+    """dim S^k(v_d(P^n)) for d >= 2, from the Alexander-Hirschowitz
+    classification (J. Algebraic Geom. 4, 1995) alone.
+
+    For k < n, S^k(v_2(P^n)) is the variety of symmetric (n+1) x (n+1)
+    matrices of rank at most k+1, of dimension (k+1)(n+1) - k(k+1)/2 - 1.
+    The four sporadic cases fall one short of the parameter count; every
+    other secant reaches it.
+    """
+    if d == 2 and k < n:
+        return (k + 1) * (n + 1) - k * (k + 1) // 2 - 1
+    count = ah_parameter_count(n, d, k)
+    return count - 1 if (n, d, k) in AH_SPORADIC else count

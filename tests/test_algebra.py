@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import terracini.algebra as algebra
 from terracini.algebra import (
+    WIDE_CELLS,
     FieldSpec,
     Jet2,
     Matrix,
     MultiPoly,
     _affine_solve,
+    _gauss_jordan,
+    _gauss_jordan_lists,
     _linear_power_mod,
     _poly_monic,
     dot,
@@ -226,6 +230,82 @@ def test_elimination_kernel_against_independent_references(raw, data):
         assert (part is None) == (expected is None)
         if expected is not None:
             assert (part, system.basis) == expected
+
+
+# -- the wide int64 elimination path ------------------------------------------
+
+
+def _planted_rank_rows(rng, p: int, nrows: int, ncols: int, rank: int) -> list[list[int]]:
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(left[i][t] * right[t][j] for t in range(rank)) % p for j in range(ncols)] for i in range(nrows)]
+
+
+def _check_reduced_form(raw, rref, pivots, p):
+    """rref is a reduced row echelon form of raw, read off independently of
+    any elimination: its pivot columns are unit vectors, each row is zero
+    left of its pivot, rows past the rank are zero, and every row of raw is
+    the combination of the rows of rref with its entries at the pivots."""
+    assert all(type(x) is int and 0 <= x < p for row in rref for x in row)
+    assert pivots == sorted(set(pivots))
+    for r, c in enumerate(pivots):
+        assert not any(rref[r][:c])
+        assert [row[c] for row in rref] == [int(i == r) for i in range(len(rref))]
+    assert not any(any(row) for row in rref[len(pivots) :])
+    for row in raw:
+        combo = [sum(row[c] * rref[r][j] for r, c in enumerate(pivots)) % p for j in range(len(row))]
+        assert combo == row
+
+
+@st.composite
+def _wide_matrices(draw):
+    """Rows of at least WIDE_CELLS cells as L R with a planted inner rank,
+    zero and full included, with some entries forced to p - 1."""
+    p = draw(st.sampled_from([1009, 2**31 - 19, 2**31 - 1]))
+    nrows = draw(st.integers(20, 50))
+    ncols = draw(st.integers(max(40, -(-WIDE_CELLS // nrows)), 120))
+    full = min(nrows, ncols)
+    rank = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = _planted_rank_rows(rng, p, nrows, ncols, rank)
+    for _ in range(draw(st.integers(0, 30))):
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = p - 1
+    return p, rows
+
+
+@given(_wide_matrices())
+@settings(max_examples=60, deadline=None)
+def test_wide_int64_path_matches_list_path(case):
+    p, raw = case
+    by_lists = [row[:] for row in raw]
+    list_pivots = _gauss_jordan_lists(by_lists, p)
+    by_int64 = [row[:] for row in raw]
+    pivots = _gauss_jordan(by_int64, p)
+    assert (by_int64, pivots) == (by_lists, list_pivots)
+    assert len(pivots) == rank_by_reverse_echelon(raw, p)
+    _check_reduced_form(raw, by_int64, pivots, p)
+
+
+def test_wide_path_is_chosen_by_size_and_modulus(monkeypatch):
+    seen = []
+    real = algebra._gauss_jordan_int64
+    monkeypatch.setattr(algebra, "_gauss_jordan_int64", lambda rows, p: seen.append(p) or real(rows, p))
+    rng = random.Random(3)
+    for p, nrows, ncols in [(1009, 32, 32), (1009, 31, 33), (2**31 - 1, 16, 64), (2**31 + 11, 32, 32), (2**61 - 1, 32, 32)]:
+        _gauss_jordan([[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], p)
+    assert seen == [1009, 2**31 - 1]
+
+
+def test_wide_matrix_reduces_exactly_past_int64():
+    # 2^61 - 1 squared overflows int64, so this one stays on int lists
+    p = 2**61 - 1
+    rng = random.Random(61)
+    raw = _planted_rank_rows(rng, p, 30, 60, 20)
+    raw[4][7] = p - 1
+    rref = [row[:] for row in raw]
+    pivots = _gauss_jordan(rref, p)
+    assert len(pivots) == rank_by_reverse_echelon(raw, p) == exact_rank(Matrix.from_rows(FieldSpec.prime(p), raw))
+    _check_reduced_form(raw, rref, pivots, p)
 
 
 def test_subspace_intersect_rank_identity():

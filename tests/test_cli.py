@@ -50,6 +50,7 @@ def test_malformed_json_reports_line(tmp_path, capsys):
         {"variety": "veronese-2-2", "trials": 0},
         {"variety": "veronese-2-2", "bogus_key": 1},
         {"variety": "veronese-2-2", "output": {"format": "yaml"}},
+        {"variety": "veronese-2-2", "output": {"paht": "r.json"}},
         {"variety": "no-such-builtin"},
         # a repeated prime would count as two primes agreeing
         {"variety": "veronese-1-4", "enum_primes": [1009, 1009]},

@@ -1,6 +1,7 @@
 """Secant dimensions, defects, towers, tangential projections."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -14,9 +15,14 @@ from terracini.secant import (
     tangential_projection,
     terracini_dim,
 )
-from terracini.varieties import map_image, rational_normal_curve, veronese
+from terracini.varieties import AMBIENT_CAP, map_image, rational_normal_curve, veronese
 
-from oracles import double_point_condition_nullity, rank_by_reverse_echelon
+from oracles import (
+    ah_parameter_count,
+    ah_secant_dim,
+    double_point_condition_nullity,
+    rank_by_reverse_echelon,
+)
 
 F = FieldSpec.prime(2147483647)
 P = F.modulus
@@ -99,6 +105,59 @@ def test_veronese24_five_points_are_defective():
     assert (profile.expected, profile.actual, profile.delta) == (14, 13, 1)
     assert profile.actual == 14 - double_point_condition_nullity(4, PTS, P)
     assert min_defective_k(ver, 5, rng) == 4
+
+
+# -- Alexander-Hirschowitz ---------------------------------------------------
+
+# Defective: v_2(P^n) at every k < n for n <= 7, and at its edge k = 9 for
+# n = 10 (a 66 x 110 rank); the four sporadic cases, v_4(P^4) at k = 13 a
+# 70 x 70 rank.  Controls: the sporadic cases' non-defective neighbours.
+AH_FAST = (
+    [(n, 2, k) for n in range(2, 8) for k in range(1, n)]
+    + [(10, 2, 9)]
+    + [(2, 4, 4), (3, 4, 8), (4, 3, 6), (4, 4, 13)]
+    + [(2, 4, 3), (2, 4, 5), (3, 4, 7), (3, 4, 9), (4, 3, 5), (4, 3, 7), (4, 4, 12), (4, 4, 14)]
+)
+
+
+def _ah_sweep_cases() -> list[tuple[int, int, int]]:
+    """Every v_d(P^n) with d >= 2 and ambient dimension at most AMBIENT_CAP,
+    curves included, at every k >= 1 up to the first k whose secant fills
+    the span."""
+    cases = []
+    for n in range(1, AMBIENT_CAP + 1):
+        d = 2
+        while (span := comb(n + d, d) - 1) <= AMBIENT_CAP:
+            k = 1
+            while True:
+                cases.append((n, d, k))
+                if ah_secant_dim(n, d, k) == span:
+                    break
+                k += 1
+            d += 1
+    return cases
+
+
+def _ah_mismatch(n: int, d: int, k: int) -> str | None:
+    profile = defect(veronese(F, n, d), k, random.Random(f"ah/{n}/{d}/{k}"))
+    want_expected, want_actual = ah_parameter_count(n, d, k), ah_secant_dim(n, d, k)
+    got = (profile.expected, profile.actual, profile.delta)
+    if got != (want_expected, want_actual, want_expected - want_actual):
+        return f"v_{d}(P^{n}) k={k}: (expected, actual, delta) {got}, want {want_expected}, {want_actual}"
+    return None
+
+
+@pytest.mark.parametrize("n,d,k", AH_FAST, ids=[f"v{d}P{n}k{k}" for n, d, k in AH_FAST])
+def test_secant_dims_match_alexander_hirschowitz(n, d, k):
+    assert _ah_mismatch(n, d, k) is None
+
+
+@pytest.mark.slow
+def test_full_alexander_hirschowitz_sweep():
+    cases = _ah_sweep_cases()
+    assert len(cases) == 4049
+    mismatches = [m for m in (_ah_mismatch(*c) for c in cases) if m]
+    assert not mismatches, mismatches
 
 
 # -- span awareness -----------------------------------------------------------
