@@ -18,12 +18,16 @@ Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine,
 ``_gauss_jordan``.  It reduces a matrix of at least ``WIDE_CELLS`` cells as
 one exact ``int64`` numpy array when p < 2^31, and every other matrix on
 plain int rows; both paths hand back the same int rows.
+
+Every derivative is taken in one kernel, ``PolyJets``, which evaluates the
+values, gradients and Hessians of a tuple of polynomials from one power table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, ConstructionError
@@ -33,6 +37,7 @@ __all__ = [
     "Matrix",
     "MultiPoly",
     "Jet2",
+    "PolyJets",
     "exact_rank",
     "subspace_intersect",
     "jet2_eval",
@@ -778,56 +783,59 @@ class Jet2:
         return Matrix(field, self.hessian)
 
 
-def jet2_eval(f: MultiPoly, point: Sequence[int]) -> Jet2:
-    """Exact 2-jet of f at point by term-wise exponent bookkeeping.
+class PolyJets:
+    """Values, gradients and Hessians of a tuple of polynomials in one arity:
+    the package's one place where derivatives are taken.
 
-    The Hessian of any polynomial of total degree <= 1 comes out identically
-    zero, and mixed partials land in both (i, j) and (j, i) slots so the
-    result is exactly symmetric by construction.
+    A handle builds one kernel.  The first-derivative table ``d1[k][i]`` is
+    made with it; the second-derivative table, on first use, lists each
+    polynomial's upper triangle as ``(i, j, d^2/dx_i dx_j)`` with i <= j, and
+    ``hessians`` mirrors it.  Derivatives never raise an exponent, so one
+    power table of a point (``powers``) serves its values, gradients and
+    Hessians.
     """
-    if len(point) != f.nvars:
-        raise ConstructionError("point arity mismatch")
-    p = f.field.modulus
-    n = f.nvars
-    powers = power_table(point, max_exponents(n, (f,)), p)
 
-    def mono(expo: Sequence[int]) -> int:
-        acc = 1
-        for i, e in enumerate(expo):
-            if e:
-                acc = acc * powers[i][e] % p
-        return acc
+    def __init__(self, polys: Sequence[MultiPoly], nvars: int) -> None:
+        self.polys = tuple(polys)
+        self.nvars = nvars
+        self.p = self.polys[0].field.modulus
+        self.max_e = max_exponents(nvars, self.polys)
+        self.d1 = tuple(tuple(f.diff(i) for i in range(nvars)) for f in self.polys)
 
-    value = 0
-    grad = [0] * n
-    hess = [[0] * n for _ in range(n)]
-    for expo, coef in f.terms.items():
-        value += coef * mono(expo)
-        for i, ei in enumerate(expo):
-            if ei == 0:
-                continue
-            red = list(expo)
-            red[i] = ei - 1
-            grad[i] += coef * ei * mono(red)
-            if ei >= 2:
-                red2 = list(expo)
-                red2[i] = ei - 2
-                hess[i][i] += coef * (ei * (ei - 1)) * mono(red2)
-            for j in range(i + 1, n):
-                ej = expo[j]
-                if ej == 0:
-                    continue
-                red2 = list(expo)
-                red2[i] = ei - 1
-                red2[j] = ej - 1
-                cross = coef * (ei * ej) * mono(red2)
-                hess[i][j] += cross
-                hess[j][i] += cross
-    return Jet2(
-        value % p,
-        tuple(g % p for g in grad),
-        tuple(tuple(h % p for h in row) for row in hess),
-    )
+    @cached_property
+    def d2(self) -> tuple[list[tuple[int, int, MultiPoly]], ...]:
+        n = self.nvars
+        return tuple([(i, j, row[i].diff(j)) for i in range(n) for j in range(i, n)] for row in self.d1)
+
+    def powers(self, point: Sequence[int]) -> list[list[int]]:
+        return power_table(point, self.max_e, self.p)
+
+    def values(self, powers: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        return tuple(f.evaluate_at(powers) for f in self.polys)
+
+    def gradients(self, powers: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+        # one pass over the table, regrouped per polynomial: a pass per
+        # polynomial costs a generator each, which shows on Veronese charts
+        flat = [d.evaluate_at(powers) for row in self.d1 for d in row]
+        return tuple(zip(*[iter(flat)] * self.nvars))
+
+    def hessians(self, powers: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """One Hessian per polynomial, exactly symmetric by mirroring."""
+        n = self.nvars
+        out = []
+        for upper in self.d2:
+            hess = [[0] * n for _ in range(n)]
+            for i, j, d in upper:
+                hess[i][j] = hess[j][i] = d.evaluate_at(powers)
+            out.append(tuple(map(tuple, hess)))
+        return tuple(out)
+
+
+def jet2_eval(f: MultiPoly, point: Sequence[int]) -> Jet2:
+    """Exact 2-jet of f at point, from one ``PolyJets`` power table."""
+    jets = PolyJets((f,), f.nvars)
+    powers = jets.powers(point)
+    return Jet2(jets.values(powers)[0], jets.gradients(powers)[0], jets.hessians(powers)[0])
 
 
 # ---------------------------------------------------------------------------

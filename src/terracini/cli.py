@@ -99,12 +99,14 @@ def _version() -> str:
         return "unknown"
 
 
-def _validate_tree(node) -> None:
+def _validate_tree(node, root: bool = True) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"constructor node must be an object, got {type(node).__name__}")
     kind = node.get("constructor")
     if not isinstance(kind, str) or kind not in _TREE_KEYS:
         raise ConfigError(f"unknown constructor {kind!r}")
+    if kind == "tangential_projection" and not root:
+        raise ConfigError("constructor 'tangential_projection' is allowed only at the root of a variety tree")
     keys = _TREE_KEYS[kind]
     missing = [k for k in keys if k not in node]
     if missing:
@@ -114,7 +116,7 @@ def _validate_tree(node) -> None:
         raise ConfigError(f"constructor {kind!r} has unknown keys {unknown}")
     for key, rule in keys.items():
         if rule is _BASE:
-            _validate_tree(node[key])
+            _validate_tree(node[key], root=False)
         elif not rule[0](node[key]):
             raise ConfigError(f"constructor {kind!r}: {key!r} must be {rule[1]}, got {node[key]!r}")
 

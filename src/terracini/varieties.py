@@ -17,6 +17,10 @@ and so every secant dimension, need only ``point`` and ``first``, while the
 ``second`` block (Hessians, section corrections) is computed on first read.
 Every check that can reject a witness runs on the first-order part.
 
+Derivatives are taken in one place, ``algebra.PolyJets``: each parametric,
+plane-curve, map-image and section handle builds one kernel from its
+polynomials and reads values, gradients and Hessians from one power table.
+
 Charts are affine and a draw that lands off-chart is resampled; misses are
 measure zero over the large analysis primes.  The resample cap is 64
 everywhere.
@@ -34,6 +38,7 @@ from .algebra import (
     Jet2,
     Matrix,
     MultiPoly,
+    PolyJets,
     _affine_solve,
     dot,
     exact_rank,
@@ -126,45 +131,38 @@ class ChartJet:
         return len(self.first)
 
 
-def _gradient_polys(polys: Sequence[MultiPoly], nvars: int) -> tuple[tuple[MultiPoly, ...], ...]:
-    return tuple(tuple(p.diff(i) for i in range(nvars)) for p in polys)
-
-
-def _values_and_gradients(polys, grads, max_e, point, p) -> list[tuple[int, tuple[int, ...]]]:
-    """Value and ambient gradient of each polynomial, from one power table."""
-    powers = power_table(point, max_e, p)
-    return [
-        (p.evaluate_at(powers), tuple(d.evaluate_at(powers) for d in row))
-        for p, row in zip(polys, grads)
-    ]
-
-
-def _contract_ambient_jet(ambient: Jet2, chart: ChartJet, p: int) -> Jet2:
-    """Pull an ambient 2-jet back through a chart 2-jet (chain rule)."""
+def _contract_hessian(gradient, hessian, chart: ChartJet, p: int) -> tuple[tuple[int, ...], ...]:
+    """Chart Hessian of an ambient function with this gradient and Hessian at
+    the chart's point (chain rule); a linear form passes the Hessian ()."""
     n = chart.dim
-    grad = tuple(dot(ambient.gradient, chart.first[a], p) for a in range(n))
     hess = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            acc = dot(ambient.gradient, chart.second[a][b], p)
+            acc = dot(gradient, chart.second[a][b], p)
             da, db = chart.first[a], chart.first[b]
-            for i, hrow in enumerate(ambient.hessian):
+            for i, hrow in enumerate(hessian):
                 if da[i]:
                     acc += da[i] * dot(hrow, db, p)
             hess[a][b] = hess[b][a] = acc % p
-    return Jet2(ambient.value, grad, tuple(tuple(row) for row in hess))
+    return tuple(tuple(row) for row in hess)
+
+
+def _pull_back(value: int, gradient, hessian, chart: ChartJet, p: int) -> Jet2:
+    """Chart 2-jet of an ambient function with this value, gradient and
+    Hessian at the chart's point."""
+    grad = tuple(dot(gradient, v, p) for v in chart.first)
+    return Jet2(value, grad, _contract_hessian(gradient, hessian, chart, p))
+
+
+def _stack_hessians(hessians, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One Hessian per ambient coordinate, as a chart's ``second[a][b]``."""
+    return tuple(tuple(tuple(h[a][b] for h in hessians) for b in range(n)) for a in range(n))
 
 
 def _contract_linear_form(coeffs: Sequence[int], chart: ChartJet, p: int) -> Jet2:
     """Pull a linear form back through a chart 2-jet: one chart can serve
     every form drawn at its witness."""
-    n = chart.dim
-    value = dot(coeffs, chart.point, p)
-    grad = tuple(dot(coeffs, chart.first[a], p) for a in range(n))
-    hess = tuple(
-        tuple(dot(coeffs, chart.second[a][b], p) for b in range(n)) for a in range(n)
-    )
-    return Jet2(value, grad, hess)
+    return _pull_back(dot(coeffs, chart.point, p), coeffs, (), chart, p)
 
 
 class VarietyHandle:
@@ -232,7 +230,8 @@ class VarietyHandle:
         if g.nvars != self.ambient_r + 1:
             raise ConstructionError("ambient polynomial arity mismatch")
         chart = self.chart_jet2(w)
-        return _contract_ambient_jet(jet2_eval(g, chart.point), chart, self.field.modulus)
+        jet = jet2_eval(g, chart.point)
+        return _pull_back(jet.value, jet.gradient, jet.hessian, chart, self.field.modulus)
 
     def intrinsic_dim(self, rng: random.Random) -> int:
         """Generic tangent-frame rank minus one: the max over three draws.
@@ -300,14 +299,7 @@ class ParametricHandle(VarietyHandle):
         super().__init__(field, len(polys) - 1, label, blueprint)
         self.polys = tuple(polys)
         self.n = n
-        self._d1 = tuple(tuple(p.diff(a) for p in self.polys) for a in range(n))
-        self._max_e = max_exponents(n, self.polys)
-
-    @cached_property
-    def _d2(self) -> tuple[tuple[tuple[MultiPoly, ...], ...], ...]:
-        return tuple(
-            tuple(tuple(p.diff(b) for p in row) for b in range(self.n)) for row in self._d1
-        )
+        self.jets = PolyJets(self.polys, n)
 
     @property
     def chart_dim(self) -> int:
@@ -318,8 +310,7 @@ class ParametricHandle(VarietyHandle):
         return frozenset(i for i, p in enumerate(self.polys) if not p.is_zero())
 
     def _eval_map(self, u: Sequence[int]) -> tuple[int, ...]:
-        powers = power_table(u, self._max_e, self.field.modulus)
-        return tuple(p.evaluate_at(powers) for p in self.polys)
+        return self.jets.values(self.jets.powers(u))
 
     def sample(self, rng: random.Random) -> Witness:
         def one():
@@ -335,13 +326,11 @@ class ParametricHandle(VarietyHandle):
         return self._eval_map(w.params)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
-        # derivatives never raise an exponent, so one table serves them all
-        powers = power_table(w.params, self._max_e, self.field.modulus)
-        point = tuple(p.evaluate_at(powers) for p in self.polys)
-        first = tuple(tuple(p.evaluate_at(powers) for p in row) for row in self._d1)
-        return ChartJet(point, first, lambda: tuple(
-            tuple(tuple(p.evaluate_at(powers) for p in col) for col in row) for row in self._d2
-        ))
+        powers = self.jets.powers(w.params)
+        first = tuple(zip(*self.jets.gradients(powers)))
+        return ChartJet(
+            self.jets.values(powers), first, lambda: _stack_hessians(self.jets.hessians(powers), self.n)
+        )
 
 
 def _monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
@@ -396,6 +385,7 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         v = MultiPoly.variable(field, 2, 1)
         one = MultiPoly.constant(field, 2, 1)
         self.f_affine = f.compose([u, v, one])
+        self.jets = PolyJets((self.f_affine,), 2)
 
     @property
     def chart_dim(self) -> int:
@@ -428,7 +418,7 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
                 return None  # off the working chart
             pt = normalize_point(pt, p)
             params = (pt[0], pt[1])
-            if jet2_eval(self.f_affine, params).gradient_is_zero():
+            if not any(self.jets.gradients(self.jets.powers(params))[0]):
                 return None  # singular point, resample
             return Witness(params, pt)
 
@@ -439,18 +429,18 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
-        jet = jet2_eval(self.f_affine, w.params)
-        if jet.value != 0:
+        powers = self.jets.powers(w.params)
+        if self.jets.values(powers)[0] != 0:
             raise DegenerateWitness("witness is not on the curve")
-        if jet.gradient_is_zero():
+        (gu, gv), = self.jets.gradients(powers)
+        if not (gu or gv):
             raise DegenerateWitness("singular curve point")
-        gu, gv = jet.gradient
         t = (-gv % p, gu)
         point = (w.params[0], w.params[1], 1)
         first = ((t[0], t[1], 0),)
 
         def second():
-            h = jet.hessian
+            (h,) = self.jets.hessians(powers)
             tht = t[0] * t[0] * h[0][0] + 2 * t[0] * t[1] * h[0][1] + t[1] * t[1] * h[1][1]
             # second-order correction along a direction transverse to the curve
             if gu:
@@ -515,8 +505,7 @@ class MapImageHandle(VarietyHandle):
         self.base = base
         self.polys = tuple(polys)
         self._span_r = span_r
-        self._grads = _gradient_polys(self.polys, base.ambient_r + 1)
-        self._max_e = max_exponents(base.ambient_r + 1, self.polys)
+        self.jets = PolyJets(self.polys, base.ambient_r + 1)
 
     @property
     def chart_dim(self) -> int:
@@ -533,8 +522,7 @@ class MapImageHandle(VarietyHandle):
         return self.base.assumptions()
 
     def _apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        powers = power_table(x, self._max_e, self.field.modulus)
-        return tuple(g.evaluate_at(powers) for g in self.polys)
+        return self.jets.values(self.jets.powers(x))
 
     def sample(self, rng: random.Random) -> Witness:
         def one():
@@ -553,22 +541,18 @@ class MapImageHandle(VarietyHandle):
         p = self.field.modulus
         base_chart = self.base.chart_jet2(w.base)
         n = base_chart.dim
-        evaluated = _values_and_gradients(self.polys, self._grads, self._max_e, base_chart.point, p)
-        point = tuple(value for value, _ in evaluated)
-        first = tuple(
-            tuple(dot(grad, base_chart.first[a], p) for _, grad in evaluated) for a in range(n)
-        )
+        powers = self.jets.powers(base_chart.point)
+        grads = self.jets.gradients(powers)
+        first = tuple(tuple(dot(grad, v, p) for grad in grads) for v in base_chart.first)
 
         def second():
             hesses = [
-                _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart, p).hessian
-                for g in self.polys
+                _contract_hessian(grad, hess, base_chart, p)
+                for grad, hess in zip(grads, self.jets.hessians(powers))
             ]
-            return tuple(
-                tuple(tuple(h[a][b] for h in hesses) for b in range(n)) for a in range(n)
-            )
+            return _stack_hessians(hesses, n)
 
-        return ChartJet(point, first, second)
+        return ChartJet(self.jets.values(powers), first, second)
 
 
 def map_image(
@@ -747,8 +731,7 @@ class SectionHandle(VarietyHandle):
                 raise ConstructionError(
                     "at most one constraint may be nonlinear on a cone ruling"
                 )
-        self._grads = _gradient_polys(self.constraints, base.ambient_r + 1)
-        self._max_e = max_exponents(base.ambient_r + 1, self.constraints)
+        self.jets = PolyJets(self.constraints, base.ambient_r + 1)
         if isinstance(base, ConeHandle):
             self._ruling_forms, self._ruling_max_e = _ruling_forms(self.constraints, base.vertex)
 
@@ -852,8 +835,7 @@ class SectionHandle(VarietyHandle):
                 for j in range(m)
             )
         pt = base._point(y, mu)
-        powers = power_table(pt, self._max_e, p)
-        if any(g.evaluate_at(powers) for g in self.constraints):
+        if any(self.jets.values(self.jets.powers(pt))):
             raise ConstructionError("internal: constraint not satisfied at sample")
         cone_w = Witness(bw.params + mu, normalize_point(pt, p), base=bw)
         return Witness(cone_w.params, cone_w.point, base=cone_w)
@@ -884,13 +866,11 @@ class SectionHandle(VarietyHandle):
         nb = base_chart.dim
         field = self.field
         p = field.modulus
-        grads = []
-        for value, grad in _values_and_gradients(
-            self.constraints, self._grads, self._max_e, base_chart.point, p
-        ):
-            if value != 0:
-                raise DegenerateWitness("witness is off the section")
-            grads.append([dot(grad, base_chart.first[i], p) for i in range(nb)])
+        powers = self.jets.powers(base_chart.point)
+        if any(self.jets.values(powers)):
+            raise DegenerateWitness("witness is off the section")
+        ambient_grads = self.jets.gradients(powers)
+        grads = [[dot(grad, v, p) for v in base_chart.first] for grad in ambient_grads]
         gmat = Matrix(field, grads)
         if exact_rank(gmat) != len(self.constraints):
             raise DegenerateWitness("constraint gradients are dependent at the witness")
@@ -902,8 +882,8 @@ class SectionHandle(VarietyHandle):
         def second():
             # independent gradient rows make every correction system solvable
             hesses = [
-                _contract_ambient_jet(jet2_eval(g, base_chart.point), base_chart, p).hessian
-                for g in self.constraints
+                _contract_hessian(grad, hess, base_chart, p)
+                for grad, hess in zip(ambient_grads, self.jets.hessians(powers))
             ]
             base_second = [v for row in base_chart.second for v in row]
             out = [[None] * ns for _ in range(ns)]
@@ -1128,6 +1108,8 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
         return hypersurface_section(base, h, rng, label=label)
     if kind == "hyperplane_section":
         inner = build(blueprint["base"], field, rng)
+        if inner.chart_dim < 2:
+            raise ConstructionError("hyperplane sections need dim >= 2")
         lam, base, constraints = _hyperplane_cut(inner, blueprint["hyperplane"])
         _check_not_identically_zero(inner, lam, rng)
         return SectionHandle(base, constraints, label or f"hyperplane-cut-{inner.label}", blueprint)

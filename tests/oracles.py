@@ -1,10 +1,11 @@
 """Independent oracles used to freeze expected values in the test suite.
 
 Each routine recomputes a quantity along a different code path than the
-library: ranks by minor expansion, roots by brute scan, jets by building
-derivative polynomials symbolically.  Nothing here imports library
-elimination or jet internals; the root-finder reference shares only the
-univariate gcd, trim, exact division and square root with the library.
+library: ranks by minor expansion, roots by brute scan, jets by term-wise
+exponent bookkeeping.  Nothing here imports library elimination or jet
+internals; the root-finder reference shares only the univariate gcd, trim,
+exact division and square root with the library, and the jet reference only
+the power table and the ``Jet2`` container.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
+from typing import Sequence
 
 from terracini.algebra import (
     FieldSpec,
+    Jet2,
     MultiPoly,
     _poly_divide_exact,
     _poly_gcd,
     _poly_trim,
     _sqrt_mod,
+    max_exponents,
+    power_table,
 )
+from terracini.errors import ConstructionError
 
 
 def det_cofactor(rows):
@@ -215,8 +221,65 @@ def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[int]:
     return frozenset(x for x in range(field.modulus) if f.evaluate((x,)) == 0)
 
 
+def jet2_by_term_bookkeeping(f: MultiPoly, point) -> Jet2:
+    """Exact 2-jet of f at point by term-wise exponent bookkeeping.
+
+    The library's former ``jet2_eval`` body, kept verbatim as the reference
+    for the derivative-table kernel (``algebra.PolyJets``): it never builds a
+    derivative polynomial, and reads each monomial's partials off its
+    exponents.
+    """
+    if len(point) != f.nvars:
+        raise ConstructionError("point arity mismatch")
+    p = f.field.modulus
+    n = f.nvars
+    powers = power_table(point, max_exponents(n, (f,)), p)
+
+    def mono(expo: Sequence[int]) -> int:
+        acc = 1
+        for i, e in enumerate(expo):
+            if e:
+                acc = acc * powers[i][e] % p
+        return acc
+
+    value = 0
+    grad = [0] * n
+    hess = [[0] * n for _ in range(n)]
+    for expo, coef in f.terms.items():
+        value += coef * mono(expo)
+        for i, ei in enumerate(expo):
+            if ei == 0:
+                continue
+            red = list(expo)
+            red[i] = ei - 1
+            grad[i] += coef * ei * mono(red)
+            if ei >= 2:
+                red2 = list(expo)
+                red2[i] = ei - 2
+                hess[i][i] += coef * (ei * (ei - 1)) * mono(red2)
+            for j in range(i + 1, n):
+                ej = expo[j]
+                if ej == 0:
+                    continue
+                red2 = list(expo)
+                red2[i] = ei - 1
+                red2[j] = ej - 1
+                cross = coef * (ei * ej) * mono(red2)
+                hess[i][j] += cross
+                hess[j][i] += cross
+    return Jet2(
+        value % p,
+        tuple(g % p for g in grad),
+        tuple(tuple(h % p for h in row) for row in hess),
+    )
+
+
 def jet_by_symbolic_diff(f: MultiPoly, point):
-    """(value, gradient, hessian) via explicit derivative polynomials."""
+    """(value, gradient, hessian) via explicit derivative polynomials.
+
+    This is the same method as the library's ``PolyJets`` kernel (derivative
+    polynomials from ``MultiPoly.diff``, then evaluation), so it is not an
+    independent check of it; ``jet2_by_term_bookkeeping`` is."""
     n = f.nvars
     value = f.evaluate(point)
     firsts = [f.diff(i) for i in range(n)]

@@ -14,6 +14,7 @@ from terracini.algebra import (
     Jet2,
     Matrix,
     MultiPoly,
+    PolyJets,
     _affine_solve,
     _gauss_jordan,
     _gauss_jordan_lists,
@@ -32,6 +33,7 @@ from terracini.errors import ConstructionError, FieldMismatchError
 from terracini.fiber import _ConstantSystem
 
 from oracles import (
+    jet2_by_term_bookkeeping,
     jet_by_symbolic_diff,
     poly_powmod,
     rank_by_minors,
@@ -465,6 +467,58 @@ def test_jet2_additivity(a, b):
     jf, jg, js = jet2_eval(f, pt), jet2_eval(g, pt), jet2_eval(f + g, pt)
     assert js.value == (jf.value + jg.value) % 1009
     assert js.gradient == tuple((p + q) % 1009 for p, q in zip(jf.gradient, jg.gradient))
+
+
+@st.composite
+def _jet_kernel_cases(draw):
+    """1-4 polynomials in 1-6 variables of degree <= 4 (zero and constant ones
+    included), and two points that favour the entries 0 and p - 1."""
+    p = draw(st.sampled_from([1009, 2**31 - 1]))
+    field = FieldSpec.prime(p)
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(min_value=0, max_value=p - 1))
+
+    def exponents():
+        expo, budget = [], draw(st.integers(min_value=0, max_value=4))
+        for _ in range(n):
+            e = draw(st.integers(min_value=0, max_value=budget))
+            expo.append(e)
+            budget -= e
+        return draw(st.permutations(expo))
+
+    polys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["zero", "constant", "general"]))
+        if kind == "zero":
+            terms = []
+        elif kind == "constant":
+            terms = [(draw(entry), (0,) * n)]
+        else:
+            terms = [(draw(entry), exponents()) for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+        polys.append(MultiPoly.from_int_terms(field, n, terms))
+    points = [tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2)]
+    return field, n, polys, points
+
+
+@given(_jet_kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_jet_kernel_matches_term_by_term_reference(case):
+    field, n, polys, points = case
+    p = field.modulus
+    jets = PolyJets(polys, n)
+    # every table is built before any is read, so a kernel that evaluated
+    # from the last table it built would give the first point stale jets
+    tables = [jets.powers(point) for point in points]
+    for point, powers in zip(points, tables):
+        values, grads, hessians = jets.values(powers), jets.gradients(powers), jets.hessians(powers)
+        for k, f in enumerate(polys):
+            ref = jet2_by_term_bookkeeping(f, point)
+            assert (values[k], grads[k], hessians[k]) == (ref.value, ref.gradient, ref.hessian)
+            assert jet2_eval(f, point) == ref
+            hess = hessians[k]
+            assert all(hess[i][j] == hess[j][i] for i in range(n) for j in range(n))
+            for x in (values[k], *grads[k], *(h for row in hess for h in row)):
+                assert type(x) is int and 0 <= x < p
 
 
 # -- univariate roots ----------------------------------------------------------

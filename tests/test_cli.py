@@ -40,6 +40,21 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+# a tangential projection is built by the command, not by the blueprint
+# interpreter, so it may only stand at the root of a tree
+NESTED_PROJECTION = {
+    "variety": {
+        "constructor": "cone",
+        "base": {
+            "constructor": "tangential_projection",
+            "base": {"constructor": "veronese", "n": 2, "d": 3},
+            "points": 1,
+        },
+        "vertex": [[0] * 10 + [1]],
+    }
+}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -77,6 +92,9 @@ def test_malformed_json_reports_line(tmp_path, capsys):
         {"variety": {"constructor": "map_image", "base": {"constructor": "rnc", "d": 2}, "components": [[[1, [1, 0, 0]]], [[1, [0, 1, 0]]]], "arity": "3"}},
         {"variety": "veronese-2-2", "k_range": [True, True]},
         {"variety": {"constructor": "veronese", "n": 2, "d": 2, "bogus": 1}},
+        # a hyperplane cuts a curve down to points, which have no chart
+        {"variety": {"constructor": "hyperplane_section", "base": {"constructor": "rnc", "d": 2}, "hyperplane": [1, 2, 3]}},
+        NESTED_PROJECTION,
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):
@@ -85,6 +103,14 @@ def test_invalid_configs_exit_2(tmp_path, capsys, payload):
     )
     assert code == 2
     assert err.startswith("terracini:")
+
+
+def test_nested_tangential_projection_is_rejected_as_root_only(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["defect-scan", "--config", write_config(tmp_path, NESTED_PROJECTION)], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "'tangential_projection' is allowed only at the root" in err
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from terracini import cli, varieties
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
 from terracini.errors import ConstructionError, DegenerateWitness
-from terracini.instances import SUITE_MEMBERS
+from terracini.instances import SUITE_MEMBERS, builtin
 from terracini.secant import tangential_projection, terracini_dim
 from terracini.varieties import (
     ProjectionHandle,
@@ -190,21 +190,44 @@ class _Poisoned:
         raise AssertionError("a second derivative was evaluated")
 
 
-def test_frames_and_secant_dims_never_evaluate_second_derivatives():
-    clean, poisoned = veronese(F, 2, 3), veronese(F, 2, 3)
-    poisoned._d2 = tuple(
-        tuple(tuple(_Poisoned() for _ in poisoned.polys) for _ in range(2)) for _ in range(2)
-    )
-    rng = random.Random(93)
+def _poison_second_derivatives(handle):
+    jets = handle.jets
+    jets.d2 = tuple([(i, j, _Poisoned()) for i, j, _ in upper] for upper in jets.d2)
+
+
+def _kernel_layers(handle):
+    """The handle and every base below it that owns a jet kernel, top first."""
+    layers = []
+    while handle is not None:
+        if hasattr(handle, "jets"):
+            layers.append(handle)
+        handle = getattr(handle, "base", None)
+    return layers
+
+
+def _assert_first_order_untouched(clean, poisoned, rng, ks):
     for _ in range(3):
         w = clean.sample(rng)
         assert poisoned.tangent_frame(w) == clean.tangent_frame(w)
     with pytest.raises(AssertionError):
         poisoned.chart_jet2(w).second
-    for k in (1, 2, 3):
-        dim_p, ws_p = terracini_dim(poisoned, k, random.Random(k))
-        dim_c, ws_c = terracini_dim(clean, k, random.Random(k))
-        assert (dim_p, ws_p) == (dim_c, ws_c)
+    for k in ks:
+        assert terracini_dim(poisoned, k, random.Random(k)) == terracini_dim(clean, k, random.Random(k))
+
+
+def test_frames_and_secant_dims_never_evaluate_second_derivatives():
+    clean, poisoned = veronese(F, 2, 3), veronese(F, 2, 3)
+    _poison_second_derivatives(poisoned)
+    _assert_first_order_untouched(clean, poisoned, random.Random(93), (1, 2, 3))
+
+    # counter2 stacks a section over a cone over a map image of a plane curve
+    clean2, poisoned2 = (builtin("counter2", F, random.Random(7)) for _ in range(2))
+    layers = list(zip(_kernel_layers(clean2), _kernel_layers(poisoned2)))
+    assert [c.kind for c, _ in layers] == ["section", "map_image", "implicit_plane_curve"]
+    for _, poisoned_layer in layers:
+        _poison_second_derivatives(poisoned_layer)
+    for clean_layer, poisoned_layer in layers:
+        _assert_first_order_untouched(clean_layer, poisoned_layer, random.Random(94), (1, 2))
 
 
 def test_curve_jet_kills_its_own_equation_to_second_order():
