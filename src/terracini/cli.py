@@ -310,15 +310,24 @@ def cmd_defect_scan(cfg: RunConfig) -> tuple[dict, bool]:
             except (CenterFillsAmbient, SamplingExhausted) as exc:
                 towers.append({"k": k, "note": f"tower degenerates: {exc}"})
             else:
-                towers.append(
-                    {
-                        "k": k,
-                        "delta_k": tower.delta_k,
-                        "delta_one_projected": tower.delta_one_projected,
-                        "center_rank": tower.center_rank,
-                        "consistent": tower.consistent,
-                    }
-                )
+                if not tower.generically_finite:
+                    towers.append(
+                        {
+                            "k": k,
+                            "note": f"tower degenerates: the {k - 1}-tangential projection has "
+                            f"dimension {tower.dim_projected}, below {tower.dim_x}",
+                        }
+                    )
+                else:
+                    towers.append(
+                        {
+                            "k": k,
+                            "delta_k": tower.delta_k,
+                            "delta_one_projected": tower.delta_one_projected,
+                            "center_rank": tower.center_rank,
+                            "consistent": tower.consistent,
+                        }
+                    )
     report["per_k"] = per_k
     report["delta_towers"] = towers
     report["min_defective_k"] = min_defective_k(

@@ -9,11 +9,15 @@ Inconclusive on purpose.
 
 Two enumeration strategies cover every built-in shape:
 
-* parametric charts with at most two parameters scan the full grid F_p^n.
-  Lying over a probe point is the vanishing of polynomials in the chart
-  parameters: blocks of grid rows evaluate the first one as a product of
-  power tables and its coefficient array, and the others are checked
-  exactly, only at the zeros of the first;
+* parametric charts with at most two parameters scan the full grid F_p^n,
+  once per prime for all probe points together.  A grid point lies over a
+  probe point [q] when its projected coordinates R are nonzero and
+  proportional to q.  Blocks of grid cells evaluate just two of them, the
+  probes' pivot ``R_j`` and one more ``R_i``, as products of power tables
+  and coefficient arrays, and key every cell by the ratio ``R_i / R_j``.
+  Only cells whose key matches a probe's ``q_i / q_j`` are checked, exactly,
+  against the other coordinates.  Every grid point is still visited and the
+  key is only a necessary condition, so the counts are exhaustive and exact;
 * cone sections scan the base curve exhaustively with the same grid kernel
   and solve the linear proportionality conditions ruling by ruling, so only
   candidate rulings ever see the cutting polynomial.
@@ -131,38 +135,80 @@ def _coefficients(polys: Sequence[MultiPoly], n: int) -> np.ndarray:
     return out
 
 
-def _grid_zeros(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Common zeros of the polynomials ``coeffs[k]`` on the chart grid F_p^n.
+def _powers(xs: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Power table ``T[e, k] = xs[k]^e mod p`` for ``e < count``."""
+    out = np.ones((count, len(xs)), dtype=np.int64)
+    for e in range(1, count):
+        np.multiply(out[e - 1], xs, out=out[e])
+        np.remainder(out[e], p, out=out[e])
+    return out
 
-    Yields one ``(u, v)`` pair of index arrays per block of grid rows, in
-    u-major, v-ascending order.  The first nonzero polynomial is evaluated on
-    the whole block as ``(U @ C) @ V`` with power tables ``U`` and ``V``; the
-    others are evaluated exactly, one after another, only at the surviving
-    zeros.  Identically zero polynomials impose nothing and are dropped; with
-    none left, every grid point is a zero.
+
+def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Values of the polynomials ``coeffs[k]`` on the chart grid F_p^n, one
+    block of cells at a time: the one grid kernel of this module.
+
+    Grid point ``(u, v)`` is cell ``u p + v``.  A block is a run of cells
+    (whole grid rows, or part of one row when a whole row is too wide) sized
+    so that all polynomials together fill at most ``GRID_BLOCK_CELLS`` cells,
+    at least one each.  Yields ``(start, vals)`` in cell order, where
+    ``vals[k].flat[c]`` is polynomial k at cell ``start + c``.  Each block
+    is ``(U @ C) @ V`` for the power tables U and V of its rows and columns.
     """
-    na, nb = coeffs.shape[1:]
-    live = coeffs[coeffs.any(axis=(1, 2))]
-    first = live[0] if len(live) else np.zeros((na, nb), dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    pows = np.ones((p, max(na, nb)), dtype=np.int64)  # pows[x, e] = x^e mod p
-    for e in range(1, pows.shape[1]):
-        pows[:, e] = pows[:, e - 1] * base % p
-    u_pows, v_pows = pows[:, :na], pows[:, :nb]
-    v_grid = np.ascontiguousarray(v_pows.T)
+    count, na, nb = coeffs.shape
+    width = min(p, max(1, GRID_BLOCK_CELLS // count))
+    height = max(1, GRID_BLOCK_CELLS // (count * width))
     u_count = p if n == 2 else 1
-    step = max(1, GRID_BLOCK_CELLS // p)
-    for u0 in range(0, u_count, step):
-        block = u_pows[u0 : min(u0 + step, u_count)]
-        vals = (block @ first) % p @ v_grid
-        np.remainder(vals, p, out=vals)
-        us, vs = np.divmod(np.flatnonzero(vals == 0), p)
-        for poly in live[1:]:
-            if not len(us):
+    # one table serves rows and columns alike, unless rows are cut into parts
+    pows = _powers(np.arange(p if width == p else u_count, dtype=np.int64), max(na, nb), p)
+    for u0 in range(0, u_count, height):
+        left = pows[:na, u0 : min(u0 + height, u_count)].T @ coeffs % p
+        for v0 in range(0, p, width):
+            if width == p:
+                v_pows = pows[:nb]
+            else:
+                v_pows = _powers(np.arange(v0, min(v0 + width, p), dtype=np.int64), nb, p)
+            vals = left @ v_pows
+            np.remainder(vals, p, out=vals)
+            yield u0 * p + v0, vals
+
+
+def _count_vanishing(cells: np.ndarray, polys: np.ndarray, p: int, chunk: int) -> int:
+    """How many of the grid cells are common zeros of the polynomials
+    ``polys[k]``: the exact check behind every key.  Cells go ``chunk`` at a
+    time, and each polynomial is evaluated only on the cells still left."""
+    total = 0
+    for s in range(0, len(cells), chunk):
+        us, vs = np.divmod(cells[s : s + chunk], p)
+        u_pows = _powers(us, polys.shape[1], p).T
+        v_pows = _powers(vs, polys.shape[2], p).T
+        for poly in polys:
+            vals = u_pows @ poly
+            vals %= p
+            vals *= v_pows
+            ok = vals.sum(axis=1) % p == 0
+            u_pows, v_pows = u_pows[ok], v_pows[ok]
+            if not len(u_pows):
                 break
-            ok = ((block[us] @ poly) % p * v_pows[vs]).sum(axis=1) % p == 0
-            us, vs = us[ok], vs[ok]
-        yield us + u0, vs
+        total += len(u_pows)
+    return total
+
+
+def _inverse_table(p: int) -> np.ndarray:
+    """``T[x] = x^(p-2) mod p``: the inverse of every nonzero x, and
+    ``T[0] = 0``.  Square-and-multiply over the whole field at once takes
+    O(p log p) steps."""
+    table = np.ones(p, dtype=np.int64)
+    base = np.arange(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            table *= base
+            table %= p
+        base *= base
+        base %= p
+        e >>= 1
+    return table
 
 
 def _scan_parametric(
@@ -171,10 +217,18 @@ def _scan_parametric(
     """Preimage count of each probe point [q] over the chart grid, and the
     number of grid points mapped into the projection center.
 
-    A grid point lies over [q] when every ``q[jq] row_i - q[i] row_jq``
-    vanishes there but not every row does.  The first set contains the
-    center, which does not depend on q, so each count is a difference of two
-    zero counts; this is exact because ``q[jq]`` is nonzero.
+    With R the projected coordinates, a grid point lies over [q] when R is
+    nonzero and proportional to q.  Probe points are grouped by their last
+    nonzero coordinate j (generically one group), and each group takes one
+    pass over the grid that evaluates only ``R_j`` and one more coordinate
+    ``R_i``.  Every cell is keyed by the ratio ``R_i / R_j`` through one
+    inverse table; cells with ``R_j = 0`` get the key p, which no probe
+    takes.  A point over [q] has ``R_j != 0`` and the key ``q_i / q_j``, so
+    only cells with that key are checked, exactly, against the rest of the
+    family ``q_j R_k - q_k R_j``.  A center point has ``R_i = R_j = 0``, so
+    the first pass counts the center among those cells.  The key is only a
+    necessary condition, hence every count is exact.  Keyed cells wait and
+    are checked together, a block's worth of power tables at a time.
     """
     p = xp.field.modulus
     n = xp.n
@@ -185,17 +239,52 @@ def _scan_parametric(
     comps = _coefficients(xp.polys, n)
     rows = np.array(proj.entries, dtype=np.int64) @ comps.reshape(len(comps), -1) % p
     rows = rows.reshape(-1, *comps.shape[1:])
+    inverse = _inverse_table(p)
+    # the exact check's power tables and products stay within one block
+    chunk = max(1, GRID_BLOCK_CELLS // (2 * (rows.shape[1] + rows.shape[2])))
+    groups: dict[int, list[int]] = {}
+    for t, q in enumerate(qs):
+        groups.setdefault(_last_nonzero(q), []).append(t)
+    counts = [0] * len(qs)
+    center_hits = 0
+    for first, (j, members) in enumerate(groups.items()):
+        # a zero row would give every cell the same key
+        i = max((k for k in range(len(rows)) if k != j and rows[k].any()), default=j)
+        others = [k for k in range(len(rows)) if k not in (i, j)]
+        rest = rows[others]
+        keys = [qs[t][i] * int(inverse[qs[t][j]]) % p for t in members]
+        wanted = np.zeros(p + 1, dtype=bool)
+        wanted[keys] = True
+        pending: list[list[int]] = [[] for _ in members]
+        held = 0
 
-    def zeros(family: np.ndarray) -> int:
-        return sum(len(us) for us, _ in _grid_zeros(family, p, n))
+        def check() -> None:
+            for t, cells in zip(members, pending):
+                if cells:
+                    q = np.array(qs[t], dtype=np.int64)
+                    family = (q[j] * rest - q[others, None, None] * rows[j]) % p
+                    counts[t] += _count_vanishing(np.array(cells, dtype=np.int64), family, p, chunk)
+                    cells.clear()
 
-    center_hits = zeros(rows)
-    counts = []
-    for q in qs:
-        jq = _last_nonzero(q)
-        # row jq of the family cancels to the zero polynomial and drops out
-        family = (q[jq] * rows - np.array(q, dtype=np.int64)[:, None, None] * rows[jq]) % p
-        counts.append(zeros(family) - center_hits)
+        for start, (ri, rj) in _grid_blocks(rows[[i, j]], p, n):
+            ri, rj = ri.ravel(), rj.ravel()
+            off = np.flatnonzero(rj == 0)
+            if first == 0:
+                center_hits += _count_vanishing(start + off[ri[off] == 0], rest, p, chunk)
+            key = inverse[rj]
+            key *= ri
+            key %= p
+            key[off] = p
+            cells = np.flatnonzero(wanted[key])
+            for target, waiting in zip(keys, pending):
+                mine = cells[key[cells] == target]
+                if len(mine):
+                    waiting += (start + mine).tolist()
+                    held += len(mine)
+            if held >= chunk:
+                check()
+                held = 0
+        check()
     return counts, center_hits
 
 
@@ -222,15 +311,14 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
     p = fp.modulus
     if p * p > budget:
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {budget}")
-    pts = [
-        (u, v, 1)
-        for us, vs in _grid_zeros(_coefficients([curve.f_affine], 2), p, 2)
-        for u, v in zip(us.tolist(), vs.tolist())
-    ]
+    pts = []
+    for start, vals in _grid_blocks(_coefficients([curve.f_affine], 2), p, 2):
+        us, vs = np.divmod(start + np.flatnonzero(vals[0] == 0), p)
+        pts += [(u, v, 1) for u, v in zip(us.tolist(), vs.tolist())]
     # the line at infinity: z = 0, y = 1, then the lone corner point
     at_infinity = MultiPoly.univariate(fp, restrict_univariate(curve.f, [[0, 1], [1], []]))
-    for _, xs in _grid_zeros(_coefficients([at_infinity], 1), p, 1):
-        pts += [(u, 1, 0) for u in xs.tolist()]
+    for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1):
+        pts += [(u, 1, 0) for u in (start + np.flatnonzero(vals[0] == 0)).tolist()]
     if curve.f.evaluate((1, 0, 0)) == 0:
         pts.append((1, 0, 0))
     return pts

@@ -178,22 +178,39 @@ class TowerReport:
     delta_k: int
     delta_one_projected: int
     center_rank: int
+    dim_x: int
+    dim_projected: int
 
     @property
     def consistent(self) -> bool:
         return self.delta_k == self.delta_one_projected
+
+    @property
+    def generically_finite(self) -> bool:
+        """Whether the (k-1)-st tangential projection keeps the dimension of
+        x; the tower identity presumes it."""
+        return self.dim_projected == self.dim_x
 
 
 def check_delta_tower(
     x: VarietyHandle, k: int, rng: random.Random, trials: int = DEFAULT_TRIALS
 ) -> TowerReport:
     """Compare the k-defect of x against the 1-defect of its (k-1)-st
-    tangential projection; the two agree for well-behaved handles."""
+    tangential projection; the two agree when that projection is generically
+    finite, which the report records from the projected defect's own
+    dimension."""
     if k < 1:
         raise ConfigError("tower check needs k >= 1")
     top = defect(x, k, rng, trials=trials)
     if k == 1:
-        return TowerReport(k=1, delta_k=top.delta, delta_one_projected=top.delta, center_rank=0)
+        return TowerReport(
+            k=1,
+            delta_k=top.delta,
+            delta_one_projected=top.delta,
+            center_rank=0,
+            dim_x=top.dim_x,
+            dim_projected=top.dim_x,
+        )
     projected, ws = tangential_projection(x, k - 1, rng)
     center_rank = x.span_dim() + 1 - (projected.span_dim() + 1)
     low = defect(projected, 1, rng, trials=trials)
@@ -202,4 +219,6 @@ def check_delta_tower(
         delta_k=top.delta,
         delta_one_projected=low.delta,
         center_rank=center_rank,
+        dim_x=top.dim_x,
+        dim_projected=low.dim_x,
     )

@@ -3,6 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,6 +169,21 @@ def test_defect_scan_k_zero_returns_variety_dim(tmp_path, capsys):
     assert row["delta"] == 0
 
 
+def test_tower_row_is_a_note_when_the_projection_drops_dimension(tmp_path, capsys):
+    """delta_k(X) = delta_1 of the (k-1)-tangential projection needs that
+    projection to be generically finite.  For v_2(P^10) at k = 8 it is not:
+    the 7-tangential projection is a threefold, delta_8 is 3 and its own
+    delta_1 is 1, so the tower row degenerates and the scan passes."""
+    cfg = write_config(tmp_path, {"variety": "veronese-10-2", "k_range": [8, 8], "seed": 0})
+    code, out, _ = run_cli(["defect-scan", "--config", cfg], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert [row["delta"] for row in report["per_k"]] == [3]
+    assert report["delta_towers"] == [
+        {"k": 8, "note": "tower degenerates: the 7-tangential projection has dimension 3, below 10"}
+    ]
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, {"variety": "counter2", "k_range": [1, 2], "seed": 3})
     out_path = str(tmp_path / "report.json")
@@ -233,18 +251,50 @@ PINNED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("verb, variety, k_range", list(PINNED_REPORTS))
-def test_report_bytes_are_pinned(tmp_path, capsys, verb, variety, k_range):
-    tree = PINNED_TREES.get(variety, variety)
-    cfg = write_config(tmp_path, {"variety": tree, "k_range": list(k_range), "seed": 0})
+def report_digest(tmp_path, capsys, verb, tree, k_range, seed):
+    cfg = write_config(tmp_path, {"variety": tree, "k_range": list(k_range), "seed": seed})
     out_path = tmp_path / "report.json"
     assert cli.main([verb, "--config", cfg, "--out", str(out_path)]) == 0
     capsys.readouterr()
     report = json.loads(out_path.read_text())
     del report["version"]
     del report["config"]["output"]["path"]
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("verb, variety, k_range", list(PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, capsys, verb, variety, k_range):
+    tree = PINNED_TREES.get(variety, variety)
+    digest = report_digest(tmp_path, capsys, verb, tree, k_range, 0)
     assert digest == PINNED_REPORTS[(verb, variety, k_range)]
+
+
+# fiber-probe reports at k = 1 through the parametric grid scan, on two- and
+# one-parameter charts, digested as above.  They were captured from the
+# scan that swept the grid once per probe point, so they pin the one-pass
+# ratio-key scan to the same counts and center hits.
+GRID_SCAN_TREES = {
+    "veronese-2-3": "veronese-2-3",
+    "veronese-2-4": "veronese-2-4",
+    "rnc-5-tree": {"constructor": "rnc", "d": 5},
+}
+GRID_SCAN_REPORTS = {
+    ("veronese-2-3", 0): "5ff91e54b8124b8ae24552598feb1cc1689482282116e22eef5b2232489fd591",
+    ("veronese-2-3", 1): "d05aa5cfbf647f064da24d1c69bc68f331f4c446ed74562f4e2b466f318df30d",
+    ("veronese-2-3", 2): "b6d8e4dd13ef027d50ef103849400bbeb2a144b6516dfd882020642d79b26f4f",
+    ("veronese-2-4", 0): "2dbf12d6bdb42a65d45e9767e469c3a9fe22721b8cd8ff60339e79ab58233198",
+    ("veronese-2-4", 1): "34d86096707da25f8f8a2fec3be6b2e4b9bf5cae530b95b6515d255d9d4c5baa",
+    ("veronese-2-4", 2): "e34d9f995dff1162cf92fd86327796f7a8ceeb7427acdf05b8ca5df4b5052565",
+    ("rnc-5-tree", 0): "6099edadc3953d72986818bba7c02dbf7742fc32d67dfac9d98975d78db0e0ba",
+    ("rnc-5-tree", 1): "58a2fb7103101cfad7935f3252c7ce54278fe9278978db434ef66b9e54ded08c",
+    ("rnc-5-tree", 2): "764b4ea89c8b30c0166b8e3ec8e09a3404be06bc8b2b27c202dcafa0f5319460",
+}
+
+
+@pytest.mark.parametrize("variety, seed", list(GRID_SCAN_REPORTS))
+def test_grid_scan_fiber_reports_are_pinned(tmp_path, capsys, variety, seed):
+    digest = report_digest(tmp_path, capsys, "fiber-probe", GRID_SCAN_TREES[variety], (1, 1), seed)
+    assert digest == GRID_SCAN_REPORTS[(variety, seed)]
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):
@@ -352,6 +402,29 @@ def test_fiber_probe_budget_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["fiber-probe", "--config", cfg], capsys)
     assert code == 3
     assert "budget" in err
+
+
+def test_python_m_terracini_runs_fiber_probe(tmp_path):
+    """A source checkout runs the CLI as ``python -m terracini`` with only
+    ``src`` on the path, no install needed."""
+    cfg = write_config(tmp_path, {"variety": "rnc-4", "k_range": [1, 1], "seed": 3})
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini", "fiber-probe", "--config", cfg],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "fiber-probe"
+    [row] = report["per_k"]
+    assert row["verdict"] == "BirationalEvidence"
+    assert row["cardinalities"] == {str(p): [1] * 5 for p in (1009, 2003, 3001)}
 
 
 # -- formats -------------------------------------------------------------------

@@ -6,8 +6,9 @@ from math import prod
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terracini import fiber
@@ -18,6 +19,7 @@ from terracini.fiber import (
     FiberReport,
     _curve_points_int,
     _grade,
+    _inverse_table,
     _probe_q,
     _scan_parametric,
     fiber_probe,
@@ -155,10 +157,17 @@ def test_functoriality_flags_collapsing_projection():
 def _grid_scan_cases(draw):
     """A random map F_p^n -> P^r through a projection, with probe points.
 
-    Drawn structure: every coordinate vanishing at the origin puts the origin
-    in the center, and a zero projection row with q[0] = 0 makes that row's
-    difference polynomial identically zero.  The small block size makes the
-    scan cross many block boundaries, the last block partial."""
+    Drawn structure, each piece aimed at a branch of the ratio-key scan:
+    every coordinate vanishing at the origin puts the origin in the center;
+    an all-zero chart puts every grid point there; a zero projection row
+    with q[0] = 0 makes that row's family polynomial identically zero; a
+    first chart polynomial times ``(x_0 - c)``, read alone by the last
+    projection row, makes the usual pivot coordinate vanish on a whole grid
+    line; one projection row keys every cell alike; and zeroed probe
+    coordinates hit the key coordinate and split batches of up to five
+    probes into several pivot groups.  The small block size makes the scan
+    cross many block boundaries, the last block partial, and at p = 101 cuts
+    grid rows into parts."""
     p = draw(st.sampled_from([31, 101]))
     n = draw(st.integers(1, 2))
     coeff = st.integers(0, p - 1)
@@ -166,13 +175,24 @@ def _grid_scan_cases(draw):
     polys = [draw(st.dictionaries(expo, coeff, min_size=1, max_size=4)) for _ in range(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
         polys = [{e: c for e, c in poly.items() if any(e)} for poly in polys]
-    nrows = draw(st.integers(2, 4))
+    if draw(st.integers(0, 7)) == 0:
+        polys = [{} for _ in polys]
+    nrows = draw(st.integers(1, 4))
     proj = [draw(st.lists(coeff, min_size=len(polys), max_size=len(polys))) for _ in range(nrows)]
+    if draw(st.booleans()):
+        c = draw(coeff)
+        factored: dict = {}
+        for e, a in polys[0].items():
+            up = (e[0] + 1,) + e[1:]
+            factored[up] = (factored.get(up, 0) + a) % p
+            factored[e] = (factored.get(e, 0) - c * a) % p
+        polys[0] = factored
+        proj[-1] = [1] + [0] * (len(polys) - 1)
     zero_row = draw(st.booleans())
     if zero_row:
         proj[0] = [0] * len(polys)
     qs = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
             # the image of a grid point, so that the fiber is not empty
             point = draw(st.tuples(*[coeff] * n))
@@ -180,6 +200,8 @@ def _grid_scan_cases(draw):
             q = [sum(a * v for a, v in zip(row, vals)) % p for row in proj]
         else:
             q = draw(st.lists(coeff, min_size=nrows, max_size=nrows))
+        for index in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows - 1)):
+            q[index] = 0
         if zero_row:
             q[0] = 0
         if any(q):
@@ -188,7 +210,27 @@ def _grid_scan_cases(draw):
     return p, n, polys, proj, qs or [[0] * (nrows - 1) + [1]], block_cells
 
 
+# grid points (u, v) map to [1 : u : v]: each probe has its own pivot
+_SPLIT_PIVOTS = (31, 2, [{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 2, 0], [1, 2, 3], [0, 0, 5]], 64)
+# no grid point has R_j != 0, so no cell may take the key 0
+_ZERO_CHART = (31, 2, [{}], [[1], [2]], [[0, 1]], 64)
+# five probes at once, some over grid points and some not
+_FIVE_PROBES = (101, 2, [{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}, {(1, 1): 1}], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 2, 3, 6], [1, 0, 7, 0], [1, 5, 0, 0], [1, 1, 1, 1], [1, 1, 1, 2]], 64)
+# (u, v) maps to [u : v : 1]; q_i = 0 at the key coordinate i = 1
+_ZERO_AT_KEY = (31, 2, [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, 0, 1], [0, 0, 1]], 64)
+# the pivot coordinate u - 4 vanishes on the whole grid line u = 4
+_LINEAR_FACTOR = (31, 2, [{(1, 0): 1, (0, 0): 27}, {(0, 1): 1}, {(1, 1): 1}], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[5, 30, 1], [0, 0, 1], [1, 0, 0]], 64)
+# one projection row: i = j, and every nonzero cell takes the key 1
+_ONE_ROW = (101, 2, [{(2, 0): 1, (0, 1): 3}, {(1, 1): 1}], [[1, 2]], [[5]], 64)
+
+
 @given(_grid_scan_cases())
+@example(_SPLIT_PIVOTS)
+@example(_ZERO_CHART)
+@example(_FIVE_PROBES)
+@example(_ZERO_AT_KEY)
+@example(_LINEAR_FACTOR)
+@example(_ONE_ROW)
 @settings(max_examples=100, deadline=None)
 def test_grid_scan_matches_brute_force_enumeration(case):
     # FieldSpec rejects primes this small, and the brute force needs them
@@ -199,6 +241,65 @@ def test_grid_scan_matches_brute_force_enumeration(case):
     with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells):
         got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
     assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
+
+
+@pytest.mark.parametrize("p", [3, 31, 1009, 65537, 1000003])
+def test_inverse_table_inverts_every_unit(p):
+    table = _inverse_table(p)
+    units = np.arange(1, p, dtype=np.int64)
+    assert table[0] == 0
+    assert (table[1:] * units % p == 1).all()
+
+
+def _veronese_quartic_probes(p, count):
+    rng = random.Random(3)
+    xp = build(builtin_blueprint("veronese-2-4"), FieldSpec.prime(p), rng)
+    projected, _ = tangential_projection(xp, 1, rng)
+    return xp, projected.proj, [_probe_q(xp, projected.proj, rng) for _ in range(count)]
+
+
+def test_grid_scan_takes_one_pass_per_pivot_group():
+    """Probe points share the grid evaluation: one block sequence per pivot
+    group, however many points the group holds."""
+    xp, proj, qs = _veronese_quartic_probes(1009, 5)
+    evaluate = fiber._grid_blocks
+
+    def scan(batch):
+        starts = []
+
+        def counted(*args):
+            for start, vals in evaluate(*args):
+                starts.append(start)
+                yield start, vals
+
+        with mock.patch.object(fiber, "_grid_blocks", counted):
+            counts, _ = _scan_parametric(xp, proj, batch, ENUM_BUDGET)
+        return counts, starts
+
+    one, one_pass = scan(qs[:1])
+    five, five_pass = scan(qs)
+    assert (one, five) == ([1], [1] * 5)
+    assert five_pass == one_pass == sorted(set(one_pass))
+    # a point whose last coordinate is zero pivots on another coordinate
+    split = qs[:2] + [qs[2][:-1] + [0]]
+    _, split_pass = scan(split)
+    assert split_pass == one_pass * 2
+
+
+def test_grid_scan_memory_does_not_grow_with_probe_points():
+    xp, proj, qs = _veronese_quartic_probes(3001, 20)
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            counts, _ = _scan_parametric(xp, proj, batch, ENUM_BUDGET)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == [1] * len(batch)
+        return top
+
+    assert peak(qs) < peak(qs[:5]) + 8 * 1024
 
 
 def test_curve_points_match_brute_force_in_scan_order():

@@ -219,6 +219,7 @@ def test_delta_tower_on_the_defective_quartic_veronese():
     assert report.delta_one_projected == 1
     assert report.consistent
     assert report.center_rank == 9  # three disjoint tangent planes
+    assert report.generically_finite
 
 
 def test_delta_tower_on_a_nondefective_surface():
@@ -228,6 +229,15 @@ def test_delta_tower_on_a_nondefective_surface():
     assert report.delta_k == 0
     assert report.delta_one_projected == 0
     assert report.consistent
+    assert report.generically_finite
+
+
+def test_delta_tower_records_a_projection_that_drops_dimension():
+    """Projecting the quadratic Veronese surface from one tangent plane maps
+    it onto a conic; the report reads that off the projected defect."""
+    report = check_delta_tower(veronese(F, 2, 2), 2, random.Random(33))
+    assert (report.dim_x, report.dim_projected) == (2, 1)
+    assert not report.generically_finite
 
 
 def test_bad_indices_are_rejected():
