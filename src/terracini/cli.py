@@ -68,6 +68,7 @@ def _is_poly(x) -> bool:
 
 
 _INT = (_is_int, "an integer")
+_POSITIVE = (lambda x: _is_int(x) and x >= 1, "a positive integer")
 _POLY = (_is_poly, "a list of [coefficient, [exponents]] pairs")
 _BASE = None  # a nested constructor node, validated recursively
 
@@ -88,7 +89,7 @@ _TREE_KEYS = {
     },
     "hypersurface_section": {"base": _BASE, "h": _POLY},
     "hyperplane_section": {"base": _BASE, "hyperplane": (_is_int_list, "a list of integers")},
-    "tangential_projection": {"base": _BASE, "points": _INT},
+    "tangential_projection": {"base": _BASE, "points": _POSITIVE},
 }
 
 
@@ -251,10 +252,7 @@ def _construct(cfg: RunConfig):
         label = None
     if tree.get("constructor") == "tangential_projection":
         inner = build(tree["base"], field, rng)
-        points = tree["points"]
-        if not isinstance(points, int) or points < 1:
-            raise ConfigError("tangential_projection needs a positive integer 'points'")
-        projected, _ = tangential_projection(inner, points, rng)
+        projected, _ = tangential_projection(inner, tree["points"], rng)
         return projected
     return build(tree, field, rng, label=label)
 
@@ -262,16 +260,6 @@ def _construct(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # per-verb report assembly
 # ---------------------------------------------------------------------------
-
-
-def _variety_block(x, rng) -> dict:
-    return {
-        "label": x.label,
-        "kind": x.kind,
-        "ambient_r": x.ambient_r,
-        "dim": x.intrinsic_dim(rng),
-        "span_dim": x.span_dim(),
-    }
 
 
 def _report_shell(command: str, cfg: RunConfig) -> dict:
@@ -284,97 +272,96 @@ def _report_shell(command: str, cfg: RunConfig) -> dict:
     }
 
 
-def cmd_defect_scan(cfg: RunConfig) -> tuple[dict, bool]:
+def _scan(cfg: RunConfig, command: str, per_k_row, tower=None, tower_fields=()):
+    """The skeleton of every scan verb: build the variety, open the report
+    with its variety block and assumptions, then one ``per_k`` row for each k
+    and, from k = 2, one tower row.  Returns the handle, the report and the
+    tower rows."""
     x = _construct(cfg)
-    rng = derive_rng(cfg.seed, "cli", "defect-scan")
-    report = _report_shell("defect-scan", cfg)
-    report["variety"] = _variety_block(x, rng)
+    rng = derive_rng(cfg.seed, "cli", command)
+    report = _report_shell(command, cfg)
+    report["variety"] = {
+        "label": x.label,
+        "kind": x.kind,
+        "ambient_r": x.ambient_r,
+        "dim": x.intrinsic_dim(rng),
+        "span_dim": x.span_dim(),
+    }
     report["assumptions"] = list(x.assumptions())
     k_min, k_max = cfg.k_range
     per_k, towers = [], []
     for k in range(k_min, k_max + 1):
-        prof = defect(x, k, derive_rng(cfg.seed, "cli", "defect", k), trials=cfg.trials)
-        per_k.append(
-            {
-                "k": k,
-                "dim_x": prof.dim_x,
-                "expected_dim": prof.expected,
-                "secant_dim": prof.actual,
-                "delta": prof.delta,
-                "defective": prof.defective,
-            }
-        )
-        if k >= 2:
-            try:
-                tower = check_delta_tower(x, k, derive_rng(cfg.seed, "cli", "tower", k), trials=cfg.trials)
-            except (CenterFillsAmbient, SamplingExhausted) as exc:
-                towers.append({"k": k, "note": f"tower degenerates: {exc}"})
-            else:
-                if not tower.generically_finite:
-                    towers.append(
-                        {
-                            "k": k,
-                            "note": f"tower degenerates: the {k - 1}-tangential projection has "
-                            f"dimension {tower.dim_projected}, below {tower.dim_x}",
-                        }
-                    )
-                else:
-                    towers.append(
-                        {
-                            "k": k,
-                            "delta_k": tower.delta_k,
-                            "delta_one_projected": tower.delta_one_projected,
-                            "center_rank": tower.center_rank,
-                            "consistent": tower.consistent,
-                        }
-                    )
+        per_k.append(per_k_row(x, k))
+        if tower is not None and k >= 2:
+            towers.append(_tower_row(k, lambda: tower(x, k), tower_fields))
     report["per_k"] = per_k
+    return x, report, towers
+
+
+def _tower_row(k: int, check, fields) -> dict:
+    """One ``delta_towers`` or ``nu_towers`` row.  A tower whose projection
+    collapses or is not generically finite becomes a ``{k, note}`` row, which
+    never fails the scan."""
+    try:
+        tower = check()
+    except (CenterFillsAmbient, SamplingExhausted) as exc:
+        return {"k": k, "note": f"tower degenerates: {exc}"}
+    if not tower.generically_finite:
+        return {
+            "k": k,
+            "note": f"tower degenerates: the {k - 1}-tangential projection has "
+            f"dimension {tower.dim_projected}, below {tower.dim_x}",
+        }
+    return {"k": k, **{field: getattr(tower, field) for field in fields}, "consistent": tower.consistent}
+
+
+def cmd_defect_scan(cfg: RunConfig) -> tuple[dict, bool]:
+    def row(x, k):
+        prof = defect(x, k, derive_rng(cfg.seed, "cli", "defect", k), trials=cfg.trials)
+        return {
+            "k": k,
+            "dim_x": prof.dim_x,
+            "expected_dim": prof.expected,
+            "secant_dim": prof.actual,
+            "delta": prof.delta,
+            "defective": prof.defective,
+        }
+
+    def tower(x, k):
+        return check_delta_tower(x, k, derive_rng(cfg.seed, "cli", "tower", k), trials=cfg.trials)
+
+    x, report, towers = _scan(
+        cfg, "defect-scan", row, tower, ("delta_k", "delta_one_projected", "center_rank")
+    )
     report["delta_towers"] = towers
     report["min_defective_k"] = min_defective_k(
-        x, max(k_max, 1), derive_rng(cfg.seed, "cli", "mindef"), trials=cfg.trials
+        x, max(cfg.k_range[1], 1), derive_rng(cfg.seed, "cli", "mindef"), trials=cfg.trials
     )
     ok = all(t.get("consistent", True) for t in towers)
     return report, ok
 
 
 def cmd_contact_scan(cfg: RunConfig) -> tuple[dict, bool]:
-    x = _construct(cfg)
-    rng = derive_rng(cfg.seed, "cli", "contact-scan")
-    report = _report_shell("contact-scan", cfg)
-    report["variety"] = _variety_block(x, rng)
-    report["assumptions"] = list(x.assumptions())
-    k_min, k_max = cfg.k_range
-    per_k, towers = [], []
-    for k in range(k_min, k_max + 1):
+    def row(x, k):
         est = nu_estimate(
             x, k, derive_rng(cfg.seed, "cli", "contact", k), hyperplane_draws=cfg.samples
         )
-        per_k.append(
-            {
-                "k": k,
-                "nu": "undefined" if est.nu is None else est.nu,
-                "hyperplane_space_dim": est.hyperplane_space_dim,
-                "weakly_defective": est.weakly_defective,
-            }
+        return {
+            "k": k,
+            "nu": "undefined" if est.nu is None else est.nu,
+            "hyperplane_space_dim": est.hyperplane_space_dim,
+            "weakly_defective": est.weakly_defective,
+        }
+
+    def tower(x, k):
+        return check_nu_tower(
+            x, k, derive_rng(cfg.seed, "cli", "nu-tower", k), hyperplane_draws=cfg.samples
         )
-        if k >= 2:
-            try:
-                tower = check_nu_tower(
-                    x, k, derive_rng(cfg.seed, "cli", "nu-tower", k), hyperplane_draws=cfg.samples
-                )
-            except (CenterFillsAmbient, SamplingExhausted) as exc:
-                towers.append({"k": k, "note": f"tower degenerates: {exc}"})
-            else:
-                towers.append(
-                    {
-                        "k": k,
-                        "nu_k": tower.nu_k,
-                        "nu_one_projected": tower.nu_one_projected,
-                        "consistent": tower.consistent,
-                    }
-                )
-    comparison = check_nu_ge_delta(x, max(k_max, 1), derive_rng(cfg.seed, "cli", "nu-ge-delta"))
-    report["per_k"] = per_k
+
+    x, report, towers = _scan(cfg, "contact-scan", row, tower, ("nu_k", "nu_one_projected"))
+    comparison = check_nu_ge_delta(
+        x, max(cfg.k_range[1], 1), derive_rng(cfg.seed, "cli", "nu-ge-delta")
+    )
     report["nu_towers"] = towers
     report["nu_ge_delta"] = {
         "min_defective_k": comparison.min_defective_k,
@@ -387,17 +374,9 @@ def cmd_contact_scan(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_fiber_probe(cfg: RunConfig) -> tuple[dict, bool]:
-    x = _construct(cfg)
-    rng = derive_rng(cfg.seed, "cli", "fiber-probe")
-    report = _report_shell("fiber-probe", cfg)
-    report["variety"] = _variety_block(x, rng)
-    report["assumptions"] = list(x.assumptions())
-    k_min, k_max = cfg.k_range
-    per_k = []
-    for k in range(k_min, k_max + 1):
+    def row(x, k):
         if k == 0:
-            per_k.append({"k": 0, "note": "projection from zero points is the identity"})
-            continue
+            return {"k": 0, "note": "projection from zero points is the identity"}
         try:
             rep = fiber_probe(
                 x,
@@ -408,29 +387,27 @@ def cmd_fiber_probe(cfg: RunConfig) -> tuple[dict, bool]:
             )
             fun = tangent_functoriality_check(x, k, derive_rng(cfg.seed, "cli", "functorial", k))
         except (CenterFillsAmbient, NoTangentHyperplane) as exc:
-            per_k.append({"k": k, "note": f"no projection: {exc}"})
-            continue
-        per_k.append(
-            {
-                "k": k,
-                "verdict": rep.verdict,
-                "consensus_d": rep.consensus_d,
-                "trials": rep.trials,
-                "primes": list(rep.primes),
-                "cardinalities": {str(p): list(c) for p, c in rep.cardinalities.items()},
-                "center_hits": {str(p): h for p, h in rep.center_hits.items()},
-                "tangent_agreement": rep.tangent_agreement,
-                "functoriality": {
-                    "generically_finite": fun.generically_finite,
-                    "span_consistent": fun.span_consistent,
-                    "frame_ranks": list(fun.frame_ranks),
-                },
-            }
-        )
-    report["per_k"] = per_k
+            return {"k": k, "note": f"no projection: {exc}"}
+        return {
+            "k": k,
+            "verdict": rep.verdict,
+            "consensus_d": rep.consensus_d,
+            "trials": rep.trials,
+            "primes": list(rep.primes),
+            "cardinalities": {str(p): list(c) for p, c in rep.cardinalities.items()},
+            "center_hits": {str(p): h for p, h in rep.center_hits.items()},
+            "tangent_agreement": rep.tangent_agreement,
+            "functoriality": {
+                "generically_finite": fun.generically_finite,
+                "span_consistent": fun.span_consistent,
+                "frame_ranks": list(fun.frame_ranks),
+            },
+        }
+
+    _, report, _ = _scan(cfg, "fiber-probe", row)
     ok = all(
         row["functoriality"]["span_consistent"]
-        for row in per_k
+        for row in report["per_k"]
         if "functoriality" in row and row["functoriality"]["generically_finite"]
     )
     return report, ok

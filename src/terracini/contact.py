@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .algebra import FieldSpec, Jet2, Matrix, exact_rank
 from .errors import ConfigError, DegenerateWitness, NoTangentHyperplane
-from .secant import _nondegenerate_tuple, tangential_projection
+from .secant import DEFAULT_TRIALS, _TowerStep, _nondegenerate_tuple, _tower, defect, min_defective_k
 from .varieties import MAX_RESAMPLE, VarietyHandle, Witness, _contract_linear_form
 
 __all__ = [
@@ -130,8 +130,7 @@ def nu_estimate(
 
 
 @dataclass(frozen=True)
-class NuTowerReport:
-    k: int
+class NuTowerReport(_TowerStep):
     nu_k: Optional[int]
     nu_one_projected: Optional[int]
 
@@ -147,15 +146,12 @@ def check_nu_tower(
     hyperplane_draws: int = DEFAULT_HYPERPLANE_DRAWS,
     witness_tuples: int = DEFAULT_WITNESS_TUPLES,
 ) -> NuTowerReport:
-    """Compare nu_k of x with nu_1 of its (k-1)-st tangential projection."""
-    if k < 1:
-        raise ConfigError("tower check needs k >= 1")
-    top = nu_estimate(x, k, rng, hyperplane_draws, witness_tuples)
-    if k == 1:
-        return NuTowerReport(k=1, nu_k=top.nu, nu_one_projected=top.nu)
-    projected, _ = tangential_projection(x, k - 1, rng)
-    low = nu_estimate(projected, 1, rng, hyperplane_draws, witness_tuples)
-    return NuTowerReport(k=k, nu_k=top.nu, nu_one_projected=low.nu)
+    """Compare nu_k of x with nu_1 of its (k-1)-st tangential projection; the
+    two agree when that projection is generically finite."""
+    top, low, step = _tower(
+        x, k, rng, lambda h, j: nu_estimate(h, j, rng, hyperplane_draws, witness_tuples)
+    )
+    return NuTowerReport(**vars(step), nu_k=top.nu, nu_one_projected=low.nu)
 
 
 @dataclass(frozen=True)
@@ -185,8 +181,6 @@ def check_nu_ge_delta(
 ) -> ContactComparison:
     """At the smallest defective k, the contact corank bounds the defect from
     above: defectivity forces weak defectivity, never the reverse."""
-    from .secant import DEFAULT_TRIALS, defect, min_defective_k
-
     t = DEFAULT_TRIALS if trials is None else trials
     m = min_defective_k(x, kmax, rng, trials=t)
     if m is None:

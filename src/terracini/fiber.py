@@ -477,7 +477,7 @@ def _one_prime(
     xp = build(blueprint, fp, rng)
     n = xp.intrinsic_dim(rng)
     projected, _ = tangential_projection(xp, k, rng)
-    if projected.intrinsic_dim(rng) != n:
+    if not projected.generically_finite(rng):
         raise DegenerateWitness(f"projection collapses over F_{prime}")
     proj = projected.proj
 
@@ -521,6 +521,14 @@ def _one_prime(
     raise ConfigError(f"no enumeration strategy for {xp.kind} handles")
 
 
+def _same_span(a: Matrix, b: Matrix, n: int) -> tuple[int, bool]:
+    """The rank of frame a, and whether frames a and b both have rank n + 1
+    and span the same space, which holds when stacking them adds no rank."""
+    ra, rb = exact_rank(a), exact_rank(b)
+    rcat = exact_rank(Matrix.hstack([a, b]))
+    return ra, ra == rb == rcat == n + 1
+
+
 def _fiber_span_agreement(
     xp: SectionHandle, proj: Matrix, scan: _RulingScan, details: list[tuple], n: int
 ) -> Optional[bool]:
@@ -537,9 +545,7 @@ def _fiber_span_agreement(
             break
     if len(pushed) < 2:
         return None
-    r0, r1 = exact_rank(pushed[0]), exact_rank(pushed[1])
-    rcat = exact_rank(Matrix.hstack(pushed))
-    return r0 == r1 == rcat == n + 1
+    return _same_span(pushed[0], pushed[1], n)[1]
 
 
 def _grade(cardinalities: dict[int, tuple[int, ...]]) -> tuple[Optional[int], str]:
@@ -582,9 +588,8 @@ def fiber_probe(
     # sampling done here must not depend on which handle caches are warm
     seed_tag = rng.randrange(2**63)
     pre_rng = derive_rng(seed_tag, "fiber", "precheck")
-    n = x.intrinsic_dim(pre_rng)
     projected, _ = tangential_projection(x, k, pre_rng)
-    if projected.intrinsic_dim(pre_rng) != n:
+    if not projected.generically_finite(pre_rng):
         return FiberReport(
             k=k,
             primes=tuple(primes),
@@ -633,7 +638,7 @@ def tangent_functoriality_check(
     child = derive_rng(rng.randrange(2**63), "functoriality", k)
     n = x.intrinsic_dim(child)
     projected, _ = tangential_projection(x, k, child)
-    if projected.intrinsic_dim(child) != n:
+    if not projected.generically_finite(child):
         return FunctorialityReport(
             k=k,
             generically_finite=False,
@@ -646,13 +651,9 @@ def tangent_functoriality_check(
     for _ in range(witnesses):
         pw = projected.sample(child)
         pushed = projected.proj.matmul(x.tangent_frame(pw.base))
-        image_frame = projected.tangent_frame(pw)
-        r_push = exact_rank(pushed)
-        r_img = exact_rank(image_frame)
-        r_cat = exact_rank(Matrix.hstack([pushed, image_frame]))
+        r_push, same = _same_span(pushed, projected.tangent_frame(pw), n)
         ranks.append(r_push)
-        if not (r_push == r_img == r_cat == n + 1):
-            consistent = False
+        consistent = consistent and same
     return FunctorialityReport(
         k=k,
         generically_finite=True,

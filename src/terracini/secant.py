@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import Matrix, exact_rank
 from .errors import CenterFillsAmbient, ConfigError, DegenerateWitness
@@ -173,23 +173,47 @@ def tangential_projection(
 
 
 @dataclass(frozen=True)
-class TowerReport:
+class _TowerStep:
+    """What a tower check records about the (k-1)-st tangential projection:
+    the rank of its center and its dimension against that of x.  A tower
+    identity holds only where the projection is generically finite."""
+
     k: int
-    delta_k: int
-    delta_one_projected: int
     center_rank: int
     dim_x: int
     dim_projected: int
+    generically_finite: bool
+
+
+@dataclass(frozen=True)
+class TowerReport(_TowerStep):
+    delta_k: int
+    delta_one_projected: int
 
     @property
     def consistent(self) -> bool:
         return self.delta_k == self.delta_one_projected
 
-    @property
-    def generically_finite(self) -> bool:
-        """Whether the (k-1)-st tangential projection keeps the dimension of
-        x; the tower identity presumes it."""
-        return self.dim_projected == self.dim_x
+
+def _tower(x: VarietyHandle, k: int, rng: random.Random, measure: Callable) -> tuple:
+    """The one tower body: ``measure(x, k)`` against ``measure(projected, 1)``
+    on the (k-1)-st tangential projection, returned with the ``_TowerStep``
+    fields.  At k = 1 nothing is projected and both sides are one
+    measurement.  The finiteness check reads the projection's dimension,
+    which its measurement would read first anyway, so it draws nothing new."""
+    if k < 1:
+        raise ConfigError("tower check needs k >= 1")
+    top = measure(x, k)
+    dim_x = x.intrinsic_dim(rng)
+    if k == 1:
+        return top, top, _TowerStep(1, 0, dim_x, dim_x, True)
+    projected, _ = tangential_projection(x, k - 1, rng)
+    finite = projected.generically_finite(rng)
+    low = measure(projected, 1)
+    step = _TowerStep(
+        k, x.span_dim() - projected.span_dim(), dim_x, projected.intrinsic_dim(rng), finite
+    )
+    return top, low, step
 
 
 def check_delta_tower(
@@ -197,28 +221,6 @@ def check_delta_tower(
 ) -> TowerReport:
     """Compare the k-defect of x against the 1-defect of its (k-1)-st
     tangential projection; the two agree when that projection is generically
-    finite, which the report records from the projected defect's own
-    dimension."""
-    if k < 1:
-        raise ConfigError("tower check needs k >= 1")
-    top = defect(x, k, rng, trials=trials)
-    if k == 1:
-        return TowerReport(
-            k=1,
-            delta_k=top.delta,
-            delta_one_projected=top.delta,
-            center_rank=0,
-            dim_x=top.dim_x,
-            dim_projected=top.dim_x,
-        )
-    projected, ws = tangential_projection(x, k - 1, rng)
-    center_rank = x.span_dim() + 1 - (projected.span_dim() + 1)
-    low = defect(projected, 1, rng, trials=trials)
-    return TowerReport(
-        k=k,
-        delta_k=top.delta,
-        delta_one_projected=low.delta,
-        center_rank=center_rank,
-        dim_x=top.dim_x,
-        dim_projected=low.dim_x,
-    )
+    finite."""
+    top, low, step = _tower(x, k, rng, lambda h, j: defect(h, j, rng, trials=trials))
+    return TowerReport(**vars(step), delta_k=top.delta, delta_one_projected=low.delta)

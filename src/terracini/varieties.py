@@ -40,6 +40,7 @@ from .algebra import (
     MultiPoly,
     PolyJets,
     _affine_solve,
+    _poly_gcd,
     dot,
     exact_rank,
     inverse,
@@ -48,7 +49,6 @@ from .algebra import (
     normalize_point,
     power_table,
     restrict_univariate,
-    subspace_intersect,
     uni_roots_mod_p,
 )
 from .errors import (
@@ -278,6 +278,19 @@ def sample_distinct(handle: VarietyHandle, count: int, rng: random.Random) -> li
     return out
 
 
+def _random_root(g: MultiPoly, line: Sequence[Sequence[int]], rng: random.Random) -> int | None:
+    """A root s, drawn uniformly, of g restricted to the line (each variable
+    replaced by its univariate polynomial in ``line``), or None when the
+    restriction is constant or has no root: the draw is then resampled."""
+    restricted = restrict_univariate(g, line)
+    if len(restricted) < 2:
+        return None
+    roots = sorted(uni_roots_mod_p(MultiPoly.univariate(g.field, restricted), g.field, rng))
+    if not roots:
+        return None
+    return rng.choice(roots)
+
+
 # ---------------------------------------------------------------------------
 # parametric handles
 # ---------------------------------------------------------------------------
@@ -406,13 +419,9 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
             b = [field.random_scalar(rng) for _ in range(3)]
             if not any(b):
                 return None
-            restricted = restrict_univariate(f, list(zip(a, b)))
-            if len(restricted) < 2:
+            s0 = _random_root(f, list(zip(a, b)), rng)
+            if s0 is None:
                 return None
-            roots = sorted(uni_roots_mod_p(MultiPoly.univariate(field, restricted), field, rng))
-            if not roots:
-                return None
-            s0 = rng.choice(roots)
             pt = tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))
             if pt[2] == 0:
                 return None  # off the working chart
@@ -459,8 +468,6 @@ def _poly_to_int_coeffs(g: MultiPoly) -> list:
 def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.Random) -> bool:
     """A non-squarefree form restricts non-squarefree to every line, so one
     squarefree line restriction certifies squarefreeness."""
-    from .algebra import _poly_gcd  # univariate gcd on raw coefficient lists
-
     p = field.modulus
     for _ in range(6):
         a = [field.random_scalar(rng) for _ in range(3)]
@@ -771,13 +778,9 @@ class SectionHandle(VarietyHandle):
             return None
         line = list(zip(a, b))
         phi_line = [restrict_univariate(g, line) for g in base.polys]
-        restricted = restrict_univariate(self.constraints[0], phi_line)
-        if len(restricted) < 2:
+        s0 = _random_root(self.constraints[0], phi_line, rng)
+        if s0 is None:
             return None
-        roots = sorted(uni_roots_mod_p(MultiPoly.univariate(field, restricted), field, rng))
-        if not roots:
-            return None
-        s0 = rng.choice(roots)
         u = tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))
         pt = base._eval_map(u)
         if not any(pt):
@@ -820,13 +823,9 @@ class SectionHandle(VarietyHandle):
                 )
                 for j in range(m)
             ]
-            restricted = restrict_univariate(nonlinear[0], mu_line)
-            if len(restricted) < 2:
+            s0 = _random_root(nonlinear[0], mu_line, rng)
+            if s0 is None:
                 return None
-            roots = sorted(uni_roots_mod_p(MultiPoly.univariate(field, restricted), field, rng))
-            if not roots:
-                return None
-            s0 = rng.choice(roots)
             mu = tuple((start + s0 * slope) % p for start, slope in mu_line)
         else:
             t = [field.random_scalar(rng) for _ in range(nfree)]
@@ -1057,6 +1056,13 @@ class ProjectionHandle(VarietyHandle):
 
     def reevaluate(self, w: Witness) -> tuple[int, ...]:
         return self.proj.matvec(self.base.reevaluate(w.base))
+
+    def generically_finite(self, rng: random.Random) -> bool:
+        """Whether the projection keeps the dimension of its base, so that its
+        general fiber is finite: the one rule behind the tower identities and
+        the fiber test of birationality.  Both dimensions are cached on their
+        handles, so asking once they are known draws nothing."""
+        return self.intrinsic_dim(rng) == self.base.intrinsic_dim(rng)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         base_chart = self.base.chart_jet2(w.base)

@@ -98,6 +98,9 @@ NESTED_PROJECTION = {
         # a hyperplane cuts a curve down to points, which have no chart
         {"variety": {"constructor": "hyperplane_section", "base": {"constructor": "rnc", "d": 2}, "hyperplane": [1, 2, 3]}},
         NESTED_PROJECTION,
+        # a projection needs at least one tangent space to project from
+        {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 3}, "points": 0}},
+        {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 3}, "points": -1}},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):
@@ -184,6 +187,22 @@ def test_tower_row_is_a_note_when_the_projection_drops_dimension(tmp_path, capsy
     ]
 
 
+def test_both_tower_verbs_write_the_same_note_for_a_projection_that_drops_dimension(tmp_path, capsys):
+    """nu_k(X) = nu_1 of the (k-1)-tangential projection presumes the same
+    finiteness as the delta tower, and contact-scan degenerates its rows by
+    the same rule: for v_2(P^10) at k = 8..10 the projections are a
+    threefold, a surface and a curve."""
+    cfg = write_config(tmp_path, {"variety": "veronese-10-2", "k_range": [8, 10], "seed": 0})
+    notes = [
+        {"k": k, "note": f"tower degenerates: the {k - 1}-tangential projection has dimension {d}, below 10"}
+        for k, d in ((8, 3), (9, 2), (10, 1))
+    ]
+    for verb, key in (("contact-scan", "nu_towers"), ("defect-scan", "delta_towers")):
+        code, out, _ = run_cli([verb, "--config", cfg], capsys)
+        assert code == 0
+        assert json.loads(out)[key] == notes
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, {"variety": "counter2", "k_range": [1, 2], "seed": 3})
     out_path = str(tmp_path / "report.json")
@@ -237,8 +256,9 @@ PINNED_REPORTS = {
     ("fiber-probe", "counter1", (1, 1)): "2f627ca640790398a65ff9d5d3cadaee83375f898ac96f2022c13b02e24f970f",
     # the numpy grid scan over a one-parameter chart
     ("fiber-probe", "rnc-6", (1, 1)): "e8eb0f7beffc7b3ff71d0496eca090ca99fbdd44eec4c480fa0e6795a81021b8",
-    # a cone with a plane vertex
-    ("contact-scan", "counter3-n3", (1, 2)): "fb01c7d2002613229180da85bb93f674ed911f336de1ed66514aea906e9c6187",
+    # a cone with a plane vertex; its 1-tangential projection drops to a
+    # surface, so the k = 2 nu tower row is a note
+    ("contact-scan", "counter3-n3", (1, 2)): "44ec9d52e49e11f4da1286d8feffb85df3c0aac2175d7e45eaaac550fb88bec1",
     # a hyperplane cut of a parametric handle
     ("contact-scan", "hyperplane-cut-veronese-3-2", (1, 2)): "06b7f8e0cafd0370c3ac5e6c63ba37be3f67304d2ddf0e21504263192e04cfdc",
     # chart jets through a linear projection
@@ -441,6 +461,27 @@ def test_csv_and_table_formats(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "defect-scan"
     assert "delta" in out.splitlines()[1]
+
+
+# sha256 of the csv and table output at seed 0.  The structured digests above
+# sort their keys, so only these catch a change in the order of per_k columns;
+# the fiber-probe range starts at k = 0 to mix a note row with full rows.
+FORMAT_PINS = {
+    ("defect-scan", "veronese-2-2", (1, 2), "csv"): "464e1f7df4c0f3b08962451d0e22a6809923b7aa0710ea8650c28e50ffc028ee",
+    ("defect-scan", "veronese-2-2", (1, 2), "table"): "93a93192b18e7b8c7179b6e707318db6e71a61f68f4973c0e6716476d960bdcd",
+    ("contact-scan", "veronese-2-2", (1, 2), "csv"): "02804cc72bac87379da401d0c4880179802e34422b4c555f53b591fe3dadb39d",
+    ("contact-scan", "veronese-2-2", (1, 2), "table"): "38dbaee409828e490e2f04022632c318a06504bafbe7d7f895fd3dc98f126b05",
+    ("fiber-probe", "rnc-4", (0, 1), "csv"): "06a662fe63b99edcaf2b89cec0bb3ad28c7d8dfc83d7f6555c6970f49c0cc8d7",
+    ("fiber-probe", "rnc-4", (0, 1), "table"): "71511a0219be418c75e025c3bcce7177fd3c1be2fe2599c3e7e1df8b287a3789",
+}
+
+
+@pytest.mark.parametrize("verb, variety, k_range, fmt", list(FORMAT_PINS))
+def test_csv_and_table_bytes_are_pinned(tmp_path, capsys, verb, variety, k_range, fmt):
+    cfg = write_config(tmp_path, {"variety": variety, "k_range": list(k_range), "seed": 0})
+    code, out, _ = run_cli([verb, "--config", cfg, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_PINS[(verb, variety, k_range, fmt)]
 
 
 # -- paper-suite wiring --------------------------------------------------------

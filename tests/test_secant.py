@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank
+from terracini.contact import check_nu_tower
 from terracini.errors import CenterFillsAmbient, ConfigError
 from terracini.secant import (
     check_delta_tower,
@@ -236,6 +237,14 @@ def test_delta_tower_records_a_projection_that_drops_dimension():
     """Projecting the quadratic Veronese surface from one tangent plane maps
     it onto a conic; the report reads that off the projected defect."""
     report = check_delta_tower(veronese(F, 2, 2), 2, random.Random(33))
+    assert (report.dim_x, report.dim_projected) == (2, 1)
+    assert not report.generically_finite
+
+
+def test_nu_tower_records_a_projection_that_drops_dimension():
+    """The nu tower shares the delta tower's body and so its record of the
+    projection: the quadratic Veronese surface projects onto a conic."""
+    report = check_nu_tower(veronese(F, 2, 2), 2, random.Random(33))
     assert (report.dim_x, report.dim_projected) == (2, 1)
     assert not report.generically_finite
 
