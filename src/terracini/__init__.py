@@ -21,10 +21,7 @@ from .contact import (
     NuTowerReport,
     check_nu_ge_delta,
     check_nu_tower,
-    contact_corank,
     nu_estimate,
-    tangent_hyperplane,
-    tangent_hyperplane_space,
 )
 from .errors import (
     BudgetExhausted,
@@ -116,7 +113,6 @@ __all__ = [
     "check_nu_ge_delta",
     "check_nu_tower",
     "cone",
-    "contact_corank",
     "defect",
     "derive_rng",
     "derive_seed",
@@ -135,8 +131,6 @@ __all__ = [
     "sample_distinct",
     "subspace_intersect",
     "tangent_functoriality_check",
-    "tangent_hyperplane",
-    "tangent_hyperplane_space",
     "tangential_projection",
     "terracini_dim",
     "veronese",

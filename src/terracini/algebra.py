@@ -17,7 +17,9 @@ k = 14).
 Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine,
 ``_gauss_jordan``.  It reduces a matrix of at least ``WIDE_CELLS`` cells as
 one exact ``int64`` numpy array when p < 2^31, and every other matrix on
-plain int rows; both paths hand back the same int rows.
+plain int rows; both paths hand back the same int rows.  Every affine solve
+is read off it in one place, ``LinearSystem``, which reduces a constant
+matrix once for its rank, its kernel and any number of right-hand sides.
 
 Every derivative is taken in one kernel, ``PolyJets``, which evaluates the
 values, gradients and Hessians of a tuple of polynomials from one power table.
@@ -37,6 +39,7 @@ __all__ = [
     "Matrix",
     "MultiPoly",
     "Jet2",
+    "LinearSystem",
     "PolyJets",
     "exact_rank",
     "subspace_intersect",
@@ -411,23 +414,36 @@ def _kernel_basis(
     return cols
 
 
-def _affine_solve(field: FieldSpec, rows, rhs, nvars: int):
-    """Solve A x = rhs exactly.  Returns (particular, kernel basis) or None.
+class LinearSystem:
+    """The package's one affine solver: the constant matrix A (``rows``, in
+    ``nvars`` unknowns) reduced once, with its rank, its kernel and every
+    solve read off that reduction.
 
-    Both come from one reduction of [A | rhs]: its first nvars columns are
-    the reduced form of A.  With no equations the whole space comes back
-    (particular 0, full basis).
+    Reducing ``[A | I]`` gives the reduced form R of A and an invertible E
+    with E A = R.  The pivots of R depend only on the columns of A, so
+    ``[R | E rhs]`` is the reduced form of ``[A | rhs]``: ``solve`` and
+    ``basis`` give exactly what a reduction of ``[A | rhs]`` per right-hand
+    side would.  With no equations the whole space comes back.
     """
-    if not rows:
-        basis = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-        return [0] * nvars, basis
-    rref, pivots = Matrix(field, [list(r) + [b] for r, b in zip(rows, rhs)]).rref()
-    if nvars in pivots:
-        return None  # inconsistent
-    particular = [0] * nvars
-    for r, c in enumerate(pivots):
-        particular[c] = rref[r][nvars]
-    return particular, _kernel_basis(field.modulus, rref, pivots, nvars)
+
+    def __init__(self, rows: Sequence[Sequence[int]], nvars: int, p: int) -> None:
+        aug = [list(row) + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+        self.pivots = [c for c in _gauss_jordan(aug, p) if c < nvars]
+        self.rank = len(self.pivots)
+        self.transform = [row[nvars:] for row in aug]
+        self.basis = _kernel_basis(p, aug, self.pivots, nvars)
+        self.nvars, self.p = nvars, p
+
+    def solve(self, rhs: Sequence[int]) -> list[int] | None:
+        """The solution of A x = rhs with every free unknown zero, or None if
+        there is none."""
+        t = [sum(e * r for e, r in zip(row, rhs)) % self.p for row in self.transform]
+        if any(t[self.rank :]):
+            return None
+        x = [0] * self.nvars
+        for r, c in enumerate(self.pivots):
+            x[c] = t[r]
+        return x
 
 
 def exact_rank(m: Matrix) -> int:

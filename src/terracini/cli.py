@@ -252,7 +252,11 @@ def _construct(cfg: RunConfig):
         label = None
     if tree.get("constructor") == "tangential_projection":
         inner = build(tree["base"], field, rng)
-        projected, _ = tangential_projection(inner, tree["points"], rng)
+        try:
+            projected, _ = tangential_projection(inner, tree["points"], rng)
+        except CenterFillsAmbient as exc:
+            # the tree asks for a projection its base cannot have
+            raise ConstructionError(str(exc)) from exc
         return projected
     return build(tree, field, rng, label=label)
 

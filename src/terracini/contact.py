@@ -14,39 +14,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import FieldSpec, Jet2, Matrix, exact_rank
 from .errors import ConfigError, DegenerateWitness, NoTangentHyperplane
-from .secant import DEFAULT_TRIALS, _TowerStep, _nondegenerate_tuple, _tower, defect, min_defective_k
-from .varieties import MAX_RESAMPLE, VarietyHandle, Witness, _contract_linear_form
+from .secant import _TowerStep, _hyperplanes_through, _nondegenerate_tuple, _tower, defect, min_defective_k
+from .varieties import MAX_RESAMPLE, VarietyHandle, _contract_linear_form
 
 __all__ = [
     "DEFAULT_HYPERPLANE_DRAWS",
-    "DEFAULT_WITNESS_TUPLES",
+    "WITNESS_TUPLES",
     "NuEstimate",
     "NuTowerReport",
     "ContactComparison",
-    "tangent_hyperplane_space",
-    "tangent_hyperplane",
-    "contact_corank",
     "nu_estimate",
     "check_nu_tower",
     "check_nu_ge_delta",
 ]
 
 DEFAULT_HYPERPLANE_DRAWS = 5
-DEFAULT_WITNESS_TUPLES = 3
-
-
-def _hyperplanes_through(frames: Sequence[Matrix]) -> Matrix:
-    return Matrix.hstack(frames).transpose().null_space()
-
-
-def tangent_hyperplane_space(x: VarietyHandle, ws: Sequence[Witness]) -> Matrix:
-    """Basis (as columns) of the hyperplanes containing every tangent space
-    at the given witnesses.  Zero columns means the span fills the ambient."""
-    return _hyperplanes_through([x.tangent_frame(w) for w in ws])
+# witness tuples nu_estimate draws, each with its own hyperplane draws
+WITNESS_TUPLES = 3
 
 
 def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tuple[int, ...]:
@@ -57,24 +45,9 @@ def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tup
     raise NoTangentHyperplane("could not draw a nonzero combination")
 
 
-def tangent_hyperplane(
-    x: VarietyHandle, ws: Sequence[Witness], rng: random.Random
-) -> tuple[int, ...]:
-    """One uniformly drawn hyperplane through all the tangent spaces."""
-    space = tangent_hyperplane_space(x, ws)
-    if space.cols == 0:
-        raise NoTangentHyperplane(
-            f"tangent spaces at {len(ws)} points of {x.label} span the ambient space"
-        )
-    return _draw_hyperplane(x, space, rng)
-
-
-def contact_corank(x: VarietyHandle, coeffs: Sequence[int], w: Witness) -> int:
-    """Corank of the chart Hessian of a hyperplane tangent at the witness."""
-    return _tangent_corank(x.pullback_jet2(coeffs, w), x.field)
-
-
 def _tangent_corank(jet: Jet2, field: FieldSpec) -> int:
+    """Corank of the chart Hessian of a hyperplane tangent at the jet's point,
+    given the hyperplane's pulled-back 2-jet."""
     if jet.value != 0 or not jet.gradient_is_zero():
         raise DegenerateWitness("hyperplane is not tangent at the witness")
     return len(jet.gradient) - exact_rank(jet.hessian_matrix(field))
@@ -96,7 +69,6 @@ def nu_estimate(
     k: int,
     rng: random.Random,
     hyperplane_draws: int = DEFAULT_HYPERPLANE_DRAWS,
-    witness_tuples: int = DEFAULT_WITNESS_TUPLES,
 ) -> NuEstimate:
     """Generic contact corank at k+1 general points.
 
@@ -105,12 +77,12 @@ def nu_estimate(
     """
     if k < 0:
         raise ConfigError("secant index must be nonnegative")
-    if hyperplane_draws < 1 or witness_tuples < 1:
+    if hyperplane_draws < 1:
         raise ConfigError("draw counts must be positive")
     n = x.intrinsic_dim(rng)
     best: Optional[int] = None
     space_dim: Optional[int] = None
-    for _ in range(witness_tuples):
+    for _ in range(WITNESS_TUPLES):
         ws, frames = _nondegenerate_tuple(x, k + 1, n, rng)
         space = _hyperplanes_through(frames)
         if space.cols == 0:
@@ -144,12 +116,11 @@ def check_nu_tower(
     k: int,
     rng: random.Random,
     hyperplane_draws: int = DEFAULT_HYPERPLANE_DRAWS,
-    witness_tuples: int = DEFAULT_WITNESS_TUPLES,
 ) -> NuTowerReport:
     """Compare nu_k of x with nu_1 of its (k-1)-st tangential projection; the
     two agree when that projection is generically finite."""
     top, low, step = _tower(
-        x, k, rng, lambda h, j: nu_estimate(h, j, rng, hyperplane_draws, witness_tuples)
+        x, k, rng, lambda h, j: nu_estimate(h, j, rng, hyperplane_draws)
     )
     return NuTowerReport(**vars(step), nu_k=top.nu, nu_one_projected=low.nu)
 
@@ -173,18 +144,12 @@ class ContactComparison:
         return self.nu is not None and self.delta is not None and self.nu >= self.delta >= 1
 
 
-def check_nu_ge_delta(
-    x: VarietyHandle,
-    kmax: int,
-    rng: random.Random,
-    trials: int | None = None,
-) -> ContactComparison:
+def check_nu_ge_delta(x: VarietyHandle, kmax: int, rng: random.Random) -> ContactComparison:
     """At the smallest defective k, the contact corank bounds the defect from
     above: defectivity forces weak defectivity, never the reverse."""
-    t = DEFAULT_TRIALS if trials is None else trials
-    m = min_defective_k(x, kmax, rng, trials=t)
+    m = min_defective_k(x, kmax, rng)
     if m is None:
         return ContactComparison(min_defective_k=None, delta=None, nu=None)
-    profile = defect(x, m, rng, trials=t)
+    profile = defect(x, m, rng)
     est = nu_estimate(x, m, rng)
     return ContactComparison(min_defective_k=m, delta=profile.delta, nu=est.nu)

@@ -37,10 +37,9 @@ import numpy as np
 
 from .algebra import (
     FieldSpec,
+    LinearSystem,
     Matrix,
     MultiPoly,
-    _gauss_jordan,
-    _kernel_basis,
     exact_rank,
     normalize_point,
     restrict_univariate,
@@ -75,6 +74,8 @@ ENUM_BUDGET = 10_000_000
 DEFAULT_FIBER_TRIALS = 5
 DEFAULT_FIBER_PRIMES = (1009, 2003, 3001)
 MAX_PROBE_RETRIES = 64
+# image witnesses at which the functoriality check compares tangent frames
+FUNCTORIALITY_WITNESSES = 3
 # int64 cells the grid kernel evaluates at once: a block is this many cells'
 # worth of grid rows (at least one row), which bounds each temporary
 GRID_BLOCK_CELLS = 1 << 14
@@ -324,32 +325,6 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
     return pts
 
 
-class _ConstantSystem:
-    """The proportionality system's constant matrix, reduced once per probe
-    point.  Reducing ``[b_rows | I]`` gives the reduced form R of ``b_rows``
-    and an invertible E with E b_rows = R; the pivots depend only on the
-    ``b_rows`` columns, so ``[R | E rhs]`` is the reduced form of
-    ``[b_rows | rhs]``.  Hence ``solve`` and ``basis`` give exactly what
-    ``_affine_solve`` would, without one reduction per ruling."""
-
-    def __init__(self, b_rows: list[list[int]], m: int, p: int) -> None:
-        aug = [row + [int(i == j) for j in range(len(b_rows))] for i, row in enumerate(b_rows)]
-        self.pivots = [c for c in _gauss_jordan(aug, p) if c < m]
-        self.transform = [row[m:] for row in aug]
-        self.basis = _kernel_basis(p, aug, self.pivots, m)
-        self.m, self.p = m, p
-
-    def solve(self, rhs: list[int]) -> Optional[list[int]]:
-        """A particular solution of b_rows . mu = rhs, or None if there is none."""
-        t = [sum(e * r for e, r in zip(row, rhs)) % self.p for row in self.transform]
-        if any(t[len(self.pivots) :]):
-            return None
-        part = [0] * self.m
-        for r, c in enumerate(self.pivots):
-            part[c] = t[r]
-        return part
-
-
 class _RulingScan:
     """Per-prime scan state for one cone-section handle."""
 
@@ -376,7 +351,7 @@ class _RulingScan:
         p = self.p
         jq = _last_nonzero(q)
         keep = [i for i in range(self.proj.rows) if i != jq]
-        system = _ConstantSystem(
+        system = LinearSystem(
             [[(q[jq] * self.pv[i][j] - q[i] * self.pv[jq][j]) % p for j in range(self.m)] for i in keep],
             self.m,
             p,
@@ -630,9 +605,7 @@ def fiber_probe(
     )
 
 
-def tangent_functoriality_check(
-    x: VarietyHandle, k: int, rng: random.Random, witnesses: int = 3
-) -> FunctorialityReport:
+def tangent_functoriality_check(x: VarietyHandle, k: int, rng: random.Random) -> FunctorialityReport:
     """Push source tangent frames through the k-tangential projection and
     compare them with the image handle's own frames at the image witnesses."""
     child = derive_rng(rng.randrange(2**63), "functoriality", k)
@@ -648,7 +621,7 @@ def tangent_functoriality_check(
         )
     ranks = []
     consistent = True
-    for _ in range(witnesses):
+    for _ in range(FUNCTORIALITY_WITNESSES):
         pw = projected.sample(child)
         pushed = projected.proj.matmul(x.tangent_frame(pw.base))
         r_push, same = _same_span(pushed, projected.tangent_frame(pw), n)
@@ -657,7 +630,7 @@ def tangent_functoriality_check(
     return FunctorialityReport(
         k=k,
         generically_finite=True,
-        witnesses=witnesses,
+        witnesses=FUNCTORIALITY_WITNESSES,
         frame_ranks=tuple(ranks),
         span_consistent=consistent,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .algebra import Matrix, exact_rank
 from .errors import CenterFillsAmbient, ConfigError, DegenerateWitness
@@ -128,46 +128,38 @@ def min_defective_k(
     return None
 
 
+def _hyperplanes_through(frames: Sequence[Matrix]) -> Matrix:
+    """Basis, as columns, of the hyperplanes containing every frame's column
+    space; zero columns when the frames span the ambient space."""
+    return Matrix.hstack(frames).transpose().null_space()
+
+
 def tangential_projection(
     x: VarietyHandle, h: int, rng: random.Random
 ) -> tuple[ProjectionHandle, tuple[Witness, ...]]:
     """Project from the span of tangent spaces at h general points.
 
-    The projection matrix annihilates the center exactly: rows are indexed by
-    the non-pivot coordinates of the center's column space, with the pivot
-    block eliminated.  So rank(proj . frame) equals
-    rank([center | frame]) - rank(center) on the nose, no genericity needed.
+    The rows of the projection matrix are a basis of the hyperplanes through
+    the center, so the matrix annihilates the center exactly and
+    rank(proj . frame) equals rank([center | frame]) - rank(center) on the
+    nose, no genericity needed.
     """
     if h < 1:
         raise ConfigError("need at least one tangent space to project from")
-    p = x.field.modulus
     n = x.intrinsic_dim(rng)
     ws, frames = _nondegenerate_tuple(x, h, n, rng)
-    center = Matrix.hstack(frames)
-    echelon, pivots = center.transpose().rref()
-    c = len(pivots)
-    r1 = x.ambient_r + 1
-    if c >= r1:
+    hyperplanes = _hyperplanes_through(frames)
+    if hyperplanes.cols == 0:
         raise CenterFillsAmbient(
             f"{h} tangent spaces of {x.label} already span the ambient space"
         )
-    pivot_set = set(pivots)
-    rows = []
-    for j in range(r1):
-        if j in pivot_set:
-            continue
-        row = [0] * r1
-        row[j] = 1
-        for a, pc in enumerate(pivots):
-            row[pc] = -echelon[a][j] % p
-        rows.append(row)
-    proj = Matrix(x.field, rows)
+    center_rank = x.ambient_r + 1 - hyperplanes.cols
     handle = ProjectionHandle(
         x,
-        proj,
+        hyperplanes.transpose(),
         label=f"tangential-{h}-{x.label}",
         blueprint={"constructor": "tangential_projection", "base": x.blueprint, "points": h},
-        span_r=x.span_dim() - c,
+        span_r=x.span_dim() - center_rank,
     )
     return handle, tuple(ws)
 

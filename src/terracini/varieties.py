@@ -36,10 +36,10 @@ from typing import Callable, Optional, Sequence
 from .algebra import (
     FieldSpec,
     Jet2,
+    LinearSystem,
     Matrix,
     MultiPoly,
     PolyJets,
-    _affine_solve,
     _poly_gcd,
     dot,
     exact_rank,
@@ -567,9 +567,10 @@ def map_image(
 ) -> MapImageHandle:
     """Image of a handle under a homogeneous polynomial map.
 
-    The linear span of the image is measured from 20 samples at construction
-    so downstream expected-dimension formulas see the span, not the raw
-    coordinate count.
+    The linear span of the image is measured at construction, so downstream
+    expected-dimension formulas see the span, not the raw coordinate count:
+    from 20 samples, then one more at a time for as long as every sample
+    drawn is independent of the others.
     """
     arity = base.ambient_r + 1
     degs = set()
@@ -592,10 +593,12 @@ def map_image(
         "arity": arity,
     }
     handle = MapImageHandle(base, polys, label, bp, span_r=len(polys) - 1)
-    pts = []
-    for _ in range(20):
-        pts.append(list(handle.sample(rng).point))
-    handle._span_r = exact_rank(Matrix(base.field, pts)) - 1
+    pts = [handle.sample(rng).point for _ in range(20)]
+    rank = exact_rank(Matrix(base.field, pts))
+    while rank == len(pts):
+        pts.append(handle.sample(rng).point)
+        rank = exact_rank(Matrix(base.field, pts))
+    handle._span_r = rank - 1
     return handle
 
 
@@ -802,10 +805,11 @@ class SectionHandle(VarietyHandle):
                 lin_rhs.append(-terms.get((0,) * m, 0) % p)
             else:
                 nonlinear.append(MultiPoly(field, m, terms))
-        solved = _affine_solve(field, lin_rows, lin_rhs, m)
-        if solved is None:
+        system = LinearSystem(lin_rows, m, p)
+        mu_part = system.solve(lin_rhs)
+        if mu_part is None:
             return None
-        mu_part, basis = solved
+        basis = system.basis
         nfree = len(basis)
         if len(nonlinear) > 1:
             raise ConstructionError("multiple nonlinear constraints on one ruling")
@@ -863,23 +867,24 @@ class SectionHandle(VarietyHandle):
     def chart_jet2(self, w: Witness) -> ChartJet:
         base_chart = self.base.chart_jet2(w.base)
         nb = base_chart.dim
-        field = self.field
-        p = field.modulus
+        p = self.field.modulus
         powers = self.jets.powers(base_chart.point)
         if any(self.jets.values(powers)):
             raise DegenerateWitness("witness is off the section")
         ambient_grads = self.jets.gradients(powers)
         grads = [[dot(grad, v, p) for v in base_chart.first] for grad in ambient_grads]
-        gmat = Matrix(field, grads)
-        if exact_rank(gmat) != len(self.constraints):
+        # one reduction of the gradient matrix serves the rank check, the
+        # kernel and every second-order correction
+        system = LinearSystem(grads, nb, p)
+        if system.rank != len(self.constraints):
             raise DegenerateWitness("constraint gradients are dependent at the witness")
-        kernel = gmat.null_space()
-        ns = kernel.cols
-        kcols = [kernel.column(a) for a in range(ns)]
+        kcols = system.basis
+        ns = len(kcols)
         first = tuple(_linear_combo(base_chart.first, kcols[a], p) for a in range(ns))
 
         def second():
-            # independent gradient rows make every correction system solvable
+            # independent gradient rows make every correction system solvable,
+            # so ``solve`` never returns None here
             hesses = [
                 _contract_hessian(grad, hess, base_chart, p)
                 for grad, hess in zip(ambient_grads, self.jets.hessians(powers))
@@ -889,11 +894,8 @@ class SectionHandle(VarietyHandle):
             for a in range(ns):
                 for b in range(a, ns):
                     rhs = [-dot(kcols[a], [dot(row, kcols[b], p) for row in h], p) % p for h in hesses]
-                    solved = _affine_solve(field, grads, rhs, nb)
-                    if solved is None:
-                        raise DegenerateWitness("no second-order correction at the witness")
-                    corr, _ = solved
-                    coeffs = [x * y % p for x in kcols[a] for y in kcols[b]] + list(corr)
+                    corr = system.solve(rhs)
+                    coeffs = [x * y % p for x in kcols[a] for y in kcols[b]] + corr
                     out[a][b] = out[b][a] = _linear_combo(
                         base_second + list(base_chart.first), coeffs, p
                     )

@@ -97,6 +97,43 @@ def rank_by_reverse_echelon(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def affine_solve_reference(rows: list[list[int]], rhs: list[int], nvars: int, p: int):
+    """Solve A x = rhs mod p by a fresh reduction of ``[A | rhs]`` to reduced
+    row echelon form.  Returns the solution with every free unknown zero
+    and one kernel vector per free column, or None when the system is
+    inconsistent.  Each pivot is the lowest nonzero entry of its column, a
+    different choice from the library's; the reduced form is unique, so the
+    answer does not depend on it."""
+    m = [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
+    pivots: list[int] = []
+    for c in range(nvars + 1):
+        below = [i for i in range(len(pivots), len(m)) if m[i][c]]
+        if not below:
+            continue
+        r = len(pivots)
+        m[r], m[below[-1]] = m[below[-1]], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if nvars in pivots:
+        return None
+    particular = [0] * nvars
+    for row, c in zip(m, pivots):
+        particular[c] = row[nvars]
+    basis = []
+    for free in (f for f in range(nvars) if f not in pivots):
+        v = [0] * nvars
+        v[free] = 1
+        for row, c in zip(m, pivots):
+            v[c] = -row[free] % p
+        basis.append(tuple(v))
+    return particular, basis
+
+
 def fiber_counts_by_brute_force(polys, proj, qs, p: int, n: int) -> tuple[list[int], int]:
     """Preimage counts of each [q] under proj . (polys) over every point of
     F_p^n, and the number of points mapped to zero (the projection center).

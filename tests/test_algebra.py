@@ -1,7 +1,9 @@
 """Exact arithmetic layer: fields, matrices, polynomials, jets, roots."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,10 @@ from terracini.algebra import (
     WIDE_CELLS,
     FieldSpec,
     Jet2,
+    LinearSystem,
     Matrix,
     MultiPoly,
     PolyJets,
-    _affine_solve,
     _gauss_jordan,
     _gauss_jordan_lists,
     _linear_power_mod,
@@ -30,9 +32,9 @@ from terracini.algebra import (
     uni_roots_mod_p,
 )
 from terracini.errors import ConstructionError, FieldMismatchError
-from terracini.fiber import _ConstantSystem
 
 from oracles import (
+    affine_solve_reference,
     jet2_by_term_bookkeeping,
     jet_by_symbolic_diff,
     poly_powmod,
@@ -211,27 +213,42 @@ def test_elimination_kernel_against_independent_references(raw, data):
         rhs = _apply(raw, x0)
     else:
         rhs = data.draw(st.lists(st.integers(0, 1008), min_size=m.rows, max_size=m.rows))
-    solved = _affine_solve(F1009, m.entries, [F1009.scalar(b) for b in rhs], ncols)
+    system = LinearSystem(raw, ncols, 1009)
+    assert system.rank == rank
+    particular = system.solve(rhs)
     if rank_by_reverse_echelon([row + [b] for row, b in zip(raw, rhs)], 1009) > rank:
-        assert solved is None
+        assert particular is None
     else:
-        particular, basis = solved
         assert _apply(raw, particular) == rhs
-        assert len(basis) == ncols - rank
-        assert rank_by_reverse_echelon([list(v) for v in basis], 1009) == len(basis)
-        for v in basis:
-            assert not any(_apply(raw, v))
+    assert len(system.basis) == ncols - rank
+    assert rank_by_reverse_echelon([list(v) for v in system.basis], 1009) == len(system.basis)
+    for v in system.basis:
+        assert not any(_apply(raw, v))
 
-    # the ruling scan's once-reduced constant system against a reduction of
-    # [A | rhs] per right-hand side, on every leading block of columns
+    # the once-reduced system against a fresh reduction of [A | rhs] per
+    # right-hand side, on every leading block of columns
     for width in range(ncols + 1):
         b_rows = [row[:width] for row in raw]
-        system = _ConstantSystem(b_rows, width, 1009)
+        system = LinearSystem(b_rows, width, 1009)
         part = system.solve(rhs)
-        expected = _affine_solve(F1009, b_rows, rhs, width)
+        expected = affine_solve_reference(b_rows, rhs, width, 1009)
         assert (part is None) == (expected is None)
         if expected is not None:
             assert (part, system.basis) == expected
+
+
+def test_only_algebra_touches_the_elimination_kernel():
+    """Every other module reads ranks, kernels and solves off ``Matrix`` and
+    ``LinearSystem``, never off the reduction itself."""
+    internals = {"_gauss_jordan", "_gauss_jordan_lists", "_gauss_jordan_int64", "_kernel_basis"}
+    package = Path(algebra.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not names & internals, f"{path.name} uses {sorted(names & internals)}"
 
 
 # -- the wide int64 elimination path ------------------------------------------

@@ -101,6 +101,8 @@ NESTED_PROJECTION = {
         # a projection needs at least one tangent space to project from
         {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 3}, "points": 0}},
         {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 3}, "points": -1}},
+        # three tangent planes of the Veronese surface already fill P^5
+        {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 2}, "points": 3}},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):

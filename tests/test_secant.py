@@ -175,6 +175,22 @@ def test_expected_dim_uses_the_measured_span():
     assert actual == 2
 
 
+@pytest.mark.parametrize("d, deltas", [(2, [0, 0, 0, 1]), (3, [0] * 9)])
+def test_composed_veronese_images_read_their_whole_span(d, deltas):
+    """v_2(v_d(P^2)) is v_2d(P^2) in another embedding.  Its span passes
+    the 20 samples map_image starts from when d = 3, and its secants are
+    those of v_2d(P^2), by Alexander-Hirschowitz."""
+    rng = random.Random(1)
+    base = veronese(F, 2, d)
+    nv = base.ambient_r + 1
+    xs = [MultiPoly.variable(F, nv, i) for i in range(nv)]
+    img = map_image(base, [xs[i] * xs[j] for i in range(nv) for j in range(i, nv)], rng)
+    assert img.span_dim() == comb(2 * d + 2, 2) - 1
+    for k, delta in enumerate(deltas, start=1):
+        profile = defect(img, k, rng)
+        assert (profile.actual, profile.delta) == (ah_secant_dim(2, 2 * d, k), delta)
+
+
 # -- tangential projections ---------------------------------------------------
 
 

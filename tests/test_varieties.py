@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from terracini import cli, varieties
+from terracini import algebra, cli, varieties
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
 from terracini.errors import ConstructionError, DegenerateWitness
 from terracini.instances import SUITE_MEMBERS, builtin
@@ -263,6 +263,24 @@ def test_section_chart_kills_constraints_to_second_order():
         assert jet.gradient_is_zero()
         assert not any(any(row) for row in jet.hessian)
     assert Sh.intrinsic_dim(rng) == 1
+
+
+def test_section_jet_reduces_its_gradients_once(monkeypatch):
+    """A section chart's rank check, kernel and every second-order
+    correction are read off one reduction of its constraint gradients."""
+    rng = random.Random(12)
+    x = builtin("counter3-n3", F, rng)
+    w = x.sample(rng)
+    reduce, calls = algebra._gauss_jordan, []
+
+    def counted(rows, p):
+        calls.append(len(rows))
+        return reduce(rows, p)
+
+    monkeypatch.setattr(algebra, "_gauss_jordan", counted)
+    x.chart_jet2(w).second
+    assert x.kind == "section"
+    assert len(calls) == 1
 
 
 def test_section_over_parametric_solves_one_constraint():
