@@ -28,7 +28,6 @@ from .errors import (
     CenterFillsAmbient,
     ConfigError,
     ConstructionError,
-    CrossPrimeDisagreement,
     DegenerateWitness,
     FieldMismatchError,
     NoTangentHyperplane,
@@ -87,7 +86,6 @@ __all__ = [
     "ConstructionError",
     "ContactComparison",
     "CriterionResult",
-    "CrossPrimeDisagreement",
     "DefectProfile",
     "DegenerateWitness",
     "FiberReport",

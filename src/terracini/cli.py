@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 import time
 from importlib import metadata
@@ -31,7 +30,6 @@ from .errors import (
     ConfigError,
     ConstructionError,
     FieldMismatchError,
-    NoTangentHyperplane,
     SamplingExhausted,
     TerraciniError,
 )
@@ -41,11 +39,11 @@ from .fiber import (
     fiber_probe,
     tangent_functoriality_check,
 )
-from .instances import ANALYSIS_PRIME, builtin_blueprint
-from .secant import DEFAULT_TRIALS, check_delta_tower, defect, min_defective_k, tangential_projection
+from .instances import ANALYSIS_PRIME, builtin, builtin_blueprint
+from .secant import DEFAULT_TRIALS, check_delta_tower, defect, min_defective_k
 from .seeding import derive_rng
 from .suite import canonical_json, run_paper_suite, suite_payload
-from .varieties import build
+from .varieties import _is_int, build, check_tree
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -53,73 +51,11 @@ SCHEMA = "terracini-report/v1"
 FORMATS = ("table", "csv", "structured")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(_is_int(v) for v in x)
-
-
-def _is_poly(x) -> bool:
-    return isinstance(x, list) and all(
-        isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int_list(t[1]) for t in x
-    )
-
-
-_INT = (_is_int, "an integer")
-_POSITIVE = (lambda x: _is_int(x) and x >= 1, "a positive integer")
-_POLY = (_is_poly, "a list of [coefficient, [exponents]] pairs")
-_BASE = None  # a nested constructor node, validated recursively
-
-# required blueprint keys per constructor and their types, checked before any
-# computation
-_TREE_KEYS = {
-    "veronese": {"n": _INT, "d": _INT},
-    "rnc": {"d": _INT},
-    "implicit_plane_curve": {"terms": _POLY, "genus_hint": _INT},
-    "map_image": {
-        "base": _BASE,
-        "components": (lambda x: isinstance(x, list) and all(map(_is_poly, x)), "a list of polynomials"),
-        "arity": _INT,
-    },
-    "cone": {
-        "base": _BASE,
-        "vertex": (lambda x: isinstance(x, list) and all(map(_is_int_list, x)), "a list of integer columns"),
-    },
-    "hypersurface_section": {"base": _BASE, "h": _POLY},
-    "hyperplane_section": {"base": _BASE, "hyperplane": (_is_int_list, "a list of integers")},
-    "tangential_projection": {"base": _BASE, "points": _POSITIVE},
-}
-
-
 def _version() -> str:
     try:
         return metadata.version("terracini")
     except metadata.PackageNotFoundError:
         return "unknown"
-
-
-def _validate_tree(node, root: bool = True) -> None:
-    if not isinstance(node, dict):
-        raise ConfigError(f"constructor node must be an object, got {type(node).__name__}")
-    kind = node.get("constructor")
-    if not isinstance(kind, str) or kind not in _TREE_KEYS:
-        raise ConfigError(f"unknown constructor {kind!r}")
-    if kind == "tangential_projection" and not root:
-        raise ConfigError("constructor 'tangential_projection' is allowed only at the root of a variety tree")
-    keys = _TREE_KEYS[kind]
-    missing = [k for k in keys if k not in node]
-    if missing:
-        raise ConfigError(f"constructor {kind!r} is missing keys {missing}")
-    unknown = sorted(set(node) - {"constructor", *keys})
-    if unknown:
-        raise ConfigError(f"constructor {kind!r} has unknown keys {unknown}")
-    for key, rule in keys.items():
-        if rule is _BASE:
-            _validate_tree(node[key], root=False)
-        elif not rule[0](node[key]):
-            raise ConfigError(f"constructor {kind!r}: {key!r} must be {rule[1]}, got {node[key]!r}")
 
 
 class RunConfig:
@@ -147,7 +83,7 @@ class RunConfig:
             if isinstance(self.variety, str):
                 builtin_blueprint(self.variety)  # validates the name
             else:
-                _validate_tree(self.variety)
+                check_tree(self.variety)
         self.field = _checked_prime(raw.get("field", ANALYSIS_PRIME), "field")
         primes = raw.get("enum_primes", list(DEFAULT_FIBER_PRIMES))
         if not isinstance(primes, list):
@@ -244,21 +180,9 @@ def load_config(path: Optional[str], args: argparse.Namespace, need_variety: boo
 def _construct(cfg: RunConfig):
     field = FieldSpec.prime(cfg.field)
     rng = derive_rng(cfg.seed, "cli", "build")
-    tree = cfg.variety
-    if isinstance(tree, str):
-        tree = builtin_blueprint(tree)
-        label = cfg.variety
-    else:
-        label = None
-    if tree.get("constructor") == "tangential_projection":
-        inner = build(tree["base"], field, rng)
-        try:
-            projected, _ = tangential_projection(inner, tree["points"], rng)
-        except CenterFillsAmbient as exc:
-            # the tree asks for a projection its base cannot have
-            raise ConstructionError(str(exc)) from exc
-        return projected
-    return build(tree, field, rng, label=label)
+    if isinstance(cfg.variety, str):
+        return builtin(cfg.variety, field, rng)
+    return build(cfg.variety, field, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +314,7 @@ def cmd_fiber_probe(cfg: RunConfig) -> tuple[dict, bool]:
                 trials=max(cfg.trials, DEFAULT_FIBER_TRIALS),
             )
             fun = tangent_functoriality_check(x, k, derive_rng(cfg.seed, "cli", "functorial", k))
-        except (CenterFillsAmbient, NoTangentHyperplane) as exc:
+        except CenterFillsAmbient as exc:
             return {"k": k, "note": f"no projection: {exc}"}
         return {
             "k": k,

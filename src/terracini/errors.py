@@ -39,7 +39,3 @@ class CenterFillsAmbient(TerraciniError):
 
 class BudgetExhausted(TerraciniError):
     """An enumeration exceeded its configured point budget.  CLI exit code 3."""
-
-
-class CrossPrimeDisagreement(TerraciniError):
-    """Dimension outputs differ between the two analysis primes."""

@@ -53,7 +53,6 @@ from .varieties import (
     ImplicitPlaneCurveHandle,
     MapImageHandle,
     ParametricHandle,
-    ProjectionHandle,
     SectionHandle,
     VarietyHandle,
     Witness,
@@ -294,18 +293,6 @@ def _scan_parametric(
 # ---------------------------------------------------------------------------
 
 
-def _unpack_cone_section(x: SectionHandle):
-    k = x.base
-    if not isinstance(k, ConeHandle):
-        raise ConfigError(f"no enumeration strategy for sections over {k.kind}")
-    emb = k.base
-    if not isinstance(emb, MapImageHandle) or not isinstance(
-        emb.base, ImplicitPlaneCurveHandle
-    ):
-        raise ConfigError("cone enumeration expects an embedded plane curve base")
-    return k, emb, emb.base
-
-
 def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tuple[int, int, int]]:
     """Every projective point of the plane curve over its prime field."""
     fp = curve.field
@@ -332,16 +319,14 @@ class _RulingScan:
         self.x = x
         self.fp = x.field
         self.p = x.field.modulus
-        kone, emb, curve = _unpack_cone_section(x)
-        self.kone, self.emb, self.curve = kone, emb, curve
-        self.m = kone.m
+        self.kone, self.emb = x.base, x.base.base
+        self.m = self.kone.m
         self.proj = proj
-        self.points = _curve_points_int(curve, budget)
         # projection composed with the vertex: constant across rulings
-        self.pv = proj.matmul(kone.vertex).entries
+        self.pv = proj.matmul(self.kone.vertex).entries
         self.ruling_cache: list[tuple[tuple[int, int, int], tuple[int, ...], tuple[int, ...]]] = []
-        for c in self.points:
-            y = emb._apply(c)
+        for c in _curve_points_int(self.emb.base, budget):
+            y = self.emb._apply(c)
             if not any(y):
                 continue  # base locus of the embedding
             self.ruling_cache.append((c, y, proj.matvec(y)))
@@ -444,9 +429,28 @@ def _probe_q(xp: VarietyHandle, proj: Matrix, rng: random.Random) -> list[int]:
     raise DegenerateWitness("probe witnesses keep landing in the center")
 
 
+def _enumerator(x: VarietyHandle):
+    """The one choice of how to enumerate fibers of x's projections, made
+    from x's shape before anything is rebuilt: the grid scan for a
+    parametric chart, the ruling scan for a section of a cone over an
+    embedded plane curve.  Any other shape is a config error."""
+    if isinstance(x, ParametricHandle):
+        return _grid_counts
+    if not isinstance(x, SectionHandle):
+        raise ConfigError(f"no enumeration strategy for {x.kind} handles")
+    if not isinstance(x.base, ConeHandle):
+        raise ConfigError(f"no enumeration strategy for sections over {x.base.kind}")
+    emb = x.base.base
+    if not isinstance(emb, MapImageHandle) or not isinstance(emb.base, ImplicitPlaneCurveHandle):
+        raise ConfigError("cone enumeration expects an embedded plane curve base")
+    return _ruling_counts
+
+
 def _one_prime(
-    blueprint: dict, k: int, prime: int, trials: int, seed_tag: int
+    blueprint: dict, count, k: int, prime: int, trials: int, seed_tag: int
 ) -> tuple[tuple[int, ...], int, Optional[bool]]:
+    """Rebuild the tree over F_prime, project it and ``count`` the fibers:
+    the per-trial counts, the center hits and the tangent agreement."""
     fp = FieldSpec.prime(prime)
     rng = derive_rng(seed_tag, "fiber", prime)
     xp = build(blueprint, fp, rng)
@@ -454,46 +458,46 @@ def _one_prime(
     projected, _ = tangential_projection(xp, k, rng)
     if not projected.generically_finite(rng):
         raise DegenerateWitness(f"projection collapses over F_{prime}")
-    proj = projected.proj
+    return count(xp, projected.proj, n, trials, rng)
 
-    if isinstance(xp, ParametricHandle):
-        qs = [_probe_q(xp, proj, rng) for _ in range(trials)]
-        counts, hits = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+
+def _grid_counts(xp: ParametricHandle, proj: Matrix, n: int, trials: int, rng: random.Random):
+    qs = [_probe_q(xp, proj, rng) for _ in range(trials)]
+    counts, hits = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+    for _ in range(MAX_PROBE_RETRIES):
+        bad = [t for t, c in enumerate(counts) if c >= DEGENERATE_COUNT_FLOOR]
+        if not bad:
+            break
+        redraw = [_probe_q(xp, proj, rng) for _ in bad]
+        fresh, _ = _scan_parametric(xp, proj, redraw, ENUM_BUDGET)
+        for t, c in zip(bad, fresh):
+            counts[t] = c
+    else:
+        raise DegenerateWitness("every probe point had a degenerate fiber")
+    return tuple(counts), hits, None
+
+
+def _ruling_counts(xp: SectionHandle, proj: Matrix, n: int, trials: int, rng: random.Random):
+    scan = _RulingScan(xp, proj, ENUM_BUDGET)
+    counts = []
+    hits = 0
+    agreement: Optional[bool] = None
+    for _ in range(trials):
         for _ in range(MAX_PROBE_RETRIES):
-            bad = [t for t, c in enumerate(counts) if c >= DEGENERATE_COUNT_FLOOR]
-            if not bad:
+            q = _probe_q(xp, proj, rng)
+            try:
+                found, center_hits, details = scan.preimages(q)
+            except DegenerateWitness:
+                continue
+            if len(found) < DEGENERATE_COUNT_FLOOR:
                 break
-            redraw = [_probe_q(xp, proj, rng) for _ in bad]
-            fresh, _ = _scan_parametric(xp, proj, redraw, ENUM_BUDGET)
-            for t, c in zip(bad, fresh):
-                counts[t] = c
         else:
             raise DegenerateWitness("every probe point had a degenerate fiber")
-        return tuple(counts), hits, None
-
-    if isinstance(xp, SectionHandle):
-        scan = _RulingScan(xp, proj, ENUM_BUDGET)
-        counts = []
-        hits = 0
-        agreement: Optional[bool] = None
-        for _ in range(trials):
-            for _ in range(MAX_PROBE_RETRIES):
-                q = _probe_q(xp, proj, rng)
-                try:
-                    found, center_hits, details = scan.preimages(q)
-                except DegenerateWitness:
-                    continue
-                if len(found) < DEGENERATE_COUNT_FLOOR:
-                    break
-            else:
-                raise DegenerateWitness("every probe point had a degenerate fiber")
-            counts.append(len(found))
-            hits += center_hits
-            if len(details) >= 2 and agreement is None:
-                agreement = _fiber_span_agreement(xp, proj, scan, details, n)
-        return tuple(counts), hits, agreement
-
-    raise ConfigError(f"no enumeration strategy for {xp.kind} handles")
+        counts.append(len(found))
+        hits += center_hits
+        if len(details) >= 2 and agreement is None:
+            agreement = _fiber_span_agreement(xp, proj, scan, details, n)
+    return tuple(counts), hits, agreement
 
 
 def _same_span(a: Matrix, b: Matrix, n: int) -> tuple[int, bool]:
@@ -576,11 +580,12 @@ def fiber_probe(
             tangent_agreement=None,
         )
 
+    count = _enumerator(x)
     cardinalities: dict[int, tuple[int, ...]] = {}
     center_hits: dict[int, int] = {}
     agreements: list[bool] = []
 
-    results = {p: _one_prime(x.blueprint, k, p, trials, seed_tag) for p in primes}
+    results = {p: _one_prime(x.blueprint, count, k, p, trials, seed_tag) for p in primes}
     for prime in sorted(results):
         counts, hits, agreement = results[prime]
         if any(c < 1 for c in counts):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -52,6 +53,8 @@ from .algebra import (
     uni_roots_mod_p,
 )
 from .errors import (
+    CenterFillsAmbient,
+    ConfigError,
     ConstructionError,
     DegenerateWitness,
     FieldMismatchError,
@@ -74,8 +77,11 @@ __all__ = [
     "map_image",
     "cone",
     "hypersurface_section",
+    "hyperplane_section",
     "generic_hyperplane_section",
     "sample_distinct",
+    "CONSTRUCTORS",
+    "check_tree",
     "build",
     "MAX_RESAMPLE",
     "AMBIENT_CAP",
@@ -360,12 +366,14 @@ def veronese(field: FieldSpec, n: int, d: int, label: str | None = None) -> Para
     dehomogenized monomial of degree at most d."""
     if n < 1 or d < 1:
         raise ConstructionError("veronese needs n >= 1 and d >= 1")
-    expos = _monomial_exponents(n, d)
-    if len(expos) - 1 > AMBIENT_CAP:
-        raise ConstructionError(
-            f"veronese({n},{d}) ambient dimension {len(expos) - 1} exceeds cap {AMBIENT_CAP}"
-        )
-    polys = [MultiPoly.monomial(field, e) for e in expos]
+    # the ambient dimension C(n + d, d) - 1 is at least max(n, d), so a large
+    # n or d exceeds the cap before comb, or the monomial list, is computed
+    if max(n, d) > AMBIENT_CAP:
+        raise ConstructionError(f"veronese({n},{d}) ambient dimension exceeds cap {AMBIENT_CAP}")
+    r = comb(n + d, d) - 1
+    if r > AMBIENT_CAP:
+        raise ConstructionError(f"veronese({n},{d}) ambient dimension {r} exceeds cap {AMBIENT_CAP}")
+    polys = [MultiPoly.monomial(field, e) for e in _monomial_exponents(n, d)]
     label = label or f"veronese-{n}-{d}"
     return ParametricHandle(
         field, polys, n, label, {"constructor": "veronese", "n": n, "d": d}
@@ -811,8 +819,6 @@ class SectionHandle(VarietyHandle):
             return None
         basis = system.basis
         nfree = len(basis)
-        if len(nonlinear) > 1:
-            raise ConstructionError("multiple nonlinear constraints on one ruling")
         if nonlinear:
             if nfree == 0:
                 return None
@@ -972,40 +978,34 @@ def hypersurface_section(
     return SectionHandle(base, [h], label, bp)
 
 
-def generic_hyperplane_section(
-    x: VarietyHandle, rng: random.Random, label: str | None = None
+def hyperplane_section(
+    x: VarietyHandle, coeffs: list[int], rng: random.Random, label: str | None = None
 ) -> SectionHandle:
-    """Cut by a fresh random hyperplane; dimension drops by exactly one.
-
-    Applied to a section handle this extends its constraint list, keeping the
-    one-nonlinear-constraint sampling discipline intact.
+    """Cut by the hyperplane with these integer coefficients, one per ambient
+    coordinate: the one cut of a tree's ``hyperplane_section`` node and of
+    ``generic_hyperplane_section``.  The chart must have dimension at least 2,
+    since a hyperplane cuts a curve down to points.  A cut of a section
+    extends its constraint list, keeping the one-nonlinear-constraint sampling
+    discipline intact; anything else becomes the base of a one-cut section.
     """
-    coeffs = [rng.randrange(1, _DRAW_RANGE) for _ in range(x.ambient_r + 1)]
-    if not isinstance(x, (SectionHandle, ParametricHandle, ConeHandle)):
-        raise ConstructionError(
-            f"generic hyperplane sections are not supported over {x.kind} handles"
-        )
-    lam, base, constraints = _hyperplane_cut(x, coeffs)
-    probe_dim = x.intrinsic_dim(rng)
-    if probe_dim < 2:
+    if x.chart_dim < 2:
         raise ConstructionError("hyperplane sections need dim >= 2")
-    _check_not_identically_zero(x, lam, rng)
-    label = label or f"hyperplane-cut-{x.label}"
-    bp = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": coeffs}
-    return SectionHandle(base, constraints, label, bp)
-
-
-def _hyperplane_cut(x: VarietyHandle, coeffs: list[int]) -> tuple[MultiPoly, VarietyHandle, list[MultiPoly]]:
-    """The linear form with these integer coefficients, and the base handle
-    and constraint list of x cut by it: a cut of a section extends its
-    constraint list, anything else becomes the base of a one-cut section."""
     n = x.ambient_r + 1
     if not isinstance(coeffs, list) or len(coeffs) != n:
         raise ConstructionError(f"a hyperplane needs a list of {n} coefficients, got {coeffs!r}")
     lam = MultiPoly.from_int_terms(x.field, n, [(c, _unit(n, i)) for i, c in enumerate(coeffs)])
-    if isinstance(x, SectionHandle):
-        return lam, x.base, list(x.constraints) + [lam]
-    return lam, x, [lam]
+    _check_not_identically_zero(x, lam, rng)
+    base, constraints = (x.base, [*x.constraints, lam]) if isinstance(x, SectionHandle) else (x, [lam])
+    bp = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": coeffs}
+    return SectionHandle(base, constraints, label or f"hyperplane-cut-{x.label}", bp)
+
+
+def generic_hyperplane_section(
+    x: VarietyHandle, rng: random.Random, label: str | None = None
+) -> SectionHandle:
+    """Cut by a fresh random hyperplane; dimension drops by exactly one."""
+    coeffs = [rng.randrange(1, _DRAW_RANGE) for _ in range(x.ambient_r + 1)]
+    return hyperplane_section(x, coeffs, rng, label)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,48 +1077,122 @@ class ProjectionHandle(VarietyHandle):
 
 
 # ---------------------------------------------------------------------------
-# blueprint interpreter
+# the tree interpreter
 # ---------------------------------------------------------------------------
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_of(ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda x: isinstance(x, list) and all(map(ok, x))
+
+
+_is_int_list = _list_of(_is_int)
+_is_poly = _list_of(lambda t: isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int_list(t[1]))
+_INT = (_is_int, "an integer")
+_POLY = (_is_poly, "a list of [coefficient, [exponents]] pairs")
+BASE = None  # a nested constructor node, checked recursively
+
+
+def _tangential_projection(t: dict, base: VarietyHandle, field, rng, label) -> VarietyHandle:
+    from .secant import tangential_projection  # secant imports this module
+
+    try:
+        return tangential_projection(base, t["points"], rng)[0]
+    except CenterFillsAmbient as exc:
+        # the tree asks for a projection its base cannot have
+        raise ConstructionError(str(exc)) from exc
+
+
+# Every constructor a variety tree may name: its keys with their type rules,
+# which ``check_tree`` reads, and ``make(node, base, field, rng, label)``,
+# which ``build`` calls with the node's base already built (None without one).
+CONSTRUCTORS: dict[str, tuple[dict, Callable[..., VarietyHandle]]] = {
+    "veronese": ({"n": _INT, "d": _INT}, lambda t, base, field, rng, label: veronese(field, t["n"], t["d"], label)),
+    "rnc": ({"d": _INT}, lambda t, base, field, rng, label: rational_normal_curve(field, t["d"], label)),
+    "implicit_plane_curve": (
+        {"terms": _POLY, "genus_hint": _INT},
+        lambda t, base, field, rng, label: implicit_plane_curve(
+            field, MultiPoly.from_int_terms(field, 3, t["terms"]), t["genus_hint"], rng, label
+        ),
+    ),
+    "map_image": (
+        {"base": BASE, "components": (_list_of(_is_poly), "a list of polynomials"), "arity": _INT},
+        lambda t, base, field, rng, label: map_image(
+            base, [MultiPoly.from_int_terms(field, t["arity"], c) for c in t["components"]], rng, label
+        ),
+    ),
+    "cone": (
+        {"base": BASE, "vertex": (_list_of(_is_int_list), "a list of integer columns")},
+        lambda t, base, field, rng, label: cone(
+            base, Matrix.from_columns(field, [[field.scalar(x) for x in col] for col in t["vertex"]]), label
+        ),
+    ),
+    "hypersurface_section": (
+        {"base": BASE, "h": _POLY},
+        lambda t, base, field, rng, label: hypersurface_section(
+            base, MultiPoly.from_int_terms(field, base.ambient_r + 1, t["h"]), rng, label
+        ),
+    ),
+    "hyperplane_section": (
+        {"base": BASE, "hyperplane": (_is_int_list, "a list of integers")},
+        lambda t, base, field, rng, label: hyperplane_section(base, t["hyperplane"], rng, label),
+    ),
+    "tangential_projection": (
+        {"base": BASE, "points": (lambda x: _is_int(x) and x >= 1, "a positive integer")},
+        _tangential_projection,
+    ),
+}
+# built around the whole tree below it, so allowed only at the root
+ROOT_ONLY = ("tangential_projection",)
+
+
+def _constructor(node: dict, error: type[Exception]) -> tuple[dict, Callable[..., VarietyHandle]]:
+    """The table entry a tree node names; ``error`` when it names none."""
+    kind = node.get("constructor")
+    if not isinstance(kind, str) or kind not in CONSTRUCTORS:
+        raise error(f"unknown constructor {kind!r}")
+    return CONSTRUCTORS[kind]
+
+
+def check_tree(node, root: bool = True) -> None:
+    """Check a variety tree against ``CONSTRUCTORS`` before anything is
+    built: every node names a constructor, has exactly its keys, every key
+    has its type, and a ``ROOT_ONLY`` constructor stands only at the root.
+    Raises ``ConfigError``."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"constructor node must be an object, got {type(node).__name__}")
+    keys, _ = _constructor(node, ConfigError)
+    kind = node["constructor"]
+    if kind in ROOT_ONLY and not root:
+        raise ConfigError(f"constructor {kind!r} is allowed only at the root of a variety tree")
+    missing = [k for k in keys if k not in node]
+    if missing:
+        raise ConfigError(f"constructor {kind!r} is missing keys {missing}")
+    unknown = sorted(set(node) - {"constructor", *keys})
+    if unknown:
+        raise ConfigError(f"constructor {kind!r} has unknown keys {unknown}")
+    for key, rule in keys.items():
+        if rule is BASE:
+            check_tree(node[key], root=False)
+        elif not rule[0](node[key]):
+            raise ConfigError(f"constructor {kind!r}: {key!r} must be {rule[1]}, got {node[key]!r}")
 
 
 def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | None = None) -> VarietyHandle:
     """Instantiate a handle over a field from its integer-model blueprint.
 
-    The same blueprint reduces consistently into every working prime, which
-    is what makes small-prime enumeration and cross-prime dimension checks
-    talk about the same variety.
+    The tree's integers are the model: each node is reduced into the field
+    from the tree itself, and every handle returned, at every level, keeps
+    the subtree it was built from as its ``blueprint``.  So the same tree
+    reduces consistently into every working prime, which is what makes
+    small-prime enumeration and cross-prime dimension checks talk about the
+    same variety.  The tree is taken as checked (``check_tree``).
     """
-    kind = blueprint.get("constructor")
-    if kind == "veronese":
-        return veronese(field, blueprint["n"], blueprint["d"], label=label)
-    if kind == "rnc":
-        return rational_normal_curve(field, blueprint["d"], label=label)
-    if kind == "implicit_plane_curve":
-        f = MultiPoly.from_int_terms(field, 3, blueprint["terms"])
-        return implicit_plane_curve(field, f, blueprint["genus_hint"], rng, label=label)
-    if kind == "map_image":
-        base = build(blueprint["base"], field, rng)
-        polys = [
-            MultiPoly.from_int_terms(field, blueprint["arity"], t)
-            for t in blueprint["components"]
-        ]
-        return map_image(base, polys, rng, label=label)
-    if kind == "cone":
-        base = build(blueprint["base"], field, rng)
-        cols = blueprint["vertex"]
-        vertex = Matrix.from_columns(
-            field, [[field.scalar(x) for x in col] for col in cols]
-        )
-        return cone(base, vertex, label=label)
-    if kind == "hypersurface_section":
-        base = build(blueprint["base"], field, rng)
-        h = MultiPoly.from_int_terms(field, base.ambient_r + 1, blueprint["h"])
-        return hypersurface_section(base, h, rng, label=label)
-    if kind == "hyperplane_section":
-        inner = build(blueprint["base"], field, rng)
-        if inner.chart_dim < 2:
-            raise ConstructionError("hyperplane sections need dim >= 2")
-        lam, base, constraints = _hyperplane_cut(inner, blueprint["hyperplane"])
-        _check_not_identically_zero(inner, lam, rng)
-        return SectionHandle(base, constraints, label or f"hyperplane-cut-{inner.label}", blueprint)
-    raise ConstructionError(f"unknown constructor {kind!r}")
+    keys, make = _constructor(blueprint, ConstructionError)
+    base = build(blueprint["base"], field, rng) if "base" in keys else None
+    handle = make(blueprint, base, field, rng, label)
+    handle.blueprint = blueprint
+    return handle

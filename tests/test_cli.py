@@ -4,13 +4,14 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from terracini import cli
+from terracini import cli, fiber, varieties
 from terracini.suite import CriterionResult, SuiteResult
 
 
@@ -43,8 +44,8 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "line 1" in err
 
 
-# a tangential projection is built by the command, not by the blueprint
-# interpreter, so it may only stand at the root of a tree
+# a tangential projection is built around the whole tree below it, so it may
+# only stand at the root of a tree
 NESTED_PROJECTION = {
     "variety": {
         "constructor": "cone",
@@ -103,6 +104,10 @@ NESTED_PROJECTION = {
         {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 3}, "points": -1}},
         # three tangent planes of the Veronese surface already fill P^5
         {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 2}, "points": 3}},
+        # past the ambient cap, refused before the monomials are listed
+        {"variety": {"constructor": "veronese", "n": 14, "d": 14}},
+        {"variety": {"constructor": "rnc", "d": 100000000}},
+        {"variety": {"constructor": "veronese", "n": 10**18, "d": 2}},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):
@@ -111,6 +116,18 @@ def test_invalid_configs_exit_2(tmp_path, capsys, payload):
     )
     assert code == 2
     assert err.startswith("terracini:")
+
+
+def test_readme_constructors_line_matches_the_table():
+    """README's "Constructors:" line documents exactly the constructors and
+    keys of the one table that config validation and ``build`` read."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    line = " ".join(readme.split("Constructors:", 1)[1].split("\n\n", 1)[0].split())
+    documented = {
+        name: [key.strip() for key in keys.split(",")]
+        for name, keys in re.findall(r"`(\w+) \{([^}]*)\}`", line.split(".", 1)[0])
+    }
+    assert documented == {name: list(keys) for name, (keys, _) in varieties.CONSTRUCTORS.items()}
 
 
 def test_nested_tangential_projection_is_rejected_as_root_only(tmp_path, capsys):
@@ -447,6 +464,22 @@ def test_python_m_terracini_runs_fiber_probe(tmp_path):
     [row] = report["per_k"]
     assert row["verdict"] == "BirationalEvidence"
     assert row["cardinalities"] == {str(p): [1] * 5 for p in (1009, 2003, 3001)}
+
+
+def test_fiber_probe_refuses_a_projection_root_before_any_rebuild(tmp_path, capsys, monkeypatch):
+    """Only parametric charts and cone sections over plane curves can be
+    enumerated.  README's projection tree is neither, which fiber-probe says
+    before it rebuilds anything over an enumeration prime."""
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("fiber-probe rebuilt a tree it cannot enumerate")
+
+    monkeypatch.setattr(fiber, "build", no_rebuild)
+    tree = PINNED_TREES["tangential-1-veronese-2-3"]
+    cfg = write_config(tmp_path, {"variety": tree, "k_range": [1, 1]})
+    code, out, err = run_cli(["fiber-probe", "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert "no enumeration strategy for projection handles" in err
 
 
 # -- formats -------------------------------------------------------------------

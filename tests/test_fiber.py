@@ -125,6 +125,18 @@ def test_projection_dimension_is_the_generic_frame_rank():
     assert projected.intrinsic_dim(rng) == 2
 
 
+def test_fiber_probe_rebuilds_from_the_tree_not_the_analysis_field():
+    """The enumeration primes reduce the tree's integers, so the analysis
+    field a handle was built over cannot change what they count: counter1's
+    pinned cut has coefficients above 1000003."""
+    reports = []
+    for p in (1000003, ANALYSIS_PRIME):
+        x = build(builtin_blueprint("counter1"), FieldSpec.prime(p), random.Random(1))
+        reports.append(fiber_probe(x, 1, random.Random(2), primes=(1009, 2003)))
+    assert reports[0] == reports[1]
+    assert reports[0].consensus_d == 3
+
+
 def test_report_is_deterministic_and_thread_independent():
     x = handle("counter1")
     a = fiber_probe(x, 1, random.Random(77))

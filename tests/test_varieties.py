@@ -9,7 +9,7 @@ import pytest
 from terracini import algebra, cli, varieties
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
 from terracini.errors import ConstructionError, DegenerateWitness
-from terracini.instances import SUITE_MEMBERS, builtin
+from terracini.instances import SUITE_MEMBERS, builtin, builtin_blueprint
 from terracini.secant import tangential_projection, terracini_dim
 from terracini.varieties import (
     ProjectionHandle,
@@ -365,6 +365,20 @@ def test_veronese_respects_ambient_cap():
         veronese(F, 2, 15)  # 135 coordinates
 
 
+def test_veronese_cap_is_checked_before_listing_monomials(monkeypatch):
+    def no_listing(n, d):
+        raise AssertionError("monomials listed past the ambient cap")
+
+    monkeypatch.setattr(varieties, "_monomial_exponents", no_listing)
+    for make in (
+        lambda: veronese(F, 14, 14),
+        lambda: veronese(F, 10**18, 10**18),
+        lambda: rational_normal_curve(F, 10**8),
+    ):
+        with pytest.raises(ConstructionError, match="exceeds cap 120"):
+            make()
+
+
 def test_cone_and_section_span_bookkeeping():
     rng = random.Random(303)
     K = cone_over_embedded_curve(rng)
@@ -412,6 +426,64 @@ def test_blueprint_rebuild_across_primes():
         w = rebuilt.sample(random.Random(8))
         for g in rebuilt.constraints:
             assert g.evaluate(rebuilt.reevaluate(w)) == 0
+
+
+def _counter1_with_a_negative_coefficient():
+    tree = json.loads(json.dumps(builtin_blueprint("counter1")))
+    tree["h"][0][0] = -1
+    return tree
+
+
+BLUEPRINT_TREES = {
+    "cone-section-with-minus-one": _counter1_with_a_negative_coefficient(),
+    "map-image": {
+        "constructor": "map_image",
+        "base": {"constructor": "rnc", "d": 2},
+        "components": [[[1, [2, 0, 0]]], [[1, [1, 1, 0]], [-3, [0, 0, 2]]], [[1, [0, 2, 0]]], []],
+        "arity": 3,
+    },
+    "hyperplane-section": PINNED_TREES["hyperplane-cut-veronese-3-2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLUEPRINT_TREES))
+def test_build_keeps_the_given_subtree_at_every_node(name, monkeypatch):
+    """Every handle ``build`` returns, at every level of the tree, carries
+    the subtree it was built from, not one re-derived from reduced field
+    data: a -1 stays -1, and reduces to p - 1 over every enumeration prime."""
+    tree = BLUEPRINT_TREES[name]
+    built, real_build = [], varieties.build
+
+    def recording_build(blueprint, field, rng, label=None):
+        handle = real_build(blueprint, field, rng, label)
+        built.append((blueprint, handle))
+        return handle
+
+    monkeypatch.setattr(varieties, "build", recording_build)
+    x = varieties.build(tree, F, random.Random(3))
+    depth, node = 0, tree
+    while node is not None:
+        depth, node = depth + 1, node.get("base")
+    assert len(built) == depth
+    assert all(handle.blueprint == node for node, handle in built)
+    assert x.blueprint == tree
+    if name == "cone-section-with-minus-one":
+        small = build(x.blueprint, FieldSpec.prime(1009), random.Random(4))
+        coeff, expo = tree["h"][0]
+        assert small.constraints[0].terms[tuple(expo)] == 1008
+
+
+@pytest.mark.parametrize("name", ["veronese-3-2", "counter3-n3"])
+def test_both_cut_paths_give_the_same_constraints(name):
+    """A tree's ``hyperplane_section`` node and ``generic_hyperplane_section``
+    make the same cut from the same coefficients, over a parametric chart and
+    over a section, whose constraint list the cut extends."""
+    x = builtin(name, F, random.Random(21))
+    drawn = generic_hyperplane_section(x, random.Random(22))
+    tree = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": drawn.blueprint["hyperplane"]}
+    built = build(tree, F, random.Random(23))
+    assert built.constraints == drawn.constraints
+    assert len(built.constraints) == (2 if name == "counter3-n3" else 1)
 
 
 # -- the field-element representation -------------------------------------------
