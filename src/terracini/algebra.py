@@ -21,8 +21,13 @@ plain int rows; both paths hand back the same int rows.  Every affine solve
 is read off it in one place, ``LinearSystem``, which reduces a constant
 matrix once for its rank, its kernel and any number of right-hand sides.
 
-Every derivative is taken in one kernel, ``PolyJets``, which evaluates the
-values, gradients and Hessians of a tuple of polynomials from one power table.
+Every derivative is taken in one kernel, ``PolyJets``, compiled once per
+tuple of polynomials: each nonzero value, gradient entry and Hessian entry
+is a sparse row of (monomial index, coefficient) pairs read straight off the
+terms, and an identically zero output has no row and costs nothing.  At a
+point each monomial is evaluated once, and every output is a short dot
+product mod p.  Hessian rows are compiled on first use, so first-order work
+(tangent frames, and so every secant dimension) never builds them.
 """
 
 from __future__ import annotations
@@ -637,30 +642,13 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.field, self.nvars, tuple(sorted(self.terms.items(), key=lambda t: _grlex_key(t[0])))))
 
-    # -- calculus ---------------------------------------------------------
-
-    def diff(self, index: int) -> "MultiPoly":
-        acc: dict[tuple[int, ...], int] = {}
-        for expo, coef in self.terms.items():
-            e = expo[index]
-            if e == 0:
-                continue
-            reduced = list(expo)
-            reduced[index] = e - 1
-            key = tuple(reduced)
-            acc[key] = acc.get(key, 0) + coef * e
-        return MultiPoly(self.field, self.nvars, acc)
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.nvars:
             raise ConstructionError("point arity mismatch")
         p = self.field.modulus
-        return self.evaluate_at(power_table(point, max_exponents(self.nvars, (self,)), p))
-
-    def evaluate_at(self, powers: Sequence[Sequence[int]]) -> int:
-        """Value from a power table of the point that covers every exponent
-        here (see ``power_table``); one table can serve many polynomials."""
-        p = self.field.modulus
+        powers = power_table(point, max_exponents(self.nvars, (self,)), p)
         acc = 0
         for expo, coef in self.terms.items():
             term = coef
@@ -803,48 +791,108 @@ class PolyJets:
     """Values, gradients and Hessians of a tuple of polynomials in one arity:
     the package's one place where derivatives are taken.
 
-    A handle builds one kernel.  The first-derivative table ``d1[k][i]`` is
-    made with it; the second-derivative table, on first use, lists each
-    polynomial's upper triangle as ``(i, j, d^2/dx_i dx_j)`` with i <= j, and
-    ``hessians`` mirrors it.  Derivatives never raise an exponent, so one
-    power table of a point (``powers``) serves its values, gradients and
-    Hessians.
+    A monomial is its support, ((variable, exponent), ...) in variable
+    order, and a row is (output position, [(monomial index, coefficient),
+    ...]).  Values and gradients index one shared monomial list, which
+    ``powers`` evaluates once at a point.  The Hessian table has its own
+    list, evaluated from the same power table: derivatives never raise an
+    exponent, so the polynomials' power table covers every monomial.
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int) -> None:
         self.polys = tuple(polys)
         self.nvars = nvars
-        self.p = self.polys[0].field.modulus
+        self.p = p = self.polys[0].field.modulus
         self.max_e = max_exponents(nvars, self.polys)
-        self.d1 = tuple(tuple(f.diff(i) for i in range(nvars)) for f in self.polys)
+        # a monomial's index is its insertion position
+        index: dict[tuple[tuple[int, int], ...], int] = {}
+        values: dict[int, list[tuple[int, int]]] = {}
+        firsts: dict[int, list[tuple[int, int]]] = {}
+        for k, mono, coef in _supported_terms(self.polys):
+            values.setdefault(k, []).append((index.setdefault(mono, len(index)), coef))
+            for a, (i, e) in enumerate(mono):
+                c = coef * e % p
+                if c:
+                    firsts.setdefault(k * nvars + i, []).append((index.setdefault(_lower(mono, a), len(index)), c))
+        self.monomials = tuple(index)
+        # row k is polys[k]; row k*n + i is its d/dx_i
+        self.value_rows = tuple(values.items())
+        self.gradient_rows = tuple(firsts.items())
 
     @cached_property
-    def d2(self) -> tuple[list[tuple[int, int, MultiPoly]], ...]:
-        n = self.nvars
-        return tuple([(i, j, row[i].diff(j)) for i in range(n) for j in range(i, n)] for row in self.d1)
+    def hessian_table(self) -> tuple[tuple, tuple]:
+        """(monomials, rows), with row (k*n + i)*n + j holding
+        d^2/dx_i dx_j of polys[k].  Both halves of each Hessian are listed,
+        so mirrored entries are read from identical rows."""
+        n, p = self.nvars, self.p
+        index: dict[tuple[tuple[int, int], ...], int] = {}
+        seconds: dict[int, list[tuple[int, int]]] = {}
+        for k, mono, coef in _supported_terms(self.polys):
+            for a, (i, e) in enumerate(mono):
+                red = _lower(mono, a)
+                for b, (j, ej) in enumerate(red):
+                    c = coef * e * ej % p
+                    if c:
+                        seconds.setdefault((k * n + i) * n + j, []).append(
+                            (index.setdefault(_lower(red, b), len(index)), c)
+                        )
+        return tuple(index), tuple(seconds.items())
 
-    def powers(self, point: Sequence[int]) -> list[list[int]]:
-        return power_table(point, self.max_e, self.p)
+    def powers(self, point: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+        """A point's power table and the values of the shared monomials."""
+        table = power_table(point, self.max_e, self.p)
+        return table, _monomial_values(self.monomials, table, self.p)
 
-    def values(self, powers: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        return tuple(f.evaluate_at(powers) for f in self.polys)
+    def values(self, powers) -> tuple[int, ...]:
+        return tuple(_dot_rows(self.value_rows, powers[1], len(self.polys), self.p))
 
-    def gradients(self, powers: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        # one pass over the table, regrouped per polynomial: a pass per
-        # polynomial costs a generator each, which shows on Veronese charts
-        flat = [d.evaluate_at(powers) for row in self.d1 for d in row]
+    def gradients(self, powers) -> tuple[tuple[int, ...], ...]:
+        flat = _dot_rows(self.gradient_rows, powers[1], len(self.polys) * self.nvars, self.p)
         return tuple(zip(*[iter(flat)] * self.nvars))
 
-    def hessians(self, powers: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """One Hessian per polynomial, exactly symmetric by mirroring."""
+    def hessians(self, powers) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """One Hessian per polynomial, exactly symmetric."""
         n = self.nvars
-        out = []
-        for upper in self.d2:
-            hess = [[0] * n for _ in range(n)]
-            for i, j, d in upper:
-                hess[i][j] = hess[j][i] = d.evaluate_at(powers)
-            out.append(tuple(map(tuple, hess)))
-        return tuple(out)
+        monomials, rows = self.hessian_table
+        flat = _dot_rows(rows, _monomial_values(monomials, powers[0], self.p), len(self.polys) * n * n, self.p)
+        hess_rows = zip(*[iter(flat)] * n)
+        return tuple(zip(*[hess_rows] * n))
+
+
+def _supported_terms(polys: Sequence[MultiPoly]):
+    """(k, monomial, coefficient) for every term of every polys[k]."""
+    for k, f in enumerate(polys):
+        for expo, coef in f.terms.items():
+            yield k, tuple([(i, e) for i, e in enumerate(expo) if e]), coef
+
+
+def _lower(mono: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, int], ...]:
+    """The monomial with the exponent of its a-th support variable lowered by one."""
+    i, e = mono[a]
+    return mono[:a] + ((i, e - 1),) + mono[a + 1:] if e > 1 else mono[:a] + mono[a + 1:]
+
+
+def _monomial_values(monomials, table: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Each monomial's value, from a power table of the point."""
+    out = []
+    for support in monomials:
+        v = 1
+        for i, e in support:
+            v = v * table[i][e] % p
+        out.append(v)
+    return out
+
+
+def _dot_rows(rows, mono_values: Sequence[int], size: int, p: int) -> list[int]:
+    """``size`` outputs, each its row's dot product with the monomial
+    values mod p, and 0 where there is no row."""
+    out = [0] * size
+    for pos, pairs in rows:
+        acc = 0
+        for j, c in pairs:
+            acc += c * mono_values[j]
+        out[pos] = acc % p
+    return out
 
 
 def jet2_eval(f: MultiPoly, point: Sequence[int]) -> Jet2:

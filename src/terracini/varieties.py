@@ -18,8 +18,9 @@ and so every secant dimension, need only ``point`` and ``first``, while the
 Every check that can reject a witness runs on the first-order part.
 
 Derivatives are taken in one place, ``algebra.PolyJets``: each parametric,
-plane-curve, map-image and section handle builds one kernel from its
-polynomials and reads values, gradients and Hessians from one power table.
+plane-curve, map-image and section handle compiles one kernel from its
+polynomials when it is built, and reads values, gradients and Hessians
+from it; a section over a cone compiles one more for its ruling forms.
 
 Charts are affine and a draw that lands off-chart is resampled; misses are
 measure zero over the large analysis primes.  The resample cap is 64
@@ -46,9 +47,7 @@ from .algebra import (
     exact_rank,
     inverse,
     jet2_eval,
-    max_exponents,
     normalize_point,
-    power_table,
     restrict_univariate,
     uni_roots_mod_p,
 )
@@ -381,6 +380,11 @@ def veronese(field: FieldSpec, n: int, d: int, label: str | None = None) -> Para
 
 
 def rational_normal_curve(field: FieldSpec, d: int, label: str | None = None) -> ParametricHandle:
+    # checked here, so that an error names the rnc it was asked for
+    if d < 1:
+        raise ConstructionError("rnc needs d >= 1")
+    if d > AMBIENT_CAP:
+        raise ConstructionError(f"rnc({d}) ambient dimension exceeds cap {AMBIENT_CAP}")
     handle = veronese(field, 1, d, label=label or f"rnc-{d}")
     handle.blueprint = {"constructor": "rnc", "d": d}
     return handle
@@ -720,10 +724,11 @@ class SectionHandle(VarietyHandle):
 
     Over a cone, the restriction to a ruling happens once per handle: the
     constructor expands each constraint as g(y + V mu), grouped into
-    coefficient polynomials in y per mu-monomial, and a draw only evaluates
-    those at its base point y.  The restriction to a random line (in mu over
-    a cone, in the chart over a parametric base) depends on the draw and is
-    made per draw, on coefficient lists (``restrict_univariate``).
+    coefficient polynomials in y per mu-monomial and compiled into one
+    kernel, and a draw only evaluates those at its base point y.  The
+    restriction to a random line (in mu over a cone, in the chart over a
+    parametric base) depends on the draw and is made per draw, on
+    coefficient lists (``restrict_univariate``).
     """
 
     kind = "section"
@@ -751,7 +756,7 @@ class SectionHandle(VarietyHandle):
                 )
         self.jets = PolyJets(self.constraints, base.ambient_r + 1)
         if isinstance(base, ConeHandle):
-            self._ruling_forms, self._ruling_max_e = _ruling_forms(self.constraints, base.vertex)
+            self._ruling_keys, self._ruling_jets = _ruling_forms(self.constraints, base.vertex)
 
     @property
     def chart_dim(self) -> int:
@@ -852,17 +857,12 @@ class SectionHandle(VarietyHandle):
     def _restrict_to_ruling(self, y: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
         """The nonzero terms, keyed by mu-exponent, of each constraint
         restricted to the ruling x = y + V mu: its mu-coefficients evaluated
-        at y, from one power table."""
-        p = self.field.modulus
-        powers = power_table(y, self._ruling_max_e, p)
-        out = []
-        for forms in self._ruling_forms:
-            terms = {}
-            for mu_e, coeff in forms:
-                c = coeff.evaluate_at(powers)
-                if c:
-                    terms[mu_e] = c
-            out.append(terms)
+        at y by one compiled kernel."""
+        jets = self._ruling_jets
+        out: list[dict[tuple[int, ...], int]] = [{} for _ in self.constraints]
+        for (g, mu_e), c in zip(self._ruling_keys, jets.values(jets.powers(y))):
+            if c:
+                out[g][mu_e] = c
         return out
 
     def reevaluate(self, w: Witness) -> tuple[int, ...]:
@@ -912,8 +912,9 @@ class SectionHandle(VarietyHandle):
 
 def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix):
     """Each constraint g as g(y + V mu), a polynomial in (y, mu), with its
-    terms grouped by mu-monomial into coefficient polynomials in y; and the
-    largest exponent of each y variable among them."""
+    terms grouped by mu-monomial into coefficient polynomials in y: the
+    (constraint index, mu-exponent) of each coefficient polynomial, and one
+    kernel over them in the same order."""
     field = vertex.field
     r1, m = vertex.rows, vertex.cols
     y_vars = [MultiPoly.variable(field, r1 + m, i) for i in range(r1)]
@@ -924,14 +925,15 @@ def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix):
         for j in range(m):
             c = c + mu_vars[j] * vertex[i, j]
         coords.append(c)
-    forms = []
-    for g in constraints:
+    keys, coeffs = [], []
+    for k, g in enumerate(constraints):
         grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for expo, coef in g.compose(coords).terms.items():
             grouped.setdefault(expo[r1:], {})[expo[:r1]] = coef
-        forms.append(tuple((mu_e, MultiPoly(field, r1, ys)) for mu_e, ys in grouped.items()))
-    max_e = max_exponents(r1, (coeff for f in forms for _, coeff in f))
-    return tuple(forms), max_e
+        for mu_e, ys in grouped.items():
+            keys.append((k, mu_e))
+            coeffs.append(MultiPoly(field, r1, ys))
+    return tuple(keys), PolyJets(coeffs, r1)
 
 
 def _unit(m: int, j: int) -> tuple[int, ...]:
@@ -1149,14 +1151,6 @@ CONSTRUCTORS: dict[str, tuple[dict, Callable[..., VarietyHandle]]] = {
 ROOT_ONLY = ("tangential_projection",)
 
 
-def _constructor(node: dict, error: type[Exception]) -> tuple[dict, Callable[..., VarietyHandle]]:
-    """The table entry a tree node names; ``error`` when it names none."""
-    kind = node.get("constructor")
-    if not isinstance(kind, str) or kind not in CONSTRUCTORS:
-        raise error(f"unknown constructor {kind!r}")
-    return CONSTRUCTORS[kind]
-
-
 def check_tree(node, root: bool = True) -> None:
     """Check a variety tree against ``CONSTRUCTORS`` before anything is
     built: every node names a constructor, has exactly its keys, every key
@@ -1164,8 +1158,10 @@ def check_tree(node, root: bool = True) -> None:
     Raises ``ConfigError``."""
     if not isinstance(node, dict):
         raise ConfigError(f"constructor node must be an object, got {type(node).__name__}")
-    keys, _ = _constructor(node, ConfigError)
-    kind = node["constructor"]
+    kind = node.get("constructor")
+    if not isinstance(kind, str) or kind not in CONSTRUCTORS:
+        raise ConfigError(f"unknown constructor {kind!r}")
+    keys, _ = CONSTRUCTORS[kind]
     if kind in ROOT_ONLY and not root:
         raise ConfigError(f"constructor {kind!r} is allowed only at the root of a variety tree")
     missing = [k for k in keys if k not in node]
@@ -1189,10 +1185,21 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
     the subtree it was built from as its ``blueprint``.  So the same tree
     reduces consistently into every working prime, which is what makes
     small-prime enumeration and cross-prime dimension checks talk about the
-    same variety.  The tree is taken as checked (``check_tree``).
+    same variety.  The whole tree is checked (``check_tree``) before
+    anything is built or drawn; a tree that fails raises
+    ``ConstructionError`` with its message.
     """
-    keys, make = _constructor(blueprint, ConstructionError)
-    base = build(blueprint["base"], field, rng) if "base" in keys else None
-    handle = make(blueprint, base, field, rng, label)
-    handle.blueprint = blueprint
+    try:
+        check_tree(blueprint)
+    except ConfigError as exc:
+        raise ConstructionError(str(exc)) from exc
+    return _build(blueprint, field, rng, label)
+
+
+def _build(node: dict, field: FieldSpec, rng: random.Random, label: str | None = None) -> VarietyHandle:
+    """``build`` on a checked tree: the node's base first, then the node."""
+    keys, make = CONSTRUCTORS[node["constructor"]]
+    base = _build(node["base"], field, rng) if "base" in keys else None
+    handle = make(node, base, field, rng, label)
+    handle.blueprint = node
     return handle

@@ -262,7 +262,7 @@ def jet2_by_term_bookkeeping(f: MultiPoly, point) -> Jet2:
     """Exact 2-jet of f at point by term-wise exponent bookkeeping.
 
     The library's former ``jet2_eval`` body, kept verbatim as the reference
-    for the derivative-table kernel (``algebra.PolyJets``): it never builds a
+    for the compiled jet kernel (``algebra.PolyJets``): it never builds a
     derivative polynomial, and reads each monomial's partials off its
     exponents.
     """
@@ -311,18 +311,62 @@ def jet2_by_term_bookkeeping(f: MultiPoly, point) -> Jet2:
     )
 
 
-def jet_by_symbolic_diff(f: MultiPoly, point):
-    """(value, gradient, hessian) via explicit derivative polynomials.
+def ruling_restriction_by_terms(terms, vertex_columns, y, p: int) -> dict[tuple[int, ...], int]:
+    """g(y + V mu) as {mu-exponent: coefficient}, nonzero coefficients only,
+    for g = sum coef * x^expo given as integer (coefficient, exponents)
+    pairs, a vertex V given by its integer columns, and a point y.
 
-    This is the same method as the library's ``PolyJets`` kernel (derivative
-    polynomials from ``MultiPoly.diff``, then evaluation), so it is not an
-    independent check of it; ``jet2_by_term_bookkeeping`` is."""
+    Each term is expanded on its own as a product of linear forms
+    y_i + sum_j V_ij mu_j, on plain dicts of integers: it imports nothing
+    from the package and never groups terms by mu-monomial ahead of time.
+    """
+    m = len(vertex_columns)
+    zero = (0,) * m
+    linear = []
+    for i, yi in enumerate(y):
+        form = {zero: yi % p}
+        for j, col in enumerate(vertex_columns):
+            if col[i] % p:
+                form[tuple(int(a == j) for a in range(m))] = col[i] % p
+        linear.append(form)
+    out: dict[tuple[int, ...], int] = {}
+    for coef, expo in terms:
+        acc = {zero: coef % p}
+        for form, e in zip(linear, expo):
+            for _ in range(e):
+                prod_terms: dict[tuple[int, ...], int] = {}
+                for e1, c1 in acc.items():
+                    for e2, c2 in form.items():
+                        key = tuple(a + b for a, b in zip(e1, e2))
+                        prod_terms[key] = (prod_terms.get(key, 0) + c1 * c2) % p
+                acc = prod_terms
+        for key, c in acc.items():
+            out[key] = (out.get(key, 0) + c) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def _diff(f: MultiPoly, index: int) -> MultiPoly:
+    """d f / d x_index as a polynomial, by the power rule term by term."""
+    acc: dict[tuple[int, ...], int] = {}
+    for expo, coef in f.terms.items():
+        e = expo[index]
+        if e:
+            key = expo[:index] + (e - 1,) + expo[index + 1:]
+            acc[key] = acc.get(key, 0) + coef * e
+    return MultiPoly(f.field, f.nvars, acc)
+
+
+def jet_by_symbolic_diff(f: MultiPoly, point):
+    """(value, gradient, hessian) via explicit derivative polynomials, each
+    evaluated on its own with ``MultiPoly.evaluate``.  The library's
+    compiled ``PolyJets`` kernel never builds a derivative polynomial;
+    ``jet2_by_term_bookkeeping`` stays the reference it is tested against."""
     n = f.nvars
     value = f.evaluate(point)
-    firsts = [f.diff(i) for i in range(n)]
+    firsts = [_diff(f, i) for i in range(n)]
     grad = tuple(g.evaluate(point) for g in firsts)
     hess = tuple(
-        tuple(firsts[i].diff(j).evaluate(point) for j in range(n)) for i in range(n)
+        tuple(_diff(firsts[i], j).evaluate(point) for j in range(n)) for i in range(n)
     )
     return value, grad, hess
 

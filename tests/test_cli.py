@@ -57,6 +57,7 @@ NESTED_PROJECTION = {
         "vertex": [[0] * 10 + [1]],
     }
 }
+RNC_PAST_CAP = {"variety": {"constructor": "rnc", "d": 100000000}}
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,7 @@ NESTED_PROJECTION = {
         {"variety": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 2}, "points": 3}},
         # past the ambient cap, refused before the monomials are listed
         {"variety": {"constructor": "veronese", "n": 14, "d": 14}},
-        {"variety": {"constructor": "rnc", "d": 100000000}},
+        RNC_PAST_CAP,
         {"variety": {"constructor": "veronese", "n": 10**18, "d": 2}},
     ],
 )
@@ -116,6 +117,9 @@ def test_invalid_configs_exit_2(tmp_path, capsys, payload):
     )
     assert code == 2
     assert err.startswith("terracini:")
+    if payload is RNC_PAST_CAP:
+        # the error names the constructor the tree asked for
+        assert "rnc(100000000) ambient dimension exceeds cap 120" in err
 
 
 def test_readme_constructors_line_matches_the_table():

@@ -8,7 +8,7 @@ import pytest
 
 from terracini import algebra, cli, varieties
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
-from terracini.errors import ConstructionError, DegenerateWitness
+from terracini.errors import ConfigError, ConstructionError, DegenerateWitness
 from terracini.instances import SUITE_MEMBERS, builtin, builtin_blueprint
 from terracini.secant import tangential_projection, terracini_dim
 from terracini.varieties import (
@@ -24,7 +24,7 @@ from terracini.varieties import (
     veronese,
 )
 
-from oracles import fermat_cubic_points, rank_by_reverse_echelon
+from oracles import fermat_cubic_points, rank_by_reverse_echelon, ruling_restriction_by_terms
 from test_cli import PINNED_TREES
 
 F = FieldSpec.prime(2147483647)
@@ -186,13 +186,20 @@ def test_quadratic_map_taylor_is_exact():
 
 
 class _Poisoned:
-    def evaluate_at(self, powers):
+    """A coefficient of the compiled Hessian table: evaluating its entry
+    multiplies it by a monomial value."""
+
+    def __mul__(self, other):
         raise AssertionError("a second derivative was evaluated")
+
+    __rmul__ = __mul__
 
 
 def _poison_second_derivatives(handle):
     jets = handle.jets
-    jets.d2 = tuple([(i, j, _Poisoned()) for i, j, _ in upper] for upper in jets.d2)
+    monomials, rows = jets.hessian_table
+    assert rows, "a kernel without second derivatives proves nothing here"
+    jets.hessian_table = (monomials, tuple((pos, [(j, _Poisoned()) for j, _ in pairs]) for pos, pairs in rows))
 
 
 def _kernel_layers(handle):
@@ -326,6 +333,63 @@ def test_ruling_form_matches_direct_restriction(name):
         assert x._restrict_to_ruling(y) == direct
 
 
+@pytest.mark.parametrize("name", ["counter1", "counter3-n3"])
+def test_compiled_ruling_restriction_matches_term_by_term_oracle(name):
+    """The compiled restriction to a ruling agrees with each constraint
+    expanded term by term as g(y + V mu) on plain integers, at the vertex
+    (y = 0), at random points and at points of the base curve's image."""
+    x = cli._construct(cli.RunConfig({"variety": name}))
+    if name == "counter3-n3":
+        x = generic_hyperplane_section(x, random.Random(6))
+    p, vertex = x.field.modulus, x.base.vertex
+    columns = [list(col) for col in vertex.columns()]
+    terms = [[(c, e) for e, c in g.terms.items()] for g in x.constraints]
+    base = x.base.base
+    rng = random.Random(2718)
+    points = [[0] * (x.ambient_r + 1)]
+    points += [[rng.randrange(p) for _ in range(x.ambient_r + 1)] for _ in range(4)]
+    points += [list(base.reevaluate(base.sample(rng))) for _ in range(4)]
+    for y in points:
+        expected = [ruling_restriction_by_terms(t, columns, y, p) for t in terms]
+        assert x._restrict_to_ruling(y) == expected
+
+
+def test_compiled_veronese_kernel_stores_only_nonzero_derivatives():
+    """v_2(P^14) has 120 coordinates in 14 chart variables: 1,680 first
+    derivatives, of which only the 14 + 196 of the linear and quadratic
+    monomials are nonzero, and 196 nonzero Hessian entries."""
+    jets = veronese(F, 14, 2).jets
+    assert len(jets.value_rows) == 120
+    assert len(jets.monomials) == 120
+    assert len(jets.gradient_rows) == 210
+    assert all(len(pairs) == 1 for _, pairs in jets.gradient_rows)
+    assert "hessian_table" not in vars(jets)  # compiled on first use only
+    monomials, rows = jets.hessian_table
+    assert len(rows) == 14 + 2 * 91 and monomials == ((),)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"constructor": "veronese", "n": "2", "d": 2},
+        {"constructor": "veronese", "n": 2},
+        {"constructor": "cone", "base": {"constructor": "rnc", "d": 2}, "vertex": 5},
+    ],
+)
+def test_build_rejects_an_unchecked_tree_before_any_draw(tree):
+    """A library caller that skips config validation gets the config
+    check's message as a ``ConstructionError``, not a bare Python error,
+    and nothing is drawn from its rng."""
+    with pytest.raises(ConfigError) as checked:
+        varieties.check_tree(tree)
+    rng = random.Random(9)
+    state = rng.getstate()
+    with pytest.raises(ConstructionError) as built:
+        build(tree, F, rng)
+    assert str(built.value) == str(checked.value)
+    assert rng.getstate() == state
+
+
 def test_off_section_witness_is_rejected():
     rng = random.Random(5150)
     K = cone_over_embedded_curve(rng)
@@ -373,10 +437,11 @@ def test_veronese_cap_is_checked_before_listing_monomials(monkeypatch):
     for make in (
         lambda: veronese(F, 14, 14),
         lambda: veronese(F, 10**18, 10**18),
-        lambda: rational_normal_curve(F, 10**8),
     ):
         with pytest.raises(ConstructionError, match="exceeds cap 120"):
             make()
+    with pytest.raises(ConstructionError, match=r"^rnc\(100000000\) ambient dimension exceeds cap 120$"):
+        rational_normal_curve(F, 10**8)
 
 
 def test_cone_and_section_span_bookkeeping():
@@ -452,14 +517,15 @@ def test_build_keeps_the_given_subtree_at_every_node(name, monkeypatch):
     the subtree it was built from, not one re-derived from reduced field
     data: a -1 stays -1, and reduces to p - 1 over every enumeration prime."""
     tree = BLUEPRINT_TREES[name]
-    built, real_build = [], varieties.build
+    built, real_build = [], varieties._build
 
     def recording_build(blueprint, field, rng, label=None):
         handle = real_build(blueprint, field, rng, label)
         built.append((blueprint, handle))
         return handle
 
-    monkeypatch.setattr(varieties, "build", recording_build)
+    # ``build`` checks the tree once, then builds every node through ``_build``
+    monkeypatch.setattr(varieties, "_build", recording_build)
     x = varieties.build(tree, F, random.Random(3))
     depth, node = 0, tree
     while node is not None:
