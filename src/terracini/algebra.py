@@ -21,13 +21,20 @@ plain int rows; both paths hand back the same int rows.  Every affine solve
 is read off it in one place, ``LinearSystem``, which reduces a constant
 matrix once for its rank, its kernel and any number of right-hand sides.
 
-Every derivative is taken in one kernel, ``PolyJets``, compiled once per
-tuple of polynomials: each nonzero value, gradient entry and Hessian entry
-is a sparse row of (monomial index, coefficient) pairs read straight off the
-terms, and an identically zero output has no row and costs nothing.  At a
-point each monomial is evaluated once, and every output is a short dot
-product mod p.  Hessian rows are compiled on first use, so first-order work
-(tangent frames, and so every secant dimension) never builds them.
+Every derivative is taken in one kernel, ``PolyJets``, and every order,
+values included, is compiled by one routine, ``_derivative_rows``: each
+nonzero output is a sparse row of (monomial index, coefficient) pairs read
+straight off the terms, and an identically zero output has no row and costs
+nothing.  One routine, ``_evaluate``, reads any order at a point: each
+monomial once, then a short dot product mod p per output.  Each order is
+compiled on first read, so first-order work (tangent frames, and so every
+secant dimension) never builds Hessian rows, and a kernel that only
+evaluates builds neither.
+
+Univariate polynomials are coefficient lists, lowest degree first.  One
+long division, ``_poly_divmod``, serves the gcd and the exact quotients of
+the root finder, ``uni_roots_mod_p``, which takes the list that
+``restrict_univariate`` returns.
 """
 
 from __future__ import annotations
@@ -791,79 +798,78 @@ class PolyJets:
     """Values, gradients and Hessians of a tuple of polynomials in one arity:
     the package's one place where derivatives are taken.
 
-    A monomial is its support, ((variable, exponent), ...) in variable
-    order, and a row is (output position, [(monomial index, coefficient),
-    ...]).  Values and gradients index one shared monomial list, which
-    ``powers`` evaluates once at a point.  The Hessian table has its own
-    list, evaluated from the same power table: derivatives never raise an
-    exponent, so the polynomials' power table covers every monomial.
+    Each order is one table, ``_derivative_rows``' (monomials, rows),
+    compiled on first read, so a kernel builds only the orders its callers
+    read.  ``powers`` gives a point's power table, and ``_evaluate`` reads
+    every order from it: derivatives never raise an exponent, so the
+    polynomials' power table covers every monomial of every order.
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int) -> None:
         self.polys = tuple(polys)
         self.nvars = nvars
-        self.p = p = self.polys[0].field.modulus
+        self.p = self.polys[0].field.modulus
         self.max_e = max_exponents(nvars, self.polys)
-        # a monomial's index is its insertion position
-        index: dict[tuple[tuple[int, int], ...], int] = {}
-        values: dict[int, list[tuple[int, int]]] = {}
-        firsts: dict[int, list[tuple[int, int]]] = {}
-        for k, mono, coef in _supported_terms(self.polys):
-            values.setdefault(k, []).append((index.setdefault(mono, len(index)), coef))
-            for a, (i, e) in enumerate(mono):
-                c = coef * e % p
-                if c:
-                    firsts.setdefault(k * nvars + i, []).append((index.setdefault(_lower(mono, a), len(index)), c))
-        self.monomials = tuple(index)
-        # row k is polys[k]; row k*n + i is its d/dx_i
-        self.value_rows = tuple(values.items())
-        self.gradient_rows = tuple(firsts.items())
+
+    @cached_property
+    def value_table(self) -> tuple[tuple, tuple]:
+        return _derivative_rows(self.polys, self.nvars, self.p, 0)
+
+    @cached_property
+    def gradient_table(self) -> tuple[tuple, tuple]:
+        return _derivative_rows(self.polys, self.nvars, self.p, 1)
 
     @cached_property
     def hessian_table(self) -> tuple[tuple, tuple]:
-        """(monomials, rows), with row (k*n + i)*n + j holding
-        d^2/dx_i dx_j of polys[k].  Both halves of each Hessian are listed,
-        so mirrored entries are read from identical rows."""
-        n, p = self.nvars, self.p
-        index: dict[tuple[tuple[int, int], ...], int] = {}
-        seconds: dict[int, list[tuple[int, int]]] = {}
-        for k, mono, coef in _supported_terms(self.polys):
-            for a, (i, e) in enumerate(mono):
-                red = _lower(mono, a)
-                for b, (j, ej) in enumerate(red):
-                    c = coef * e * ej % p
-                    if c:
-                        seconds.setdefault((k * n + i) * n + j, []).append(
-                            (index.setdefault(_lower(red, b), len(index)), c)
-                        )
-        return tuple(index), tuple(seconds.items())
+        return _derivative_rows(self.polys, self.nvars, self.p, 2)
 
-    def powers(self, point: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-        """A point's power table and the values of the shared monomials."""
-        table = power_table(point, self.max_e, self.p)
-        return table, _monomial_values(self.monomials, table, self.p)
+    def powers(self, point: Sequence[int]) -> list[list[int]]:
+        return power_table(point, self.max_e, self.p)
 
     def values(self, powers) -> tuple[int, ...]:
-        return tuple(_dot_rows(self.value_rows, powers[1], len(self.polys), self.p))
+        return tuple(_evaluate(self.value_table, powers, len(self.polys), self.p))
 
     def gradients(self, powers) -> tuple[tuple[int, ...], ...]:
-        flat = _dot_rows(self.gradient_rows, powers[1], len(self.polys) * self.nvars, self.p)
+        flat = _evaluate(self.gradient_table, powers, len(self.polys) * self.nvars, self.p)
         return tuple(zip(*[iter(flat)] * self.nvars))
 
     def hessians(self, powers) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """One Hessian per polynomial, exactly symmetric."""
         n = self.nvars
-        monomials, rows = self.hessian_table
-        flat = _dot_rows(rows, _monomial_values(monomials, powers[0], self.p), len(self.polys) * n * n, self.p)
+        flat = _evaluate(self.hessian_table, powers, len(self.polys) * n * n, self.p)
         hess_rows = zip(*[iter(flat)] * n)
         return tuple(zip(*[hess_rows] * n))
 
 
-def _supported_terms(polys: Sequence[MultiPoly]):
-    """(k, monomial, coefficient) for every term of every polys[k]."""
-    for k, f in enumerate(polys):
-        for expo, coef in f.terms.items():
-            yield k, tuple([(i, e) for i, e in enumerate(expo) if e]), coef
+def _derivative_rows(polys: Sequence[MultiPoly], nvars: int, p: int, order: int) -> tuple[tuple, tuple]:
+    """(monomials, rows) of every nonzero partial derivative of the given
+    order of each polys[k]: row (..(k*n + i_1)*n + ..)*n + i_order holds
+    d/dx_i_1 .. d/dx_i_order of polys[k].
+
+    A monomial is its support, ((variable, exponent), ...) in variable
+    order, and its index is its first position in the list; a row is
+    (output position, [(monomial index, coefficient), ...]), read straight
+    off the terms, and an identically zero output has no row.  Every
+    ordering of the variables is listed, so mixed partials that agree are
+    read from identical rows.
+    """
+    partials = [
+        (k, tuple([(i, e) for i, e in enumerate(expo) if e]), coef)
+        for k, f in enumerate(polys)
+        for expo, coef in f.terms.items()
+    ]
+    for _ in range(order):
+        partials = [
+            (pos * nvars + i, _lower(mono, a), c * e % p)
+            for pos, mono, c in partials
+            for a, (i, e) in enumerate(mono)
+        ]
+    index: dict[tuple[tuple[int, int], ...], int] = {}
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for pos, mono, c in partials:
+        if c:
+            rows.setdefault(pos, []).append((index.setdefault(mono, len(index)), c))
+    return tuple(index), tuple(rows.items())
 
 
 def _lower(mono: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, int], ...]:
@@ -872,25 +878,22 @@ def _lower(mono: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, int], 
     return mono[:a] + ((i, e - 1),) + mono[a + 1:] if e > 1 else mono[:a] + mono[a + 1:]
 
 
-def _monomial_values(monomials, table: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Each monomial's value, from a power table of the point."""
-    out = []
+def _evaluate(table: tuple[tuple, tuple], powers: Sequence[Sequence[int]], size: int, p: int) -> list[int]:
+    """``size`` outputs of a (monomials, rows) table at a point, from its
+    power table: each monomial's value once, then each row's dot product
+    with those values mod p, and 0 where there is no row."""
+    monomials, rows = table
+    values = []
     for support in monomials:
         v = 1
         for i, e in support:
-            v = v * table[i][e] % p
-        out.append(v)
-    return out
-
-
-def _dot_rows(rows, mono_values: Sequence[int], size: int, p: int) -> list[int]:
-    """``size`` outputs, each its row's dot product with the monomial
-    values mod p, and 0 where there is no row."""
+            v = v * powers[i][e] % p
+        values.append(v)
     out = [0] * size
     for pos, pairs in rows:
         acc = 0
         for j, c in pairs:
-            acc += c * mono_values[j]
+            acc += c * values[j]
         out[pos] = acc % p
     return out
 
@@ -907,8 +910,10 @@ def jet2_eval(f: MultiPoly, point: Sequence[int]) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = None) -> frozenset[int]:
-    """All roots in F_p of a nonzero univariate polynomial.
+def uni_roots_mod_p(coeffs: Sequence[int], p: int, rng: random.Random | None = None) -> frozenset[int]:
+    """All roots in F_p of the nonzero univariate polynomial with these
+    coefficients, lowest degree first (as ``restrict_univariate`` returns
+    them); entries are reduced mod p and trailing zeros dropped.
 
     Splits off the product of linear factors with gcd(f, x^p - x), then
     isolates single roots by randomized equal-degree splitting (Cantor and
@@ -917,20 +922,25 @@ def uni_roots_mod_p(f: MultiPoly, field: FieldSpec, rng: random.Random | None = 
     significant bit of the exponent down: a square at every bit, and at a
     set bit one multiplication by x + a, which is a shift plus a single
     reduction step.  The random shifts only steer the recursion; the
-    returned set is a deterministic function of f.
+    returned set is a deterministic function of the polynomial.
     """
-    if f.field != field:
-        raise FieldMismatchError("polynomial field differs")
-    if f.nvars != 1:
-        raise ConstructionError("univariate polynomial required")
-    if f.is_zero():
+    coeffs = _poly_trim([c % p for c in coeffs])
+    if not coeffs:
         raise ConstructionError("zero polynomial has every root")
+    if len(coeffs) == 1:
+        return frozenset()
     if rng is None:
         rng = random.Random(0xC0FFEE)
-    coeffs = [0] * (f.total_degree() + 1)
-    for expo, coef in f.terms.items():
-        coeffs[expo[0]] = coef
-    return frozenset(_roots_int(coeffs, field.modulus, rng))
+    # product of distinct linear factors: gcd(f, x^p - x)
+    coeffs = _poly_monic(coeffs, p)
+    xp_minus_x = _linear_power_mod(0, p, coeffs, p)
+    while len(xp_minus_x) < 2:
+        xp_minus_x.append(0)
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    g = _poly_gcd(coeffs, _poly_trim(xp_minus_x), p)
+    out: set[int] = set()
+    _split_linear(g, p, rng, out)
+    return frozenset(out)
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -951,17 +961,21 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return [c % p for c in out]
 
 
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = a[:]
+def _poly_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, both trimmed, of a by the trimmed nonzero m:
+    a = q m + r with deg r < deg m."""
+    r = a[:]
+    q = [0] * max(len(a) - len(m) + 1, 0)
     inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        factor = a[-1] * inv_lead % p
+    while len(r) >= len(m):
+        factor = r[-1] * inv_lead % p
         if factor:
-            shift = len(a) - len(m)
+            shift = len(r) - len(m)
+            q[shift] = factor
             for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - factor * c) % p
-        a.pop()
-    return _poly_trim(a)
+                r[shift + i] = (r[shift + i] - factor * c) % p
+        r.pop()
+    return _poly_trim(q), _poly_trim(r)
 
 
 def _poly_monic(m: list[int], p: int) -> list[int]:
@@ -1001,26 +1015,8 @@ def _linear_power_mod(a: int, e: int, m: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     return _poly_monic(a, p) if a else a
-
-
-def _roots_int(coeffs: list[int], p: int, rng: random.Random) -> set[int]:
-    coeffs = _poly_trim([c % p for c in coeffs])
-    if not coeffs:
-        raise ConstructionError("zero polynomial")
-    if len(coeffs) == 1:
-        return set()
-    # product of distinct linear factors: gcd(f, x^p - x)
-    coeffs = _poly_monic(coeffs, p)
-    xp_minus_x = _linear_power_mod(0, p, coeffs, p)
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _poly_gcd(coeffs, _poly_trim(xp_minus_x), p)
-    out: set[int] = set()
-    _split_linear(g, p, rng, out)
-    return out
 
 
 def _split_linear(g: list[int], p: int, rng: random.Random, out: set[int]) -> None:
@@ -1051,26 +1047,8 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: set[int]) -> No
         h = _poly_gcd(_poly_trim(probe), g, p)
         if 0 < len(h) - 1 < deg:
             _split_linear(h, p, rng, out)
-            _split_linear(_poly_divide_exact(g, h, p), p, rng, out)
+            _split_linear(_poly_divmod(g, h, p)[0], p, rng, out)
             return
-
-
-def _poly_divide_exact(a: list[int], b: list[int], p: int) -> list[int]:
-    """Quotient a / b when the division is exact (b monic divides a)."""
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        factor = a[-1] * inv_lead % p
-        out[len(a) - len(b)] = factor
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        a.pop()
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(out)
 
 
 def _sqrt_mod(n: int, p: int) -> int:

@@ -46,9 +46,11 @@ from .algebra import (
     uni_roots_mod_p,
 )
 from .errors import BudgetExhausted, ConfigError, DegenerateWitness
+from .instances import ENUM_PRIMES
 from .secant import tangential_projection
 from .seeding import derive_rng
 from .varieties import (
+    MAX_RESAMPLE,
     ConeHandle,
     ImplicitPlaneCurveHandle,
     MapImageHandle,
@@ -71,7 +73,7 @@ __all__ = [
 
 ENUM_BUDGET = 10_000_000
 DEFAULT_FIBER_TRIALS = 5
-DEFAULT_FIBER_PRIMES = (1009, 2003, 3001)
+DEFAULT_FIBER_PRIMES = ENUM_PRIMES
 MAX_PROBE_RETRIES = 64
 # image witnesses at which the functoriality check compares tangent frames
 FUNCTORIALITY_WITNESSES = 3
@@ -317,7 +319,6 @@ class _RulingScan:
 
     def __init__(self, x: SectionHandle, proj: Matrix, budget: int) -> None:
         self.x = x
-        self.fp = x.field
         self.p = x.field.modulus
         self.kone, self.emb = x.base, x.base.base
         self.m = self.kone.m
@@ -365,7 +366,7 @@ class _RulingScan:
         """Candidate vertex coefficients on the ruling over y: the particular
         solution itself, or the leftover freedom pushed through the cutting
         polynomial when the proportionality system is rank-deficient."""
-        fp, p = self.fp, self.p
+        p = self.p
         if not basis:
             return [part]
         if len(basis) > 1:
@@ -393,7 +394,7 @@ class _RulingScan:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
                 raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            roots = sorted(uni_roots_mod_p(MultiPoly.univariate(fp, restricted), fp))
+            roots = sorted(uni_roots_mod_p(restricted, p))
             if not out:
                 out = [mu_at(r) for r in roots]
             else:
@@ -421,7 +422,7 @@ class _RulingScan:
 
 
 def _probe_q(xp: VarietyHandle, proj: Matrix, rng: random.Random) -> list[int]:
-    for _ in range(64):
+    for _ in range(MAX_RESAMPLE):
         w = xp.sample(rng)
         img = proj.matvec(xp.reevaluate(w))
         if any(img):

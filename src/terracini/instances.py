@@ -15,12 +15,11 @@ part of the instance identity; changing a tag changes the instance.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .algebra import FieldSpec
 from .errors import ConfigError
 from .seeding import derive_rng
-from .varieties import VarietyHandle, build
+from .varieties import VarietyHandle, _monomial_exponents, _unit, build
 
 __all__ = [
     "ANALYSIS_PRIME",
@@ -57,11 +56,9 @@ def analysis_field(alt: bool = False) -> FieldSpec:
 
 
 def _degree_monomials(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree d in nvars >= 1 variables, in
-    ascending lexicographic order."""
-    if nvars == 1:
-        return [(d,)]
-    return [(a,) + rest for a in range(d + 1) for rest in _degree_monomials(nvars - 1, d - a)]
+    """Exponent tuples of total degree d, in ascending lexicographic order:
+    the top degree of the graded-lex list."""
+    return [e for e in _monomial_exponents(nvars, d) if sum(e) == d]
 
 
 def _pinned_stream(tag: str) -> random.Random:
@@ -79,12 +76,6 @@ def _fermat_cubic_bp() -> dict:
         "terms": [[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]]],
         "genus_hint": 1,
     }
-
-
-def _unit_column(length: int, index: int) -> list[int]:
-    col = [0] * length
-    col[index] = 1
-    return col
 
 
 def _cone_instance_bp(
@@ -108,7 +99,7 @@ def _cone_instance_bp(
     coned = {
         "constructor": "cone",
         "base": embedded,
-        "vertex": [_unit_column(width, n_forms + j) for j in range(vertex_cols)],
+        "vertex": [list(_unit(width, n_forms + j)) for j in range(vertex_cols)],
     }
     return {
         "constructor": "hypersurface_section",

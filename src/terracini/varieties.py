@@ -18,9 +18,11 @@ and so every secant dimension, need only ``point`` and ``first``, while the
 Every check that can reject a witness runs on the first-order part.
 
 Derivatives are taken in one place, ``algebra.PolyJets``: each parametric,
-plane-curve, map-image and section handle compiles one kernel from its
-polynomials when it is built, and reads values, gradients and Hessians
-from it; a section over a cone compiles one more for its ruling forms.
+plane-curve, map-image and section handle keeps one kernel over its
+polynomials and reads values, gradients and Hessians from it, and a section
+over a cone keeps one more for its ruling forms.  A kernel compiles each
+order on first read, so the ruling kernel, which only evaluates, compiles
+values only.
 
 Charts are affine and a draw that lands off-chart is resampled; misses are
 measure zero over the large analysis primes.  The resample cap is 64
@@ -290,7 +292,7 @@ def _random_root(g: MultiPoly, line: Sequence[Sequence[int]], rng: random.Random
     restricted = restrict_univariate(g, line)
     if len(restricted) < 2:
         return None
-    roots = sorted(uni_roots_mod_p(MultiPoly.univariate(g.field, restricted), g.field, rng))
+    roots = sorted(uni_roots_mod_p(restricted, g.field.modulus, rng))
     if not roots:
         return None
     return rng.choice(roots)

@@ -4,8 +4,9 @@ Each routine recomputes a quantity along a different code path than the
 library: ranks by minor expansion, roots by brute scan, jets by term-wise
 exponent bookkeeping.  Nothing here imports library elimination or jet
 internals; the root-finder reference shares only the univariate gcd, trim,
-exact division and square root with the library, and the jet reference only
-the power table and the ``Jet2`` container.
+long division (``_poly_divmod``, for its exact quotients and inside the
+gcd) and square root with the library, and the jet reference only the power
+table and the ``Jet2`` container.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from terracini.algebra import (
     FieldSpec,
     Jet2,
     MultiPoly,
-    _poly_divide_exact,
+    _poly_divmod,
     _poly_gcd,
     _poly_trim,
     _sqrt_mod,
@@ -248,7 +249,7 @@ def _split_linear_reference(g: list[int], p: int, rng, out: set[int]) -> None:
         h = _poly_gcd(_poly_trim(probe), g, p)
         if 0 < len(h) - 1 < deg:
             _split_linear_reference(h, p, rng, out)
-            _split_linear_reference(_poly_divide_exact(g, h, p), p, rng, out)
+            _split_linear_reference(_poly_divmod(g, h, p)[0], p, rng, out)
             return
 
 

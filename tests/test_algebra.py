@@ -21,6 +21,7 @@ from terracini.algebra import (
     _gauss_jordan,
     _gauss_jordan_lists,
     _linear_power_mod,
+    _poly_divmod,
     _poly_monic,
     dot,
     exact_rank,
@@ -37,6 +38,7 @@ from oracles import (
     affine_solve_reference,
     jet2_by_term_bookkeeping,
     jet_by_symbolic_diff,
+    poly_mod,
     poly_powmod,
     rank_by_minors,
     rank_by_reverse_echelon,
@@ -549,7 +551,7 @@ def test_roots_match_bruteforce_scan_on_pinned_cubic():
     rng = random.Random(2024)
     coeffs = [rng.randrange(1009) for _ in range(3)] + [1]  # monic cubic
     f = _uni(F1009, coeffs)
-    assert uni_roots_mod_p(f, F1009) == roots_by_scan(f, F1009)
+    assert uni_roots_mod_p(coeffs, 1009) == roots_by_scan(f, F1009)
 
 
 def test_roots_of_factored_cubic():
@@ -558,34 +560,46 @@ def test_roots_of_factored_cubic():
     f = (x - MultiPoly.constant(F1009, 1, 3)) * (x - MultiPoly.constant(F1009, 1, 17)) * (
         x - MultiPoly.constant(F1009, 1, 500)
     )
-    assert uni_roots_mod_p(f, F1009) == {3, 17, 500}
+    assert uni_roots_mod_p(_coefficient_list(f), 1009) == {3, 17, 500}
 
 
 def test_roots_value_independent_of_rng():
     rng_a, rng_b = random.Random(1), random.Random(999)
     coeffs = [5, 0, 7, 0, 0, 1]  # degree 5
     f = _uni(F1009, coeffs)
-    assert uni_roots_mod_p(f, F1009, rng_a) == uni_roots_mod_p(f, F1009, rng_b)
-    assert uni_roots_mod_p(f, F1009) == roots_by_scan(f, F1009)
+    assert uni_roots_mod_p(coeffs, 1009, rng_a) == uni_roots_mod_p(coeffs, 1009, rng_b)
+    assert uni_roots_mod_p(coeffs, 1009) == roots_by_scan(f, F1009)
 
 
 def test_roots_handle_multiplicity_and_rootless():
     x = MultiPoly.variable(F2003, 1, 0)
     sq = (x - MultiPoly.constant(F2003, 1, 42)) ** 2
-    assert uni_roots_mod_p(sq, F2003) == {42}
+    assert uni_roots_mod_p(_coefficient_list(sq), 2003) == {42}
     # x^2 + 1 has no roots when p = 3 mod 4
     f = _uni(F2003, [1, 0, 1])
-    assert uni_roots_mod_p(f, F2003) == frozenset()
-    assert uni_roots_mod_p(f, F2003) == roots_by_scan(f, F2003)
+    assert uni_roots_mod_p([1, 0, 1], 2003) == frozenset()
+    assert uni_roots_mod_p([1, 0, 1], 2003) == roots_by_scan(f, F2003)
 
 
 def test_roots_reject_bad_inputs():
     with pytest.raises(ConstructionError):
-        uni_roots_mod_p(MultiPoly.zero(F1009, 1), F1009)
-    with pytest.raises(ConstructionError):
-        uni_roots_mod_p(MultiPoly.variable(F1009, 2, 0), F1009)
-    with pytest.raises(FieldMismatchError):
-        uni_roots_mod_p(_uni(F2003, [1, 1]), F1009)
+        uni_roots_mod_p(_coefficient_list(MultiPoly.zero(F1009, 1)), 1009)
+
+
+def test_roots_normalize_their_coefficient_list():
+    """Entries are reduced mod p and trailing zeros dropped before any root
+    is sought: (x - 3)(x - 17) = x^2 - 20x + 51, written unreduced and
+    padded, has the roots of its reduced, trimmed list, with the same
+    random draws.  A list that trims to nothing is the zero polynomial."""
+    p = 1009
+    padded = [51 + 5 * p, -20, 1 + p, p, 0, -2 * p]
+    rng, ref_rng = random.Random(5), random.Random(5)
+    assert uni_roots_mod_p(padded, p, rng) == uni_roots_mod_p([51, p - 20, 1], p, ref_rng) == {3, 17}
+    assert rng.getstate() == ref_rng.getstate()
+    assert uni_roots_mod_p([7 + p, 0, p], p) == frozenset()  # a nonzero constant
+    for zero in ([], [0, 0], [p, -p]):
+        with pytest.raises(ConstructionError):
+            uni_roots_mod_p(zero, p)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1008), min_size=2, max_size=5))
@@ -593,7 +607,7 @@ def test_roots_reject_bad_inputs():
 def test_roots_against_scan_property(coeffs):
     coeffs = coeffs + [1]  # force nonzero leading coefficient
     f = _uni(F1009, coeffs)
-    assert uni_roots_mod_p(f, F1009) == roots_by_scan(f, F1009)
+    assert uni_roots_mod_p(coeffs, 1009) == roots_by_scan(f, F1009)
 
 
 _ROOT_PRIMES = (1009, 2003, 2**31 - 19, 2**31 - 1)
@@ -612,6 +626,31 @@ def test_linear_power_matches_square_and_multiply_reference(p, low, lead, a, whi
     e = {"p": p, "half": (p - 1) // 2, "small": a % 4, "any": a * lead}[which]
     a %= p
     assert _linear_power_mod(a, e, _poly_monic(m, p), p) == poly_powmod([a, 1], e, m, p)
+
+
+@given(
+    st.sampled_from(_ROOT_PRIMES),
+    st.lists(st.integers(0, 2**31), max_size=10),
+    st.lists(st.integers(0, 2**31), max_size=5),
+    st.integers(1, 2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_divmod_is_long_division(p, a, low, lead):
+    """a = q m + r with deg r < deg m, checked by multiplying back on plain
+    ints, and r is the oracle's remainder; a may carry trailing zeros."""
+    a = [c % p for c in a]
+    m = [c % p for c in low] + [lead % p or 1]
+    q, r = _poly_divmod(a, m, p)
+    assert len(r) < len(m)
+    assert all(x[-1] for x in (q, r) if x)  # both trimmed
+    back = [0] * (len(a) + len(m))
+    for i, x in enumerate(q):
+        for j, y in enumerate(m):
+            back[i + j] += x * y
+    for k, x in enumerate(r):
+        back[k] += x
+    assert [x % p for x in back] == a + [0] * (len(back) - len(a))
+    assert r == poly_mod(a, m, p)
 
 
 @st.composite
@@ -635,7 +674,7 @@ def test_roots_and_random_draws_match_reference(case):
     p, coeffs, seed = case
     field = FieldSpec.prime(p)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    roots = uni_roots_mod_p(MultiPoly.univariate(field, coeffs), field, rng)
+    roots = uni_roots_mod_p(coeffs, p, rng)
     assert roots == roots_reference(coeffs, p, ref_rng)
     assert rng.getstate() == ref_rng.getstate()
     if p == 1009:

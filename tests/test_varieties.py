@@ -359,13 +359,35 @@ def test_compiled_veronese_kernel_stores_only_nonzero_derivatives():
     derivatives, of which only the 14 + 196 of the linear and quadratic
     monomials are nonzero, and 196 nonzero Hessian entries."""
     jets = veronese(F, 14, 2).jets
-    assert len(jets.value_rows) == 120
-    assert len(jets.monomials) == 120
-    assert len(jets.gradient_rows) == 210
-    assert all(len(pairs) == 1 for _, pairs in jets.gradient_rows)
+    monomials, rows = jets.value_table
+    assert len(rows) == 120
+    assert len(monomials) == 120
+    _, rows = jets.gradient_table
+    assert len(rows) == 210
+    assert all(len(pairs) == 1 for _, pairs in rows)
     assert "hessian_table" not in vars(jets)  # compiled on first use only
     monomials, rows = jets.hessian_table
     assert len(rows) == 14 + 2 * 91 and monomials == ((),)
+
+
+def _compiled_orders(jets):
+    return [t for t in ("value_table", "gradient_table", "hessian_table") if t in vars(jets)]
+
+
+@pytest.mark.parametrize("name", ["counter1", "counter3-n3"])
+def test_kernels_compile_only_the_orders_they_read(name):
+    """Sampling a cone section evaluates its constraints and its ruling
+    forms but differentiates neither; a full chart 2-jet differentiates the
+    constraints twice and still never the ruling forms."""
+    x = cli._construct(cli.RunConfig({"variety": name}))
+    if name == "counter3-n3":
+        x = generic_hyperplane_section(x, random.Random(6))
+    w = x.sample(random.Random(31))
+    assert _compiled_orders(x.jets) == ["value_table"]
+    assert _compiled_orders(x._ruling_jets) == ["value_table"]
+    assert x.chart_jet2(w).second
+    assert _compiled_orders(x.jets) == ["value_table", "gradient_table", "hessian_table"]
+    assert _compiled_orders(x._ruling_jets) == ["value_table"]
 
 
 @pytest.mark.parametrize(
@@ -566,8 +588,10 @@ def test_field_elements_are_ints_in_range(name, monkeypatch):
     forgotten reduction would pass most other checks unnoticed."""
     roots = []
 
-    def recording_roots(*args, **kwargs):
-        out = real_roots(*args, **kwargs)
+    def recording_roots(coeffs, p, rng=None):
+        assert type(coeffs) is list
+        _assert_elements(coeffs, p, f"{name} restricted coefficient list")
+        out = real_roots(coeffs, p, rng)
         roots.extend(out)
         return out
 
