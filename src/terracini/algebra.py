@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 # Witness set is deterministic for every n < 3.3 * 10^24, far above any
-# modulus this package accepts.
+# modulus this package accepts.  The same primes are the trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MIN_MODULUS = 257
@@ -83,7 +83,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the modulus range used here."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:

@@ -43,7 +43,7 @@ from .instances import ANALYSIS_PRIME, builtin, builtin_blueprint
 from .secant import DEFAULT_TRIALS, check_delta_tower, defect, min_defective_k
 from .seeding import derive_rng
 from .suite import canonical_json, run_paper_suite, suite_payload
-from .varieties import _is_int, build, check_tree
+from .varieties import AMBIENT_CAP, _is_int, build, check_tree
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -101,6 +101,10 @@ class RunConfig:
             or not 0 <= k_range[0] <= k_range[1]
         ):
             raise ConfigError("k_range must be [k_min, k_max] with 0 <= k_min <= k_max")
+        if k_range[1] > AMBIENT_CAP:
+            # no buildable variety spans more than P^AMBIENT_CAP, so every secant
+            # variety past this k has long filled its span
+            raise ConfigError(f"k_range k_max {k_range[1]} exceeds the ambient cap {AMBIENT_CAP}")
         self.k_range = (k_range[0], k_range[1])
         self.trials = self._int(raw, "trials", DEFAULT_TRIALS, minimum=1)
         self.samples = self._int(raw, "samples", DEFAULT_HYPERPLANE_DRAWS, minimum=1)

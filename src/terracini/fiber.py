@@ -20,7 +20,10 @@ Two enumeration strategies cover every built-in shape:
   key is only a necessary condition, so the counts are exhaustive and exact;
 * cone sections scan the base curve exhaustively with the same grid kernel
   and solve the linear proportionality conditions ruling by ruling, so only
-  candidate rulings ever see the cutting polynomial.
+  candidate rulings ever see the cutting polynomial.  The section restricts
+  its constraints to each candidate ruling through its own ruling kernel,
+  as polynomials in the vertex coefficients, and builds the witnesses of
+  enumerated preimages; probe points are drawn by the projection handle.
 
 Points mapping into the projection center are excluded from counts and
 tallied separately.  The cone scan covers the smooth ruling stratum; vertex
@@ -50,11 +53,11 @@ from .instances import ENUM_PRIMES
 from .secant import tangential_projection
 from .seeding import derive_rng
 from .varieties import (
-    MAX_RESAMPLE,
     ConeHandle,
     ImplicitPlaneCurveHandle,
     MapImageHandle,
     ParametricHandle,
+    ProjectionHandle,
     SectionHandle,
     VarietyHandle,
     Witness,
@@ -351,8 +354,6 @@ class _RulingScan:
                 continue
             for mu in self._on_ruling(part, system.basis, y):
                 xpt = self.kone._point(y, mu)
-                if any(g.evaluate(xpt) != 0 for g in self.x.constraints):
-                    continue
                 if not any(self.proj.matvec(xpt)):
                     center_hits += 1
                     continue
@@ -363,39 +364,34 @@ class _RulingScan:
         return found, center_hits, details
 
     def _on_ruling(self, part: list[int], basis: list[tuple[int, ...]], y) -> list[list[int]]:
-        """Candidate vertex coefficients on the ruling over y: the particular
-        solution itself, or the leftover freedom pushed through the cutting
-        polynomial when the proportionality system is rank-deficient."""
+        """Vertex coefficients on the ruling over y that solve the
+        proportionality system and lie on the section: the particular
+        solution, if every constraint vanishes there, or the common roots of
+        the constraints on the line of leftover freedom.  The section hands
+        over its constraints restricted to the ruling, as polynomials in mu."""
         p = self.p
+        restricted = [MultiPoly(self.x.field, self.m, terms) for terms in self.x._restrict_to_ruling(y)]
         if not basis:
-            return [part]
+            return [] if any(g.evaluate(part) for g in restricted) else [part]
         if len(basis) > 1:
             # a plane of candidates inside one ruling only happens at special
             # probe points; declare the trial degenerate rather than guess
             raise DegenerateWitness("probe point has a positive-dimensional fiber")
         direction = basis[0]
-        vertex = self.kone.vertex.entries
-        # the candidate line x = y + V part + s V direction, in ambient coordinates
-        line = [
-            (
-                (y[a] + sum(v * c for v, c in zip(row, part))) % p,
-                sum(v * c for v, c in zip(row, direction)) % p,
-            )
-            for a, row in enumerate(vertex)
-        ]
+        line = list(zip(part, direction))
 
         def mu_at(r: int) -> list[int]:
-            return [(c + r * dc) % p for c, dc in zip(part, direction)]
+            return [(c + r * dc) % p for c, dc in line]
 
-        out = []
-        for g in self.x.constraints:
-            restricted = restrict_univariate(g, line)
-            if not restricted:
+        out = None
+        for g in restricted:
+            on_line = restrict_univariate(g, line)
+            if not on_line:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
                 raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            roots = sorted(uni_roots_mod_p(restricted, p))
-            if not out:
+            roots = sorted(uni_roots_mod_p(on_line, p))
+            if out is None:
                 out = [mu_at(r) for r in roots]
             else:
                 keep = {tuple(o) for o in out} & {tuple(mu_at(r)) for r in roots}
@@ -406,28 +402,15 @@ class _RulingScan:
         """Rebuild a full witness chain for an enumerated preimage."""
         if c[2] != 1:
             raise DegenerateWitness("preimage ruling is off the affine curve chart")
-        p = self.p
-        curve_w = Witness(c[:2], c)
         y = self.emb._apply(c)
-        emb_w = Witness(curve_w.params, normalize_point(y, p), base=curve_w)
-        mu = tuple(mu)
-        pt = self.kone._point(y, mu)
-        cone_w = Witness(emb_w.params + mu, normalize_point(pt, p), base=emb_w)
-        return Witness(cone_w.params, cone_w.point, base=cone_w)
+        curve_w = Witness(c[:2], c)
+        emb_w = Witness(curve_w.params, normalize_point(y, self.p), base=curve_w)
+        return self.x._ruling_witness(emb_w, y, mu)
 
 
 # ---------------------------------------------------------------------------
 # the probe
 # ---------------------------------------------------------------------------
-
-
-def _probe_q(xp: VarietyHandle, proj: Matrix, rng: random.Random) -> list[int]:
-    for _ in range(MAX_RESAMPLE):
-        w = xp.sample(rng)
-        img = proj.matvec(xp.reevaluate(w))
-        if any(img):
-            return list(img)
-    raise DegenerateWitness("probe witnesses keep landing in the center")
 
 
 def _enumerator(x: VarietyHandle):
@@ -459,17 +442,18 @@ def _one_prime(
     projected, _ = tangential_projection(xp, k, rng)
     if not projected.generically_finite(rng):
         raise DegenerateWitness(f"projection collapses over F_{prime}")
-    return count(xp, projected.proj, n, trials, rng)
+    return count(projected, n, trials, rng)
 
 
-def _grid_counts(xp: ParametricHandle, proj: Matrix, n: int, trials: int, rng: random.Random):
-    qs = [_probe_q(xp, proj, rng) for _ in range(trials)]
+def _grid_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.Random):
+    xp, proj = projected.base, projected.proj
+    qs = [projected.sample(rng).point for _ in range(trials)]
     counts, hits = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
     for _ in range(MAX_PROBE_RETRIES):
         bad = [t for t, c in enumerate(counts) if c >= DEGENERATE_COUNT_FLOOR]
         if not bad:
             break
-        redraw = [_probe_q(xp, proj, rng) for _ in bad]
+        redraw = [projected.sample(rng).point for _ in bad]
         fresh, _ = _scan_parametric(xp, proj, redraw, ENUM_BUDGET)
         for t, c in zip(bad, fresh):
             counts[t] = c
@@ -478,14 +462,14 @@ def _grid_counts(xp: ParametricHandle, proj: Matrix, n: int, trials: int, rng: r
     return tuple(counts), hits, None
 
 
-def _ruling_counts(xp: SectionHandle, proj: Matrix, n: int, trials: int, rng: random.Random):
-    scan = _RulingScan(xp, proj, ENUM_BUDGET)
+def _ruling_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.Random):
+    scan = _RulingScan(projected.base, projected.proj, ENUM_BUDGET)
     counts = []
     hits = 0
     agreement: Optional[bool] = None
     for _ in range(trials):
         for _ in range(MAX_PROBE_RETRIES):
-            q = _probe_q(xp, proj, rng)
+            q = projected.sample(rng).point
             try:
                 found, center_hits, details = scan.preimages(q)
             except DegenerateWitness:
@@ -497,7 +481,7 @@ def _ruling_counts(xp: SectionHandle, proj: Matrix, n: int, trials: int, rng: ra
         counts.append(len(found))
         hits += center_hits
         if len(details) >= 2 and agreement is None:
-            agreement = _fiber_span_agreement(xp, proj, scan, details, n)
+            agreement = _fiber_span_agreement(scan, details, n)
     return tuple(counts), hits, agreement
 
 
@@ -509,18 +493,16 @@ def _same_span(a: Matrix, b: Matrix, n: int) -> tuple[int, bool]:
     return ra, ra == rb == rcat == n + 1
 
 
-def _fiber_span_agreement(
-    xp: SectionHandle, proj: Matrix, scan: _RulingScan, details: list[tuple], n: int
-) -> Optional[bool]:
+def _fiber_span_agreement(scan: _RulingScan, details: list[tuple], n: int) -> Optional[bool]:
     """Two preimages of one image point must project to the same tangent
     space of the image; comparing their pushed frames tests exactly that."""
     pushed = []
     for c, mu in details:
         try:
-            frame = xp.tangent_frame(scan.witness_for(c, mu))
+            frame = scan.x.tangent_frame(scan.witness_for(c, mu))
         except DegenerateWitness:
             continue
-        pushed.append(proj.matmul(frame))
+        pushed.append(scan.proj.matmul(frame))
         if len(pushed) == 2:
             break
     if len(pushed) < 2:

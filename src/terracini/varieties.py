@@ -721,8 +721,7 @@ class SectionHandle(VarietyHandle):
 
     At most one constraint may be nonlinear on the base chart.  Sampling
     solves the linear constraints exactly, restricts the nonlinear one to a
-    random line inside the solved subspace, and root-finds; this is the only
-    place the package solves equations, and it only ever solves univariates.
+    random line inside the solved subspace, and root-finds.
 
     Over a cone, the restriction to a ruling happens once per handle: the
     constructor expands each constraint as g(y + V mu), grouped into
@@ -730,7 +729,10 @@ class SectionHandle(VarietyHandle):
     kernel, and a draw only evaluates those at its base point y.  The
     restriction to a random line (in mu over a cone, in the chart over a
     parametric base) depends on the draw and is made per draw, on
-    coefficient lists (``restrict_univariate``).
+    coefficient lists (``restrict_univariate``).  This handle is the one
+    owner of that geometry: the fiber scan's ruling candidates come from
+    ``_restrict_to_ruling`` too, and every witness on a ruling, drawn or
+    enumerated, is built by ``_ruling_witness``.
     """
 
     kind = "section"
@@ -833,27 +835,24 @@ class SectionHandle(VarietyHandle):
             d = [field.random_scalar(rng) for _ in range(nfree)]
             if not any(d):
                 return None
-            mu_line = [
-                (
-                    (mu_part[j] + sum(basis[k][j] * t0[k] for k in range(nfree))) % p,
-                    sum(basis[k][j] * d[k] for k in range(nfree)) % p,
-                )
-                for j in range(m)
-            ]
+            mu_line = list(zip(_linear_combo([mu_part, *basis], [1, *t0], p), _linear_combo(basis, d, p)))
             s0 = _random_root(nonlinear[0], mu_line, rng)
             if s0 is None:
                 return None
             mu = tuple((start + s0 * slope) % p for start, slope in mu_line)
         else:
             t = [field.random_scalar(rng) for _ in range(nfree)]
-            mu = tuple(
-                (mu_part[j] + sum(basis[k][j] * t[k] for k in range(nfree))) % p
-                for j in range(m)
-            )
-        pt = base._point(y, mu)
+            mu = _linear_combo([mu_part, *basis], [1, *t], p)
+        return self._ruling_witness(bw, y, mu)
+
+    def _ruling_witness(self, bw: Witness, y: Sequence[int], mu: Sequence[int]) -> Witness:
+        """The witness of the point y + V mu on the ruling of the cone over
+        the base witness bw, whose point is y: the one way a section-over-cone
+        witness is built, whether drawn or enumerated."""
+        pt = self.base._point(y, mu)
         if any(self.jets.values(self.jets.powers(pt))):
             raise ConstructionError("internal: constraint not satisfied at sample")
-        cone_w = Witness(bw.params + mu, normalize_point(pt, p), base=bw)
+        cone_w = Witness(bw.params + tuple(mu), normalize_point(pt, self.field.modulus), base=bw)
         return Witness(cone_w.params, cone_w.point, base=cone_w)
 
     def _restrict_to_ruling(self, y: Sequence[int]) -> list[dict[tuple[int, ...], int]]:

@@ -16,6 +16,8 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Sequence
 
+import numpy as np
+
 from terracini.algebra import (
     FieldSpec,
     Jet2,
@@ -404,6 +406,55 @@ def fermat_cubic_points(p: int) -> set[tuple[int, int, int]]:
     if (1 + 0 + 0) % p == 0:  # pragma: no cover - impossible for p > 1
         pts.add((1, 0, 0))
     return pts
+
+
+def ruling_fiber_by_brute_force(components, vertex_columns, cut, proj, q, p: int):
+    """Every point over [q] on the section of a cone over the embedded Fermat
+    cubic, by scanning all of F_p^m on every ruling.
+
+    The cone is y(c) + V mu for c in ``fermat_cubic_points(p)``, y the map
+    whose coordinates are ``components`` (each a list of integer
+    (coefficient, exponents) pairs in c), V the ``vertex_columns`` and mu any
+    point of F_p^m; rulings with y(c) = 0 are skipped.  The section is the
+    zero set of ``cut``, given the same way in the ambient coordinates, and
+    ``proj`` is a list of integer rows.  A point lies over [q] when its image
+    is nonzero and every 2x2 minor of (image, q) vanishes.  Returns the
+    distinct points over [q], each scaled so that its last nonzero
+    coordinate is 1, and the number of (c, mu) on the section that map to
+    zero.  Imports nothing from the package: numpy filters each ruling's
+    grid by the minors, and the few survivors are checked in plain ints.
+    """
+
+    def value(terms, point):
+        return sum(c * prod(pow(x, e, p) for x, e in zip(point, expo)) for c, expo in terms) % p
+
+    m = len(vertex_columns)
+    vertex = np.array(vertex_columns, dtype=np.int64).T % p
+    rows = np.array(proj, dtype=np.int64) % p
+    mus = np.indices((p,) * m, dtype=np.int64).reshape(m, -1)
+    moving = (rows @ vertex % p) @ mus % p
+    found: set[tuple[int, ...]] = set()
+    center = 0
+    for c in fermat_cubic_points(p):
+        y = [value(terms, c) for terms in components]
+        if not any(y):
+            continue
+        image = (moving + (rows @ np.array(y, dtype=np.int64) % p)[:, None]) % p
+        over = np.ones(mus.shape[1], dtype=bool)
+        for i, j in combinations(range(len(q)), 2):
+            over &= (image[i] * q[j] - image[j] * q[i]) % p == 0
+        for col in np.flatnonzero(over).tolist():
+            mu = mus[:, col].tolist()
+            x = [(a + sum(v * t for v, t in zip(row, mu))) % p for a, row in zip(y, vertex.tolist())]
+            if value(cut, x):
+                continue
+            if not image[:, col].any():
+                center += 1
+                continue
+            last = max(i for i, a in enumerate(x) if a)
+            inv = pow(x[last], p - 2, p)
+            found.add(tuple(a * inv % p for a in x))
+    return found, center
 
 
 def double_point_condition_nullity(d: int, points, p: int) -> int:

@@ -109,6 +109,8 @@ RNC_PAST_CAP = {"variety": {"constructor": "rnc", "d": 100000000}}
         {"variety": {"constructor": "veronese", "n": 14, "d": 14}},
         RNC_PAST_CAP,
         {"variety": {"constructor": "veronese", "n": 10**18, "d": 2}},
+        # a k range past the ambient cap would scan without end
+        {"variety": "veronese-2-2", "k_range": [1, 1000000000]},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):

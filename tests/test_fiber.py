@@ -20,7 +20,6 @@ from terracini.fiber import (
     _curve_points_int,
     _grade,
     _inverse_table,
-    _probe_q,
     _scan_parametric,
     fiber_probe,
     tangent_functoriality_check,
@@ -30,7 +29,7 @@ from terracini.secant import tangential_projection
 from terracini.seeding import derive_rng
 from terracini.varieties import build, veronese
 
-from oracles import fermat_cubic_points, fiber_counts_by_brute_force
+from oracles import fermat_cubic_points, fiber_counts_by_brute_force, ruling_fiber_by_brute_force
 
 FIELD = FieldSpec.prime(ANALYSIS_PRIME)
 
@@ -267,7 +266,7 @@ def _veronese_quartic_probes(p, count):
     rng = random.Random(3)
     xp = build(builtin_blueprint("veronese-2-4"), FieldSpec.prime(p), rng)
     projected, _ = tangential_projection(xp, 1, rng)
-    return xp, projected.proj, [_probe_q(xp, projected.proj, rng) for _ in range(count)]
+    return xp, projected.proj, [list(projected.sample(rng).point) for _ in range(count)]
 
 
 def test_grid_scan_takes_one_pass_per_pivot_group():
@@ -329,13 +328,33 @@ def test_curve_points_match_brute_force_in_scan_order():
     assert set(pts) == fermat_cubic_points(257)
 
 
+def test_ruling_scan_matches_brute_force_enumeration():
+    """The cone scan's preimages of a probe point of counter1's tangential
+    projection at p = 257, and its center tally, are exactly those that a
+    scan of every point of F_p^2 on every ruling finds: the scan misses no
+    ruling and no point on one.  This probe has all three preimages."""
+    p = 257
+    blueprint = builtin_blueprint("counter1")
+    rng = random.Random(1)
+    xp = build(blueprint, FieldSpec.prime(p), rng)
+    projected, _ = tangential_projection(xp, 1, rng)
+    q = projected.sample(rng).point
+    found, center_hits, _ = fiber._RulingScan(xp, projected.proj, ENUM_BUDGET).preimages(q)
+    coned = blueprint["base"]
+    expected = ruling_fiber_by_brute_force(
+        coned["base"]["components"], coned["vertex"], blueprint["h"], projected.proj.entries, q, p
+    )
+    assert (found, center_hits) == expected
+    assert len(found) == 3
+
+
 def test_grid_scan_memory_is_bounded():
     """One scan at p = 3001 keeps its numpy temporaries to a few grid blocks."""
     fp = FieldSpec.prime(3001)
     rng = random.Random(3)
     xp = build(builtin_blueprint("veronese-2-4"), fp, rng)
     projected, _ = tangential_projection(xp, 1, rng)
-    qs = [_probe_q(xp, projected.proj, rng) for _ in range(5)]
+    qs = [projected.sample(rng).point for _ in range(5)]
     tracemalloc.start()
     try:
         counts, _ = _scan_parametric(xp, projected.proj, qs, ENUM_BUDGET)

@@ -1,8 +1,10 @@
 """Handles: sampling, chart jets, composition, blueprints."""
 
+import ast
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +354,20 @@ def test_compiled_ruling_restriction_matches_term_by_term_oracle(name):
     for y in points:
         expected = [ruling_restriction_by_terms(t, columns, y, p) for t in terms]
         assert x._restrict_to_ruling(y) == expected
+
+
+def test_only_varieties_reads_section_internals():
+    """How a section of a cone restricts to a ruling is known in one module:
+    every other module asks the handle (``_restrict_to_ruling``) instead of
+    reading its constraints or its ruling kernel."""
+    internals = {"constraints", "_ruling_keys", "_ruling_jets"}
+    package = Path(varieties.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "varieties.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not names & internals, f"{path.name} reads {sorted(names & internals)}"
 
 
 def test_compiled_veronese_kernel_stores_only_nonzero_derivatives():
