@@ -49,6 +49,9 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 SCHEMA = "terracini-report/v1"
 FORMATS = ("table", "csv", "structured")
+# cap on ``trials`` and ``samples``: 1,000 draws run in well under a second on
+# the built-ins, while a count of 10^9 would scan without end
+MAX_DRAWS = 1000
 
 
 def _version() -> str:
@@ -106,8 +109,8 @@ class RunConfig:
             # variety past this k has long filled its span
             raise ConfigError(f"k_range k_max {k_range[1]} exceeds the ambient cap {AMBIENT_CAP}")
         self.k_range = (k_range[0], k_range[1])
-        self.trials = self._int(raw, "trials", DEFAULT_TRIALS, minimum=1)
-        self.samples = self._int(raw, "samples", DEFAULT_HYPERPLANE_DRAWS, minimum=1)
+        self.trials = self._int(raw, "trials", DEFAULT_TRIALS, minimum=1, maximum=MAX_DRAWS)
+        self.samples = self._int(raw, "samples", DEFAULT_HYPERPLANE_DRAWS, minimum=1, maximum=MAX_DRAWS)
         self.seed = self._int(raw, "seed", 0, minimum=0)
         output = raw.get("output", {})
         if not isinstance(output, dict):
@@ -123,10 +126,12 @@ class RunConfig:
             raise ConfigError(f"format must be one of {FORMATS}")
 
     @staticmethod
-    def _int(raw: dict, key: str, default: int, minimum: int) -> int:
+    def _int(raw: dict, key: str, default: int, minimum: int, maximum: int | None = None) -> int:
         val = raw.get(key, default)
         if not _is_int(val) or val < minimum:
             raise ConfigError(f"{key} must be an integer >= {minimum}")
+        if maximum is not None and val > maximum:
+            raise ConfigError(f"{key} {val} exceeds the cap {maximum}")
         return val
 
     def echo(self) -> dict:

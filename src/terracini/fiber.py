@@ -360,7 +360,7 @@ class _RulingScan:
                 key = normalize_point(xpt, p)
                 if key not in found:
                     found.add(key)
-                    details.append((c, mu))
+                    details.append((c, y, mu))
         return found, center_hits, details
 
     def _on_ruling(self, part: list[int], basis: list[tuple[int, ...]], y) -> list[list[int]]:
@@ -398,14 +398,14 @@ class _RulingScan:
                 out = [list(t) for t in sorted(keep)]
         return out
 
-    def witness_for(self, c, mu) -> Witness:
-        """Rebuild a full witness chain for an enumerated preimage."""
+    def witness_for(self, c, y, mu) -> Witness:
+        """Rebuild a full witness chain for an enumerated preimage on the
+        ruling over the curve point c, whose embedded point is y."""
         if c[2] != 1:
             raise DegenerateWitness("preimage ruling is off the affine curve chart")
-        y = self.emb._apply(c)
-        curve_w = Witness(c[:2], c)
-        emb_w = Witness(curve_w.params, normalize_point(y, self.p), base=curve_w)
-        return self.x._ruling_witness(emb_w, y, mu)
+        curve_w = Witness(c[:2], c, c)
+        emb_w = Witness(curve_w.params, normalize_point(y, self.p), y, base=curve_w)
+        return self.x._ruling_witness(emb_w, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +497,9 @@ def _fiber_span_agreement(scan: _RulingScan, details: list[tuple], n: int) -> Op
     """Two preimages of one image point must project to the same tangent
     space of the image; comparing their pushed frames tests exactly that."""
     pushed = []
-    for c, mu in details:
+    for c, y, mu in details:
         try:
-            frame = scan.x.tangent_frame(scan.witness_for(c, mu))
+            frame = scan.x.tangent_frame(scan.witness_for(c, y, mu))
         except DegenerateWitness:
             continue
         pushed.append(scan.proj.matmul(frame))
@@ -568,9 +568,8 @@ def fiber_probe(
     center_hits: dict[int, int] = {}
     agreements: list[bool] = []
 
-    results = {p: _one_prime(x.blueprint, count, k, p, trials, seed_tag) for p in primes}
-    for prime in sorted(results):
-        counts, hits, agreement = results[prime]
+    for prime in sorted(primes):
+        counts, hits, agreement = _one_prime(x.blueprint, count, k, prime, trials, seed_tag)
         if any(c < 1 for c in counts):
             raise DegenerateWitness(
                 f"a probe point lost its own witness over F_{prime}"

@@ -2,7 +2,7 @@
 
 All randomness in the package flows through ``random.Random`` instances made
 here.  Children are derived by hashing the parent seed together with string
-tags, so parallel scans can partition work without sharing generator state
+tags, so each task draws from its own generator, whatever runs before it,
 and a run is reproducible from the single seed in its config.
 """
 

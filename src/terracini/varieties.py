@@ -17,6 +17,10 @@ and so every secant dimension, need only ``point`` and ``first``, while the
 ``second`` block (Hessians, section corrections) is computed on first read.
 Every check that can reject a witness runs on the first-order part.
 
+A witness carries its ambient representative, ``raw``, computed once when it
+is drawn or built: it is the first column of every tangent frame, and every
+chart jet reads it as its point instead of recomputing it.
+
 Derivatives are taken in one place, ``algebra.PolyJets``: each parametric,
 plane-curve, map-image and section handle keeps one kernel over its
 polynomials and reads values, gradients and Hessians from it, and a section
@@ -98,16 +102,20 @@ _DRAW_RANGE = 2**30
 
 @dataclass(frozen=True)
 class Witness:
-    """One sampled point: chart coordinates plus the normalized ambient point.
+    """One sampled point: chart coordinates plus its ambient representative.
 
     ``params`` are the handle's own chart coordinates, including any solved
-    ruling parameter.  ``point`` is scaled so its last nonzero coordinate is
-    one, which is the identity used for dedup everywhere.  ``base`` chains to
-    the witness of the underlying handle for composite kinds.
+    ruling parameter.  ``raw`` is the unnormalized ambient point the chart
+    map gives at ``params``, computed once where the witness is built; every
+    chart jet takes it as its point.  ``point`` is ``raw`` scaled so its last
+    nonzero coordinate is one, which is the identity used for dedup
+    everywhere.  ``base`` chains to the witness of the underlying handle for
+    composite kinds.
     """
 
     params: tuple[int, ...]
     point: tuple[int, ...]
+    raw: tuple[int, ...]
     base: Optional["Witness"] = None
 
 
@@ -194,10 +202,6 @@ class VarietyHandle:
         raise NotImplementedError
 
     def chart_jet2(self, w: Witness) -> ChartJet:
-        raise NotImplementedError
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        """Raw (unnormalized) ambient representative recomputed from params."""
         raise NotImplementedError
 
     @property
@@ -338,19 +342,14 @@ class ParametricHandle(VarietyHandle):
             pt = self._eval_map(u)
             if not any(pt):
                 return None
-            return Witness(u, normalize_point(pt, self.field.modulus))
+            return Witness(u, normalize_point(pt, self.field.modulus), pt)
 
         return _resample_loop(one, self.label)
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        return self._eval_map(w.params)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         powers = self.jets.powers(w.params)
         first = tuple(zip(*self.jets.gradients(powers)))
-        return ChartJet(
-            self.jets.values(powers), first, lambda: _stack_hessians(self.jets.hessians(powers), self.n)
-        )
+        return ChartJet(w.raw, first, lambda: _stack_hessians(self.jets.hessians(powers), self.n))
 
 
 def _monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
@@ -407,11 +406,8 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         super().__init__(field, 2, label, blueprint)
         self.f = f
         self.genus_hint = genus_hint
-        # affine equation on the chart {x2 = 1}
-        u = MultiPoly.variable(field, 2, 0)
-        v = MultiPoly.variable(field, 2, 1)
-        one = MultiPoly.constant(field, 2, 1)
-        self.f_affine = f.compose([u, v, one])
+        # affine equation f(u, v, 1) on the chart {x2 = 1}
+        self.f_affine = MultiPoly.from_int_terms(field, 2, [(c, e[:2]) for e, c in f.terms.items()])
         self.jets = PolyJets((self.f_affine,), 2)
 
     @property
@@ -443,12 +439,9 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
             params = (pt[0], pt[1])
             if not any(self.jets.gradients(self.jets.powers(params))[0]):
                 return None  # singular point, resample
-            return Witness(params, pt)
+            return Witness(params, pt, pt)
 
         return _resample_loop(one, self.label)
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        return (w.params[0], w.params[1], 1)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
@@ -459,7 +452,6 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         if not (gu or gv):
             raise DegenerateWitness("singular curve point")
         t = (-gv % p, gu)
-        point = (w.params[0], w.params[1], 1)
         first = ((t[0], t[1], 0),)
 
         def second():
@@ -472,7 +464,7 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
                 corr = (0, -tht * inverse(gv, p) % p)
             return (((corr[0], corr[1], 0),),)
 
-        return ChartJet(point, first, second)
+        return ChartJet(w.raw, first, second)
 
 
 def _poly_to_int_coeffs(g: MultiPoly) -> list:
@@ -548,15 +540,12 @@ class MapImageHandle(VarietyHandle):
     def sample(self, rng: random.Random) -> Witness:
         def one():
             bw = self.base.sample(rng)
-            pt = self._apply(self.base.reevaluate(bw))
+            pt = self._apply(bw.raw)
             if not any(pt):
                 return None  # base-locus hit
-            return Witness(bw.params, normalize_point(pt, self.field.modulus), base=bw)
+            return Witness(bw.params, normalize_point(pt, self.field.modulus), pt, base=bw)
 
         return _resample_loop(one, self.label)
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        return self._apply(self.base.reevaluate(w.base))
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
@@ -573,7 +562,7 @@ class MapImageHandle(VarietyHandle):
             ]
             return _stack_hessians(hesses, n)
 
-        return ChartJet(self.jets.values(powers), first, second)
+        return ChartJet(w.raw, first, second)
 
 
 def map_image(
@@ -658,20 +647,13 @@ class ConeHandle(VarietyHandle):
 
     def sample(self, rng: random.Random) -> Witness:
         bw = self.base.sample(rng)
-        y = self.base.reevaluate(bw)
         mu = tuple(self.field.random_scalar(rng) for _ in range(self.m))
-        pt = self._point(y, mu)
-        return Witness(bw.params + mu, normalize_point(pt, self.field.modulus), base=bw)
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        mu = w.params[len(w.params) - self.m :] if self.m else ()
-        return self._point(self.base.reevaluate(w.base), mu)
+        pt = self._point(bw.raw, mu)
+        return Witness(bw.params + mu, normalize_point(pt, self.field.modulus), pt, base=bw)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         base_chart = self.base.chart_jet2(w.base)
         nb = base_chart.dim
-        mu = w.params[len(w.params) - self.m :] if self.m else ()
-        point = self._point(base_chart.point, mu)
         first = tuple(base_chart.first) + tuple(self.vertex.column(j) for j in range(self.m))
         n = nb + self.m
 
@@ -685,7 +667,7 @@ class ConeHandle(VarietyHandle):
                 for a in range(n)
             )
 
-        return ChartJet(point, first, second)
+        return ChartJet(w.raw, first, second)
 
 
 def cone(base: VarietyHandle, vertex: Matrix, label: str | None = None) -> ConeHandle:
@@ -805,8 +787,8 @@ class SectionHandle(VarietyHandle):
         pt = base._eval_map(u)
         if not any(pt):
             return None
-        bw = Witness(u, normalize_point(pt, p))
-        return Witness(u, bw.point, base=bw)
+        bw = Witness(u, normalize_point(pt, p), pt)
+        return Witness(u, bw.point, pt, base=bw)
 
     def _sample_cone(self, rng: random.Random) -> Witness | None:
         base: ConeHandle = self.base
@@ -814,9 +796,8 @@ class SectionHandle(VarietyHandle):
         p = field.modulus
         m = base.m
         bw = base.base.sample(rng)
-        y = base.base.reevaluate(bw)
         lin_rows, lin_rhs, nonlinear = [], [], []
-        for terms in self._restrict_to_ruling(y):
+        for terms in self._restrict_to_ruling(bw.raw):
             if max(map(sum, terms), default=-1) <= 1:
                 lin_rows.append([terms.get(_unit(m, j), 0) for j in range(m)])
                 lin_rhs.append(-terms.get((0,) * m, 0) % p)
@@ -843,17 +824,17 @@ class SectionHandle(VarietyHandle):
         else:
             t = [field.random_scalar(rng) for _ in range(nfree)]
             mu = _linear_combo([mu_part, *basis], [1, *t], p)
-        return self._ruling_witness(bw, y, mu)
+        return self._ruling_witness(bw, mu)
 
-    def _ruling_witness(self, bw: Witness, y: Sequence[int], mu: Sequence[int]) -> Witness:
+    def _ruling_witness(self, bw: Witness, mu: Sequence[int]) -> Witness:
         """The witness of the point y + V mu on the ruling of the cone over
-        the base witness bw, whose point is y: the one way a section-over-cone
-        witness is built, whether drawn or enumerated."""
-        pt = self.base._point(y, mu)
+        the base witness bw, whose representative is y: the one way a
+        section-over-cone witness is built, whether drawn or enumerated."""
+        pt = self.base._point(bw.raw, mu)
         if any(self.jets.values(self.jets.powers(pt))):
             raise ConstructionError("internal: constraint not satisfied at sample")
-        cone_w = Witness(bw.params + tuple(mu), normalize_point(pt, self.field.modulus), base=bw)
-        return Witness(cone_w.params, cone_w.point, base=cone_w)
+        cone_w = Witness(bw.params + tuple(mu), normalize_point(pt, self.field.modulus), pt, base=bw)
+        return Witness(cone_w.params, cone_w.point, pt, base=cone_w)
 
     def _restrict_to_ruling(self, y: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
         """The nonzero terms, keyed by mu-exponent, of each constraint
@@ -865,9 +846,6 @@ class SectionHandle(VarietyHandle):
             if c:
                 out[g][mu_e] = c
         return out
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        return self.base.reevaluate(w.base)
 
     # -- jets ---------------------------------------------------------------
 
@@ -908,7 +886,7 @@ class SectionHandle(VarietyHandle):
                     )
             return tuple(tuple(row) for row in out)
 
-        return ChartJet(base_chart.point, first, second)
+        return ChartJet(w.raw, first, second)
 
 
 def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix):
@@ -957,7 +935,7 @@ def _check_not_identically_zero(base: VarietyHandle, g: MultiPoly, rng: random.R
     hits = 0
     for _ in range(5):
         w = base.sample(rng)
-        if g.evaluate(base.reevaluate(w)) != 0:
+        if g.evaluate(w.raw) != 0:
             hits += 1
     if hits == 0:
         raise ConstructionError("constraint vanishes identically on the base (5 samples)")
@@ -1052,15 +1030,12 @@ class ProjectionHandle(VarietyHandle):
     def sample(self, rng: random.Random) -> Witness:
         def one():
             bw = self.base.sample(rng)
-            img = self.proj.matvec(self.base.reevaluate(bw))
+            img = self.proj.matvec(bw.raw)
             if not any(img):
                 return None  # witness in the projection center
-            return Witness(bw.params, normalize_point(img, self.field.modulus), base=bw)
+            return Witness(bw.params, normalize_point(img, self.field.modulus), img, base=bw)
 
         return _resample_loop(one, self.label)
-
-    def reevaluate(self, w: Witness) -> tuple[int, ...]:
-        return self.proj.matvec(self.base.reevaluate(w.base))
 
     def generically_finite(self, rng: random.Random) -> bool:
         """Whether the projection keeps the dimension of its base, so that its
@@ -1072,9 +1047,8 @@ class ProjectionHandle(VarietyHandle):
     def chart_jet2(self, w: Witness) -> ChartJet:
         base_chart = self.base.chart_jet2(w.base)
         n = base_chart.dim
-        point = self.proj.matvec(base_chart.point)
         first = tuple(self.proj.matvec(v) for v in base_chart.first)
-        return ChartJet(point, first, lambda: tuple(
+        return ChartJet(w.raw, first, lambda: tuple(
             tuple(self.proj.matvec(base_chart.second[a][b]) for b in range(n)) for a in range(n)
         ))
 

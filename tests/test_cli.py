@@ -111,6 +111,9 @@ RNC_PAST_CAP = {"variety": {"constructor": "rnc", "d": 100000000}}
         {"variety": {"constructor": "veronese", "n": 10**18, "d": 2}},
         # a k range past the ambient cap would scan without end
         {"variety": "veronese-2-2", "k_range": [1, 1000000000]},
+        # draw counts past the cap would run without end
+        {"variety": "veronese-2-2", "trials": 1000000000},
+        {"variety": "veronese-2-2", "samples": 1000000000},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, payload):

@@ -85,14 +85,15 @@ def test_conic_two_routes_share_tangent_lines():
     eqn = x0 * x2 - x1 * x1
     for _ in range(5):
         w = par.sample(rng)
-        assert eqn.evaluate(par.reevaluate(w)) == 0
+        assert eqn.evaluate(w.raw) == 0
 
     # shared point: [1 : u : u^2] ~ (1/u^2, 1/u, 1)
     u = F.scalar(87123)
-    wp = Witness((u,), normalize_point(par.reevaluate(Witness((u,), (1,) * 3)), F.modulus))
+    raw = par._eval_map((u,))
+    wp = Witness((u,), normalize_point(raw, F.modulus), raw)
     inv = inverse(u, F.modulus)
     affine = (inv * inv % F.modulus, inv)
-    wi = Witness(affine, (affine[0], affine[1], 1))
+    wi = Witness(affine, (affine[0], affine[1], 1), (affine[0], affine[1], 1))
 
     frame_p = par.tangent_frame(wp)
     frame_i = imp.tangent_frame(wi)
@@ -300,7 +301,7 @@ def test_section_over_parametric_solves_one_constraint():
     assert S.chart_dim == 1
     for _ in range(3):
         w = S.sample(rng)
-        assert g.evaluate(S.reevaluate(w)) == 0
+        assert g.evaluate(w.raw) == 0
         jet = S.pullback_poly_jet2(g, w)
         assert jet.gradient_is_zero()
         assert not any(any(row) for row in jet.hessian)
@@ -326,7 +327,7 @@ def test_ruling_form_matches_direct_restriction(name):
             y = [field.random_scalar(rng) for _ in range(x.ambient_r + 1)]
         else:
             base = x.base.base
-            y = base.reevaluate(base.sample(rng))
+            y = base.sample(rng).raw
         coords = [
             sum((mu[j] * vertex[i, j] for j in range(m)), MultiPoly.constant(field, m, y[i]))
             for i in range(x.ambient_r + 1)
@@ -350,7 +351,7 @@ def test_compiled_ruling_restriction_matches_term_by_term_oracle(name):
     rng = random.Random(2718)
     points = [[0] * (x.ambient_r + 1)]
     points += [[rng.randrange(p) for _ in range(x.ambient_r + 1)] for _ in range(4)]
-    points += [list(base.reevaluate(base.sample(rng))) for _ in range(4)]
+    points += [list(base.sample(rng).raw) for _ in range(4)]
     for y in points:
         expected = [ruling_restriction_by_terms(t, columns, y, p) for t in terms]
         assert x._restrict_to_ruling(y) == expected
@@ -434,9 +435,9 @@ def test_off_section_witness_is_rejected():
     H = random_cubic_form(F, 5, seed=17)
     S = hypersurface_section(K, H, rng)
     stray = K.sample(rng)  # generic cone point misses the cubic
-    assert H.evaluate(K.reevaluate(stray)) != 0
+    assert H.evaluate(stray.raw) != 0
     with pytest.raises(DegenerateWitness):
-        S.chart_jet2(type(stray)(stray.params, stray.point, base=stray))
+        S.chart_jet2(type(stray)(stray.params, stray.point, stray.raw, base=stray))
 
 
 # -- bookkeeping --------------------------------------------------------------
@@ -492,7 +493,31 @@ def test_cone_and_section_span_bookkeeping():
     assert Sh.span_dim() == 3
 
 
+def _raw_from_base(handle, w):
+    """The ambient representative of a witness of this handle, recomputed
+    by plain polynomial evaluation from its params and its base's ``raw``."""
+    p = F.modulus
+    if handle.kind == "parametric":
+        return tuple(g.evaluate(w.params) for g in handle.polys)
+    if handle.kind == "implicit_plane_curve":
+        return (w.params[0], w.params[1], 1)
+    if handle.kind == "map_image":
+        return tuple(g.evaluate(w.base.raw) for g in handle.polys)
+    if handle.kind == "cone":
+        mu = w.params[len(w.params) - handle.m :]
+        return tuple(
+            (y + sum(v * c for v, c in zip(handle.vertex.row(i), mu))) % p for i, y in enumerate(w.base.raw)
+        )
+    if handle.kind == "section":
+        return w.base.raw
+    assert handle.kind == "projection"
+    return handle.proj.matvec(w.base.raw)
+
+
 def test_witness_reevaluation_matches_its_point():
+    """Every layer of every sampled witness chain stores the representative
+    its chart map gives, normalizes it to its point, and hands it to its
+    chart jet as the jet's point."""
     rng = random.Random(404)
     zoo = [
         veronese(F, 2, 2),
@@ -500,10 +525,20 @@ def test_witness_reevaluation_matches_its_point():
         cone_over_embedded_curve(rng),
     ]
     zoo.append(hypersurface_section(zoo[2], random_cubic_form(F, 5, seed=61), rng))
+    zoo.append(hypersurface_section(zoo[0], random_cubic_form(F, 6, seed=62), rng))
+    zoo.append(tangential_projection(veronese(F, 2, 3), 1, rng)[0])
+    kinds = set()
     for handle in zoo:
         for _ in range(3):
-            w = handle.sample(rng)
-            assert normalize_point(handle.reevaluate(w), F.modulus) == w.point
+            layer, w = handle, handle.sample(rng)
+            while w is not None:
+                kinds.add(layer.kind)
+                assert w.raw == _raw_from_base(layer, w)
+                assert normalize_point(w.raw, F.modulus) == w.point
+                assert layer.chart_jet2(w).point == w.raw
+                layer, w = getattr(layer, "base", None), w.base
+            assert layer is None
+    assert kinds == {"parametric", "implicit_plane_curve", "map_image", "cone", "section", "projection"}
 
 
 def test_distinct_sampling_never_repeats():
@@ -528,7 +563,7 @@ def test_blueprint_rebuild_across_primes():
         assert rebuilt.ambient_r == Sh.ambient_r
         w = rebuilt.sample(random.Random(8))
         for g in rebuilt.constraints:
-            assert g.evaluate(rebuilt.reevaluate(w)) == 0
+            assert g.evaluate(w.raw) == 0
 
 
 def _counter1_with_a_negative_coefficient():
