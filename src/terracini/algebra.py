@@ -6,7 +6,8 @@ coefficients, jets, witnesses and root sets.  The modulus travels with the
 containers that hold a ``FieldSpec`` (``Matrix``, ``MultiPoly``); helpers on
 bare vectors (``dot``, ``normalize_point``, ``power_table``) take ``p``.
 Every operation reduces its result into ``[0, p)``, and no floating point
-appears anywhere.
+appears anywhere here.  One rule, ``product_dtype``, tells the fiber grid
+when float64 products of residues stay exact integers.
 
 Matrices are dense row-major and small (ambient dimensions stay below ~125),
 but elimination is not cheap: with tangent frames built from first-order jets,
@@ -77,6 +78,16 @@ _MIN_MODULUS = 257
 WIDE_CELLS = 1024
 # With entries in [0, p), p < 2^31, every a - f*b lies within +-2^62.
 _INT64_MODULUS_BOUND = 1 << 31
+# float64 holds every integer below 2^53 exactly.
+_FLOAT64_EXACT_BOUND = 1 << 53
+
+
+def product_dtype(terms: int, p: int) -> str:
+    """The numpy dtype for sums of ``terms`` products of two residues mod p:
+    ``"float64"`` while every such sum, at most ``terms (p - 1)^2``, stays
+    below 2^53 and so is an exact float64 integer (numpy multiplies float64
+    through BLAS), ``"int64"`` beyond."""
+    return "float64" if terms * (p - 1) ** 2 < _FLOAT64_EXACT_BOUND else "int64"
 
 
 def is_prime(n: int) -> bool:

@@ -15,6 +15,8 @@ Two enumeration strategies cover every built-in shape:
   proportional to q.  Blocks of grid cells evaluate just two of them, the
   probes' pivot ``R_j`` and one more ``R_i``, as products of power tables
   and coefficient arrays, and key every cell by the ratio ``R_i / R_j``.
+  Those products and keys run in float64, through BLAS, on integers that
+  ``algebra.product_dtype`` proves stay below 2^53, and in int64 beyond.
   Only cells whose key matches a probe's ``q_i / q_j`` are checked, exactly,
   against the other coordinates.  Every grid point is still visited and the
   key is only a necessary condition, so the counts are exhaustive and exact;
@@ -45,6 +47,7 @@ from .algebra import (
     MultiPoly,
     exact_rank,
     normalize_point,
+    product_dtype,
     restrict_univariate,
     uni_roots_mod_p,
 )
@@ -80,7 +83,7 @@ DEFAULT_FIBER_PRIMES = ENUM_PRIMES
 MAX_PROBE_RETRIES = 64
 # image witnesses at which the functoriality check compares tangent frames
 FUNCTORIALITY_WITNESSES = 3
-# int64 cells the grid kernel evaluates at once: a block is this many cells'
+# grid cells the grid kernel evaluates at once: a block is this many cells'
 # worth of grid rows (at least one row), which bounds each temporary
 GRID_BLOCK_CELLS = 1 << 14
 # any positive-dimensional fiber over F_p carries on the order of p points,
@@ -140,12 +143,37 @@ def _coefficients(polys: Sequence[MultiPoly], n: int) -> np.ndarray:
     return out
 
 
-def _powers(xs: np.ndarray, count: int, p: int) -> np.ndarray:
-    """Power table ``T[e, k] = xs[k]^e mod p`` for ``e < count``."""
-    out = np.ones((count, len(xs)), dtype=np.int64)
-    for e in range(1, count):
-        np.multiply(out[e - 1], xs, out=out[e])
-        np.remainder(out[e], p, out=out[e])
+def _dtype(coeffs: np.ndarray, p: int) -> str:
+    """The dtype of every grid product of the coefficient arrays
+    ``coeffs[k, a, b]``: each is a sum of at most ``max(na, nb)`` products of
+    two residues."""
+    return product_dtype(max(coeffs.shape[1:]), p)
+
+
+def _reduce(values: np.ndarray, p: int) -> np.ndarray:
+    """Reduce non-negative integer values mod p in place, and return them.
+
+    In float64 this is ``v - floor(v / p) p``.  Below 2^53 the rounded
+    quotient never reaches the next integer, so its floor is the true
+    quotient and every step is exact.  Multiplying by a rounded ``1 / p``
+    instead can be off by one."""
+    if values.dtype == np.int64:
+        return np.remainder(values, p, out=values)
+    quotient = np.divide(values, p)
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    values -= quotient
+    return values
+
+
+def _powers(xs: np.ndarray, count: int, p: int, dtype: str) -> np.ndarray:
+    """Power table ``T[e, k] = xs[k]^e mod p`` for ``e < count``, built in
+    ``dtype``, for xs in ``[0, p)``."""
+    out = np.ones((count, len(xs)), dtype=dtype)
+    if count > 1:
+        out[1] = xs
+    for e in range(2, count):
+        _reduce(np.multiply(out[e - 1], out[1], out=out[e]), p)
     return out
 
 
@@ -158,40 +186,47 @@ def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.n
     so that all polynomials together fill at most ``GRID_BLOCK_CELLS`` cells,
     at least one each.  Yields ``(start, vals)`` in cell order, where
     ``vals[k].flat[c]`` is polynomial k at cell ``start + c``.  Each block
-    is ``(U @ C) @ V`` for the power tables U and V of its rows and columns.
+    is ``(U @ C) @ V`` for the power tables U and V of its rows and columns,
+    reduced after each product.  The products run in float64, through BLAS,
+    when ``product_dtype`` finds every sum in them an exact float64 integer,
+    and in int64 otherwise; either way the values are the same integers.
     """
     count, na, nb = coeffs.shape
+    dtype = _dtype(coeffs, p)
+    coeffs = coeffs.astype(dtype, copy=False)
     width = min(p, max(1, GRID_BLOCK_CELLS // count))
     height = max(1, GRID_BLOCK_CELLS // (count * width))
     u_count = p if n == 2 else 1
     # one table serves rows and columns alike, unless rows are cut into parts
-    pows = _powers(np.arange(p if width == p else u_count, dtype=np.int64), max(na, nb), p)
+    pows = _powers(np.arange(p if width == p else u_count), max(na, nb), p, dtype)
     for u0 in range(0, u_count, height):
-        left = pows[:na, u0 : min(u0 + height, u_count)].T @ coeffs % p
+        u_pows = pows[:na, u0 : min(u0 + height, u_count)].T
+        # every polynomial's rows stacked, so each block is one matrix product
+        left = _reduce(u_pows @ coeffs, p).reshape(-1, nb)
         for v0 in range(0, p, width):
             if width == p:
                 v_pows = pows[:nb]
             else:
-                v_pows = _powers(np.arange(v0, min(v0 + width, p), dtype=np.int64), nb, p)
-            vals = left @ v_pows
-            np.remainder(vals, p, out=vals)
-            yield u0 * p + v0, vals
+                v_pows = _powers(np.arange(v0, min(v0 + width, p)), nb, p, dtype)
+            vals = _reduce(left @ v_pows, p)
+            yield u0 * p + v0, vals.reshape(count, len(u_pows), -1)
 
 
 def _count_vanishing(cells: np.ndarray, polys: np.ndarray, p: int, chunk: int) -> int:
     """How many of the grid cells are common zeros of the polynomials
     ``polys[k]``: the exact check behind every key.  Cells go ``chunk`` at a
     time, and each polynomial is evaluated only on the cells still left."""
+    dtype = _dtype(polys, p)
+    polys = polys.astype(dtype, copy=False)
     total = 0
     for s in range(0, len(cells), chunk):
         us, vs = np.divmod(cells[s : s + chunk], p)
-        u_pows = _powers(us, polys.shape[1], p).T
-        v_pows = _powers(vs, polys.shape[2], p).T
+        u_pows = _powers(us, polys.shape[1], p, dtype).T
+        v_pows = _powers(vs, polys.shape[2], p, dtype).T
         for poly in polys:
-            vals = u_pows @ poly
-            vals %= p
+            vals = _reduce(u_pows @ poly, p)
             vals *= v_pows
-            ok = vals.sum(axis=1) % p == 0
+            ok = _reduce(vals.sum(axis=1), p) == 0
             u_pows, v_pows = u_pows[ok], v_pows[ok]
             if not len(u_pows):
                 break
@@ -227,13 +262,15 @@ def _scan_parametric(
     nonzero coordinate j (generically one group), and each group takes one
     pass over the grid that evaluates only ``R_j`` and one more coordinate
     ``R_i``.  Every cell is keyed by the ratio ``R_i / R_j`` through one
-    inverse table; cells with ``R_j = 0`` get the key p, which no probe
-    takes.  A point over [q] has ``R_j != 0`` and the key ``q_i / q_j``, so
-    only cells with that key are checked, exactly, against the rest of the
-    family ``q_j R_k - q_k R_j``.  A center point has ``R_i = R_j = 0``, so
-    the first pass counts the center among those cells.  The key is only a
-    necessary condition, hence every count is exact.  Keyed cells wait and
-    are checked together, a block's worth of power tables at a time.
+    inverse table, whose zero entry gives cells with ``R_j = 0`` the key 0.
+    Cells with a probe's key or the key 0 are looked up, and those with
+    ``R_j = 0`` are set apart among them.  A point over [q] has ``R_j != 0``
+    and the key ``q_i / q_j``, so only cells with that key are checked,
+    exactly, against the rest of the family ``q_j R_k - q_k R_j``.  A center
+    point has ``R_i = R_j = 0``, so the first pass counts the center among
+    the cells set apart.  The key is only a necessary condition, hence every
+    count is exact.  Keyed cells wait and are checked together, a block's
+    worth of power tables at a time.
     """
     p = xp.field.modulus
     n = xp.n
@@ -244,7 +281,10 @@ def _scan_parametric(
     comps = _coefficients(xp.polys, n)
     rows = np.array(proj.entries, dtype=np.int64) @ comps.reshape(len(comps), -1) % p
     rows = rows.reshape(-1, *comps.shape[1:])
-    inverse = _inverse_table(p)
+    # a key is one product of two residues, within the grid's own bound; the
+    # table is built in int64, in place, because a float64 reduction would
+    # allocate a quotient as large as the table at every step
+    inverse = _inverse_table(p).astype(_dtype(rows, p), copy=False)
     # the exact check's power tables and products stay within one block
     chunk = max(1, GRID_BLOCK_CELLS // (2 * (rows.shape[1] + rows.shape[2])))
     groups: dict[int, list[int]] = {}
@@ -258,9 +298,13 @@ def _scan_parametric(
         others = [k for k in range(len(rows)) if k not in (i, j)]
         rest = rows[others]
         keys = [qs[t][i] * int(inverse[qs[t][j]]) % p for t in members]
-        wanted = np.zeros(p + 1, dtype=bool)
+        wanted = np.zeros(p, dtype=bool)
         wanted[keys] = True
+        wanted[0] = True
         pending: list[list[int]] = [[] for _ in members]
+        waiting_on: dict[int, list[list[int]]] = {}
+        for target, waiting in zip(keys, pending):
+            waiting_on.setdefault(target, []).append(waiting)
         held = 0
 
         def check() -> None:
@@ -273,19 +317,22 @@ def _scan_parametric(
 
         for start, (ri, rj) in _grid_blocks(rows[[i, j]], p, n):
             ri, rj = ri.ravel(), rj.ravel()
-            off = np.flatnonzero(rj == 0)
-            if first == 0:
-                center_hits += _count_vanishing(start + off[ri[off] == 0], rest, p, chunk)
-            key = inverse[rj]
+            key = inverse[rj.astype(np.intp, copy=False)]
             key *= ri
-            key %= p
-            key[off] = p
+            key = _reduce(key, p).astype(np.intp, copy=False)
             cells = np.flatnonzero(wanted[key])
-            for target, waiting in zip(keys, pending):
-                mine = cells[key[cells] == target]
-                if len(mine):
-                    waiting += (start + mine).tolist()
-                    held += len(mine)
+            on = rj[cells] != 0
+            if first == 0:
+                off = cells[~on]
+                center = off[ri[off] == 0]
+                if len(center):
+                    center_hits += _count_vanishing(start + center, rest, p, chunk)
+            cells = cells[on]
+            # a block keys a handful of cells: route them one by one
+            for cell, target in zip((start + cells).tolist(), key[cells].tolist()):
+                for waiting in waiting_on.get(target, ()):
+                    waiting.append(cell)
+                    held += 1
             if held >= chunk:
                 check()
                 held = 0

@@ -510,3 +510,57 @@ def ah_secant_dim(n: int, d: int, k: int) -> int:
         return (k + 1) * (n + 1) - k * (k + 1) // 2 - 1
     count = ah_parameter_count(n, d, k)
     return count - 1 if (n, d, k) in AH_SPORADIC else count
+
+
+# what tangential_projection_degree returns where the projected image loses
+# dimension
+NOT_GENERICALLY_FINITE = "not generically finite"
+
+# (n, d, r) -> decompositions: the only subgeneric ranks r at which a general
+# form of degree d >= 3 in n + 1 variables has more than one decomposition
+# (Chiantini-Ottaviani-Vannieuwenhoven, Trans. AMS 369, 2017)
+COV_EXCEPTIONS = {(2, 6, 9): 2, (3, 4, 8): 2, (5, 3, 9): 2}
+
+# d -> decompositions of a general plane form of degree d at the perfect rank
+# C(d + 2, 2) / 3: one for quintics (Galuppi-Mella, J. reine angew. Math. 757,
+# 2019), five for septics (Dixon-Stuart 1906; Ranestad-Schreyer, J. reine
+# angew. Math. 525, 2000); Galuppi-Mella show every other perfect case has
+# more than one, and no count is cited for it
+PLANE_PERFECT_DECOMPOSITIONS = {5: 1, 7: 5}
+
+
+def tangential_projection_degree(n: int, d: int, k: int):
+    """The degree of the projection of v_d(P^n), n = 1 or 2, from k general
+    tangent spaces, from the literature alone.
+
+    The k tangent spaces span a space of dimension dim S^{k-1} (Terracini),
+    and the image is a variety of dimension dim S^k - dim S^{k-1} - 1, both
+    read off ``ah_secant_dim``.  The projection is generically finite when
+    that is n, and then its degree is the number of decompositions of a
+    general form of rank r = k + 1 (Chiantini-Ciliberto, J. London Math.
+    Soc. 73, 2006):
+
+    * binary forms have one (Sylvester);
+    * plane forms of subgeneric rank, 3r < C(d + 2, 2), have one, except
+      the exceptions of ``COV_EXCEPTIONS``;
+    * the only other finite case is the perfect rank 3r = C(d + 2, 2),
+      counted by ``PLANE_PERFECT_DECOMPOSITIONS``.
+
+    Returns 1, the number of decompositions, ``NOT_GENERICALLY_FINITE``, or
+    None where no count is cited.  Raises ``ValueError`` for other n, for
+    d < 2 or k < 1, and where the k tangent spaces already fill the span.
+    """
+    if n not in (1, 2) or d < 2 or k < 1:
+        raise ValueError(f"no closed form for v_{d}(P^{n}) at k = {k}")
+    span = comb(n + d, d) - 1
+    center = ah_secant_dim(n, d, k - 1)
+    if center >= span:
+        raise ValueError(f"{k} tangent spaces of v_{d}(P^{n}) fill P^{span}")
+    if ah_secant_dim(n, d, k) - center - 1 != n:
+        return NOT_GENERICALLY_FINITE
+    r = k + 1
+    if n == 1:
+        return 1
+    if 3 * r < span + 1:
+        return COV_EXCEPTIONS.get((n, d, r), 1)
+    return PLANE_PERFECT_DECOMPOSITIONS.get(d)

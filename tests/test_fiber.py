@@ -1,8 +1,9 @@
 """Fiber probes: exhaustive preimage counts of tangential projections."""
 
+import hashlib
 import random
 import tracemalloc
-from math import prod
+from math import isqrt, prod
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terracini import fiber
-from terracini.algebra import FieldSpec, exact_rank
+from terracini.algebra import FieldSpec, exact_rank, is_prime, product_dtype
 from terracini.errors import BudgetExhausted
 from terracini.fiber import (
+    DEFAULT_FIBER_TRIALS,
     ENUM_BUDGET,
     FiberReport,
     _curve_points_int,
@@ -27,9 +29,15 @@ from terracini.fiber import (
 from terracini.instances import ANALYSIS_PRIME, builtin, builtin_blueprint
 from terracini.secant import tangential_projection
 from terracini.seeding import derive_rng
-from terracini.varieties import build, veronese
+from terracini.varieties import build, rational_normal_curve, veronese
 
-from oracles import fermat_cubic_points, fiber_counts_by_brute_force, ruling_fiber_by_brute_force
+from oracles import (
+    NOT_GENERICALLY_FINITE,
+    fermat_cubic_points,
+    fiber_counts_by_brute_force,
+    ruling_fiber_by_brute_force,
+    tangential_projection_degree,
+)
 
 FIELD = FieldSpec.prime(ANALYSIS_PRIME)
 
@@ -363,3 +371,148 @@ def test_grid_scan_memory_is_bounded():
         tracemalloc.stop()
     assert counts == [1] * 5
     assert peak < 1 << 20
+
+
+def _prime_at_most(m):
+    while not is_prime(m):
+        m -= 1
+    return m
+
+
+@st.composite
+def _reduction_cases(draw):
+    """A prime and integers below 2^53, about half of them next to a multiple
+    of the prime, where a quotient rounded up would show."""
+    p = draw(st.integers(3, 9_999_991).map(_prime_at_most))
+    near = st.builds(lambda m, e: m * p + e, st.integers(1, (2**53 - 2) // p), st.sampled_from([-1, 0, 1]))
+    return p, draw(st.lists(st.one_of(st.integers(0, 2**53 - 1), near), min_size=1, max_size=64))
+
+
+def _next_to_multiples(p):
+    top = (2**53 - 2) // p
+    return [m * p + e for m in (1, 2, top // 2, top) for e in (-1, 0, 1)] + [0, p - 1, 2**53 - 1]
+
+
+@given(_reduction_cases())
+@example((3, _next_to_multiples(3)))
+@example((1009, _next_to_multiples(1009)))
+@example((3001, _next_to_multiples(3001)))
+@example((9_999_991, _next_to_multiples(9_999_991)))
+@settings(max_examples=200, deadline=None)
+def test_float64_grid_arithmetic_is_exact(case):
+    """The float64 reduction agrees with Python's % on every integer below
+    2^53, and the dtype rule picks float64 wherever its sums stay there."""
+    p, values = case
+    reduced = fiber._reduce(np.array(values, dtype=np.float64), p)
+    assert reduced.tolist() == [v % p for v in values]
+    # every two-parameter chart under the budget, even one with as many
+    # terms as the budget has cells, runs in float64
+    assert product_dtype(ENUM_BUDGET, isqrt(ENUM_BUDGET)) == "float64"
+    # a one-parameter chart of degree 90 near the largest prime the budget
+    # admits is the first to need int64: the choice is read off its
+    # coefficient array, so the grid is never scanned
+    chart = fiber._coefficients([SimpleNamespace(terms={(e,): 1 for e in range(91)})], 1)
+    assert fiber._dtype(chart, 9_999_991) == "int64"
+    assert fiber._dtype(chart[:, :, :90], 9_999_991) == "float64"
+
+
+def _forced(dtype):
+    return mock.patch.object(fiber, "product_dtype", lambda terms, p: dtype)
+
+
+@pytest.mark.parametrize("name, p", [("veronese-2-4", 3001), ("rnc-5", 3001)])
+def test_grid_blocks_agree_in_both_dtypes(name, p):
+    """The int64 path is the fallback past 2^53, which no default run
+    reaches: forced on the same chart, both paths yield the same blocks.  On
+    veronese-2-4 they evaluate two general combinations of the chart, as the
+    scan does; the whole chart of rnc-5 cuts its one grid row into parts."""
+    xp = build(builtin_blueprint(name), FieldSpec.prime(p), random.Random(0))
+    coeffs = fiber._coefficients(xp.polys, xp.n)
+    if xp.n == 2:
+        mix = np.random.default_rng(0).integers(0, p, (2, len(coeffs)))
+        coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(2, *coeffs.shape[1:])
+
+    def blocks(dtype):
+        with _forced(dtype):
+            return [
+                (start, vals.dtype.name, vals.shape, hashlib.sha256(vals.astype(np.int64).tobytes()).digest())
+                for start, vals in fiber._grid_blocks(coeffs, p, xp.n)
+            ]
+
+    floats, ints = blocks("float64"), blocks("int64")
+    assert {b[1] for b in floats} == {"float64"} and {b[1] for b in ints} == {"int64"}
+    assert [(b[0], b[2], b[3]) for b in floats] == [(b[0], b[2], b[3]) for b in ints]
+    assert sum(prod(b[2][1:]) for b in ints) == p**xp.n
+
+
+@pytest.mark.parametrize("case", [_SPLIT_PIVOTS, _ZERO_CHART, _FIVE_PROBES, _ZERO_AT_KEY, _LINEAR_FACTOR, _ONE_ROW])
+def test_int64_grid_scan_matches_brute_force_enumeration(case):
+    """The scan's int64 fallback, forced on the explicit cases of the
+    float64 scan's brute-force test, counts the same fibers."""
+    p, n, polys, proj, qs, block_cells = case
+    xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=[SimpleNamespace(terms=t) for t in polys])
+    with _forced("int64"), mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells):
+        got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
+    assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
+
+
+# -- identifiability: fiber degrees against decompositions of forms ----------
+
+
+def _degree_mismatch(n, d, k, trials, seed=0):
+    """None when the probe of v_d(P^n) at k reads what the literature says
+    (``tangential_projection_degree``) or the literature gives no count."""
+    want = tangential_projection_degree(n, d, k)
+    if want is None:
+        return None
+    x = veronese(FIELD, 2, d) if n == 2 else rational_normal_curve(FIELD, d)
+    rep = fiber_probe(x, k, random.Random(seed), trials=trials)
+    if want == NOT_GENERICALLY_FINITE:
+        expected = ("NotGenericallyFinite", None)
+    else:
+        expected = ("BirationalEvidence" if want == 1 else "NonBirationalEvidence", want)
+    got = (rep.verdict, rep.consensus_d)
+    return None if got == expected else f"v_{d}(P^{n}) k={k}: {got} {rep.cardinalities}, want {expected}"
+
+
+# (n, d, k, trials, degree): the perfect plane quintic and septic, the plane
+# sextic below and at COV's (2, 6, 9), and the perfect binary septic.  At the
+# default trials the septic's fibers read 3 of their 5 points at two primes
+_DEGREE_PINS = [
+    (2, 6, 7, DEFAULT_FIBER_TRIALS, 1),
+    (2, 6, 8, DEFAULT_FIBER_TRIALS, 2),
+    (2, 5, 6, DEFAULT_FIBER_TRIALS, 1),
+    (1, 7, 3, DEFAULT_FIBER_TRIALS, 1),
+    (2, 7, 11, 30, 5),
+]
+
+
+@pytest.mark.parametrize("n, d, k, trials, degree", _DEGREE_PINS, ids=[f"v{d}P{n}k{k}" for n, d, k, _, _ in _DEGREE_PINS])
+def test_fiber_degree_is_the_number_of_decompositions(n, d, k, trials, degree):
+    assert tangential_projection_degree(n, d, k) == degree
+    assert _degree_mismatch(n, d, k, trials) is None
+
+
+def _degree_sweep_cases():
+    """Every k with a projection: v_d(P^2) for d = 3..7, rnc of degree 3..11."""
+    cases = []
+    for n, degrees in ((2, range(3, 8)), (1, range(3, 12))):
+        for d in degrees:
+            k = 1
+            while True:
+                try:
+                    tangential_projection_degree(n, d, k)
+                except ValueError:
+                    break
+                cases.append((n, d, k))
+                k += 1
+    return cases
+
+
+@pytest.mark.slow
+def test_full_fiber_degree_sweep():
+    """30 trials, so that the septic's five points show at two primes."""
+    cases = _degree_sweep_cases()
+    assert len(cases) == 63
+    mismatches = [m for m in (_degree_mismatch(n, d, k, 30) for n, d, k in cases) if m]
+    assert not mismatches, mismatches
