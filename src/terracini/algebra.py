@@ -6,8 +6,8 @@ coefficients, jets, witnesses and root sets.  The modulus travels with the
 containers that hold a ``FieldSpec`` (``Matrix``, ``MultiPoly``); helpers on
 bare vectors (``dot``, ``normalize_point``, ``power_table``) take ``p``.
 Every operation reduces its result into ``[0, p)``, and no floating point
-appears anywhere here.  One rule, ``product_dtype``, tells the fiber grid
-when float64 products of residues stay exact integers.
+appears anywhere here; the fiber grid's exact float64 products live with
+the grid, in ``fiber._matmul``.
 
 Matrices are dense row-major and small (ambient dimensions stay below ~125),
 but elimination is not cheap: with tangent frames built from first-order jets,
@@ -78,16 +78,6 @@ _MIN_MODULUS = 257
 WIDE_CELLS = 1024
 # With entries in [0, p), p < 2^31, every a - f*b lies within +-2^62.
 _INT64_MODULUS_BOUND = 1 << 31
-# float64 holds every integer below 2^53 exactly.
-_FLOAT64_EXACT_BOUND = 1 << 53
-
-
-def product_dtype(terms: int, p: int) -> str:
-    """The numpy dtype for sums of ``terms`` products of two residues mod p:
-    ``"float64"`` while every such sum, at most ``terms (p - 1)^2``, stays
-    below 2^53 and so is an exact float64 integer (numpy multiplies float64
-    through BLAS), ``"int64"`` beyond."""
-    return "float64" if terms * (p - 1) ** 2 < _FLOAT64_EXACT_BOUND else "int64"
 
 
 def is_prime(n: int) -> bool:
@@ -200,24 +190,12 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        return cls(field, [[field.scalar(x) for x in row] for row in rows])
-
-    @classmethod
     def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence[int]]) -> "Matrix":
         if not cols:
             return cls(field, [])
         if any(len(col) != len(cols[0]) for col in cols):
             raise ConstructionError("ragged columns")
         return cls(field, list(zip(*cols)))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def hstack(cls, mats: Sequence["Matrix"]) -> "Matrix":

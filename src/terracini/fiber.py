@@ -15,10 +15,11 @@ Two enumeration strategies cover every built-in shape:
   proportional to q.  Blocks of grid cells evaluate just two of them, the
   probes' pivot ``R_j`` and one more ``R_i``, as products of power tables
   and coefficient arrays, and key every cell by the ratio ``R_i / R_j``.
-  Those products and keys run in float64, through BLAS, on integers that
-  ``algebra.product_dtype`` proves stay below 2^53, and in int64 beyond.
-  Only cells whose key matches a probe's ``q_i / q_j`` are checked, exactly,
-  against the other coordinates.  Every grid point is still visited and the
+  Every product and key is float64 arithmetic on exact integers: one
+  helper, ``_matmul``, forms every matrix product through BLAS and sums
+  each contraction in stretches that stay below 2^53.  Only cells whose
+  key matches a probe's ``q_i / q_j`` are checked, exactly, against the
+  other coordinates.  Every grid point is still visited and the
   key is only a necessary condition, so the counts are exhaustive and exact;
 * cone sections scan the base curve exhaustively with the same grid kernel
   and solve the linear proportionality conditions ruling by ruling, so only
@@ -47,7 +48,6 @@ from .algebra import (
     MultiPoly,
     exact_rank,
     normalize_point,
-    product_dtype,
     restrict_univariate,
     uni_roots_mod_p,
 )
@@ -56,6 +56,7 @@ from .instances import ENUM_PRIMES
 from .secant import tangential_projection
 from .seeding import derive_rng
 from .varieties import (
+    MAX_RESAMPLE,
     ConeHandle,
     ImplicitPlaneCurveHandle,
     MapImageHandle,
@@ -80,11 +81,13 @@ __all__ = [
 ENUM_BUDGET = 10_000_000
 DEFAULT_FIBER_TRIALS = 5
 DEFAULT_FIBER_PRIMES = ENUM_PRIMES
-MAX_PROBE_RETRIES = 64
 # image witnesses at which the functoriality check compares tangent frames
 FUNCTORIALITY_WITNESSES = 3
-# grid cells the grid kernel evaluates at once: a block is this many cells'
-# worth of grid rows (at least one row), which bounds each temporary
+# grid cells the grid kernel evaluates at once: a block's values fill at most
+# this many cells, at least one per polynomial.  That bounds the values, not
+# the power tables: a grid row cut into parts holds an nb x width table for
+# each part, nb the chart's column terms, so a chart of many terms exceeds
+# this bound by a factor of about nb
 GRID_BLOCK_CELLS = 1 << 14
 # any positive-dimensional fiber over F_p carries on the order of p points,
 # while honest finite fibers stay tiny; counts past this floor mark a probe
@@ -131,34 +134,27 @@ def _last_nonzero(vals: Sequence[int]) -> int:
 
 
 def _coefficients(polys: Sequence[MultiPoly], n: int) -> np.ndarray:
-    """Coefficient arrays ``C[k, a, b]`` of ``u^a v^b``.  A one-parameter
-    chart is the line ``u = 0`` of the same grid, its parameter being ``v``."""
+    """Coefficient arrays ``C[k, a, b]`` of ``u^a v^b``, in float64.  A
+    one-parameter chart is the line ``u = 0`` of the same grid, its parameter
+    being ``v``."""
     terms = [[((0,) * (2 - n) + e, c) for e, c in poly.terms.items()] for poly in polys]
     na = 1 + max((e[0] for ts in terms for e, _ in ts), default=0)
     nb = 1 + max((e[1] for ts in terms for e, _ in ts), default=0)
-    out = np.zeros((len(polys), na, nb), dtype=np.int64)
+    out = np.zeros((len(polys), na, nb))
     for k, ts in enumerate(terms):
         for (a, b), c in ts:
             out[k, a, b] = c
     return out
 
 
-def _dtype(coeffs: np.ndarray, p: int) -> str:
-    """The dtype of every grid product of the coefficient arrays
-    ``coeffs[k, a, b]``: each is a sum of at most ``max(na, nb)`` products of
-    two residues."""
-    return product_dtype(max(coeffs.shape[1:]), p)
-
-
 def _reduce(values: np.ndarray, p: int) -> np.ndarray:
-    """Reduce non-negative integer values mod p in place, and return them.
+    """Reduce non-negative float64 integers below 2^53 mod p in place, and
+    return them.
 
-    In float64 this is ``v - floor(v / p) p``.  Below 2^53 the rounded
-    quotient never reaches the next integer, so its floor is the true
-    quotient and every step is exact.  Multiplying by a rounded ``1 / p``
-    instead can be off by one."""
-    if values.dtype == np.int64:
-        return np.remainder(values, p, out=values)
+    This is ``v - floor(v / p) p``.  Below 2^53 the rounded quotient never
+    reaches the next integer, so its floor is the true quotient and every
+    step is exact.  Multiplying by a rounded ``1 / p`` instead can be off by
+    one."""
     quotient = np.divide(values, p)
     np.floor(quotient, out=quotient)
     quotient *= p
@@ -166,10 +162,30 @@ def _reduce(values: np.ndarray, p: int) -> np.ndarray:
     return values
 
 
-def _powers(xs: np.ndarray, count: int, p: int, dtype: str) -> np.ndarray:
-    """Power table ``T[e, k] = xs[k]^e mod p`` for ``e < count``, built in
-    ``dtype``, for xs in ``[0, p)``."""
-    out = np.ones((count, len(xs)), dtype=dtype)
+def _stretch(p: int) -> int:
+    """How many products of two residues mod p a float64 sum holds exactly:
+    at most ``(p - 1)^2`` each, they stay below 2^53."""
+    return (2**53 - 1) // (p - 1) ** 2
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b mod p`` through BLAS, for float64 arrays whose entries multiply
+    pairwise to at most ``(p - 1)^2``, as residues do.  The contraction is
+    summed in stretches of at most ``_stretch(p)`` products, each reduced
+    before it is added to a running sum kept in ``[0, p)``, so every value
+    is an exact integer."""
+    step = _stretch(p)
+    out = _reduce(a[..., :step] @ b[..., :step, :], p)
+    for s in range(step, a.shape[-1], step):
+        out += _reduce(a[..., s : s + step] @ b[..., s : s + step, :], p)
+        np.subtract(out, p, out=out, where=out >= p)
+    return out
+
+
+def _powers(xs: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Power table ``T[e, k] = xs[k]^e mod p`` for ``e < count``, in float64,
+    for xs in ``[0, p)``."""
+    out = np.ones((count, len(xs)))
     if count > 1:
         out[1] = xs
     for e in range(2, count):
@@ -187,28 +203,24 @@ def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.n
     at least one each.  Yields ``(start, vals)`` in cell order, where
     ``vals[k].flat[c]`` is polynomial k at cell ``start + c``.  Each block
     is ``(U @ C) @ V`` for the power tables U and V of its rows and columns,
-    reduced after each product.  The products run in float64, through BLAS,
-    when ``product_dtype`` finds every sum in them an exact float64 integer,
-    and in int64 otherwise; either way the values are the same integers.
+    both products formed by ``_matmul``, so the values are exact residues.
     """
     count, na, nb = coeffs.shape
-    dtype = _dtype(coeffs, p)
-    coeffs = coeffs.astype(dtype, copy=False)
     width = min(p, max(1, GRID_BLOCK_CELLS // count))
     height = max(1, GRID_BLOCK_CELLS // (count * width))
     u_count = p if n == 2 else 1
     # one table serves rows and columns alike, unless rows are cut into parts
-    pows = _powers(np.arange(p if width == p else u_count), max(na, nb), p, dtype)
+    pows = _powers(np.arange(p if width == p else u_count), max(na, nb), p)
     for u0 in range(0, u_count, height):
         u_pows = pows[:na, u0 : min(u0 + height, u_count)].T
         # every polynomial's rows stacked, so each block is one matrix product
-        left = _reduce(u_pows @ coeffs, p).reshape(-1, nb)
+        left = _matmul(u_pows, coeffs, p).reshape(-1, nb)
         for v0 in range(0, p, width):
             if width == p:
                 v_pows = pows[:nb]
             else:
-                v_pows = _powers(np.arange(v0, min(v0 + width, p)), nb, p, dtype)
-            vals = _reduce(left @ v_pows, p)
+                v_pows = _powers(np.arange(v0, min(v0 + width, p)), nb, p)
+            vals = _matmul(left, v_pows, p)
             yield u0 * p + v0, vals.reshape(count, len(u_pows), -1)
 
 
@@ -216,17 +228,18 @@ def _count_vanishing(cells: np.ndarray, polys: np.ndarray, p: int, chunk: int) -
     """How many of the grid cells are common zeros of the polynomials
     ``polys[k]``: the exact check behind every key.  Cells go ``chunk`` at a
     time, and each polynomial is evaluated only on the cells still left."""
-    dtype = _dtype(polys, p)
-    polys = polys.astype(dtype, copy=False)
+    ones = np.ones((polys.shape[2], 1))
     total = 0
     for s in range(0, len(cells), chunk):
         us, vs = np.divmod(cells[s : s + chunk], p)
-        u_pows = _powers(us, polys.shape[1], p, dtype).T
-        v_pows = _powers(vs, polys.shape[2], p, dtype).T
+        u_pows = _powers(us, polys.shape[1], p).T
+        v_pows = _powers(vs, polys.shape[2], p).T
         for poly in polys:
-            vals = _reduce(u_pows @ poly, p)
+            vals = _matmul(u_pows, poly, p)
             vals *= v_pows
-            ok = _reduce(vals.sum(axis=1), p) == 0
+            # row sums of products of two residues, in stretches like any
+            # other contraction
+            ok = _matmul(vals, ones, p)[:, 0] == 0
             u_pows, v_pows = u_pows[ok], v_pows[ok]
             if not len(u_pows):
                 break
@@ -235,9 +248,11 @@ def _count_vanishing(cells: np.ndarray, polys: np.ndarray, p: int, chunk: int) -
 
 
 def _inverse_table(p: int) -> np.ndarray:
-    """``T[x] = x^(p-2) mod p``: the inverse of every nonzero x, and
-    ``T[0] = 0``.  Square-and-multiply over the whole field at once takes
-    O(p log p) steps."""
+    """``T[x] = x^(p-2) mod p`` in float64: the inverse of every nonzero x,
+    and ``T[0] = 0``.  Square-and-multiply over the whole field at once takes
+    O(p log p) steps.  The table is built in int64, in place, and cast once:
+    a float64 reduction would allocate a quotient as large as the table at
+    every step."""
     table = np.ones(p, dtype=np.int64)
     base = np.arange(p, dtype=np.int64)
     e = p - 2
@@ -248,7 +263,8 @@ def _inverse_table(p: int) -> np.ndarray:
         base *= base
         base %= p
         e >>= 1
-    return table
+    del base  # so that the cast never holds three tables at once
+    return table.astype(np.float64)
 
 
 def _scan_parametric(
@@ -279,12 +295,10 @@ def _scan_parametric(
             f"parametric grid {p}^{n} exceeds the enumeration budget {budget}"
         )
     comps = _coefficients(xp.polys, n)
-    rows = np.array(proj.entries, dtype=np.int64) @ comps.reshape(len(comps), -1) % p
+    rows = _matmul(np.array(proj.entries, dtype=np.float64), comps.reshape(len(comps), -1), p)
     rows = rows.reshape(-1, *comps.shape[1:])
-    # a key is one product of two residues, within the grid's own bound; the
-    # table is built in int64, in place, because a float64 reduction would
-    # allocate a quotient as large as the table at every step
-    inverse = _inverse_table(p).astype(_dtype(rows, p), copy=False)
+    # a key is one product of two residues, an exact float64 integer
+    inverse = _inverse_table(p)
     # the exact check's power tables and products stay within one block
     chunk = max(1, GRID_BLOCK_CELLS // (2 * (rows.shape[1] + rows.shape[2])))
     groups: dict[int, list[int]] = {}
@@ -310,7 +324,7 @@ def _scan_parametric(
         def check() -> None:
             for t, cells in zip(members, pending):
                 if cells:
-                    q = np.array(qs[t], dtype=np.int64)
+                    q = np.array(qs[t], dtype=np.float64)
                     family = (q[j] * rest - q[others, None, None] * rows[j]) % p
                     counts[t] += _count_vanishing(np.array(cells, dtype=np.int64), family, p, chunk)
                     cells.clear()
@@ -496,7 +510,7 @@ def _grid_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.R
     xp, proj = projected.base, projected.proj
     qs = [projected.sample(rng).point for _ in range(trials)]
     counts, hits = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
-    for _ in range(MAX_PROBE_RETRIES):
+    for _ in range(MAX_RESAMPLE):
         bad = [t for t, c in enumerate(counts) if c >= DEGENERATE_COUNT_FLOOR]
         if not bad:
             break
@@ -515,7 +529,7 @@ def _ruling_counts(projected: ProjectionHandle, n: int, trials: int, rng: random
     hits = 0
     agreement: Optional[bool] = None
     for _ in range(trials):
-        for _ in range(MAX_PROBE_RETRIES):
+        for _ in range(MAX_RESAMPLE):
             q = projected.sample(rng).point
             try:
                 found, center_hits, details = scan.preimages(q)

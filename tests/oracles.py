@@ -564,3 +564,29 @@ def tangential_projection_degree(n: int, d: int, k: int):
     if 3 * r < span + 1:
         return COV_EXCEPTIONS.get((n, d, r), 1)
     return PLANE_PERFECT_DECOMPOSITIONS.get(d)
+
+
+def weakly_defective_veronese(n: int, d: int, k: int):
+    """Whether v_d(P^n) is k-weakly defective, from the literature alone:
+    whether a general hyperplane tangent at k + 1 general points is tangent
+    along a positive-dimensional contact locus, which ``nu >= 1`` records.
+
+    * None where S^k fills the span, so that no hyperplane is tangent at
+      k + 1 general points;
+    * True where S^k is defective (``ah_secant_dim``), since a defective
+      secant is weakly defective (Chiantini-Ciliberto, Trans. AMS 354, 2002),
+      and at the three ranks r = k + 1 of ``COV_EXCEPTIONS``;
+    * False everywhere else: for d >= 3 below the generic rank, COV show
+      that the three are the only weakly defective cases; every secant of
+      v_2(P^n) short of filling is defective, and a single tangent point
+      never is, on any Veronese.  For n = 1 this leaves False below
+      filling: no rational normal curve is weakly defective.
+
+    Raises ``ValueError`` for n < 1, d < 2 or k < 0.
+    """
+    if n < 1 or d < 2 or k < 0:
+        raise ValueError(f"no weak-defectivity rule for v_{d}(P^{n}) at k = {k}")
+    dim = ah_secant_dim(n, d, k)
+    if dim >= comb(n + d, d) - 1:
+        return None
+    return dim < ah_parameter_count(n, d, k) or (n, d, k + 1) in COV_EXCEPTIONS

@@ -85,7 +85,7 @@ def test_scalar_field_mismatch_raises():
         MultiPoly.variable(F1009, 1, 0) + MultiPoly.variable(F2003, 1, 0)
     with pytest.raises(FieldMismatchError):
         MultiPoly.variable(F1009, 1, 0) * MultiPoly.variable(F2003, 1, 0)
-    a, b = Matrix.identity(F1009, 2), Matrix.identity(F2003, 2)
+    a, b = Matrix(F1009, [[1, 0], [0, 1]]), Matrix(F2003, [[1, 0], [0, 1]])
     with pytest.raises(FieldMismatchError):
         Matrix.hstack([a, b])
     with pytest.raises(FieldMismatchError):
@@ -98,6 +98,7 @@ def test_scalar_field_mismatch_raises():
 
 
 def _reduce_mod_1009(rows):
+    """Integer or Fraction entries reduced into [0, 1009)."""
     return [[x.numerator * pow(x.denominator, -1, 1009) % 1009 for x in row] for row in rows]
 
 
@@ -107,31 +108,31 @@ def test_rank_matches_minor_expansion_oracle_mod_p():
     rng = random.Random(1201)
     raw = random_fraction_matrix(rng, 5, 7)
     reduced = _reduce_mod_1009(raw)
-    assert exact_rank(Matrix.from_rows(F1009, reduced)) == rank_by_minors(reduced, 1009) == rank_by_minors(raw)
+    assert exact_rank(Matrix(F1009, reduced)) == rank_by_minors(reduced, 1009) == rank_by_minors(raw)
 
     raw_low = random_fraction_matrix(rng, 5, 7, rank_target=3)
     reduced_low = _reduce_mod_1009(raw_low)
     assert rank_by_minors(raw_low) == rank_by_minors(reduced_low, 1009) == 3
-    assert exact_rank(Matrix.from_rows(F1009, reduced_low)) == 3
+    assert exact_rank(Matrix(F1009, reduced_low)) == 3
 
     # rank 2 over Q but 1 over F_1009: the 2x2 minor is 1009 itself
     rows = [[1, 2], [3, 6 + 1009]]
     assert rank_by_minors([[Fraction(x) for x in row] for row in rows]) == 2
-    assert rank_by_minors(rows, 1009) == exact_rank(Matrix.from_rows(F1009, rows)) == 1
+    assert rank_by_minors(rows, 1009) == exact_rank(Matrix(F1009, _reduce_mod_1009(rows))) == 1
 
 
 def test_rank_matches_independent_echelon_over_prime_field():
     rng = random.Random(77)
     raw = [[rng.randrange(1009) for _ in range(7)] for _ in range(5)]
-    m = Matrix.from_rows(F1009, raw)
+    m = Matrix(F1009, raw)
     assert exact_rank(m) == rank_by_reverse_echelon(raw, 1009)
     assert exact_rank(m) == rank_by_minors(raw, 1009)
 
 
 def test_rank_trivial_cases():
-    assert exact_rank(Matrix.identity(F1009, 4)) == 4
-    assert exact_rank(Matrix.zeros(F1009, 3, 5)) == 0
-    assert exact_rank(Matrix.zeros(F2003, 2, 2)) == 0
+    assert exact_rank(Matrix(F1009, [[int(i == j) for j in range(4)] for i in range(4)])) == 4
+    assert exact_rank(Matrix(F1009, [[0] * 5] * 3)) == 0
+    assert exact_rank(Matrix(F2003, [[0, 0], [0, 0]])) == 0
     assert exact_rank(Matrix(F1009, [])) == 0
     assert exact_rank(Matrix(F1009, [[], []])) == 0
 
@@ -147,11 +148,11 @@ def test_rank_transpose_and_permutation_invariance():
     rng = random.Random(5)
     for _ in range(20):
         raw = [[rng.randrange(-4, 5) for _ in range(6)] for _ in range(4)]
-        m = Matrix.from_rows(F1009, raw)
+        m = Matrix(F1009, _reduce_mod_1009(raw))
         assert exact_rank(m) == exact_rank(m.transpose())
         shuffled = raw[:]
         rng.shuffle(shuffled)
-        assert exact_rank(Matrix.from_rows(F1009, shuffled)) == exact_rank(m)
+        assert exact_rank(Matrix(F1009, _reduce_mod_1009(shuffled))) == exact_rank(m)
 
 
 @given(
@@ -163,14 +164,14 @@ def test_rank_transpose_and_permutation_invariance():
 )
 @settings(max_examples=60, deadline=None)
 def test_rank_agrees_with_minor_oracle_mod_p(rows):
-    m = Matrix.from_rows(F1009, rows)
+    m = Matrix(F1009, _reduce_mod_1009(rows))
     assert exact_rank(m) == rank_by_minors(rows, 1009)
 
 
 def test_null_space_is_exact_kernel():
     rng = random.Random(9)
     raw = [[rng.randrange(1009) for _ in range(8)] for _ in range(3)]
-    m = Matrix.from_rows(F1009, raw)
+    m = Matrix(F1009, raw)
     ker = m.null_space()
     assert ker.cols == 8 - exact_rank(m)
     for j in range(ker.cols):
@@ -199,7 +200,7 @@ def _apply(raw, vec):
 @given(_int_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_elimination_kernel_against_independent_references(raw, data):
-    m = Matrix.from_rows(F1009, raw)
+    m = Matrix(F1009, raw)
     ncols = m.cols
     rank = exact_rank(m)
     assert rank == rank_by_reverse_echelon(raw, 1009)
@@ -325,15 +326,15 @@ def test_wide_matrix_reduces_exactly_past_int64():
     raw[4][7] = p - 1
     rref = [row[:] for row in raw]
     pivots = _gauss_jordan(rref, p)
-    assert len(pivots) == rank_by_reverse_echelon(raw, p) == exact_rank(Matrix.from_rows(FieldSpec.prime(p), raw))
+    assert len(pivots) == rank_by_reverse_echelon(raw, p) == exact_rank(Matrix(FieldSpec.prime(p), raw))
     _check_reduced_form(raw, rref, pivots, p)
 
 
 def test_subspace_intersect_rank_identity():
     rng = random.Random(31)
     for _ in range(10):
-        a = Matrix.from_rows(F1009, [[rng.randrange(1009) for _ in range(3)] for _ in range(6)])
-        b = Matrix.from_rows(F1009, [[rng.randrange(1009) for _ in range(4)] for _ in range(6)])
+        a = Matrix(F1009, [[rng.randrange(1009) for _ in range(3)] for _ in range(6)])
+        b = Matrix(F1009, [[rng.randrange(1009) for _ in range(4)] for _ in range(6)])
         inter = subspace_intersect(a, b)
         expected = exact_rank(a) + exact_rank(b) - exact_rank(Matrix.hstack([a, b]))
         assert exact_rank(inter) == max(0, expected)
@@ -341,10 +342,10 @@ def test_subspace_intersect_rank_identity():
 
 
 def test_subspace_intersect_same_and_disjoint_spans():
-    a = Matrix.from_rows(F1009, [[1, 0], [0, 1], [0, 0], [0, 0]])
+    a = Matrix(F1009, [[1, 0], [0, 1], [0, 0], [0, 0]])
     same = subspace_intersect(a, a)
     assert exact_rank(same) == 2
-    b = Matrix.from_rows(F1009, [[0, 0], [0, 0], [1, 0], [0, 1]])
+    b = Matrix(F1009, [[0, 0], [0, 0], [1, 0], [0, 1]])
     disjoint = subspace_intersect(a, b)
     assert disjoint.cols == 0
 

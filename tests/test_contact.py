@@ -1,6 +1,7 @@
 """Tangent hyperplanes, contact coranks, weak defectivity."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -22,7 +23,7 @@ from terracini.varieties import (
     veronese,
 )
 
-from oracles import double_point_condition_nullity
+from oracles import AH_SPORADIC, COV_EXCEPTIONS, double_point_condition_nullity, weakly_defective_veronese
 
 F = FieldSpec.prime(2147483647)
 P = F.modulus
@@ -168,3 +169,57 @@ def test_nu_dominates_delta_where_defects_start():
     vacuous = check_nu_ge_delta(veronese(F, 2, 3), 3, rng)
     assert not vacuous.applicable
     assert vacuous.holds
+
+
+# -- weak defectivity against Alexander-Hirschowitz and COV ------------------
+
+
+def _weak_defect_mismatch(n, d, k, seed=0):
+    """None when nu_estimate on v_d(P^n) at k reads what the literature says
+    (``weakly_defective_veronese``): no nu where S^k fills, nu >= 1 exactly
+    where it is weakly defective."""
+    want = weakly_defective_veronese(n, d, k)
+    est = nu_estimate(veronese(F, n, d), k, random.Random(seed))
+    got = None if est.nu is None else est.nu >= 1
+    return None if got == want else f"v_{d}(P^{n}) k={k}: nu {est.nu}, want weakly defective {want}"
+
+
+# (n, d, k, weakly defective): COV's three exceptions (r = k + 1) and their
+# k - 1 neighbours, the four sporadic defective secants of Alexander-
+# Hirschowitz, and v_2(P^n) for n <= 5 from one point to filling
+_WEAK_PINS = (
+    [(n, d, r - 1, True) for n, d, r in sorted(COV_EXCEPTIONS)]
+    + [(n, d, r - 2, False) for n, d, r in sorted(COV_EXCEPTIONS)]
+    + [(n, d, k, True) for n, d, k in sorted(AH_SPORADIC)]
+    + [(n, 2, k, None if k == n else k > 0) for n in range(1, 6) for k in range(n + 1)]
+)
+
+
+@pytest.mark.parametrize("n, d, k, weak", _WEAK_PINS, ids=[f"v{d}P{n}k{k}" for n, d, k, _ in _WEAK_PINS])
+def test_weak_defectivity_matches_the_classification(n, d, k, weak):
+    assert weakly_defective_veronese(n, d, k) is weak
+    assert _weak_defect_mismatch(n, d, k) is None
+
+
+def _weak_defect_sweep_cases():
+    """Every k from one point to filling: v_d(P^n) for n >= 2 up to P^120,
+    and rational normal curves up to degree 40."""
+    cases = []
+    for n in range(1, 120):
+        for d in range(2, 41 if n == 1 else 120):
+            if comb(n + d, d) - 1 > 120:
+                break
+            k = 0
+            while True:
+                cases.append((n, d, k))
+                if weakly_defective_veronese(n, d, k) is None:
+                    break
+                k += 1
+    return cases
+
+
+@pytest.mark.slow
+def test_full_weak_defectivity_sweep():
+    cases = _weak_defect_sweep_cases()
+    mismatches = [m for m in (_weak_defect_mismatch(n, d, k) for n, d, k in cases) if m]
+    assert not mismatches, mismatches

@@ -1,9 +1,12 @@
 """Fiber probes: exhaustive preimage counts of tangential projections."""
 
+import ast
+import contextlib
 import hashlib
 import random
 import tracemalloc
 from math import isqrt, prod
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terracini import fiber
-from terracini.algebra import FieldSpec, exact_rank, is_prime, product_dtype
+from terracini.algebra import FieldSpec, exact_rank, is_prime
 from terracini.errors import BudgetExhausted
 from terracini.fiber import (
     DEFAULT_FIBER_TRIALS,
@@ -186,7 +189,8 @@ def _grid_scan_cases(draw):
     coordinates hit the key coordinate and split batches of up to five
     probes into several pivot groups.  The small block size makes the scan
     cross many block boundaries, the last block partial, and at p = 101 cuts
-    grid rows into parts."""
+    grid rows into parts.  A forced stretch length of 1 or 2 products splits
+    every contraction of the scan; None keeps the natural one."""
     p = draw(st.sampled_from([31, 101]))
     n = draw(st.integers(1, 2))
     coeff = st.integers(0, p - 1)
@@ -226,7 +230,27 @@ def _grid_scan_cases(draw):
         if any(q):
             qs.append(q)
     block_cells = draw(st.sampled_from([64, fiber.GRID_BLOCK_CELLS]))
-    return p, n, polys, proj, qs or [[0] * (nrows - 1) + [1]], block_cells
+    stretch = draw(st.sampled_from([1, 2, None]))
+    return p, n, polys, proj, qs or [[0] * (nrows - 1) + [1]], block_cells, stretch
+
+
+@contextlib.contextmanager
+def _stretched(stretch):
+    """Sum every contraction of the grid in stretches of ``stretch`` products,
+    or of the natural length for None, and check that every value the grid
+    reduces is a sum of at most that many products of two residues: as if
+    float64 held no larger integer exactly."""
+    reduce = fiber._reduce
+
+    def checked(values, p):
+        assert values.max(initial=0) <= (stretch or fiber._stretch(p)) * (p - 1) ** 2
+        return reduce(values, p)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(fiber, "_reduce", checked))
+        if stretch is not None:
+            stack.enter_context(mock.patch.object(fiber, "_stretch", lambda p: stretch))
+        yield
 
 
 # grid points (u, v) map to [1 : u : v]: each probe has its own pivot
@@ -243,21 +267,28 @@ _LINEAR_FACTOR = (31, 2, [{(1, 0): 1, (0, 0): 27}, {(0, 1): 1}, {(1, 1): 1}], [[
 _ONE_ROW = (101, 2, [{(2, 0): 1, (0, 1): 3}, {(1, 1): 1}], [[1, 2]], [[5]], 64)
 
 
+_SCAN_EXAMPLES = (_SPLIT_PIVOTS, _ZERO_CHART, _FIVE_PROBES, _ZERO_AT_KEY, _LINEAR_FACTOR, _ONE_ROW)
+
+
+def _scan_examples(test):
+    """Each explicit case at its natural stretch and in stretches of one
+    product."""
+    for case in reversed(_SCAN_EXAMPLES):
+        for stretch in (1, None):
+            test = example(case + (stretch,))(test)
+    return test
+
+
 @given(_grid_scan_cases())
-@example(_SPLIT_PIVOTS)
-@example(_ZERO_CHART)
-@example(_FIVE_PROBES)
-@example(_ZERO_AT_KEY)
-@example(_LINEAR_FACTOR)
-@example(_ONE_ROW)
+@_scan_examples
 @settings(max_examples=100, deadline=None)
 def test_grid_scan_matches_brute_force_enumeration(case):
     # FieldSpec rejects primes this small, and the brute force needs them
     # small; the scan reads only the modulus, the chart's term dicts and the
     # projection's entries, so plain stand-ins carry them
-    p, n, polys, proj, qs, block_cells = case
+    p, n, polys, proj, qs, block_cells, stretch = case
     xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=[SimpleNamespace(terms=t) for t in polys])
-    with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells):
+    with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells), _stretched(stretch):
         got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
     assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
 
@@ -401,59 +432,105 @@ def _next_to_multiples(p):
 @settings(max_examples=200, deadline=None)
 def test_float64_grid_arithmetic_is_exact(case):
     """The float64 reduction agrees with Python's % on every integer below
-    2^53, and the dtype rule picks float64 wherever its sums stay there."""
+    2^53, and the stretch rule keeps every sum there."""
     p, values = case
     reduced = fiber._reduce(np.array(values, dtype=np.float64), p)
     assert reduced.tolist() == [v % p for v in values]
-    # every two-parameter chart under the budget, even one with as many
-    # terms as the budget has cells, runs in float64
-    assert product_dtype(ENUM_BUDGET, isqrt(ENUM_BUDGET)) == "float64"
-    # a one-parameter chart of degree 90 near the largest prime the budget
-    # admits is the first to need int64: the choice is read off its
-    # coefficient array, so the grid is never scanned
-    chart = fiber._coefficients([SimpleNamespace(terms={(e,): 1 for e in range(91)})], 1)
-    assert fiber._dtype(chart, 9_999_991) == "int64"
-    assert fiber._dtype(chart[:, :, :90], 9_999_991) == "float64"
+    # near the largest prime the budget admits, 90 products fit in a stretch
+    top = 9_999_991
+    assert fiber._stretch(top) == 90
+    # contractions of the largest residues split in two stretches (91 terms,
+    # the first to be split) and in three sum exactly, with no value past
+    # 2^53 on the way
+    for terms in (91, 181):
+        row = np.full((1, terms), top - 1.0)
+        with _stretched(None):
+            assert fiber._matmul(row, row.T, top).tolist() == [[terms * (top - 1) ** 2 % top]]
+    # no two-parameter chart under the budget is ever split, even one with as
+    # many terms as the budget has cells
+    assert fiber._stretch(isqrt(ENUM_BUDGET)) >= ENUM_BUDGET
+    # every prime the budget admits has stretches of at least one product
+    assert (ENUM_BUDGET - 1) ** 2 < 2**53
 
 
-def _forced(dtype):
-    return mock.patch.object(fiber, "product_dtype", lambda terms, p: dtype)
+@st.composite
+def _product_cases(draw):
+    """Residue matrices a (m x t) and b (t x w), with t up to 121, at primes
+    up to the largest the budget admits, and a stretch length.  A matrix is
+    filled with uniform residues, or all with p - 1, the largest, or all with
+    p - 2, whose products are odd."""
+    p = draw(st.integers(3, 9_999_991).map(_prime_at_most))
+    t = draw(st.integers(1, 121))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fill(shape):
+        entry = draw(st.sampled_from(["uniform", p - 1, p - 2]))
+        return rng.integers(0, p, shape) if entry == "uniform" else np.full(shape, entry)
+
+    a = fill((draw(st.integers(1, 4)), t))
+    b = fill((t, draw(st.integers(1, 4))))
+    return p, a, b, draw(st.sampled_from([1, 2, None]))
+
+
+def _full_product(p, t, entry, stretch):
+    return p, np.full((2, t), entry), np.full((t, 3), entry), stretch
+
+
+@given(_product_cases())
+@example(_full_product(9_999_991, 121, 9_999_990, None))
+@example(_full_product(9_999_991, 121, 9_999_989, None))
+@example(_full_product(9_999_991, 121, 9_999_990, 1))
+@example(_full_product(9_999_991, 91, 9_999_989, 2))
+@example(_full_product(3, 121, 2, 1))
+@settings(max_examples=200, deadline=None)
+def test_matmul_matches_python_integer_products(case):
+    """Every grid product, at every stretch length, is the product over the
+    integers reduced mod p."""
+    p, a, b, stretch = case
+    with _stretched(stretch):
+        got = fiber._matmul(a.astype(np.float64), b.astype(np.float64), p)
+    assert got.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
 
 
 @pytest.mark.parametrize("name, p", [("veronese-2-4", 3001), ("rnc-5", 3001)])
-def test_grid_blocks_agree_in_both_dtypes(name, p):
-    """The int64 path is the fallback past 2^53, which no default run
-    reaches: forced on the same chart, both paths yield the same blocks.  On
-    veronese-2-4 they evaluate two general combinations of the chart, as the
-    scan does; the whole chart of rnc-5 cuts its one grid row into parts."""
+def test_grid_blocks_agree_across_stretch_lengths(name, p):
+    """Forced stretches of one and two products yield the natural stretch's
+    blocks on the same chart.  They evaluate general combinations of the
+    chart's coordinates: two on veronese-2-4, as the scan does, and all six
+    on rnc-5, whose one grid row they cut into parts."""
     xp = build(builtin_blueprint(name), FieldSpec.prime(p), random.Random(0))
     coeffs = fiber._coefficients(xp.polys, xp.n)
-    if xp.n == 2:
-        mix = np.random.default_rng(0).integers(0, p, (2, len(coeffs)))
-        coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(2, *coeffs.shape[1:])
+    mix = np.random.default_rng(0).integers(0, p, (2 if xp.n == 2 else len(coeffs), len(coeffs)))
+    coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(len(mix), *coeffs.shape[1:])
 
-    def blocks(dtype):
-        with _forced(dtype):
+    def blocks(stretch):
+        with _stretched(stretch):
             return [
-                (start, vals.dtype.name, vals.shape, hashlib.sha256(vals.astype(np.int64).tobytes()).digest())
+                (start, vals.shape, hashlib.sha256(vals.tobytes()).digest())
                 for start, vals in fiber._grid_blocks(coeffs, p, xp.n)
             ]
 
-    floats, ints = blocks("float64"), blocks("int64")
-    assert {b[1] for b in floats} == {"float64"} and {b[1] for b in ints} == {"int64"}
-    assert [(b[0], b[2], b[3]) for b in floats] == [(b[0], b[2], b[3]) for b in ints]
-    assert sum(prod(b[2][1:]) for b in ints) == p**xp.n
+    natural = blocks(None)
+    assert blocks(1) == blocks(2) == natural
+    assert sum(prod(shape[1:]) for _, shape, _ in natural) == p**xp.n
 
 
-@pytest.mark.parametrize("case", [_SPLIT_PIVOTS, _ZERO_CHART, _FIVE_PROBES, _ZERO_AT_KEY, _LINEAR_FACTOR, _ONE_ROW])
-def test_int64_grid_scan_matches_brute_force_enumeration(case):
-    """The scan's int64 fallback, forced on the explicit cases of the
-    float64 scan's brute-force test, counts the same fibers."""
-    p, n, polys, proj, qs, block_cells = case
-    xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=[SimpleNamespace(terms=t) for t in polys])
-    with _forced("int64"), mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells):
-        got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
-    assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
+def test_every_grid_product_goes_through_matmul():
+    """Every matrix product in fiber.py is formed by ``_matmul``, in exact
+    stretches, and no module keeps a rule that picks another arithmetic."""
+    package = Path(fiber.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert "product_dtype" not in names, path.name
+    tree = ast.parse((package / "fiber.py").read_text(encoding="utf-8"))
+    products = {n for n in ast.walk(tree) if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)}
+    helpers = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_matmul"]
+    inside = {n for helper in helpers for n in ast.walk(helper)}
+    assert products and products <= inside, sorted(n.lineno for n in products - inside)
 
 
 # -- identifiability: fiber degrees against decompositions of forms ----------
