@@ -293,6 +293,22 @@ def test_grid_scan_matches_brute_force_enumeration(case):
     assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
 
 
+@pytest.mark.parametrize("case", _SCAN_EXAMPLES)
+def test_int64_grid_scan_matches_brute_force_enumeration(case):
+    """Residues handed to the scan as numpy int64 (chart coefficients,
+    projection entries and probe points) are cast once into the float64
+    grid: on the explicit cases of the brute-force test, summed in stretches
+    of one product, the scan counts the same fibers."""
+    p, n, polys, proj, qs, block_cells = case
+    wide = [SimpleNamespace(terms={e: np.int64(c) for e, c in t.items()}) for t in polys]
+    xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=wide)
+    entries = np.array(proj, dtype=np.int64)
+    points = [np.array(q, dtype=np.int64) for q in qs]
+    with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells), _stretched(1):
+        got = _scan_parametric(xp, SimpleNamespace(entries=entries), points, ENUM_BUDGET)
+    assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
+
+
 @pytest.mark.parametrize("p", [3, 31, 1009, 65537, 1000003])
 def test_inverse_table_inverts_every_unit(p):
     table = _inverse_table(p)
