@@ -18,7 +18,10 @@ k = 14).
 Every rank, kernel, solve and inverse goes through one Gauss-Jordan routine,
 ``_gauss_jordan``.  It reduces a matrix of at least ``WIDE_CELLS`` cells as
 one exact ``int64`` numpy array when p < 2^31, and every other matrix on
-plain int rows; both paths hand back the same int rows.  Every affine solve
+plain int rows; both paths update only the rows with a nonzero entry in the
+pivot column and hand back the same int rows.  A rank is the pivot count of
+an echelon form of the shorter side (rows or columns), which clears nothing
+above a pivot; kernels and solves read the reduced form.  Every affine solve
 is read off it in one place, ``LinearSystem``, which reduces a constant
 matrix once for its rank, its kernel and any number of right-hand sides.
 
@@ -232,7 +235,7 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.columns())
@@ -273,10 +276,13 @@ class Matrix:
         return rows, _gauss_jordan(rows, self.field.modulus)
 
     def rank(self) -> int:
-        """Exact rank: the pivot count of the reduced form."""
+        """Exact rank: the pivot count of an echelon form of the shorter
+        side.  Rank does not change under transposition, so a tall matrix
+        reduces its columns, and no row above a pivot is cleared."""
         if self._rank is None:
-            rows = [list(row) for row in self.entries]
-            object.__setattr__(self, "_rank", len(_gauss_jordan(rows, self.field.modulus)))
+            side = zip(*self.entries) if self.rows > self.cols else self.entries
+            rows = [list(row) for row in side]
+            object.__setattr__(self, "_rank", len(_gauss_jordan(rows, self.field.modulus, reduced=False)))
         return self._rank
 
     def null_space(self) -> "Matrix":
@@ -300,29 +306,34 @@ class Matrix:
         return Matrix.from_columns(self.field, [self.column(j) for j in pivots])
 
 
-def _gauss_jordan(rows: list[list[int]], p: int) -> list[int]:
-    """Reduce int rows with entries in [0, p) to reduced row echelon form mod
-    p, in place, and return the pivot columns.
+def _gauss_jordan(rows: list[list[int]], p: int, reduced: bool = True) -> list[int]:
+    """Reduce int rows with entries in [0, p) to row echelon form mod p, in
+    place, and return the pivot columns.
 
     Columns are scanned left to right and each pivot is the first nonzero
-    entry at or below the current row; the scan stops once every row holds a
-    pivot.  This is the package's only row reduction: ranks, kernels, affine
-    solves and inverses all read their answer off its result.
+    entry at or below the current row; it is scaled to 1 and cleared from
+    the rows below it, and, when ``reduced``, from the rows above it too,
+    which gives the reduced row echelon form.  The scan stops once every row
+    holds a pivot.  The pivot columns do not depend on ``reduced``.  This is
+    the package's only row reduction: ranks read the pivot count of an
+    echelon form, and kernels, affine solves and inverses read their answer
+    off the reduced form.
 
     A matrix of at least ``WIDE_CELLS`` cells reduces as one ``int64`` array
     when p < 2^31, where every ``a - f*b`` of entries in [0, p) lies within
     +-2^62 and so stays exact.  Smaller matrices, where numpy's per-call
     overhead dominates, and larger moduli, where ``int64`` would overflow,
-    reduce on int lists.  The reduced row echelon form of a matrix is
-    unique, so both paths return the same rows (as Python ints in [0, p))
+    reduce on int lists.  Both paths make the same row operations in the
+    same order, and skip the rows whose entry in the pivot column is zero,
+    so in either mode they return the same rows (as Python ints in [0, p))
     and the same pivots.
     """
     if rows and len(rows) * len(rows[0]) >= WIDE_CELLS and p < _INT64_MODULUS_BOUND:
-        return _gauss_jordan_int64(rows, p)
-    return _gauss_jordan_lists(rows, p)
+        return _gauss_jordan_int64(rows, p, reduced)
+    return _gauss_jordan_lists(rows, p, reduced)
 
 
-def _gauss_jordan_lists(rows: list[list[int]], p: int) -> list[int]:
+def _gauss_jordan_lists(rows: list[list[int]], p: int, reduced: bool = True) -> list[int]:
     """``_gauss_jordan`` on Python int lists, for any prime p."""
     nrows = len(rows)
     pivots: list[int] = []
@@ -340,7 +351,7 @@ def _gauss_jordan_lists(rows: list[list[int]], p: int) -> list[int]:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = inverse(rows[r][c], p)
         prow = rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
+        for i in range(0 if reduced else r + 1, nrows):
             f = rows[i][c]
             if f and i != r:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
@@ -351,15 +362,15 @@ def _gauss_jordan_lists(rows: list[list[int]], p: int) -> list[int]:
     return pivots
 
 
-def _gauss_jordan_int64(rows: list[list[int]], p: int) -> list[int]:
+def _gauss_jordan_int64(rows: list[list[int]], p: int, reduced: bool = True) -> list[int]:
     """``_gauss_jordan`` on one ``int64`` array, for p < 2^31.
 
-    Each pivot is one rank-one update of the block from its column on: every
-    other row loses its entry in that column times the pivot row, so rows
-    already zero there stay as they are.  Left of the pivot column the pivot
-    row is already zero.  The product goes to one scratch array per call, and
-    the rows are written back one at a time as int lists; both keep the peak
-    memory of a 120 x 225 reduction near the list path's.
+    Each pivot updates only the rows with a nonzero entry in its column,
+    and only from that column on: such a row loses that entry times the
+    pivot row.  Rows with a zero factor would not change, and left of the
+    pivot column the pivot row is already zero.  Tangent frames are sparse,
+    so most pivots touch few rows.  The rows are written back one at a time
+    as int lists.
     """
     # numpy arrives with the package through fiber.py; importing it here,
     # not ahead of the rest of the package, keeps the process's resident
@@ -367,7 +378,6 @@ def _gauss_jordan_int64(rows: list[list[int]], p: int) -> list[int]:
     import numpy as np
 
     a = np.array(rows, dtype=np.int64)
-    step = np.empty_like(a)
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -381,17 +391,19 @@ def _gauss_jordan_int64(rows: list[list[int]], p: int) -> list[int]:
         prow = a[r, c:]
         prow *= inverse(int(prow[0]), p)
         prow %= p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        block, product = a[:, c:], step[:, c:]
-        np.multiply.outer(factors, prow, out=product)
-        block -= product
-        block %= p
+        # after the swap, the old row r (zero in column c) sits at pivot
+        hit = below[1:] + r
+        if reduced:
+            hit = np.concatenate((np.flatnonzero(a[:r, c]), hit))
+        if hit.size:
+            block = a[hit, c:]
+            block -= np.multiply.outer(block[:, 0], prow)
+            block %= p
+            a[hit, c:] = block
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    del step
     for i in range(nrows):
         rows[i] = a[i].tolist()
     return pivots

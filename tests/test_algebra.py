@@ -2,6 +2,7 @@
 
 import ast
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from terracini.algebra import (
     MultiPoly,
     PolyJets,
     _gauss_jordan,
+    _gauss_jordan_int64,
     _gauss_jordan_lists,
     _linear_power_mod,
     _poly_divmod,
@@ -33,6 +35,7 @@ from terracini.algebra import (
     uni_roots_mod_p,
 )
 from terracini.errors import ConstructionError, FieldMismatchError
+from terracini.varieties import veronese
 
 from oracles import (
     affine_solve_reference,
@@ -279,16 +282,36 @@ def _check_reduced_form(raw, rref, pivots, p):
         assert combo == row
 
 
+def _sparse_rows(rng, p: int, nrows: int, ncols: int, density: float) -> list[list[int]]:
+    """Rows with about ``density`` of their entries nonzero, some of them
+    p - 1, and a few whole rows and columns zero, as in stacked tangent
+    frames."""
+    rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+    for i in rng.sample(range(nrows), nrows // 6):
+        rows[i] = [0] * ncols
+    for j in rng.sample(range(ncols), ncols // 6):
+        for row in rows:
+            row[j] = 0
+    for _ in range(nrows * ncols // 50):
+        i, j = rng.randrange(nrows), rng.randrange(ncols)
+        if rows[i][j]:
+            rows[i][j] = p - 1
+    return rows
+
+
 @st.composite
 def _wide_matrices(draw):
-    """Rows of at least WIDE_CELLS cells as L R with a planted inner rank,
-    zero and full included, with some entries forced to p - 1."""
+    """Rows of at least WIDE_CELLS cells: either L R with a planted inner
+    rank, zero and full included, with some entries forced to p - 1, or
+    sparse rows with whole zero rows and columns."""
     p = draw(st.sampled_from([1009, 2**31 - 19, 2**31 - 1]))
     nrows = draw(st.integers(20, 50))
     ncols = draw(st.integers(max(40, -(-WIDE_CELLS // nrows)), 120))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return p, _sparse_rows(rng, p, nrows, ncols, draw(st.floats(0.1, 0.3)))
     full = min(nrows, ncols)
     rank = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rows = _planted_rank_rows(rng, p, nrows, ncols, rank)
     for _ in range(draw(st.integers(0, 30))):
         rows[rng.randrange(nrows)][rng.randrange(ncols)] = p - 1
@@ -311,11 +334,113 @@ def test_wide_int64_path_matches_list_path(case):
 def test_wide_path_is_chosen_by_size_and_modulus(monkeypatch):
     seen = []
     real = algebra._gauss_jordan_int64
-    monkeypatch.setattr(algebra, "_gauss_jordan_int64", lambda rows, p: seen.append(p) or real(rows, p))
+    monkeypatch.setattr(
+        algebra, "_gauss_jordan_int64", lambda rows, p, *rest: seen.append(p) or real(rows, p, *rest)
+    )
     rng = random.Random(3)
     for p, nrows, ncols in [(1009, 32, 32), (1009, 31, 33), (2**31 - 1, 16, 64), (2**31 + 11, 32, 32), (2**61 - 1, 32, 32)]:
         _gauss_jordan([[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], p)
     assert seen == [1009, 2**31 - 1]
+
+
+def _check_echelon_form(raw, echelon, pivots, p):
+    """echelon is a row echelon form of raw, read off independently of any
+    elimination: each pivot is a 1 with zeros left of it and below it, rows
+    past the rank are zero, and stacking raw under it adds no rank."""
+    rank = len(pivots)
+    assert all(type(x) is int and 0 <= x < p for row in echelon for x in row)
+    assert pivots == sorted(set(pivots))
+    for r, c in enumerate(pivots):
+        assert not any(echelon[r][:c]) and echelon[r][c] == 1
+        assert not any(row[c] for row in echelon[r + 1 :])
+    assert not any(any(row) for row in echelon[rank:])
+    assert rank_by_reverse_echelon(echelon[:rank] + raw, p) == rank
+
+
+@st.composite
+def _rank_matrices(draw):
+    """Tall and wide rows on both sides of WIDE_CELLS, at moduli on both
+    sides of the int64 bound: sparse ones, or L R with a planted rank."""
+    p = draw(st.sampled_from([1009, 2**31 - 19, 2**31 - 1, 2**61 - 1]))
+    if draw(st.booleans()):
+        short = draw(st.integers(12, 30))
+        long = draw(st.integers(-(-WIDE_CELLS // short), 100))
+    else:
+        short = draw(st.integers(1, 30))
+        long = draw(st.integers(1, min(90, (WIDE_CELLS - 1) // short)))
+    nrows, ncols = (long, short) if draw(st.booleans()) else (short, long)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return p, _sparse_rows(rng, p, nrows, ncols, draw(st.floats(0.1, 0.3)))
+    full = min(nrows, ncols)
+    rank = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return p, _planted_rank_rows(rng, p, nrows, ncols, rank)
+
+
+@given(_rank_matrices())
+@settings(max_examples=80, deadline=None)
+def test_echelon_mode_ranks_match_the_reduced_form(case):
+    p, raw = case
+    m = Matrix(FieldSpec.prime(p), raw)
+    rank = rank_by_reverse_echelon(raw, p)
+    assert exact_rank(m) == exact_rank(m.transpose()) == rank
+
+    reduced = [row[:] for row in raw]
+    reduced_pivots = _gauss_jordan(reduced, p)
+    echelon = [row[:] for row in raw]
+    pivots = _gauss_jordan(echelon, p, reduced=False)
+    assert pivots == reduced_pivots and len(pivots) == rank
+    _check_reduced_form(raw, reduced, reduced_pivots, p)
+    _check_echelon_form(raw, echelon, pivots, p)
+
+    by_lists = [row[:] for row in raw]
+    assert _gauss_jordan_lists(by_lists, p, reduced=False) == pivots
+    assert by_lists == echelon
+    if p < 2**31:
+        by_int64 = [row[:] for row in raw]
+        assert _gauss_jordan_int64(by_int64, p, reduced=False) == pivots
+        assert by_int64 == echelon
+
+
+def test_rank_reduces_the_shorter_side_in_echelon_mode(monkeypatch):
+    calls = []
+    real = algebra._gauss_jordan
+
+    def spy(rows, p, reduced=True):
+        calls.append((len(rows), reduced))
+        return real(rows, p, reduced)
+
+    monkeypatch.setattr(algebra, "_gauss_jordan", spy)
+    field = FieldSpec.prime(2**31 - 1)
+    ver = veronese(field, 14, 2)
+    frame = ver.tangent_frame(ver.sample(random.Random(14)))
+    assert (frame.rows, frame.cols) == (120, 15)
+    assert frame.rank() == 15
+    assert calls == [(15, False)]
+
+    calls.clear()
+    frame.transpose().null_space()
+    LinearSystem([list(row) for row in frame.entries[:10]], 15, field.modulus)
+    assert calls == [(15, True), (10, True)]
+
+
+def test_rank_of_a_wide_stack_keeps_its_memory():
+    # A full reduction of these matrices with a dense rank-one update per
+    # pivot peaks at about 1,040 KiB, sparse or dense (Python 3.11, numpy
+    # 2.4); the sparse echelon reduction may take at most 10% more.
+    p = 2**31 - 1
+    field = FieldSpec.prime(p)
+    rng = random.Random(225)
+    Matrix(field, _planted_rank_rows(rng, p, 40, 40, 40)).rank()
+    for density in (0.18, 1.0):
+        m = Matrix(field, _sparse_rows(rng, p, 120, 225, density))
+        tracemalloc.start()
+        try:
+            m.rank()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * 1040 * 1024
 
 
 def test_wide_matrix_reduces_exactly_past_int64():
