@@ -145,10 +145,10 @@ class FieldSpec:
 
 
 def inverse(a: int, p: int) -> int:
-    """Inverse of a mod p by Fermat; zero has none."""
+    """Inverse of a mod p, in [0, p); zero has none."""
     if a % p == 0:
         raise ZeroDivisionError("inverse of zero")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
@@ -924,6 +924,13 @@ def uni_roots_mod_p(coeffs: Sequence[int], p: int, rng: random.Random | None = N
     set bit one multiplication by x + a, which is a shift plus a single
     reduction step.  The random shifts only steer the recursion; the
     returned set is a deterministic function of the polynomial.
+
+    Most calls come from a cubic section restricted to a random line, so
+    the modulus is most often a cubic, and these powers, about log2(p)
+    squarings each, are most of the sampling time.  A cubic modulus gets
+    its own power routine, which keeps the working power in three locals
+    instead of building lists at every bit; it returns the same lists, so
+    the random draws do not depend on which routine ran.
     """
     coeffs = _poly_trim([c % p for c in coeffs])
     if not coeffs:
@@ -967,7 +974,7 @@ def _poly_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[in
     a = q m + r with deg r < deg m."""
     r = a[:]
     q = [0] * max(len(a) - len(m) + 1, 0)
-    inv_lead = pow(m[-1], p - 2, p)
+    inv_lead = inverse(m[-1], p)
     while len(r) >= len(m):
         factor = r[-1] * inv_lead % p
         if factor:
@@ -981,14 +988,18 @@ def _poly_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[in
 
 def _poly_monic(m: list[int], p: int) -> list[int]:
     """m scaled by the inverse of its leading coefficient."""
-    inv = pow(m[-1], p - 2, p)
+    inv = inverse(m[-1], p)
     return [c * inv % p for c in m]
 
 
 def _linear_power_mod(a: int, e: int, m: list[int], p: int) -> list[int]:
     """(x + a)^e mod the monic m of degree d >= 1, most significant bit of e
-    first.  The working power is kept as d coefficients, zeros included."""
+    first.  The working power is kept as d coefficients, zeros included.
+    A cubic m, the modulus of every witness a cubic section draws, goes to
+    ``_linear_power_mod_cubic``; the result is the same list either way."""
     d = len(m) - 1
+    if d == 3:
+        return _linear_power_mod_cubic(a, e, m, p)
     neg = [p - c for c in m[:d]]  # x^d = sum neg[i] x^i mod m
     r = [1] + [0] * (d - 1)
     for bit in bin(e)[2:]:
@@ -1013,6 +1024,28 @@ def _linear_power_mod(a: int, e: int, m: list[int], p: int) -> list[int]:
     return _poly_trim(r)
 
 
+def _linear_power_mod_cubic(a: int, e: int, m: list[int], p: int) -> list[int]:
+    """``_linear_power_mod`` for a monic cubic m, with the working power
+    r0 + r1 x + r2 x^2 in three locals.  A square has terms up to x^4,
+    folded back through x^3 = n0 + n1 x + n2 x^2 and
+    x^4 = f0 + f1 x + f2 x^2 mod m, both fixed by m."""
+    n0, n1, n2 = (-m[0]) % p, (-m[1]) % p, (-m[2]) % p
+    f0, f1, f2 = n2 * n0 % p, (n0 + n2 * n1) % p, (n1 + n2 * n2) % p
+    r0, r1, r2 = 1, 0, 0
+    for bit in bin(e)[2:]:
+        s3 = 2 * r1 * r2 % p
+        s4 = r2 * r2 % p
+        r0, r1, r2 = (
+            (r0 * r0 + s3 * n0 + s4 * f0) % p,
+            (2 * r0 * r1 + s3 * n1 + s4 * f1) % p,
+            (r1 * r1 + 2 * r0 * r2 + s3 * n2 + s4 * f2) % p,
+        )
+        if bit == "1":
+            # (x + a) r = x r + a r, with r2 x^3 folded back
+            r0, r1, r2 = (a * r0 + r2 * n0) % p, (r0 + a * r1 + r2 * n1) % p, (r1 + a * r2 + r2 * n2) % p
+    return _poly_trim([r0, r1, r2])
+
+
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
@@ -1033,7 +1066,7 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: set[int]) -> No
         b, c = g[1], g[0]
         disc = (b * b - 4 * c) % p
         r = _sqrt_mod(disc, p)
-        inv2 = pow(2, p - 2, p)
+        inv2 = inverse(2, p)
         out.add(((-b + r) * inv2) % p)
         out.add(((-b - r) * inv2) % p)
         return

@@ -247,24 +247,42 @@ def _count_vanishing(cells: np.ndarray, polys: np.ndarray, p: int, chunk: int) -
     return total
 
 
+def _primitive_root(p: int) -> int:
+    """The least generator of the units mod the prime p."""
+    n, q, factors = p - 1, 2, []
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 def _inverse_table(p: int) -> np.ndarray:
-    """``T[x] = x^(p-2) mod p`` in float64: the inverse of every nonzero x,
-    and ``T[0] = 0``.  Square-and-multiply over the whole field at once takes
-    O(p log p) steps.  The table is built in int64, in place, and cast once:
-    a float64 reduction would allocate a quotient as large as the table at
-    every step."""
-    table = np.ones(p, dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            table *= base
-            table %= p
-        base *= base
-        base %= p
-        e >>= 1
-    del base  # so that the cast never holds three tables at once
-    return table.astype(np.float64)
+    """``T[x]`` is the inverse of x mod p, in float64, for every nonzero x,
+    and ``T[0] = 0``; O(p) steps.  With g a primitive root, the powers
+    ``g^k`` for k < p - 1 are built in int64 in doubling blocks, each block
+    the one before it times a power of g, and the inverse of ``g^k`` is
+    ``g^(p-1-k)``: the same powers, reversed.  They are written straight
+    into the float64 table, so no more than two tables of p entries exist
+    at once."""
+    g = _primitive_root(p)
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0] = 1
+    size = 1
+    while size < p - 1:
+        step = min(size, p - 1 - size)
+        block = powers[size : size + step]
+        np.multiply(powers[:step], pow(g, size, p), out=block)
+        block %= p
+        size += step
+    table = np.zeros(p)
+    table[1] = 1
+    table[powers[1:]] = powers[:0:-1]
+    return table
 
 
 def _scan_parametric(

@@ -82,6 +82,41 @@ def test_scalar_arithmetic_and_fermat_inverse():
             inverse(zero, 1009)
 
 
+_INVERSE_PRIMES = (257, 1009, 2003, 65537, 2**31 - 19, 2**31 - 1, 2**61 - 1)
+
+
+@given(st.sampled_from(_INVERSE_PRIMES), st.integers(-(2**70), 2**70))
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_fermat_at_any_prime(p, a):
+    """The list elimination takes any prime, so ``inverse`` is checked well
+    past the int64 range against Fermat's a^(p-2); a multiple of p, of
+    either sign, has no inverse."""
+    if a % p:
+        assert inverse(a, p) == pow(a, p - 2, p)
+    for zero in (a * p, -p, 0):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero, p)
+
+
+def test_no_fermat_inverse_in_the_package():
+    """Every field inverse goes through ``inverse``: no ``pow(x, p - 2, p)``
+    is left in the package.  ``tests/oracles.py`` keeps its own, as the
+    independent reference."""
+    package = Path(algebra.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow" and len(node.args) == 3:
+                _, e, m = node.args
+                fermat = (
+                    isinstance(e, ast.BinOp)
+                    and isinstance(e.op, ast.Sub)
+                    and ast.dump(e.left) == ast.dump(m)
+                    and getattr(e.right, "value", None) == 2
+                )
+                assert not fermat, f"{path.name}:{node.lineno} inverts by Fermat"
+
+
 def test_scalar_field_mismatch_raises():
     # elements are bare ints, so the containers carry the field check
     with pytest.raises(FieldMismatchError):
@@ -751,6 +786,40 @@ def test_linear_power_matches_square_and_multiply_reference(p, low, lead, a, whi
     m = [c % p for c in low] + [lead % p or 1]
     e = {"p": p, "half": (p - 1) // 2, "small": a % 4, "any": a * lead}[which]
     a %= p
+    assert _linear_power_mod(a, e, _poly_monic(m, p), p) == poly_powmod([a, 1], e, m, p)
+
+
+@st.composite
+def cubic_moduli(draw):
+    """A prime of ``_ROOT_PRIMES``, a cubic modulus with a random leading
+    coefficient (random, with a zero constant term, or with a planted
+    repeated root), a shift and an exponent: p, (p - 1)/2 or random."""
+    p = draw(st.sampled_from(_ROOT_PRIMES))
+    coeff = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["random", "zero constant", "repeated root"]))
+    if kind == "repeated root":
+        r, s = draw(coeff), draw(coeff)
+        # (x - r)^2 (x - s)
+        m = [-r * r * s, r * r + 2 * r * s, -2 * r - s, 1]
+    else:
+        m = [draw(coeff), draw(coeff), draw(coeff), 1]
+        if kind == "zero constant":
+            m[0] = 0
+    lead = draw(st.integers(1, p - 1))
+    m = [c * lead % p for c in m]
+    e = draw(st.sampled_from([p, (p - 1) // 2, None]))
+    if e is None:
+        e = draw(st.integers(0, 2**64))
+    return p, m, draw(coeff), e
+
+
+@given(cubic_moduli())
+@settings(max_examples=300, deadline=None)
+def test_cubic_linear_power_matches_square_and_multiply_reference(case):
+    """The three-local cubic branch of ``_linear_power_mod`` against the
+    oracle's square-and-multiply on full products, at the root finder's
+    exponents and at random ones."""
+    p, m, a, e = case
     assert _linear_power_mod(a, e, _poly_monic(m, p), p) == poly_powmod([a, 1], e, m, p)
 
 

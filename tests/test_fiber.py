@@ -317,6 +317,15 @@ def test_inverse_table_inverts_every_unit(p):
     assert (table[1:] * units % p == 1).all()
 
 
+@pytest.mark.parametrize("p", [257, 1009, 3001])
+def test_inverse_table_matches_pow_inverse(p):
+    """The table built from a primitive root's powers holds, at every x,
+    exactly the inverse Python computes."""
+    table = _inverse_table(p)
+    assert table.dtype == np.float64
+    assert table.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
+
+
 def _veronese_quartic_probes(p, count):
     rng = random.Random(3)
     xp = build(builtin_blueprint("veronese-2-4"), FieldSpec.prime(p), rng)
