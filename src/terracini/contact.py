@@ -2,9 +2,9 @@
 
 A hyperplane through the tangent spaces at k+1 general points pulls back to
 each local chart with vanishing value and gradient; what is left is an exact
-quadratic form whose corank measures the dimension of the contact locus
-through that point.  The generic corank over random draws is the weak-defect
-number nu_k, and nu_k >= 1 is exactly k-weak-defectivity.
+quadratic form whose corank on the tangent space measures the dimension of
+the contact locus through that point.  The generic corank over random draws
+is the weak-defect number nu_k, and nu_k >= 1 is exactly k-weak-defectivity.
 
 Coranks only inflate on special draws, so the estimate is a min over
 hyperplane draws and witness tuples of a max over the tangency points.
@@ -45,12 +45,18 @@ def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tup
     raise NoTangentHyperplane("could not draw a nonzero combination")
 
 
-def _tangent_corank(jet: Jet2, field: FieldSpec) -> int:
-    """Corank of the chart Hessian of a hyperplane tangent at the jet's point,
-    given the hyperplane's pulled-back 2-jet."""
+def _tangent_corank(jet: Jet2, field: FieldSpec, n: int) -> int:
+    """Corank, on the n-dimensional tangent space, of the quadric a hyperplane
+    tangent at the jet's point cuts there, given the hyperplane's
+    pulled-back 2-jet.
+
+    The chart Hessian is that quadric pulled back through the chart's
+    differential, which has rank n at a witness whose frame has rank n + 1,
+    so both have the same rank.  A chart with more than n parameters adds
+    its fibre directions to the Hessian's kernel but not to the corank."""
     if jet.value != 0 or not jet.gradient_is_zero():
         raise DegenerateWitness("hyperplane is not tangent at the witness")
-    return len(jet.gradient) - exact_rank(jet.hessian_matrix(field))
+    return n - exact_rank(jet.hessian_matrix(field))
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def nu_estimate(
         for _ in range(hyperplane_draws):
             coeffs = _draw_hyperplane(x, space, rng)
             corank = max(
-                _tangent_corank(_contract_linear_form(coeffs, chart, p), x.field) for chart in charts
+                _tangent_corank(_contract_linear_form(coeffs, chart, p), x.field, n) for chart in charts
             )
             best = corank if best is None else min(best, corank)
     return NuEstimate(k=k, nu=best, hyperplane_space_dim=space_dim)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -85,9 +86,9 @@ DEFAULT_FIBER_PRIMES = ENUM_PRIMES
 FUNCTORIALITY_WITNESSES = 3
 # grid cells the grid kernel evaluates at once: a block's values fill at most
 # this many cells, at least one per polynomial.  That bounds the values, not
-# the power tables: a grid row cut into parts holds an nb x width table for
-# each part, nb the chart's column terms, so a chart of many terms exceeds
-# this bound by a factor of about nb
+# the one power table each call builds, max(na, nb) x max(rows, width) for
+# na row and nb column terms: on a one-parameter chart, whose rows are cut,
+# the nb x width table holds about nb / count blocks of count polynomials
 GRID_BLOCK_CELLS = 1 << 14
 # any positive-dimensional fiber over F_p carries on the order of p points,
 # while honest finite fibers stay tiny; counts past this floor mark a probe
@@ -193,6 +194,17 @@ def _powers(xs: np.ndarray, count: int, p: int) -> np.ndarray:
     return out
 
 
+def _shift(s: int, count: int, p: int) -> np.ndarray:
+    """Step matrix ``B[e, k] = C(e, k) s^(e-k) mod p`` for ``k <= e < count``,
+    in float64.  Since ``(v + s)^e = sum_k B[e, k] v^k``, rows of coefficients
+    of ``v^e`` times B are the same polynomials translated by s: evaluated at
+    v, the product gives the rows' values at ``v + s``."""
+    out = np.zeros((count, count))
+    for e in range(count):
+        out[e, : e + 1] = [comb(e, k) * pow(s, e - k, p) % p for k in range(e + 1)]
+    return out
+
+
 def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Values of the polynomials ``coeffs[k]`` on the chart grid F_p^n, one
     block of cells at a time: the one grid kernel of this module.
@@ -201,26 +213,30 @@ def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.n
     (whole grid rows, or part of one row when a whole row is too wide) sized
     so that all polynomials together fill at most ``GRID_BLOCK_CELLS`` cells,
     at least one each.  Yields ``(start, vals)`` in cell order, where
-    ``vals[k].flat[c]`` is polynomial k at cell ``start + c``.  Each block
-    is ``(U @ C) @ V`` for the power tables U and V of its rows and columns,
-    both products formed by ``_matmul``, so the values are exact residues.
+    ``vals[k].flat[c]`` is polynomial k at cell ``start + c``.
+
+    Each call builds one power table, of ``x^e`` for the first
+    ``max(rows, width)`` residues x and ``e < max(na, nb)``, once.  A block
+    is ``(U @ C) @ V`` for the table's slices U, over its rows, and V, over
+    the first columns.  For each later part of a cut row, ``U @ C``, the
+    polynomials' coefficients in v, is translated by one part's width
+    through the step matrix of ``_shift``, so V serves every part.  Every
+    product is formed by ``_matmul``, so the values are exact residues.
     """
     count, na, nb = coeffs.shape
     width = min(p, max(1, GRID_BLOCK_CELLS // count))
     height = max(1, GRID_BLOCK_CELLS // (count * width))
     u_count = p if n == 2 else 1
-    # one table serves rows and columns alike, unless rows are cut into parts
-    pows = _powers(np.arange(p if width == p else u_count), max(na, nb), p)
+    pows = _powers(np.arange(max(u_count, width)), max(na, nb), p)
+    step = _shift(width, nb, p)
     for u0 in range(0, u_count, height):
         u_pows = pows[:na, u0 : min(u0 + height, u_count)].T
         # every polynomial's rows stacked, so each block is one matrix product
         left = _matmul(u_pows, coeffs, p).reshape(-1, nb)
         for v0 in range(0, p, width):
-            if width == p:
-                v_pows = pows[:nb]
-            else:
-                v_pows = _powers(np.arange(v0, min(v0 + width, p)), nb, p)
-            vals = _matmul(left, v_pows, p)
+            if v0:
+                left = _matmul(left, step, p)
+            vals = _matmul(left, pows[:nb, : min(width, p - v0)], p)
             yield u0 * p + v0, vals.reshape(count, len(u_pows), -1)
 
 

@@ -221,7 +221,9 @@ class VarietyHandle:
         """Columns spanning the affine cone over the embedded tangent space.
 
         The witness point itself is always among the columns, so the frame
-        has chart_dim + 1 columns and generically full column rank.
+        has chart_dim + 1 columns.  Its rank is dim X + 1 at a general
+        witness, which is full column rank only on a chart generically
+        finite onto X: a map image of a larger base has dependent columns.
         """
         jet = self.chart_jet2(w)
         return Matrix.from_columns(self.field, [jet.point] + list(jet.first))

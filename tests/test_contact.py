@@ -18,6 +18,7 @@ from terracini.secant import _hyperplanes_through, _nondegenerate_tuple
 from terracini.varieties import (
     _contract_linear_form,
     _monomial_exponents,
+    build,
     rational_normal_curve,
     sample_distinct,
     veronese,
@@ -41,8 +42,9 @@ def quadric_from_affine(field, poly2):
 
 def contact_corank(x, coeffs, w):
     """The corank nu_estimate reads at a witness: the hyperplane pulled back
-    through the witness's chart jet."""
-    return _tangent_corank(_contract_linear_form(coeffs, x.chart_jet2(w), x.field.modulus), x.field)
+    through the witness's chart jet, against the chart's parameter count,
+    which is dim X on the charts these tests use."""
+    return _tangent_corank(_contract_linear_form(coeffs, x.chart_jet2(w), x.field.modulus), x.field, x.chart_dim)
 
 
 # -- the doubled line on the veronese surface ---------------------------------
@@ -104,6 +106,50 @@ def test_nu_estimate_on_the_quartic_veronese_at_five_points():
     assert est.hyperplane_space_dim == 1
     assert est.nu == 1
     assert est.weakly_defective
+
+
+# -- charts with more parameters than dim X -------------------------------------
+
+
+def _linear_image(nbase, components):
+    """``map_image`` of ``veronese {n: nbase, d: 1}``, whose chart has nbase
+    parameters, by products of pairs of its coordinates."""
+    def term(i, j):
+        e = [0] * (nbase + 1)
+        e[i] += 1
+        e[j] += 1
+        return [[1, e]]
+
+    tree = {
+        "constructor": "map_image",
+        "base": {"constructor": "veronese", "n": nbase, "d": 1},
+        "components": [term(i, j) for i, j in components],
+        "arity": nbase + 1,
+    }
+    return build(tree, F, random.Random(0))
+
+
+def test_padded_veronese_surface_reads_its_contact_conic():
+    """v_2(P^2) on a chart of three parameters, the six quadrics in three of
+    P^3's four coordinates: the chart's fibre direction is in every Hessian's
+    kernel, but nu_1 is still 1, the conic of the doubled line."""
+    x = _linear_image(3, [(i, j) for i in range(3) for j in range(i, 3)])
+    assert (x.chart_dim, x.intrinsic_dim(random.Random(0))) == (3, 2)
+    est = nu_estimate(x, 1, random.Random(0))
+    assert est.nu == 1 == nu_estimate(veronese(F, 2, 2), 1, random.Random(0)).nu
+
+
+@pytest.mark.parametrize("nbase, shared", [(5, 3), (4, 0)], ids=["padded", "birational"])
+def test_segre_plane_times_plane_reads_its_contact_quadric(nbase, shared):
+    """The Segre P^2 x P^2, the products x_i y_j with y = (x_shared, ...), on
+    a padded chart of five parameters and on a birational one of four.  The
+    hyperplane tangent at two points is a rank-one matrix u v^T, and its
+    contact locus through x (x) y, where x is orthogonal to u and y to v, is
+    P^1 x P^1: nu_1 is 2 on both charts."""
+    ys = [shared] + list(range(nbase - 1, nbase + 1))
+    x = _linear_image(nbase, [(i, j) for i in range(3) for j in ys])
+    assert (x.chart_dim, x.intrinsic_dim(random.Random(0))) == (nbase, 4)
+    assert nu_estimate(x, 1, random.Random(0)).nu == 2
 
 
 # -- guardrails ----------------------------------------------------------------

@@ -429,6 +429,29 @@ def test_grid_scan_memory_is_bounded():
     assert peak < 1 << 20
 
 
+def test_grid_scan_memory_is_bounded_on_a_cut_row():
+    """A one-parameter chart of 96 terms at p = 100003 cuts its one grid row
+    into 13 parts.  The scan holds one power table of 96 rows, one per term,
+    over one part's width, once; beside it only the inverse table and a few
+    blocks of values.  A table built afresh for each part would double it."""
+    p = 100_003
+    rng = random.Random(3)
+    xp = rational_normal_curve(FieldSpec.prime(p), 95)
+    projected, _ = tangential_projection(xp, 1, rng)
+    qs = [projected.sample(rng).point for _ in range(5)]
+    width = fiber.GRID_BLOCK_CELLS // 2
+    assert -(-p // width) == 13
+    tracemalloc.start()
+    try:
+        counts, _ = _scan_parametric(xp, projected.proj, qs, ENUM_BUDGET)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [1] * 5
+    table, inverse, block = 96 * width * 8, p * 8, 2 * width * 8
+    assert peak < table + inverse + 8 * block
+
+
 def _prime_at_most(m):
     while not is_prime(m):
         m -= 1
@@ -538,6 +561,87 @@ def test_grid_blocks_agree_across_stretch_lengths(name, p):
     natural = blocks(None)
     assert blocks(1) == blocks(2) == natural
     assert sum(prod(shape[1:]) for _, shape, _ in natural) == p**xp.n
+
+
+@st.composite
+def _shift_cases(draw):
+    """A prime up to the largest the budget admits, a step s in [0, p] (s = p
+    is a row that is never cut), a point c, and rows of up to 121
+    coefficients, uniform residues or all p - 1."""
+    p = draw(st.integers(3, 9_999_991).map(_prime_at_most))
+    size = draw(st.integers(1, 121))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, p, (draw(st.integers(1, 3)), size)).tolist()
+    if draw(st.booleans()):
+        rows = [[p - 1] * size for _ in rows]
+    return p, draw(st.integers(0, p)), draw(st.integers(0, p - 1)), rows
+
+
+@given(_shift_cases())
+@example((9_999_991, 9_999_990, 9_999_990, [[9_999_990] * 121]))
+@example((9_999_991, 9_999_991, 5, [[9_999_990] * 121]))
+@example((8209, 8192, 16, [list(range(1, 13))]))
+@settings(max_examples=100, deadline=None)
+def test_shift_translates_coefficient_rows(case):
+    """Rows L times the step matrix ``B(s)``, evaluated at c, equal L
+    evaluated at ``c + s``, all in Python ints."""
+    p, s, c, rows = case
+    step = fiber._shift(s, len(rows[0]), p)
+    b = [[int(x) for x in row] for row in step.tolist()]
+    assert b == step.tolist()
+    assert all(0 <= x < p for row in b for x in row)
+    assert all(x == 0 for e, row in enumerate(b) for x in row[e + 1 :])
+    for row in rows:
+        moved = [sum(row[e] * b[e][k] for e in range(len(row))) % p for k in range(len(row))]
+        at = sum(a * pow(c, k, p) for k, a in enumerate(moved)) % p
+        assert at == sum(a * pow(c + s, e, p) for e, a in enumerate(row)) % p
+
+
+def test_grid_blocks_match_horner_on_a_cut_row():
+    """At p = 8209 the default block size cuts the one grid row of two
+    polynomials into 8192 + 17 columns; every cell of both parts holds the
+    value Horner's rule gives in Python ints."""
+    p = 8209
+    xp = rational_normal_curve(FieldSpec.prime(p), 11)
+    coeffs = fiber._coefficients(xp.polys, xp.n)
+    mix = np.random.default_rng(1).integers(0, p, (2, len(coeffs)))
+    mix[1] = p - 1
+    coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(2, *coeffs.shape[1:])
+    blocks = list(fiber._grid_blocks(coeffs, p, 1))
+    assert [(start, vals.shape) for start, vals in blocks] == [(0, (2, 1, 8192)), (8192, (2, 1, 17))]
+    got = np.concatenate([vals.reshape(2, -1) for _, vals in blocks], axis=1)
+    for poly, row in zip(coeffs[:, 0].astype(np.int64).tolist(), got.tolist()):
+        want = []
+        for v in range(p):
+            acc = 0
+            for a in reversed(poly):
+                acc = (acc * v + a) % p
+            want.append(acc)
+        assert row == want
+
+
+@pytest.mark.parametrize(
+    "n, p, block_cells", [(1, 8209, None), (1, 101, 64), (2, 101, 64), (2, 31, None)], ids=["cut-1", "cut-1-small-block", "cut-2", "whole-2"]
+)
+def test_grid_blocks_build_one_power_table(n, p, block_cells):
+    """Every ``_grid_blocks`` call builds one power table, whether or not
+    its rows are cut into parts."""
+    rng = np.random.default_rng(2)
+    coeffs = rng.integers(0, p, (2, 4 if n == 2 else 1, 6)).astype(np.float64)
+    powers = fiber._powers
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return powers(*args)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(fiber, "_powers", counted))
+        if block_cells is not None:
+            stack.enter_context(mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells))
+        cells = sum(vals[0].size for _, vals in fiber._grid_blocks(coeffs, p, n))
+    assert cells == p**n
+    assert len(calls) == 1
 
 
 def test_every_grid_product_goes_through_matmul():
