@@ -635,7 +635,16 @@ def fiber_probe(
     trials: int = DEFAULT_FIBER_TRIALS,
 ) -> FiberReport:
     """Count preimages of generic image points of the k-tangential projection
-    over each enumeration prime and grade the evidence."""
+    over each enumeration prime and grade the evidence.
+
+    Each prime rebuilds x from its tree, so x must come from ``build`` or
+    ``builtin``: a handle made by a constructor call has no tree.
+    """
+    if x.blueprint is None:
+        raise ConfigError(
+            f"{x.label} has no variety tree to rebuild over the enumeration primes; "
+            "make it with build or builtin"
+        )
     if trials < 1:
         raise ConfigError("trials must be positive")
     if len(primes) < 1:

@@ -158,7 +158,6 @@ def tangential_projection(
         x,
         hyperplanes.transpose(),
         label=f"tangential-{h}-{x.label}",
-        blueprint={"constructor": "tangential_projection", "base": x.blueprint, "points": h},
         span_r=x.span_dim() - center_rank,
     )
     return handle, tuple(ws)

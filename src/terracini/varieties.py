@@ -181,15 +181,21 @@ def _contract_linear_form(coeffs: Sequence[int], chart: ChartJet, p: int) -> Jet
 
 
 class VarietyHandle:
-    """Common capability surface; concrete kinds fill in the chart 2-jet."""
+    """Common capability surface; concrete kinds fill in the chart 2-jet.
+
+    ``blueprint`` is the variety tree the handle was built from.  ``build``
+    sets it at every level of the tree, and nothing else does: a handle made
+    by a direct constructor call has none, and ``fiber_probe``, which
+    rebuilds the tree over each enumeration prime, refuses such a handle.
+    """
 
     kind = "abstract"
+    blueprint: Optional[dict] = None
 
-    def __init__(self, field: FieldSpec, ambient_r: int, label: str, blueprint: dict) -> None:
+    def __init__(self, field: FieldSpec, ambient_r: int, label: str) -> None:
         self.field = field
         self.ambient_r = ambient_r
         self.label = label
-        self.blueprint = blueprint
         self._dim_cache: int | None = None
 
     # -- to be provided by concrete kinds --------------------------------
@@ -314,7 +320,7 @@ class ParametricHandle(VarietyHandle):
 
     kind = "parametric"
 
-    def __init__(self, field: FieldSpec, polys: Sequence[MultiPoly], n: int, label: str, blueprint: dict) -> None:
+    def __init__(self, field: FieldSpec, polys: Sequence[MultiPoly], n: int, label: str) -> None:
         if not polys:
             raise ConstructionError("parametric handle needs coordinates")
         for p in polys:
@@ -322,7 +328,7 @@ class ParametricHandle(VarietyHandle):
                 raise FieldMismatchError("coordinate polynomial field differs")
             if p.nvars != n:
                 raise ConstructionError("coordinate polynomial arity differs")
-        super().__init__(field, len(polys) - 1, label, blueprint)
+        super().__init__(field, len(polys) - 1, label)
         self.polys = tuple(polys)
         self.n = n
         self.jets = PolyJets(self.polys, n)
@@ -376,10 +382,7 @@ def veronese(field: FieldSpec, n: int, d: int, label: str | None = None) -> Para
     if r > AMBIENT_CAP:
         raise ConstructionError(f"veronese({n},{d}) ambient dimension {r} exceeds cap {AMBIENT_CAP}")
     polys = [MultiPoly.monomial(field, e) for e in _monomial_exponents(n, d)]
-    label = label or f"veronese-{n}-{d}"
-    return ParametricHandle(
-        field, polys, n, label, {"constructor": "veronese", "n": n, "d": d}
-    )
+    return ParametricHandle(field, polys, n, label or f"veronese-{n}-{d}")
 
 
 def rational_normal_curve(field: FieldSpec, d: int, label: str | None = None) -> ParametricHandle:
@@ -388,9 +391,7 @@ def rational_normal_curve(field: FieldSpec, d: int, label: str | None = None) ->
         raise ConstructionError("rnc needs d >= 1")
     if d > AMBIENT_CAP:
         raise ConstructionError(f"rnc({d}) ambient dimension exceeds cap {AMBIENT_CAP}")
-    handle = veronese(field, 1, d, label=label or f"rnc-{d}")
-    handle.blueprint = {"constructor": "rnc", "d": d}
-    return handle
+    return veronese(field, 1, d, label=label or f"rnc-{d}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +405,8 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
 
     kind = "implicit_plane_curve"
 
-    def __init__(self, field: FieldSpec, f: MultiPoly, genus_hint: int, label: str, blueprint: dict) -> None:
-        super().__init__(field, 2, label, blueprint)
+    def __init__(self, field: FieldSpec, f: MultiPoly, genus_hint: int, label: str) -> None:
+        super().__init__(field, 2, label)
         self.f = f
         self.genus_hint = genus_hint
         # affine equation f(u, v, 1) on the chart {x2 = 1}
@@ -469,10 +470,6 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         return ChartJet(w.raw, first, second)
 
 
-def _poly_to_int_coeffs(g: MultiPoly) -> list:
-    return [[c, list(e)] for e, c in g.sorted_terms()]
-
-
 def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.Random) -> bool:
     """A non-squarefree form restricts non-squarefree to every line, so one
     squarefree line restriction certifies squarefreeness."""
@@ -498,13 +495,7 @@ def implicit_plane_curve(
         raise ConstructionError("curve equation must be homogeneous in 3 variables")
     if not _squarefree_by_line_restriction(f, field, rng):
         raise ConstructionError("curve equation is not squarefree")
-    label = label or "plane-curve"
-    bp = {
-        "constructor": "implicit_plane_curve",
-        "terms": _poly_to_int_coeffs(f),
-        "genus_hint": genus_hint,
-    }
-    return ImplicitPlaneCurveHandle(field, f, genus_hint, label, bp)
+    return ImplicitPlaneCurveHandle(field, f, genus_hint, label or "plane-curve")
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +506,8 @@ def implicit_plane_curve(
 class MapImageHandle(VarietyHandle):
     kind = "map_image"
 
-    def __init__(self, base: VarietyHandle, polys: Sequence[MultiPoly], label: str, blueprint: dict, span_r: int) -> None:
-        super().__init__(base.field, len(polys) - 1, label, blueprint)
+    def __init__(self, base: VarietyHandle, polys: Sequence[MultiPoly], label: str, span_r: int) -> None:
+        super().__init__(base.field, len(polys) - 1, label)
         self.base = base
         self.polys = tuple(polys)
         self._span_r = span_r
@@ -590,14 +581,7 @@ def map_image(
             degs.add(p.total_degree())
     if len(degs) != 1:
         raise ConstructionError("map components must share one common degree")
-    label = label or f"image-of-{base.label}"
-    bp = {
-        "constructor": "map_image",
-        "base": base.blueprint,
-        "components": [_poly_to_int_coeffs(p) for p in polys],
-        "arity": arity,
-    }
-    handle = MapImageHandle(base, polys, label, bp, span_r=len(polys) - 1)
+    handle = MapImageHandle(base, polys, label or f"image-of-{base.label}", span_r=len(polys) - 1)
     pts = [handle.sample(rng).point for _ in range(20)]
     rank = exact_rank(Matrix(base.field, pts))
     while rank == len(pts):
@@ -622,8 +606,8 @@ class ConeHandle(VarietyHandle):
 
     kind = "cone"
 
-    def __init__(self, base: VarietyHandle, vertex: Matrix, label: str, blueprint: dict) -> None:
-        super().__init__(base.field, base.ambient_r, label, blueprint)
+    def __init__(self, base: VarietyHandle, vertex: Matrix, label: str) -> None:
+        super().__init__(base.field, base.ambient_r, label)
         self.base = base
         self.vertex = vertex
         self.m = vertex.cols
@@ -686,13 +670,7 @@ def cone(base: VarietyHandle, vertex: Matrix, label: str | None = None) -> ConeH
             raise ConstructionError(
                 "vertex support overlaps the base coordinate block"
             )
-    label = label or f"cone-over-{base.label}"
-    bp = {
-        "constructor": "cone",
-        "base": base.blueprint,
-        "vertex": [list(col) for col in vertex.columns()],
-    }
-    return ConeHandle(base, vertex, label, bp)
+    return ConeHandle(base, vertex, label or f"cone-over-{base.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -721,16 +699,18 @@ class SectionHandle(VarietyHandle):
 
     kind = "section"
 
-    def __init__(self, base: VarietyHandle, constraints: Sequence[MultiPoly], label: str, blueprint: dict) -> None:
+    def __init__(self, base: VarietyHandle, constraints: Sequence[MultiPoly], label: str) -> None:
         if not isinstance(base, (ParametricHandle, ConeHandle)):
             raise ConstructionError(
                 f"sections are supported over parametric or cone handles, not {base.kind}"
             )
-        super().__init__(base.field, base.ambient_r, label, blueprint)
+        super().__init__(base.field, base.ambient_r, label)
         self.base = base
         self.constraints = tuple(constraints)
-        if len(self.constraints) >= base.chart_dim + 1:
-            raise ConstructionError("too many constraints for the base chart")
+        # the one dimension guard of both cuts: a section of dimension 0 is a
+        # finite set of points, with no chart to sample on
+        if self.chart_dim < 1:
+            raise ConstructionError(f"{label} would have dimension {self.chart_dim}: a cut needs dimension >= 2")
         if isinstance(base, ParametricHandle):
             if len(self.constraints) != 1:
                 raise ConstructionError(
@@ -952,13 +932,7 @@ def hypersurface_section(
     if h.nvars != base.ambient_r + 1 or not h.is_homogeneous() or h.total_degree() < 1:
         raise ConstructionError("hypersurface must be homogeneous on the ambient coordinates")
     _check_not_identically_zero(base, h, rng)
-    label = label or f"section-of-{base.label}"
-    bp = {
-        "constructor": "hypersurface_section",
-        "base": base.blueprint,
-        "h": _poly_to_int_coeffs(h),
-    }
-    return SectionHandle(base, [h], label, bp)
+    return SectionHandle(base, [h], label or f"section-of-{base.label}")
 
 
 def hyperplane_section(
@@ -966,21 +940,17 @@ def hyperplane_section(
 ) -> SectionHandle:
     """Cut by the hyperplane with these integer coefficients, one per ambient
     coordinate: the one cut of a tree's ``hyperplane_section`` node and of
-    ``generic_hyperplane_section``.  The chart must have dimension at least 2,
-    since a hyperplane cuts a curve down to points.  A cut of a section
-    extends its constraint list, keeping the one-nonlinear-constraint sampling
-    discipline intact; anything else becomes the base of a one-cut section.
+    ``generic_hyperplane_section``.  A cut of a section extends its constraint
+    list, keeping the one-nonlinear-constraint sampling discipline intact;
+    anything else becomes the base of a one-cut section.
     """
-    if x.chart_dim < 2:
-        raise ConstructionError("hyperplane sections need dim >= 2")
     n = x.ambient_r + 1
     if not isinstance(coeffs, list) or len(coeffs) != n:
         raise ConstructionError(f"a hyperplane needs a list of {n} coefficients, got {coeffs!r}")
     lam = MultiPoly.from_int_terms(x.field, n, [(c, _unit(n, i)) for i, c in enumerate(coeffs)])
     _check_not_identically_zero(x, lam, rng)
     base, constraints = (x.base, [*x.constraints, lam]) if isinstance(x, SectionHandle) else (x, [lam])
-    bp = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": coeffs}
-    return SectionHandle(base, constraints, label or f"hyperplane-cut-{x.label}", bp)
+    return SectionHandle(base, constraints, label or f"hyperplane-cut-{x.label}")
 
 
 def generic_hyperplane_section(
@@ -1007,14 +977,13 @@ class ProjectionHandle(VarietyHandle):
         base: VarietyHandle,
         proj: Matrix,
         label: str,
-        blueprint: dict,
         span_r: int | None = None,
     ) -> None:
         if proj.field != base.field:
             raise FieldMismatchError("projection field differs")
         if proj.cols != base.ambient_r + 1:
             raise ConstructionError("projection domain mismatch")
-        super().__init__(base.field, proj.rows - 1, label, blueprint)
+        super().__init__(base.field, proj.rows - 1, label)
         self.base = base
         self.proj = proj
         self._span_r = span_r if span_r is not None else proj.rows - 1
@@ -1069,9 +1038,14 @@ def _list_of(ok: Callable[[object], bool]) -> Callable[[object], bool]:
 
 
 _is_int_list = _list_of(_is_int)
-_is_poly = _list_of(lambda t: isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int_list(t[1]))
+# a term's degree sizes the power tables of every kernel that reads it, so it
+# has the cap of veronese's d
+_is_poly = _list_of(
+    lambda t: isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int_list(t[1])
+    and min(t[1], default=0) >= 0 and sum(t[1]) <= AMBIENT_CAP
+)
 _INT = (_is_int, "an integer")
-_POLY = (_is_poly, "a list of [coefficient, [exponents]] pairs")
+_POLY = (_is_poly, f"a list of [coefficient, [exponents]] pairs of total degree at most {AMBIENT_CAP}")
 BASE = None  # a nested constructor node, checked recursively
 
 
@@ -1098,7 +1072,7 @@ CONSTRUCTORS: dict[str, tuple[dict, Callable[..., VarietyHandle]]] = {
         ),
     ),
     "map_image": (
-        {"base": BASE, "components": (_list_of(_is_poly), "a list of polynomials"), "arity": _INT},
+        {"base": BASE, "components": (_list_of(_is_poly), f"a list of polynomials, each {_POLY[1]}"), "arity": _INT},
         lambda t, base, field, rng, label: map_image(
             base, [MultiPoly.from_int_terms(field, t["arity"], c) for c in t["components"]], rng, label
         ),
@@ -1119,8 +1093,13 @@ CONSTRUCTORS: dict[str, tuple[dict, Callable[..., VarietyHandle]]] = {
         {"base": BASE, "hyperplane": (_is_int_list, "a list of integers")},
         lambda t, base, field, rng, label: hyperplane_section(base, t["hyperplane"], rng, label),
     ),
+    # AMBIENT_CAP + 1 general points already span the linear span of any
+    # buildable variety, so more points only draw more witnesses
     "tangential_projection": (
-        {"base": BASE, "points": (lambda x: _is_int(x) and x >= 1, "a positive integer")},
+        {
+            "base": BASE,
+            "points": (lambda x: _is_int(x) and 1 <= x <= AMBIENT_CAP, f"a positive integer at most {AMBIENT_CAP}"),
+        },
         _tangential_projection,
     ),
 }
@@ -1162,9 +1141,11 @@ def build(blueprint: dict, field: FieldSpec, rng: random.Random, label: str | No
     the subtree it was built from as its ``blueprint``.  So the same tree
     reduces consistently into every working prime, which is what makes
     small-prime enumeration and cross-prime dimension checks talk about the
-    same variety.  The whole tree is checked (``check_tree``) before
-    anything is built or drawn; a tree that fails raises
-    ``ConstructionError`` with its message.
+    same variety.  ``CONSTRUCTORS`` and this function are the only code that
+    knows the tree format: no constructor writes a tree, and no handle gets
+    a ``blueprint`` any other way.  The whole tree is checked
+    (``check_tree``) before anything is built or drawn; a tree that fails
+    raises ``ConstructionError`` with its message.
     """
     try:
         check_tree(blueprint)

@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from terracini import cli, fiber, varieties
+from terracini.errors import ConfigError
 from terracini.suite import CriterionResult, SuiteResult
 
 
@@ -125,6 +127,46 @@ def test_invalid_configs_exit_2(tmp_path, capsys, payload):
     if payload is RNC_PAST_CAP:
         # the error names the constructor the tree asked for
         assert "rnc(100000000) ambient dimension exceeds cap 120" in err
+
+
+# cuts of the twisted cubic by the form x0, which is 1 all over its chart:
+# a cut of a curve leaves points, with no chart to sample on
+CURVE_CUTS = {
+    "hypersurface": {"constructor": "hypersurface_section", "base": {"constructor": "rnc", "d": 3}, "h": [[1, [1, 0, 0, 0]]]},
+    "hyperplane": {"constructor": "hyperplane_section", "base": {"constructor": "rnc", "d": 3}, "hyperplane": [1, 0, 0, 0]},
+}
+
+
+@pytest.mark.parametrize("verb", ["defect-scan", "contact-scan", "fiber-probe"])
+@pytest.mark.parametrize("cut", sorted(CURVE_CUTS))
+def test_both_cuts_of_a_curve_exit_2(tmp_path, capsys, cut, verb):
+    """Both cut kinds share one dimension guard, so neither samples a section
+    of dimension 0 until the resample cap."""
+    code, out, err = run_cli([verb, "--config", write_config(tmp_path, {"variety": CURVE_CUTS[cut]})], capsys)
+    assert (code, out) == (2, "")
+    assert "a cut needs dimension >= 2" in err
+
+
+# tree values past the ambient cap: witness draws, or power tables, without end
+UNBOUNDED_TREES = {
+    "points": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 2}, "points": 10**6},
+    "terms": {"constructor": "implicit_plane_curve", "terms": [[1, [10**9, 0, 0]]], "genus_hint": 1},
+    "h": {"constructor": "hypersurface_section", "base": {"constructor": "veronese", "n": 2, "d": 2}, "h": [[1, [10**9, 0, 0, 0, 0, 0]]]},
+    "components": {"constructor": "map_image", "base": {"constructor": "rnc", "d": 2}, "components": [[[1, [10**9, 0, 0]]]], "arity": 3},
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNBOUNDED_TREES))
+def test_unbounded_tree_values_exit_2_at_once(tmp_path, capsys, key):
+    tree = UNBOUNDED_TREES[key]
+    # run the verb only once validation is known to refuse the tree
+    with pytest.raises(ConfigError, match="at most 120"):
+        varieties.check_tree(tree)
+    start = time.perf_counter()
+    code, out, err = run_cli(["fiber-probe", "--config", write_config(tmp_path, {"variety": tree})], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("terracini:") and "Traceback" not in err
 
 
 def test_readme_constructors_line_matches_the_table():

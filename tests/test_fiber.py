@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terracini import fiber
-from terracini.algebra import FieldSpec, exact_rank, is_prime
-from terracini.errors import BudgetExhausted
+from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, is_prime
+from terracini.errors import BudgetExhausted, ConfigError
 from terracini.fiber import (
     DEFAULT_FIBER_TRIALS,
     ENUM_BUDGET,
@@ -32,7 +32,14 @@ from terracini.fiber import (
 from terracini.instances import ANALYSIS_PRIME, builtin, builtin_blueprint
 from terracini.secant import tangential_projection
 from terracini.seeding import derive_rng
-from terracini.varieties import build, rational_normal_curve, veronese
+from terracini.varieties import (
+    build,
+    cone,
+    hypersurface_section,
+    implicit_plane_curve,
+    map_image,
+    rational_normal_curve,
+)
 
 from oracles import (
     NOT_GENERICALLY_FINITE,
@@ -41,6 +48,7 @@ from oracles import (
     ruling_fiber_by_brute_force,
     tangential_projection_degree,
 )
+from test_varieties import counter1_with_a_negative_coefficient
 
 FIELD = FieldSpec.prime(ANALYSIS_PRIME)
 
@@ -113,7 +121,7 @@ def test_defective_projection_reports_not_finite():
 
 
 def test_budget_guard_rejects_threefold_grids():
-    x = veronese(FIELD, 3, 3)
+    x = build({"constructor": "veronese", "n": 3, "d": 3}, FIELD, random.Random(5))
     with pytest.raises(BudgetExhausted):
         fiber_probe(x, 1, random.Random(5))
 
@@ -145,6 +153,31 @@ def test_fiber_probe_rebuilds_from_the_tree_not_the_analysis_field():
         reports.append(fiber_probe(x, 1, random.Random(2), primes=(1009, 2003)))
     assert reports[0] == reports[1]
     assert reports[0].consensus_d == 3
+
+
+def test_fiber_probe_refuses_a_handle_without_a_tree():
+    """A cut coefficient of -1 is p - 1 over every enumeration prime only
+    when each prime reduces the tree's own integers.  counter1 with that
+    coefficient, made by ``build``, probes normally; the same variety made
+    by constructor calls on the same integers has the same constraints but
+    no tree, and the probe refuses it before it draws anything."""
+    tree = counter1_with_a_negative_coefficient()
+    built = build(tree, FIELD, random.Random(1))
+    assert fiber_probe(built, 1, random.Random(2), primes=(1009, 2003)).consensus_d == 3
+
+    rng = random.Random(1)
+    coned, embedded, curve = tree["base"], tree["base"]["base"], tree["base"]["base"]["base"]
+    x = implicit_plane_curve(FIELD, MultiPoly.from_int_terms(FIELD, 3, curve["terms"]), curve["genus_hint"], rng)
+    x = map_image(x, [MultiPoly.from_int_terms(FIELD, 3, c) for c in embedded["components"]], rng)
+    x = cone(x, Matrix.from_columns(FIELD, [[FIELD.scalar(v) for v in col] for col in coned["vertex"]]))
+    x = hypersurface_section(x, MultiPoly.from_int_terms(FIELD, x.ambient_r + 1, tree["h"]), rng)
+    assert x.constraints == built.constraints
+    assert x.blueprint is None
+    probe_rng = random.Random(2)
+    state = probe_rng.getstate()
+    with pytest.raises(ConfigError, match="make it with build or builtin"):
+        fiber_probe(x, 1, probe_rng, primes=(1009, 2003))
+    assert probe_rng.getstate() == state
 
 
 def test_report_is_deterministic_and_thread_independent():
@@ -671,7 +704,8 @@ def _degree_mismatch(n, d, k, trials, seed=0):
     want = tangential_projection_degree(n, d, k)
     if want is None:
         return None
-    x = veronese(FIELD, 2, d) if n == 2 else rational_normal_curve(FIELD, d)
+    tree = {"constructor": "veronese", "n": 2, "d": d} if n == 2 else {"constructor": "rnc", "d": d}
+    x = build(tree, FIELD, random.Random(seed))
     rep = fiber_probe(x, k, random.Random(seed), trials=trials)
     if want == NOT_GENERICALLY_FINITE:
         expected = ("NotGenericallyFinite", None)

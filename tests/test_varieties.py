@@ -18,6 +18,7 @@ from terracini.varieties import (
     build,
     cone,
     generic_hyperplane_section,
+    hyperplane_section,
     hypersurface_section,
     implicit_plane_curve,
     map_image,
@@ -59,14 +60,18 @@ def cone_over_embedded_curve(rng, field=F):
     return cone(emb, vertex)
 
 
-def random_cubic_form(field, nvars, seed):
+def random_cubic_terms(nvars, seed):
+    """A cubic form with every monomial, as a tree's integer terms."""
     rng = random.Random(seed)
-    terms = [
-        (rng.randrange(1, 2**30), e)
+    return [
+        [rng.randrange(1, 2**30), list(e)]
         for e in itertools.product(range(4), repeat=nvars)
         if sum(e) == 3
     ]
-    return MultiPoly.from_int_terms(field, nvars, terms)
+
+
+def random_cubic_form(field, nvars, seed):
+    return MultiPoly.from_int_terms(field, nvars, random_cubic_terms(nvars, seed))
 
 
 # -- two independent routes to the same conic --------------------------------
@@ -178,7 +183,7 @@ def test_quadratic_map_taylor_is_exact():
     _assert_taylor_exact(ver, ver._eval_map, rng)
 
     proj = Matrix(F, [[F.random_scalar(rng) for _ in range(6)] for _ in range(4)])
-    projected = ProjectionHandle(ver, proj, "projected-veronese", {})
+    projected = ProjectionHandle(ver, proj, "projected-veronese")
     _assert_taylor_exact(projected, lambda u: proj.matvec(ver._eval_map(u)), rng)
 
     # linear re-embedding into P^7 frees two coordinates for a vertex line
@@ -413,6 +418,11 @@ def test_kernels_compile_only_the_orders_they_read(name):
         {"constructor": "veronese", "n": "2", "d": 2},
         {"constructor": "veronese", "n": 2},
         {"constructor": "cone", "base": {"constructor": "rnc", "d": 2}, "vertex": 5},
+        # one past the caps on polynomial degree and projection points
+        {"constructor": "implicit_plane_curve", "terms": [[1, [61, 60, 0]]], "genus_hint": 1},
+        {"constructor": "tangential_projection", "base": {"constructor": "rnc", "d": 2}, "points": 121},
+        # a negative exponent must not hide a large one from the degree bound
+        {"constructor": "implicit_plane_curve", "terms": [[1, [10**9, -10**9, 3]]], "genus_hint": 1},
     ],
 )
 def test_build_rejects_an_unchecked_tree_before_any_draw(tree):
@@ -427,6 +437,38 @@ def test_build_rejects_an_unchecked_tree_before_any_draw(tree):
         build(tree, F, rng)
     assert str(built.value) == str(checked.value)
     assert rng.getstate() == state
+
+
+def test_tree_caps_admit_the_cap_itself():
+    """Polynomial degree and projection points are bounded by the ambient
+    cap, which is itself allowed."""
+    varieties.check_tree({"constructor": "implicit_plane_curve", "terms": [[1, [60, 60, 0]]], "genus_hint": 1})
+    varieties.check_tree({"constructor": "tangential_projection", "base": {"constructor": "rnc", "d": 2}, "points": 120})
+
+
+def test_only_build_writes_variety_trees():
+    """The tree format is known to ``CONSTRUCTORS`` and ``build`` alone: only
+    ``varieties._build`` assigns a handle's ``blueprint``, and no module
+    but ``instances.py``, which pins the built-in trees, writes a tree node
+    (a dict literal with a "constructor" key)."""
+    stores, node_writers = [], set()
+    for path in sorted(Path(varieties.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for parent in ast.walk(tree):
+            for child in ast.iter_child_nodes(parent):
+                child.parent = parent
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "blueprint" and isinstance(node.ctx, ast.Store):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = scope.parent
+                stores.append((path.name, getattr(scope, "name", None)))
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "constructor" for k in node.keys
+            ):
+                node_writers.add(path.name)
+    assert stores == [("varieties.py", "_build")]
+    assert node_writers <= {"instances.py"}
 
 
 def test_off_section_witness_is_rejected():
@@ -550,9 +592,27 @@ def test_distinct_sampling_never_repeats():
 
 def test_blueprint_rebuild_across_primes():
     rng = random.Random(1212)
-    K = cone_over_embedded_curve(rng)
-    S = hypersurface_section(K, random_cubic_form(F, 5, seed=41), rng)
-    Sh = generic_hyperplane_section(S, rng)
+    # cone_over_embedded_curve, cut by a cubic and then by a hyperplane
+    coned = {
+        "constructor": "cone",
+        "base": {
+            "constructor": "map_image",
+            "base": {
+                "constructor": "implicit_plane_curve",
+                "terms": [[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]]],
+                "genus_hint": 1,
+            },
+            "components": [[[1, [1, 0, 0]]], [[1, [0, 1, 0]]], [[1, [0, 0, 1]]], [], []],
+            "arity": 3,
+        },
+        "vertex": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+    }
+    tree = {
+        "constructor": "hyperplane_section",
+        "base": {"constructor": "hypersurface_section", "base": coned, "h": random_cubic_terms(5, seed=41)},
+        "hyperplane": [rng.randrange(1, 2**30) for _ in range(5)],
+    }
+    Sh = build(tree, F, rng)
 
     wire = json.dumps(Sh.blueprint, sort_keys=True)
     bp = json.loads(wire)
@@ -566,14 +626,14 @@ def test_blueprint_rebuild_across_primes():
             assert g.evaluate(w.raw) == 0
 
 
-def _counter1_with_a_negative_coefficient():
+def counter1_with_a_negative_coefficient():
     tree = json.loads(json.dumps(builtin_blueprint("counter1")))
     tree["h"][0][0] = -1
     return tree
 
 
 BLUEPRINT_TREES = {
-    "cone-section-with-minus-one": _counter1_with_a_negative_coefficient(),
+    "cone-section-with-minus-one": counter1_with_a_negative_coefficient(),
     "map-image": {
         "constructor": "map_image",
         "base": {"constructor": "rnc", "d": 2},
@@ -614,14 +674,16 @@ def test_build_keeps_the_given_subtree_at_every_node(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["veronese-3-2", "counter3-n3"])
 def test_both_cut_paths_give_the_same_constraints(name):
-    """A tree's ``hyperplane_section`` node and ``generic_hyperplane_section``
+    """A tree's ``hyperplane_section`` node and a ``hyperplane_section`` call
     make the same cut from the same coefficients, over a parametric chart and
     over a section, whose constraint list the cut extends."""
     x = builtin(name, F, random.Random(21))
-    drawn = generic_hyperplane_section(x, random.Random(22))
-    tree = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": drawn.blueprint["hyperplane"]}
+    rng = random.Random(22)
+    coeffs = [rng.randrange(1, 2**30) for _ in range(x.ambient_r + 1)]
+    called = hyperplane_section(x, coeffs, rng)
+    tree = {"constructor": "hyperplane_section", "base": x.blueprint, "hyperplane": coeffs}
     built = build(tree, F, random.Random(23))
-    assert built.constraints == drawn.constraints
+    assert built.constraints == called.constraints
     assert len(built.constraints) == (2 if name == "counter3-n3" else 1)
 
 
