@@ -35,6 +35,11 @@ compiled on first read, so first-order work (tangent frames, and so every
 secant dimension) never builds Hessian rows, and a kernel that only
 evaluates builds neither.
 
+A ``MultiPoly`` is a validated map from exponent tuples to coefficients,
+with no ring arithmetic: it reduces, evaluates and reports its degree.  The
+one expansion the package needs, of a cone section's constraints along the
+rulings, runs on plain dicts in ``varieties._ruling_forms``.
+
 Univariate polynomials are coefficient lists, lowest degree first.  One
 long division, ``_poly_divmod``, serves the gcd and the exact quotients of
 the root finder, ``uni_roots_mod_p``, which takes the list that
@@ -175,7 +180,7 @@ class Matrix:
     """Dense exact matrix over one field, row-major, immutable after
     construction.  Entries are ints in ``[0, p)``."""
 
-    __slots__ = ("field", "entries", "_rank")
+    __slots__ = ("field", "entries")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence[int]]) -> None:
         rows = tuple(tuple(row) for row in entries)
@@ -185,7 +190,6 @@ class Matrix:
                 raise ConstructionError("ragged rows")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("Matrix is immutable")
@@ -245,9 +249,6 @@ class Matrix:
             return NotImplemented
         return self.field == other.field and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -279,11 +280,9 @@ class Matrix:
         """Exact rank: the pivot count of an echelon form of the shorter
         side.  Rank does not change under transposition, so a tall matrix
         reduces its columns, and no row above a pivot is cleared."""
-        if self._rank is None:
-            side = zip(*self.entries) if self.rows > self.cols else self.entries
-            rows = [list(row) for row in side]
-            object.__setattr__(self, "_rank", len(_gauss_jordan(rows, self.field.modulus, reduced=False)))
-        return self._rank
+        side = zip(*self.entries) if self.rows > self.cols else self.entries
+        rows = [list(row) for row in side]
+        return len(_gauss_jordan(rows, self.field.modulus, reduced=False))
 
     def null_space(self) -> "Matrix":
         """Matrix whose columns are a basis of the right kernel.
@@ -500,12 +499,14 @@ def _grlex_key(expo: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over one FieldSpec.
+    """Sparse multivariate polynomial over one FieldSpec: a term map.
 
     Terms map exponent tuples to nonzero coefficients in ``[0, p)``; the
-    constructor reduces every coefficient and drops zeros, so structural
-    equality is semantic equality.  Printing and serialization iterate terms
-    in graded-lex order for determinism.
+    constructor checks every exponent's arity and sign, reduces every
+    coefficient and drops zeros, so structural equality is semantic
+    equality.  There is no ring arithmetic: a sum is the two term lists
+    joined in ``from_int_terms``, which adds the coefficients of a repeated
+    exponent.  Printing iterates terms in graded-lex order for determinism.
     """
 
     __slots__ = ("field", "nvars", "terms")
@@ -529,29 +530,6 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: FieldSpec, nvars: int) -> "MultiPoly":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def constant(cls, field: FieldSpec, nvars: int, value) -> "MultiPoly":
-        return cls(field, nvars, {(0,) * nvars: field.scalar(value)})
-
-    @classmethod
-    def variable(cls, field: FieldSpec, nvars: int, index: int) -> "MultiPoly":
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls(field, nvars, {tuple(expo): 1})
-
-    @classmethod
-    def monomial(cls, field: FieldSpec, expo: Sequence[int], coef=1) -> "MultiPoly":
-        return cls(field, len(expo), {tuple(expo): field.scalar(coef)})
-
-    @classmethod
-    def univariate(cls, field: FieldSpec, coeffs: Sequence[int]) -> "MultiPoly":
-        """The one-variable polynomial sum_e coeffs[e] x^e."""
-        return cls(field, 1, {(e,): c for e, c in enumerate(coeffs)})
 
     @classmethod
     def from_int_terms(cls, field: FieldSpec, nvars: int, terms: Iterable[tuple[int, Sequence[int]]]) -> "MultiPoly":
@@ -578,66 +556,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def support(self) -> frozenset[int]:
-        """Variable indices that actually occur."""
-        used = set()
-        for expo in self.terms:
-            for i, e in enumerate(expo):
-                if e:
-                    used.add(i)
-        return frozenset(used)
-
-    # -- ring operations --------------------------------------------------
-
-    def _check(self, other: "MultiPoly") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError("mixed fields")
-        if self.nvars != other.nvars:
-            raise ConstructionError("mixed variable counts")
-
-    def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.field, self.nvars, other)
-        self._check(other)
-        acc = dict(self.terms)
-        for expo, coef in other.terms.items():
-            acc[expo] = acc.get(expo, 0) + coef
-        return MultiPoly(self.field, self.nvars, acc)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.field, self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            s = self.field.scalar(other)
-            return MultiPoly(self.field, self.nvars, {e: c * s for e, c in self.terms.items()})
-        self._check(other)
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc[expo] = acc.get(expo, 0) + c1 * c2
-        return MultiPoly(self.field, self.nvars, acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ConstructionError("negative power")
-        out = MultiPoly.constant(self.field, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -646,9 +564,6 @@ class MultiPoly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, tuple(sorted(self.terms.items(), key=lambda t: _grlex_key(t[0])))))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -665,31 +580,6 @@ class MultiPoly:
                     term = term * powers[i][e] % p
             acc += term
         return acc % p
-
-    def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute args[i] for variable i.  All args share one arity."""
-        if len(args) != self.nvars:
-            raise ConstructionError("compose arity mismatch")
-        if not args:
-            raise ConstructionError("compose needs at least one variable")
-        target_nvars = args[0].nvars
-        for g in args:
-            if g.nvars != target_nvars or g.field != self.field:
-                raise ConstructionError("compose arguments disagree")
-        # powers[i][e] = args[i]**e, grown on demand
-        powers = [[MultiPoly.constant(self.field, target_nvars, 1)] for _ in args]
-        acc: dict[tuple[int, ...], int] = {}
-        for expo, coef in self.terms.items():
-            term = MultiPoly.constant(self.field, target_nvars, coef)
-            for i, e in enumerate(expo):
-                if e:
-                    row = powers[i]
-                    while len(row) <= e:
-                        row.append(row[-1] * args[i])
-                    term = term * row[e]
-            for e2, c in term.terms.items():
-                acc[e2] = acc.get(e2, 0) + c
-        return MultiPoly(self.field, target_nvars, acc)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -736,9 +626,8 @@ def restrict_univariate(f: MultiPoly, args: Sequence[Sequence[int]]) -> list[int
     variable i.  Arguments are coefficient lists; a line ``a + s b`` is the
     argument list ``[a_i, b_i]``.
 
-    This is ``compose`` for one-variable arguments, on plain int lists: the
-    powers of each argument are built once, and each term is one product of
-    cached powers.
+    The expansion runs on plain int lists: the powers of each argument are
+    built once, and each term is one product of cached powers.
     """
     if len(args) != f.nvars:
         raise ConstructionError("restriction arity mismatch")

@@ -168,6 +168,9 @@ def load_config(path: Optional[str], args: argparse.Namespace, need_variety: boo
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer past Python's digit limit, or nesting past the stack
+            raise ConfigError(f"config {path}: {exc}") from exc
     if isinstance(raw, dict):
         raw = dict(raw)
         for key, flag in (("seed", args.seed), ("field", args.field_prime)):

@@ -404,7 +404,8 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
         us, vs = np.divmod(start + np.flatnonzero(vals[0] == 0), p)
         pts += [(u, v, 1) for u, v in zip(us.tolist(), vs.tolist())]
     # the line at infinity: z = 0, y = 1, then the lone corner point
-    at_infinity = MultiPoly.univariate(fp, restrict_univariate(curve.f, [[0, 1], [1], []]))
+    line = restrict_univariate(curve.f, [[0, 1], [1], []])
+    at_infinity = MultiPoly(fp, 1, {(e,): c for e, c in enumerate(line)})
     for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1):
         pts += [(u, 1, 0) for u in (start + np.flatnonzero(vals[0] == 0)).tolist()]
     if curve.f.evaluate((1, 0, 0)) == 0:

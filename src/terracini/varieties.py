@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -381,7 +382,7 @@ def veronese(field: FieldSpec, n: int, d: int, label: str | None = None) -> Para
     r = comb(n + d, d) - 1
     if r > AMBIENT_CAP:
         raise ConstructionError(f"veronese({n},{d}) ambient dimension {r} exceeds cap {AMBIENT_CAP}")
-    polys = [MultiPoly.monomial(field, e) for e in _monomial_exponents(n, d)]
+    polys = [MultiPoly(field, n, {e: 1}) for e in _monomial_exponents(n, d)]
     return ParametricHandle(field, polys, n, label or f"veronese-{n}-{d}")
 
 
@@ -875,26 +876,55 @@ def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix):
     """Each constraint g as g(y + V mu), a polynomial in (y, mu), with its
     terms grouped by mu-monomial into coefficient polynomials in y: the
     (constraint index, mu-exponent) of each coefficient polynomial, and one
-    kernel over them in the same order."""
+    kernel over them in the same order.
+
+    The expansion runs on {exponents over (y, mu): coefficient} dicts.  Each
+    coordinate's linear form y_i + sum_j V_ij mu_j keeps one list of its
+    powers, grown on demand and shared by every constraint, and each term of
+    g is its coefficient times a product of cached powers."""
     field = vertex.field
+    p = field.modulus
     r1, m = vertex.rows, vertex.cols
-    y_vars = [MultiPoly.variable(field, r1 + m, i) for i in range(r1)]
-    mu_vars = [MultiPoly.variable(field, r1 + m, r1 + j) for j in range(m)]
-    coords = []
+    zero = (0,) * (r1 + m)
+    powers = []
     for i in range(r1):
-        c = y_vars[i]
+        form = {_unit(r1 + m, i): 1}
         for j in range(m):
-            c = c + mu_vars[j] * vertex[i, j]
-        coords.append(c)
+            if vertex[i, j]:
+                form[_unit(r1 + m, r1 + j)] = vertex[i, j]
+        powers.append([{zero: 1}, form])
     keys, coeffs = [], []
     for k, g in enumerate(constraints):
+        acc: dict[tuple[int, ...], int] = {}
+        for expo, coef in g.terms.items():
+            term = {zero: coef}
+            for row, e in zip(powers, expo):
+                if e:
+                    while len(row) <= e:
+                        row.append(_dict_mul(row[-1], row[1], p))
+                    term = _dict_mul(term, row[e], p)
+            for e2, c in term.items():
+                acc[e2] = acc.get(e2, 0) + c
         grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for expo, coef in g.compose(coords).terms.items():
-            grouped.setdefault(expo[r1:], {})[expo[:r1]] = coef
+        for expo, coef in acc.items():
+            coef %= p
+            if coef:
+                grouped.setdefault(expo[r1:], {})[expo[:r1]] = coef
         for mu_e, ys in grouped.items():
             keys.append((k, mu_e))
             coeffs.append(MultiPoly(field, r1, ys))
     return tuple(keys), PolyJets(coeffs, r1)
+
+
+def _dict_mul(a: dict, b: dict, p: int) -> dict:
+    """The product of two {exponents: coefficient} polynomials mod p, with
+    zero coefficients dropped; terms come in the order the pairs first meet."""
+    acc: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expo = tuple(map(add, e1, e2))
+            acc[expo] = acc.get(expo, 0) + c1 * c2
+    return {e: c % p for e, c in acc.items() if c % p}
 
 
 def _unit(m: int, j: int) -> tuple[int, ...]:
@@ -1107,18 +1137,22 @@ CONSTRUCTORS: dict[str, tuple[dict, Callable[..., VarietyHandle]]] = {
 ROOT_ONLY = ("tangential_projection",)
 
 
-def check_tree(node, root: bool = True) -> None:
+def check_tree(node, depth: int = 1) -> None:
     """Check a variety tree against ``CONSTRUCTORS`` before anything is
     built: every node names a constructor, has exactly its keys, every key
-    has its type, and a ``ROOT_ONLY`` constructor stands only at the root.
-    Raises ``ConfigError``."""
+    has its type, a ``ROOT_ONLY`` constructor stands only at the root, and
+    no chain of bases is more than ``AMBIENT_CAP`` nodes deep, so that
+    neither this check nor ``build`` runs out of stack.  ``depth`` counts
+    the node itself, 1 at the root.  Raises ``ConfigError``."""
+    if depth > AMBIENT_CAP:
+        raise ConfigError(f"a variety tree may be at most {AMBIENT_CAP} constructors deep")
     if not isinstance(node, dict):
         raise ConfigError(f"constructor node must be an object, got {type(node).__name__}")
     kind = node.get("constructor")
     if not isinstance(kind, str) or kind not in CONSTRUCTORS:
         raise ConfigError(f"unknown constructor {kind!r}")
     keys, _ = CONSTRUCTORS[kind]
-    if kind in ROOT_ONLY and not root:
+    if kind in ROOT_ONLY and depth > 1:
         raise ConfigError(f"constructor {kind!r} is allowed only at the root of a variety tree")
     missing = [k for k in keys if k not in node]
     if missing:
@@ -1128,7 +1162,7 @@ def check_tree(node, root: bool = True) -> None:
         raise ConfigError(f"constructor {kind!r} has unknown keys {unknown}")
     for key, rule in keys.items():
         if rule is BASE:
-            check_tree(node[key], root=False)
+            check_tree(node[key], depth + 1)
         elif not rule[0](node[key]):
             raise ConfigError(f"constructor {kind!r}: {key!r} must be {rule[1]}, got {node[key]!r}")
 

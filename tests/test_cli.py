@@ -147,8 +147,21 @@ def test_both_cuts_of_a_curve_exit_2(tmp_path, capsys, cut, verb):
     assert "a cut needs dimension >= 2" in err
 
 
-# tree values past the ambient cap: witness draws, or power tables, without end
+def map_image_chain(depth):
+    """A tree of ``depth`` constructor nodes: rnc-2 under depth - 1 identity
+    map_image nodes."""
+    node = {"constructor": "rnc", "d": 2}
+    for _ in range(depth - 1):
+        components = [[[1, [1, 0, 0]]], [[1, [0, 1, 0]]], [[1, [0, 0, 1]]]]
+        node = {"constructor": "map_image", "base": node, "components": components, "arity": 3}
+    return node
+
+
+# tree values past the ambient cap: witness draws, or power tables, without
+# end, or a chain of bases that builds past the interpreter's stack
 UNBOUNDED_TREES = {
+    "depth-121": map_image_chain(121),
+    "depth-700": map_image_chain(700),
     "points": {"constructor": "tangential_projection", "base": {"constructor": "veronese", "n": 2, "d": 2}, "points": 10**6},
     "terms": {"constructor": "implicit_plane_curve", "terms": [[1, [10**9, 0, 0]]], "genus_hint": 1},
     "h": {"constructor": "hypersurface_section", "base": {"constructor": "veronese", "n": 2, "d": 2}, "h": [[1, [10**9, 0, 0, 0, 0, 0]]]},
@@ -165,6 +178,26 @@ def test_unbounded_tree_values_exit_2_at_once(tmp_path, capsys, key):
     start = time.perf_counter()
     code, out, err = run_cli(["fiber-probe", "--config", write_config(tmp_path, {"variety": tree})], capsys)
     assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("terracini:") and "Traceback" not in err
+
+
+# configs that json.load itself refuses: an integer past Python's digit
+# limit for int(), and arrays nested past the interpreter's stack
+UNPARSABLE_CONFIGS = {
+    "long-integer": (
+        '{"variety": {"constructor": "hyperplane_section", "base": {"constructor": "rnc", "d": 3}, '
+        '"hyperplane": [%s, 1, 1, 1]}}' % ("9" * 5000)
+    ),
+    "deep-nesting": '{"variety": ' + "[" * 3000 + "]" * 3000 + "}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_CONFIGS))
+def test_configs_json_cannot_load_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(UNPARSABLE_CONFIGS[name])
+    code, out, err = run_cli(["defect-scan", "--config", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("terracini:") and "Traceback" not in err
 

@@ -59,11 +59,12 @@ def test_veronese22_contact_hessian_is_a_doubled_line():
     wp, wq = sample_distinct(ver, 2, rng)
     (u1, v1), (u2, v2) = wp.params, wq.params
 
-    u = MultiPoly.variable(F, 2, 0)
-    v = MultiPoly.variable(F, 2, 1)
     du, dv = (u2 - u1) % P, (v2 - v1) % P
-    ell = (u - MultiPoly.constant(F, 2, u1)) * dv - (v - MultiPoly.constant(F, 2, v1)) * du
-    m = quadric_from_affine(F, ell * ell)
+    # ell = (u - u1) dv - (v - v1) du = dv u - du v + c, squared term by term
+    c = du * v1 - dv * u1
+    square = [(dv * dv, (2, 0)), (du * du, (0, 2)), (c * c, (0, 0))]
+    square += [(-2 * dv * du, (1, 1)), (2 * dv * c, (1, 0)), (-2 * du * c, (0, 1))]
+    m = quadric_from_affine(F, MultiPoly.from_int_terms(F, 2, square))
 
     space = _hyperplanes_through([ver.tangent_frame(w) for w in (wp, wq)])
     assert space.cols == 1 == double_point_condition_nullity(2, [(1, 2, 3), (5, 7, 11)], P)

@@ -24,6 +24,7 @@ from oracles import (
     double_point_condition_nullity,
     rank_by_reverse_echelon,
 )
+from test_varieties import coordinates
 
 F = FieldSpec.prime(2147483647)
 P = F.modulus
@@ -167,8 +168,8 @@ def test_full_alexander_hirschowitz_sweep():
 def test_expected_dim_uses_the_measured_span():
     rng = random.Random(26)
     base = veronese(F, 1, 2)
-    x0, x1, x2 = (MultiPoly.variable(F, 3, i) for i in range(3))
-    img = map_image(base, [x0, x1, x2, x0 + 2 * x2, MultiPoly.zero(F, 3)], rng)
+    comps = [*coordinates(F, 3), MultiPoly(F, 3, {(1, 0, 0): 1, (0, 0, 1): 2}), MultiPoly(F, 3, {})]
+    img = map_image(base, comps, rng)
     assert img.span_dim() == 2
     assert expected_secant_dim(img, 1, rng) == 2  # span caps 2n+1 = 3
     actual, _ = terracini_dim(img, 1, rng)
@@ -183,8 +184,12 @@ def test_composed_veronese_images_read_their_whole_span(d, deltas):
     rng = random.Random(1)
     base = veronese(F, 2, d)
     nv = base.ambient_r + 1
-    xs = [MultiPoly.variable(F, nv, i) for i in range(nv)]
-    img = map_image(base, [xs[i] * xs[j] for i in range(nv) for j in range(i, nv)], rng)
+    quadrics = [
+        MultiPoly(F, nv, {tuple(int(a == i) + int(a == j) for a in range(nv)): 1})
+        for i in range(nv)
+        for j in range(i, nv)
+    ]
+    img = map_image(base, quadrics, rng)
     assert img.span_dim() == comb(2 * d + 2, 2) - 1
     for k, delta in enumerate(deltas, start=1):
         profile = defect(img, k, rng)

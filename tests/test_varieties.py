@@ -7,6 +7,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terracini import algebra, cli, varieties
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
@@ -28,21 +30,24 @@ from terracini.varieties import (
 )
 
 from oracles import fermat_cubic_points, rank_by_reverse_echelon, ruling_restriction_by_terms
-from test_cli import PINNED_TREES
+from test_cli import PINNED_TREES, map_image_chain
 
 F = FieldSpec.prime(2147483647)
 F257 = FieldSpec.prime(257)
 
 
+def coordinates(field, n):
+    """The coordinate functions x_0, ..., x_{n-1} as polynomials."""
+    return [MultiPoly(field, n, {tuple(int(j == i) for j in range(n)): 1}) for i in range(n)]
+
+
 def fermat_cubic(field):
-    x, y, z = (MultiPoly.variable(field, 3, i) for i in range(3))
-    return x**3 + y**3 + z**3
+    return MultiPoly.from_int_terms(field, 3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))])
 
 
 def embed_with_padding(curve, pad, rng):
     field = curve.field
-    comps = [MultiPoly.variable(field, 3, i) for i in range(3)]
-    comps += [MultiPoly.zero(field, 3)] * pad
+    comps = coordinates(field, 3) + [MultiPoly(field, 3, {})] * pad
     return map_image(curve, comps, rng)
 
 
@@ -84,10 +89,9 @@ def test_conic_two_routes_share_tangent_lines():
 
     rng = random.Random(31)
     par = veronese(F, 1, 2)  # [1 : u : u^2]
-    x0, x1, x2 = (MultiPoly.variable(F, 3, i) for i in range(3))
-    imp = implicit_plane_curve(F, x0 * x2 - x1 * x1, 0, rng)
+    eqn = MultiPoly.from_int_terms(F, 3, [(1, (1, 0, 1)), (-1, (0, 2, 0))])  # x0 x2 - x1^2
+    imp = implicit_plane_curve(F, eqn, 0, rng)
 
-    eqn = x0 * x2 - x1 * x1
     for _ in range(5):
         w = par.sample(rng)
         assert eqn.evaluate(w.raw) == 0
@@ -187,7 +191,7 @@ def test_quadratic_map_taylor_is_exact():
     _assert_taylor_exact(projected, lambda u: proj.matvec(ver._eval_map(u)), rng)
 
     # linear re-embedding into P^7 frees two coordinates for a vertex line
-    emb = map_image(ver, [MultiPoly.variable(F, 6, i) for i in range(6)] + [MultiPoly.zero(F, 6)] * 2, rng)
+    emb = map_image(ver, coordinates(F, 6) + [MultiPoly(F, 6, {})] * 2, rng)
     vertex = Matrix.from_columns(F, [[F.scalar(1 if i == j else 0) for i in range(8)] for j in (6, 7)])
     K = cone(emb, vertex)
     _assert_taylor_exact(K, lambda t: K._point(emb._apply(ver._eval_map(t[:2])), t[2:]), rng)
@@ -322,8 +326,8 @@ def test_ruling_form_matches_direct_restriction(name):
         x = generic_hyperplane_section(x, random.Random(5))
         assert len(x.constraints) == 2
     field, vertex = x.field, x.base.vertex
-    m = vertex.cols
-    mu = [MultiPoly.variable(field, m, j) for j in range(m)]
+    columns = [list(col) for col in vertex.columns()]
+    terms = [[(c, e) for e, c in g.terms.items()] for g in x.constraints]
     rng = random.Random(314)
     for trial in range(5):
         if trial == 0:
@@ -333,11 +337,7 @@ def test_ruling_form_matches_direct_restriction(name):
         else:
             base = x.base.base
             y = base.sample(rng).raw
-        coords = [
-            sum((mu[j] * vertex[i, j] for j in range(m)), MultiPoly.constant(field, m, y[i]))
-            for i in range(x.ambient_r + 1)
-        ]
-        direct = [g.compose(coords).terms for g in x.constraints]
+        direct = [ruling_restriction_by_terms(t, columns, y, field.modulus) for t in terms]
         assert x._restrict_to_ruling(y) == direct
 
 
@@ -360,6 +360,45 @@ def test_compiled_ruling_restriction_matches_term_by_term_oracle(name):
     for y in points:
         expected = [ruling_restriction_by_terms(t, columns, y, p) for t in terms]
         assert x._restrict_to_ruling(y) == expected
+
+
+@st.composite
+def dense_ruling_cases(draw):
+    """One or two constraints of degree <= 3 in 2-6 coordinates, a vertex of
+    1-3 dense random columns (the built-ins only have unit columns), and
+    points: y = 0 and two random ones."""
+    p = draw(st.sampled_from([1009, 2147483647]))
+    field = FieldSpec.prime(p)
+    n = draw(st.integers(2, 6))
+    entry = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+    # a monomial of degree <= 3 as the list of its variables, repeats allowed
+    expo = st.lists(st.integers(0, n - 1), max_size=3).map(lambda xs: tuple(xs.count(i) for i in range(n)))
+    constraints = [
+        MultiPoly(field, n, draw(st.dictionaries(expo, entry, min_size=1, max_size=6)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    m = draw(st.integers(1, 3))
+    columns = [draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) for _ in range(m)]
+    points = [[0] * n] + [draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) for _ in range(2)]
+    return field, constraints, columns, points
+
+
+@given(dense_ruling_cases())
+@settings(max_examples=60, deadline=None)
+def test_ruling_forms_match_term_by_term_oracle_on_dense_vertices(case):
+    """The ruling kernel, evaluated at y and grouped by constraint, is each
+    constraint expanded term by term as g(y + V mu), for a vertex whose
+    columns mix every coordinate."""
+    field, constraints, columns, points = case
+    keys, jets = varieties._ruling_forms(constraints, Matrix.from_columns(field, columns))
+    assert len(set(keys)) == len(keys)
+    terms = [[(c, e) for e, c in g.terms.items()] for g in constraints]
+    for y in points:
+        grouped = [{} for _ in constraints]
+        for (k, mu_e), c in zip(keys, jets.values(jets.powers(y))):
+            if c:
+                grouped[k][mu_e] = c
+        assert grouped == [ruling_restriction_by_terms(t, columns, y, field.modulus) for t in terms]
 
 
 def test_only_varieties_reads_section_internals():
@@ -440,10 +479,11 @@ def test_build_rejects_an_unchecked_tree_before_any_draw(tree):
 
 
 def test_tree_caps_admit_the_cap_itself():
-    """Polynomial degree and projection points are bounded by the ambient
-    cap, which is itself allowed."""
+    """Polynomial degree, projection points and tree depth are bounded by
+    the ambient cap, which is itself allowed."""
     varieties.check_tree({"constructor": "implicit_plane_curve", "terms": [[1, [60, 60, 0]]], "genus_hint": 1})
     varieties.check_tree({"constructor": "tangential_projection", "base": {"constructor": "rnc", "d": 2}, "points": 120})
+    varieties.check_tree(map_image_chain(120))
 
 
 def test_only_build_writes_variety_trees():
@@ -497,8 +537,7 @@ def test_cone_rejects_overlapping_vertex():
 def test_map_image_measures_its_span():
     rng = random.Random(77)
     base = veronese(F, 1, 2)
-    x0, x1, x2 = (MultiPoly.variable(F, 3, i) for i in range(3))
-    comps = [x0, x1, x2, x0 + 2 * x2, MultiPoly.zero(F, 3)]
+    comps = [*coordinates(F, 3), MultiPoly(F, 3, {(1, 0, 0): 1, (0, 0, 1): 2}), MultiPoly(F, 3, {})]
     img = map_image(base, comps, rng)
     assert img.ambient_r == 4
     assert img.span_dim() == 2  # one dependent and one zero coordinate
