@@ -12,15 +12,21 @@ Two enumeration strategies cover every built-in shape:
 * parametric charts with at most two parameters scan the full grid F_p^n,
   once per prime for all probe points together.  A grid point lies over a
   probe point [q] when its projected coordinates R are nonzero and
-  proportional to q.  Blocks of grid cells evaluate just two of them, the
-  probes' pivot ``R_j`` and one more ``R_i``, as products of power tables
-  and coefficient arrays, and key every cell by the ratio ``R_i / R_j``.
-  Every product and key is float64 arithmetic on exact integers: one
-  helper, ``_matmul``, forms every matrix product through BLAS and sums
-  each contraction in stretches that stay below 2^53.  Only cells whose
-  key matches a probe's ``q_i / q_j`` are checked, exactly, against the
-  other coordinates.  Every grid point is still visited and the
-  key is only a necessary condition, so the counts are exhaustive and exact;
+  proportional to q, so it satisfies the minor ``R_i q_j = R_j q_i`` of the
+  probes' pivot ``R_j`` and one more coordinate ``R_i``.  Blocks of grid
+  cells are evaluated as products of power tables and coefficient arrays,
+  in one of two passes.  The product pass evaluates one polynomial, the
+  product of ``R_i - k R_j`` over the probes' keys ``k = q_i / q_j``; a
+  product over a field vanishes only where a factor does, so its zero cells
+  hold every preimage and every center point.  The keyed pass, for many
+  keys on a chart of high degree (``KEY_PRODUCT_DEGREE``), evaluates
+  ``R_i`` and ``R_j`` and keys every cell by their ratio.  Every product
+  and key is float64 arithmetic on exact integers: one helper,
+  ``_matmul``, forms every matrix product through BLAS and sums each
+  contraction in stretches that stay below 2^53.  Only the candidate cells
+  either pass finds are checked, exactly, against the other coordinates.
+  Every grid point is still visited and a candidate is only a necessary
+  condition, so the counts are exhaustive and exact;
 * cone sections scan the base curve exhaustively with the same grid kernel
   and solve the linear proportionality conditions ruling by ruling, so only
   candidate rulings ever see the cutting polynomial.  The section restricts
@@ -48,6 +54,7 @@ from .algebra import (
     Matrix,
     MultiPoly,
     exact_rank,
+    inverse,
     normalize_point,
     restrict_univariate,
     uni_roots_mod_p,
@@ -94,6 +101,15 @@ GRID_BLOCK_CELLS = 1 << 14
 # while honest finite fibers stay tiny; counts past this floor mark a probe
 # point as non-generic
 DEGENERATE_COUNT_FLOOR = 64
+# a pivot group of the grid scan whose distinct keys, times the chart's
+# degree, exceed this scans through the ratio key instead of the key product.
+# The product's contraction grows with that figure, the key pipeline's cost
+# per cell does not.  Measured on 2 vCPUs, the product pass took 0.4-0.9 of
+# the keyed time up to 80 on v_3 and v_4(P^2) at p = 3001, and 1.0-1.2 of
+# it at 90-120; on rational normal curves the two broke even near 100 at
+# p = 1000003 and near 180 at p = 9999991, where the keyed pass also builds
+# its O(p) inverse table
+KEY_PRODUCT_DEGREE = 64
 
 VERDICT_BIRATIONAL = "BirationalEvidence"
 VERDICT_NON_BIRATIONAL = "NonBirationalEvidence"
@@ -240,27 +256,58 @@ def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.n
             yield u0 * p + v0, vals.reshape(count, len(u_pows), -1)
 
 
-def _count_vanishing(cells: np.ndarray, polys: np.ndarray, p: int, chunk: int) -> int:
-    """How many of the grid cells are common zeros of the polynomials
-    ``polys[k]``: the exact check behind every key.  Cells go ``chunk`` at a
-    time, and each polynomial is evaluated only on the cells still left."""
-    ones = np.ones((polys.shape[2], 1))
-    total = 0
+def _cell_powers(cells: np.ndarray, shape: tuple[int, int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of powers ``u^a`` and ``v^b`` at each grid cell ``u p + v``, for
+    polynomials of coefficient shape ``(na, nb)``."""
+    us, vs = np.divmod(cells, p)
+    return _powers(us, shape[0], p).T, _powers(vs, shape[1], p).T
+
+
+def _cell_values(u_pows: np.ndarray, v_pows: np.ndarray, poly: np.ndarray, p: int) -> np.ndarray:
+    """The polynomial ``poly`` at the cells whose power rows these are."""
+    vals = _matmul(u_pows, poly, p)
+    vals *= v_pows
+    # row sums of products of two residues, in stretches like any other
+    # contraction
+    return _matmul(vals, np.ones((poly.shape[1], 1)), p)[:, 0]
+
+
+def _count_over(
+    cells: np.ndarray, owners: np.ndarray, rj: np.ndarray, weights: np.ndarray, rest: np.ndarray, p: int, chunk: int
+) -> np.ndarray:
+    """For each owner t, how many of the grid cells it owns lie over its
+    point: the exact check behind every candidate.  A cell with
+    ``R_j = rj`` lies over owner t when ``R_k w_t0 = R_j w_tk`` for every
+    row ``R_k`` of ``rest``, with ``w_t = weights[t]``.  Cells go ``chunk``
+    at a time, and each row is evaluated only on the cells still left."""
+    total = np.zeros(len(weights), dtype=np.int64)
     for s in range(0, len(cells), chunk):
-        us, vs = np.divmod(cells[s : s + chunk], p)
-        u_pows = _powers(us, polys.shape[1], p).T
-        v_pows = _powers(vs, polys.shape[2], p).T
-        for poly in polys:
-            vals = _matmul(u_pows, poly, p)
-            vals *= v_pows
-            # row sums of products of two residues, in stretches like any
-            # other contraction
-            ok = _matmul(vals, ones, p)[:, 0] == 0
-            u_pows, v_pows = u_pows[ok], v_pows[ok]
-            if not len(u_pows):
+        u_pows, v_pows = _cell_powers(cells[s : s + chunk], rest.shape[1:], p)
+        left, lj = owners[s : s + chunk], rj[s : s + chunk]
+        for k, poly in enumerate(rest, 1):
+            vals = _cell_values(u_pows, v_pows, poly, p)
+            ok = _reduce(vals * weights[left, 0], p) == _reduce(lj * weights[left, k], p)
+            u_pows, v_pows, left, lj = u_pows[ok], v_pows[ok], left[ok], lj[ok]
+            if not len(left):
                 break
-        total += len(u_pows)
+        total += np.bincount(left, minlength=len(weights))
     return total
+
+
+def _gathered(pieces: Iterator[tuple[np.ndarray, ...]], chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Join the nonempty pieces, tuples of arrays of equal length, into
+    batches of at least ``chunk`` entries; the last batch may hold fewer."""
+    held: list[tuple[np.ndarray, ...]] = []
+    size = 0
+    for piece in pieces:
+        if len(piece[0]):
+            held.append(piece)
+            size += len(piece[0])
+        if size >= chunk:
+            yield tuple(np.concatenate(part) for part in zip(*held))
+            held, size = [], 0
+    if held:
+        yield tuple(np.concatenate(part) for part in zip(*held))
 
 
 def _primitive_root(p: int) -> int:
@@ -301,6 +348,77 @@ def _inverse_table(p: int) -> np.ndarray:
     return table
 
 
+def _key_product(pair: np.ndarray, keys: Sequence[int], p: int) -> np.ndarray:
+    """Coefficients of ``prod_k (R_i - k R_j)`` mod p over the keys k, for
+    ``pair = [R_i, R_j]``, coefficient arrays in u and v.  Each factor is one
+    reduced product added to ``R_i``, and each step of the product adds
+    shifted copies of reduced products, one per term of the factor, into a
+    running sum kept in ``[0, p)``."""
+    ri, rj = pair
+    out = np.ones((1, 1))
+    for key in keys:
+        factor = _reduce(rj * float(-key % p), p)
+        factor += ri
+        np.subtract(factor, p, out=factor, where=factor >= p)
+        grown = np.zeros((out.shape[0] + factor.shape[0] - 1, out.shape[1] + factor.shape[1] - 1))
+        for a, b in zip(*np.nonzero(factor)):
+            part = grown[a : a + out.shape[0], b : b + out.shape[1]]
+            part += _reduce(out * factor[a, b], p)
+            np.subtract(part, p, out=part, where=part >= p)
+        out = grown
+    return out
+
+
+def _product_candidates(
+    pair: np.ndarray, keys: Sequence[int], p: int, n: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The zero cells of the key product, with their values of ``R_i`` and
+    ``R_j``, evaluated ``chunk`` cells at a time."""
+    blocks = _grid_blocks(_key_product(pair, keys, p)[None], p, n)
+    for (cells,) in _gathered(((start + np.flatnonzero(vals == 0),) for start, vals in blocks), chunk):
+        for s in range(0, len(cells), chunk):
+            part = cells[s : s + chunk]
+            u_pows, v_pows = _cell_powers(part, pair.shape[1:], p)
+            yield part, _cell_values(u_pows, v_pows, pair[0], p), _cell_values(u_pows, v_pows, pair[1], p)
+
+
+def _keyed_candidates(
+    pair: np.ndarray, keys: Sequence[int], p: int, n: int, table: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The cells whose ratio key ``R_i / R_j`` is one of the keys or 0, with
+    their values of ``R_i`` and ``R_j``.  The zero entry of the inverse
+    table gives cells with ``R_j = 0`` the key 0."""
+    wanted = np.zeros(p, dtype=bool)
+    wanted[list(keys)] = True
+    wanted[0] = True
+    for start, (ri, rj) in _grid_blocks(pair, p, n):
+        ri, rj = ri.ravel(), rj.ravel()
+        # a key is one product of two residues, an exact float64 integer
+        key = table[rj.astype(np.intp, copy=False)]
+        key *= ri
+        key = _reduce(key, p).astype(np.intp, copy=False)
+        cells = np.flatnonzero(wanted[key])
+        yield start + cells, ri[cells], rj[cells]
+
+
+def _route(
+    cells: np.ndarray, ri: np.ndarray, rj: np.ndarray, owned: dict[int, list[int]], center: Optional[int], p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates' cells, each once per owner that checks it, with their
+    owners and their values of ``R_j``.  A cell with ``R_j != 0`` goes to
+    every probe whose minor ``R_i q_j = R_j q_i`` it satisfies: to the
+    probes ``owned[k]`` of the key k with ``R_i = k R_j``.  With ``center``
+    given, a cell with ``R_i = R_j = 0`` goes to that owner."""
+    on = rj != 0
+    routed = [] if center is None else [(~on & (ri == 0), center)]
+    for key, owners in owned.items():
+        over = on & (_reduce(rj * float(key), p) == ri)
+        routed += [(over, t) for t in owners]
+    picks = [np.flatnonzero(mask) for mask, _ in routed]
+    picked = np.concatenate(picks)
+    return cells[picked], np.repeat([t for _, t in routed], [len(pick) for pick in picks]), rj[picked]
+
+
 def _scan_parametric(
     xp: ParametricHandle, proj: Matrix, qs: list[list[int]], budget: int
 ) -> tuple[list[int], int]:
@@ -310,17 +428,30 @@ def _scan_parametric(
     With R the projected coordinates, a grid point lies over [q] when R is
     nonzero and proportional to q.  Probe points are grouped by their last
     nonzero coordinate j (generically one group), and each group takes one
-    pass over the grid that evaluates only ``R_j`` and one more coordinate
-    ``R_i``.  Every cell is keyed by the ratio ``R_i / R_j`` through one
-    inverse table, whose zero entry gives cells with ``R_j = 0`` the key 0.
-    Cells with a probe's key or the key 0 are looked up, and those with
-    ``R_j = 0`` are set apart among them.  A point over [q] has ``R_j != 0``
-    and the key ``q_i / q_j``, so only cells with that key are checked,
-    exactly, against the rest of the family ``q_j R_k - q_k R_j``.  A center
-    point has ``R_i = R_j = 0``, so the first pass counts the center among
-    the cells set apart.  The key is only a necessary condition, hence every
-    count is exact.  Keyed cells wait and are checked together, a block's
-    worth of power tables at a time.
+    pass over the grid that yields candidate cells, with their values of
+    ``R_j`` and one more coordinate ``R_i``.  A point over [q] has
+    ``R_j != 0`` and satisfies the minor ``R_i q_j = R_j q_i``; a center
+    point has ``R_i = R_j = 0``.  Each candidate with ``R_j != 0`` is routed
+    to every probe whose minor it satisfies and checked there, exactly,
+    against the rest of the family ``q_j R_k - q_k R_j``; in the first
+    group, candidates with ``R_i = R_j = 0`` are checked against the other
+    coordinates for the center.  Candidates wait and are checked together,
+    for every probe at once, a block's worth of power tables at a time.
+
+    With K the group's distinct keys ``q_i / q_j``, a pass yields either
+
+    * the zeros of one polynomial, ``P = prod_{k in K} (R_i - k R_j)``,
+      built once mod p and evaluated over the grid.  Over a field a product
+      vanishes only where a factor does: a point over [q] zeroes the factor
+      of its key, and a center point zeroes all of them.  A factor that is
+      identically zero makes every cell a candidate; or
+    * the cells whose ratio key ``R_i / R_j``, read through one inverse
+      table, is in K or is 0, the key of every cell with ``R_j = 0``.
+
+    Either way every point a count or the center tally reads is a candidate,
+    and every candidate is checked exactly, so every count is exhaustive and
+    exact.  The product costs one value per cell but grows with ``|K|``
+    times the chart's degree; past ``KEY_PRODUCT_DEGREE`` the group is keyed.
     """
     p = xp.field.modulus
     n = xp.n
@@ -329,10 +460,10 @@ def _scan_parametric(
             f"parametric grid {p}^{n} exceeds the enumeration budget {budget}"
         )
     comps = _coefficients(xp.polys, n)
+    degree = max((a + b for a, b in zip(*np.nonzero(comps.any(axis=0)))), default=0)
     rows = _matmul(np.array(proj.entries, dtype=np.float64), comps.reshape(len(comps), -1), p)
     rows = rows.reshape(-1, *comps.shape[1:])
-    # a key is one product of two residues, an exact float64 integer
-    inverse = _inverse_table(p)
+    table = None
     # the exact check's power tables and products stay within one block
     chunk = max(1, GRID_BLOCK_CELLS // (2 * (rows.shape[1] + rows.shape[2])))
     groups: dict[int, list[int]] = {}
@@ -341,50 +472,33 @@ def _scan_parametric(
     counts = [0] * len(qs)
     center_hits = 0
     for first, (j, members) in enumerate(groups.items()):
-        # a zero row would give every cell the same key
+        # a zero row would make every cell a candidate
         i = max((k for k in range(len(rows)) if k != j and rows[k].any()), default=j)
         others = [k for k in range(len(rows)) if k not in (i, j)]
         rest = rows[others]
-        keys = [qs[t][i] * int(inverse[qs[t][j]]) % p for t in members]
-        wanted = np.zeros(p, dtype=bool)
-        wanted[keys] = True
-        wanted[0] = True
-        pending: list[list[int]] = [[] for _ in members]
-        waiting_on: dict[int, list[list[int]]] = {}
-        for target, waiting in zip(keys, pending):
-            waiting_on.setdefault(target, []).append(waiting)
-        held = 0
-
-        def check() -> None:
-            for t, cells in zip(members, pending):
-                if cells:
-                    q = np.array(qs[t], dtype=np.float64)
-                    family = (q[j] * rest - q[others, None, None] * rows[j]) % p
-                    counts[t] += _count_vanishing(np.array(cells, dtype=np.int64), family, p, chunk)
-                    cells.clear()
-
-        for start, (ri, rj) in _grid_blocks(rows[[i, j]], p, n):
-            ri, rj = ri.ravel(), rj.ravel()
-            key = inverse[rj.astype(np.intp, copy=False)]
-            key *= ri
-            key = _reduce(key, p).astype(np.intp, copy=False)
-            cells = np.flatnonzero(wanted[key])
-            on = rj[cells] != 0
-            if first == 0:
-                off = cells[~on]
-                center = off[ri[off] == 0]
-                if len(center):
-                    center_hits += _count_vanishing(start + center, rest, p, chunk)
-            cells = cells[on]
-            # a block keys a handful of cells: route them one by one
-            for cell, target in zip((start + cells).tolist(), key[cells].tolist()):
-                for waiting in waiting_on.get(target, ()):
-                    waiting.append(cell)
-                    held += 1
-            if held >= chunk:
-                check()
-                held = 0
-        check()
+        pair = rows[[i, j]]
+        # owner t < len(members) is probe members[t]: R_k q_j = R_j q_k.  The
+        # last owner is the center, R_k = 0, for cells with R_i = R_j = 0
+        weights = np.zeros((len(members) + 1, 1 + len(others)))
+        weights[-1, 0] = 1
+        owned: dict[int, list[int]] = {}
+        for t, member in enumerate(members):
+            q = np.array(qs[member], dtype=np.float64)
+            weights[t] = q[[j] + others]
+            owned.setdefault(int(q[i]) * inverse(int(q[j]), p) % p, []).append(t)
+        keys = sorted(owned)
+        if len(keys) * degree > KEY_PRODUCT_DEGREE:
+            if table is None:
+                table = _inverse_table(p)
+            candidates = _keyed_candidates(pair, keys, p, n, table)
+        else:
+            candidates = _product_candidates(pair, keys, p, n, chunk)
+        center = len(members) if first == 0 else None
+        for batch in _gathered(candidates, chunk):
+            total = _count_over(*_route(*batch, owned, center, p), weights, rest, p, chunk)
+            for t, member in enumerate(members):
+                counts[member] += int(total[t])
+            center_hits += int(total[-1])
     return counts, center_hits
 
 

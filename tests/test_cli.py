@@ -395,7 +395,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys, verb, variety, k_range):
 # fiber-probe reports at k = 1 through the parametric grid scan, on two- and
 # one-parameter charts, digested as above.  They were captured from the
 # scan that swept the grid once per probe point, so they pin the one-pass
-# ratio-key scan to the same counts and center hits.
+# scan, on its key-product pass, to the same counts and center hits.
 GRID_SCAN_TREES = {
     "veronese-2-3": "veronese-2-3",
     "veronese-2-4": "veronese-2-4",

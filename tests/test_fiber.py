@@ -208,22 +208,34 @@ def test_functoriality_flags_collapsing_projection():
     assert rep.frame_ranks == ()
 
 
+# caps on KEY_PRODUCT_DEGREE: below every group's key count times the chart's
+# degree, even a degree-0 chart's, so every group is keyed; or above every
+# one, so every group scans through the key product
+_KEYED, _PRODUCT = -1, 10**9
+_PASSES = (_KEYED, _PRODUCT)
+
+
 @st.composite
 def _grid_scan_cases(draw):
     """A random map F_p^n -> P^r through a projection, with probe points.
 
-    Drawn structure, each piece aimed at a branch of the ratio-key scan:
+    Drawn structure, each piece aimed at a branch of the scan's two passes:
     every coordinate vanishing at the origin puts the origin in the center;
-    an all-zero chart puts every grid point there; a zero projection row
-    with q[0] = 0 makes that row's family polynomial identically zero; a
-    first chart polynomial times ``(x_0 - c)``, read alone by the last
-    projection row, makes the usual pivot coordinate vanish on a whole grid
-    line; one projection row keys every cell alike; and zeroed probe
-    coordinates hit the key coordinate and split batches of up to five
-    probes into several pivot groups.  The small block size makes the scan
-    cross many block boundaries, the last block partial, and at p = 101 cuts
-    grid rows into parts.  A forced stretch length of 1 or 2 products splits
-    every contraction of the scan; None keeps the natural one."""
+    an all-zero chart puts every grid point there and makes every factor of
+    the key product identically zero; a zero projection row with q[0] = 0
+    makes that row's family polynomial identically zero; a first chart
+    polynomial times ``(x_0 - c)``, read alone by the last projection row,
+    makes the usual pivot coordinate vanish on a whole grid line; one
+    projection row keys every cell alike and makes the product's one factor
+    ``R_j - R_j`` identically zero, so every cell is a candidate; and zeroed
+    probe coordinates hit the key coordinate, give the factor ``R_i`` of the
+    key 0, and split batches of up to five probes into several pivot groups.
+    The small block size makes the scan cross many block boundaries, the last
+    block partial, and at p = 101 cuts grid rows into parts.  A forced
+    stretch length of 1 or 2 products splits every contraction of the scan;
+    None keeps the natural one.  The cap on ``KEY_PRODUCT_DEGREE`` sends
+    every pivot group through the ratio key or every one through the key
+    product."""
     p = draw(st.sampled_from([31, 101]))
     n = draw(st.integers(1, 2))
     coeff = st.integers(0, p - 1)
@@ -264,7 +276,8 @@ def _grid_scan_cases(draw):
             qs.append(q)
     block_cells = draw(st.sampled_from([64, fiber.GRID_BLOCK_CELLS]))
     stretch = draw(st.sampled_from([1, 2, None]))
-    return p, n, polys, proj, qs or [[0] * (nrows - 1) + [1]], block_cells, stretch
+    cap = draw(st.sampled_from(_PASSES))
+    return p, n, polys, proj, qs or [[0] * (nrows - 1) + [1]], block_cells, stretch, cap
 
 
 @contextlib.contextmanager
@@ -305,10 +318,11 @@ _SCAN_EXAMPLES = (_SPLIT_PIVOTS, _ZERO_CHART, _FIVE_PROBES, _ZERO_AT_KEY, _LINEA
 
 def _scan_examples(test):
     """Each explicit case at its natural stretch and in stretches of one
-    product."""
+    product, on either pass."""
     for case in reversed(_SCAN_EXAMPLES):
         for stretch in (1, None):
-            test = example(case + (stretch,))(test)
+            for cap in _PASSES:
+                test = example(case + (stretch, cap))(test)
     return test
 
 
@@ -319,9 +333,12 @@ def test_grid_scan_matches_brute_force_enumeration(case):
     # FieldSpec rejects primes this small, and the brute force needs them
     # small; the scan reads only the modulus, the chart's term dicts and the
     # projection's entries, so plain stand-ins carry them
-    p, n, polys, proj, qs, block_cells, stretch = case
+    p, n, polys, proj, qs, block_cells, stretch, cap = case
     xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=[SimpleNamespace(terms=t) for t in polys])
-    with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells), _stretched(stretch):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells))
+        stack.enter_context(mock.patch.object(fiber, "KEY_PRODUCT_DEGREE", cap))
+        stack.enter_context(_stretched(stretch))
         got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
     assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
 
@@ -331,15 +348,41 @@ def test_int64_grid_scan_matches_brute_force_enumeration(case):
     """Residues handed to the scan as numpy int64 (chart coefficients,
     projection entries and probe points) are cast once into the float64
     grid: on the explicit cases of the brute-force test, summed in stretches
-    of one product, the scan counts the same fibers."""
+    of one product, both passes count the same fibers."""
     p, n, polys, proj, qs, block_cells = case
     wide = [SimpleNamespace(terms={e: np.int64(c) for e, c in t.items()}) for t in polys]
     xp = SimpleNamespace(field=SimpleNamespace(modulus=p), n=n, polys=wide)
     entries = np.array(proj, dtype=np.int64)
     points = [np.array(q, dtype=np.int64) for q in qs]
-    with mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells), _stretched(1):
-        got = _scan_parametric(xp, SimpleNamespace(entries=entries), points, ENUM_BUDGET)
-    assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
+    want = fiber_counts_by_brute_force(polys, proj, qs, p, n)
+    for cap in _PASSES:
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells))
+            stack.enter_context(mock.patch.object(fiber, "KEY_PRODUCT_DEGREE", cap))
+            stack.enter_context(_stretched(1))
+            got = _scan_parametric(xp, SimpleNamespace(entries=entries), points, ENUM_BUDGET)
+        assert got == want, cap
+
+
+@pytest.mark.parametrize("stretch", [1, None])
+@pytest.mark.parametrize("p, shape, keys", [(31, (3, 3), [0, 1, 7]), (101, (1, 5), [2, 3, 5, 7, 100]), (9_999_991, (2, 4), [1, 9_999_990])])
+def test_key_product_is_the_product_of_its_factors(p, shape, keys, stretch):
+    """At every grid point the key product's value, in Python ints, is the
+    product of ``R_i - k R_j`` over the keys; its arithmetic stays in exact
+    stretches."""
+    rng = np.random.default_rng(p)
+    pair = rng.integers(0, p, (2, *shape))
+    with _stretched(stretch):
+        got = fiber._key_product(pair.astype(np.float64), keys, p)
+    coeffs = [[int(c) for c in row] for row in got.tolist()]
+    assert all(0 <= c < p for row in coeffs for c in row)
+
+    def at(poly, u, v):
+        return sum(int(c) * pow(u, a, p) * pow(v, b, p) for (a, b), c in np.ndenumerate(poly)) % p
+
+    for u, v in rng.integers(0, p, (20, 2)).tolist():
+        ri, rj = at(pair[0], u, v), at(pair[1], u, v)
+        assert at(np.array(coeffs, dtype=object), u, v) == prod((ri - k * rj) % p for k in keys) % p
 
 
 @pytest.mark.parametrize("p", [3, 31, 1009, 65537, 1000003])
@@ -359,17 +402,17 @@ def test_inverse_table_matches_pow_inverse(p):
     assert table.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
 
 
-def _veronese_quartic_probes(p, count):
+def _projection_probes(tree, p, k, count):
     rng = random.Random(3)
-    xp = build(builtin_blueprint("veronese-2-4"), FieldSpec.prime(p), rng)
-    projected, _ = tangential_projection(xp, 1, rng)
+    xp = build(tree, FieldSpec.prime(p), rng)
+    projected, _ = tangential_projection(xp, k, rng)
     return xp, projected.proj, [list(projected.sample(rng).point) for _ in range(count)]
 
 
 def test_grid_scan_takes_one_pass_per_pivot_group():
     """Probe points share the grid evaluation: one block sequence per pivot
     group, however many points the group holds."""
-    xp, proj, qs = _veronese_quartic_probes(1009, 5)
+    xp, proj, qs = _projection_probes(builtin_blueprint("veronese-2-4"), 1009, 1, 5)
     evaluate = fiber._grid_blocks
 
     def scan(batch):
@@ -395,7 +438,7 @@ def test_grid_scan_takes_one_pass_per_pivot_group():
 
 
 def test_grid_scan_memory_does_not_grow_with_probe_points():
-    xp, proj, qs = _veronese_quartic_probes(3001, 20)
+    xp, proj, qs = _projection_probes(builtin_blueprint("veronese-2-4"), 3001, 1, 20)
 
     def peak(batch):
         tracemalloc.start()
@@ -483,6 +526,50 @@ def test_grid_scan_memory_is_bounded_on_a_cut_row():
     assert counts == [1] * 5
     table, inverse, block = 96 * width * 8, p * 8, 2 * width * 8
     assert peak < table + inverse + 8 * block
+
+
+@pytest.mark.parametrize(
+    "tree, p, k, count, tables",
+    [
+        ({"constructor": "veronese", "n": 2, "d": 4}, 3001, 1, 5, 0),
+        ({"constructor": "rnc", "d": 95}, 3001, 1, 5, 1),
+        ({"constructor": "veronese", "n": 2, "d": 7}, 1009, 11, 30, 1),
+    ],
+    ids=["v4P2-5-probes", "rnc95-5-probes", "v7P2-k11-30-probes"],
+)
+def test_grid_scan_pass_follows_key_count_times_degree(tree, p, k, count, tables):
+    """Only the keyed pass builds an inverse table.  Five keys on a quartic
+    chart (20) stay on the key product, which builds none; five keys on a
+    degree-95 curve (475) and 30 on a septic chart (210) are keyed, and
+    build one."""
+    xp, proj, qs = _projection_probes(tree, p, k, count)
+    table = fiber._inverse_table
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        return table(q)
+
+    with mock.patch.object(fiber, "_inverse_table", spy):
+        counts, _ = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+    assert calls == [p] * tables
+    assert min(counts) >= 1
+
+
+def test_product_pass_holds_no_table_of_p_entries():
+    """Five probes of rnc-5 at p = 1000003 scan through the key product: the
+    scan peaks below one float64 table of p entries, the size of the keyed
+    pass's inverse table alone."""
+    p = 1_000_003
+    xp, proj, qs = _projection_probes({"constructor": "rnc", "d": 5}, p, 1, 5)
+    tracemalloc.start()
+    try:
+        counts, _ = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [1] * 5
+    assert peak < 8 * p
 
 
 def _prime_at_most(m):
