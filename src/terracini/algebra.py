@@ -435,7 +435,9 @@ class LinearSystem:
     with E A = R.  The pivots of R depend only on the columns of A, so
     ``[R | E rhs]`` is the reduced form of ``[A | rhs]``: ``solve`` and
     ``basis`` give exactly what a reduction of ``[A | rhs]`` per right-hand
-    side would.  With no equations the whole space comes back.
+    side would.  The rows of E past the rank, ``cokernel``, span the rows w
+    with w A = 0, so A x = rhs is solvable exactly when w rhs = 0 for each
+    of them.  With no equations the whole space comes back.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], nvars: int, p: int) -> None:
@@ -443,12 +445,13 @@ class LinearSystem:
         self.pivots = [c for c in _gauss_jordan(aug, p) if c < nvars]
         self.rank = len(self.pivots)
         self.transform = [row[nvars:] for row in aug]
+        self.cokernel = self.transform[self.rank :]
         self.basis = _kernel_basis(p, aug, self.pivots, nvars)
         self.nvars, self.p = nvars, p
 
     def solve(self, rhs: Sequence[int]) -> list[int] | None:
         """The solution of A x = rhs with every free unknown zero, or None if
-        there is none."""
+        some cokernel row w has w rhs != 0."""
         t = [sum(e * r for e, r in zip(row, rhs)) % self.p for row in self.transform]
         if any(t[self.rank :]):
             return None

@@ -27,11 +27,12 @@ Two enumeration strategies cover every built-in shape:
   either pass finds are checked, exactly, against the other coordinates.
   Every grid point is still visited and a candidate is only a necessary
   condition, so the counts are exhaustive and exact;
-* cone sections scan the base curve exhaustively with the same grid kernel
-  and solve the linear proportionality conditions ruling by ruling, so only
-  candidate rulings ever see the cutting polynomial.  The section restricts
-  its constraints to each candidate ruling through its own ruling kernel,
-  as polynomials in the vertex coefficients, and builds the witnesses of
+* cone sections enumerate the base curve's points with the same grid
+  kernel, and one matrix product per probe point picks the rulings on
+  which the linear proportionality conditions are solvable; only those are
+  solved and see the cutting polynomial.  The section restricts its
+  constraints to each such ruling through its own ruling kernel, as
+  polynomials in the vertex coefficients, and builds the witnesses of
   enumerated preimages; probe points are drawn by the projection handle.
 
 Points mapping into the projection center are excluded from counts and
@@ -528,40 +529,44 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tupl
 
 
 class _RulingScan:
-    """Per-prime scan state for one cone-section handle."""
+    """Per-prime scan state for one cone-section handle: the rulings over
+    the curve points, in curve order, and their points y as the columns of
+    Y.  A point y + V mu lies over [q] when ``A mu = -N y``, for the probe's
+    minors ``N = q_j P_i - q_i P_j`` (i != j, j its pivot) and ``A = N V``.
+    That has a solution exactly when ``w N y = 0`` for every cokernel row w
+    of A, so one product ``W N Y`` picks the solvable rulings."""
 
     def __init__(self, x: SectionHandle, proj: Matrix, budget: int) -> None:
         self.x = x
         self.p = x.field.modulus
         self.kone, self.emb = x.base, x.base.base
-        self.m = self.kone.m
         self.proj = proj
-        # projection composed with the vertex: constant across rulings
-        self.pv = proj.matmul(self.kone.vertex).entries
-        self.ruling_cache: list[tuple[tuple[int, int, int], tuple[int, ...], tuple[int, ...]]] = []
+        self.vertex = np.array(self.kone.vertex.entries, dtype=float)
+        self.rulings: list[tuple[tuple[int, int, int], tuple[int, ...]]] = []
         for c in _curve_points_int(self.emb.base, budget):
             y = self.emb._apply(c)
-            if not any(y):
-                continue  # base locus of the embedding
-            self.ruling_cache.append((c, y, proj.matvec(y)))
+            if any(y):  # else c is in the base locus of the embedding
+                self.rulings.append((c, y))
+        self.points = np.array([y for _, y in self.rulings], dtype=float).reshape(-1, proj.cols).T
 
     def preimages(self, q: list[int]) -> tuple[set[tuple[int, ...]], int, list[tuple]]:
         """Distinct preimage points of [q], excluded-center tally, details."""
         p = self.p
         jq = _last_nonzero(q)
-        keep = [i for i in range(self.proj.rows) if i != jq]
-        system = LinearSystem(
-            [[(q[jq] * self.pv[i][j] - q[i] * self.pv[jq][j]) % p for j in range(self.m)] for i in keep],
-            self.m,
-            p,
-        )
+        rows = self.proj.entries
+        minors = [
+            [(q[jq] * a - q[i] * b) % p for a, b in zip(rows[i], rows[jq])] for i in range(len(rows)) if i != jq
+        ]
+        n = np.array(minors, dtype=float).reshape(-1, self.proj.cols)
+        system = LinearSystem(_matmul(n, self.vertex, p).astype(np.int64).tolist(), self.kone.m, p)
+        w = np.array(system.cokernel, dtype=float).reshape(-1, len(minors))
+        solvable = ~_matmul(_matmul(w, n, p), self.points, p).any(axis=0)
         found: set[tuple[int, ...]] = set()
         details: list[tuple] = []
         center_hits = 0
-        for c, y, py in self.ruling_cache:
-            part = system.solve([(-(q[jq] * py[i] - q[i] * py[jq])) % p for i in keep])
-            if part is None:
-                continue
+        for t in np.flatnonzero(solvable).tolist():
+            c, y = self.rulings[t]
+            part = system.solve([-sum(a * b for a, b in zip(row, y)) % p for row in minors])
             for mu in self._on_ruling(part, system.basis, y):
                 xpt = self.kone._point(y, mu)
                 if not any(self.proj.matvec(xpt)):
@@ -580,33 +585,26 @@ class _RulingScan:
         the constraints on the line of leftover freedom.  The section hands
         over its constraints restricted to the ruling, as polynomials in mu."""
         p = self.p
-        restricted = [MultiPoly(self.x.field, self.m, terms) for terms in self.x._restrict_to_ruling(y)]
+        restricted = [MultiPoly(self.x.field, self.kone.m, terms) for terms in self.x._restrict_to_ruling(y)]
         if not basis:
             return [] if any(g.evaluate(part) for g in restricted) else [part]
         if len(basis) > 1:
             # a plane of candidates inside one ruling only happens at special
             # probe points; declare the trial degenerate rather than guess
             raise DegenerateWitness("probe point has a positive-dimensional fiber")
-        direction = basis[0]
-        line = list(zip(part, direction))
-
-        def mu_at(r: int) -> list[int]:
-            return [(c + r * dc) % p for c, dc in line]
-
-        out = None
+        line = list(zip(part, basis[0]))
+        roots = None
         for g in restricted:
             on_line = restrict_univariate(g, line)
             if not on_line:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
                 raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            roots = sorted(uni_roots_mod_p(on_line, p))
-            if out is None:
-                out = [mu_at(r) for r in roots]
-            else:
-                keep = {tuple(o) for o in out} & {tuple(mu_at(r)) for r in roots}
-                out = [list(t) for t in sorted(keep)]
-        return out
+            found = uni_roots_mod_p(on_line, p)
+            roots = found if roots is None else roots & found
+        out = [[(c + r * dc) % p for c, dc in line] for r in sorted(roots)]
+        # one constraint lists its points by root, several by coordinates
+        return out if len(restricted) == 1 else sorted(out)
 
     def witness_for(self, c, y, mu) -> Witness:
         """Rebuild a full witness chain for an enumerated preimage on the

@@ -494,6 +494,8 @@ def implicit_plane_curve(
         raise FieldMismatchError("curve equation field differs")
     if f.nvars != 3 or not f.is_homogeneous() or f.total_degree() < 1:
         raise ConstructionError("curve equation must be homogeneous in 3 variables")
+    if f.total_degree() < 2:
+        raise ConstructionError("curve equation must have degree >= 2: a line spans only P^1")
     if not _squarefree_by_line_restriction(f, field, rng):
         raise ConstructionError("curve equation is not squarefree")
     return ImplicitPlaneCurveHandle(field, f, genus_hint, label or "plane-curve")
@@ -588,6 +590,8 @@ def map_image(
     while rank == len(pts):
         pts.append(handle.sample(rng).point)
         rank = exact_rank(Matrix(base.field, pts))
+    if rank == 1:
+        raise ConstructionError(f"{handle.label} spans one point: the map collapses its base")
     handle._span_r = rank - 1
     return handle
 

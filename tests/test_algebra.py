@@ -263,6 +263,15 @@ def test_elimination_kernel_against_independent_references(raw, data):
     for v in system.basis:
         assert not any(_apply(raw, v))
 
+    # the cokernel: independent rows w with w A = 0, one per rank deficit of
+    # the rows, and a rhs is solvable exactly when every w rhs is zero
+    columns = [list(col) for col in zip(*raw)]
+    assert len(system.cokernel) == m.rows - rank
+    assert rank_by_reverse_echelon([list(w) for w in system.cokernel], 1009) == len(system.cokernel)
+    for w in system.cokernel:
+        assert not any(_apply(columns, w))
+    assert (particular is None) == any(_apply(system.cokernel, rhs))
+
     # the once-reduced system against a fresh reduction of [A | rhs] per
     # right-hand side, on every leading block of columns
     for width in range(ncols + 1):

@@ -147,6 +147,28 @@ def test_both_cuts_of_a_curve_exit_2(tmp_path, capsys, cut, verb):
     assert "a cut needs dimension >= 2" in err
 
 
+# trees outside the paper's standing hypotheses that used to read as a
+# defective line or run into the resample cap: the lines x0 = 0 and x2 = 0,
+# and a map_image with one component, whose image is a point
+DEGENERATE_TREES = {
+    "line-x0": ({"constructor": "implicit_plane_curve", "terms": [[1, [1, 0, 0]]], "genus_hint": 0}, "degree >= 2"),
+    "line-x2": ({"constructor": "implicit_plane_curve", "terms": [[1, [0, 0, 1]]], "genus_hint": 0}, "degree >= 2"),
+    "point-image": (
+        {"constructor": "map_image", "base": {"constructor": "veronese", "n": 2, "d": 1}, "components": [[[1, [1, 0, 0]]]], "arity": 3},
+        "spans one point",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DEGENERATE_TREES))
+def test_degenerate_trees_exit_2(tmp_path, capsys, key):
+    tree, message = DEGENERATE_TREES[key]
+    config = write_config(tmp_path, {"variety": tree, "k_range": [1, 1]})
+    code, out, err = run_cli(["defect-scan", "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("terracini:") and message in err and "Traceback" not in err
+
+
 def map_image_chain(depth):
     """A tree of ``depth`` constructor nodes: rnc-2 under depth - 1 identity
     map_image nodes."""

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terracini import fiber
-from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, is_prime
+from terracini.algebra import FieldSpec, LinearSystem, Matrix, MultiPoly, exact_rank, is_prime
 from terracini.errors import BudgetExhausted, ConfigError
 from terracini.fiber import (
     DEFAULT_FIBER_TRIALS,
@@ -45,6 +45,7 @@ from oracles import (
     NOT_GENERICALLY_FINITE,
     fermat_cubic_points,
     fiber_counts_by_brute_force,
+    rank_by_reverse_echelon,
     ruling_fiber_by_brute_force,
     tangential_projection_degree,
 )
@@ -468,24 +469,60 @@ def test_curve_points_match_brute_force_in_scan_order():
     assert set(pts) == fermat_cubic_points(257)
 
 
+def _counter1_probes(p: int, draws: int):
+    """counter1 built over F_p, its tangential projection at k = 1, and that
+    many probe points drawn from it, all from one seeded rng."""
+    rng = random.Random(1)
+    xp = build(builtin_blueprint("counter1"), FieldSpec.prime(p), rng)
+    projected, _ = tangential_projection(xp, 1, rng)
+    return xp, projected.proj, [projected.sample(rng).point for _ in range(draws)]
+
+
 def test_ruling_scan_matches_brute_force_enumeration():
-    """The cone scan's preimages of a probe point of counter1's tangential
-    projection at p = 257, and its center tally, are exactly those that a
-    scan of every point of F_p^2 on every ruling finds: the scan misses no
-    ruling and no point on one.  This probe has all three preimages."""
+    """The cone scan's preimages of two probe points of counter1's
+    tangential projection at p = 257, and its center tallies, are exactly
+    those that a scan of every point of F_p^2 on every ruling finds: the
+    scan misses no ruling and no point on one.  The first probe has all
+    three preimages, the sixth only one."""
     p = 257
     blueprint = builtin_blueprint("counter1")
-    rng = random.Random(1)
-    xp = build(blueprint, FieldSpec.prime(p), rng)
-    projected, _ = tangential_projection(xp, 1, rng)
-    q = projected.sample(rng).point
-    found, center_hits, _ = fiber._RulingScan(xp, projected.proj, ENUM_BUDGET).preimages(q)
+    xp, proj, qs = _counter1_probes(p, 6)
+    scan = fiber._RulingScan(xp, proj, ENUM_BUDGET)
     coned = blueprint["base"]
-    expected = ruling_fiber_by_brute_force(
-        coned["base"]["components"], coned["vertex"], blueprint["h"], projected.proj.entries, q, p
-    )
-    assert (found, center_hits) == expected
-    assert len(found) == 3
+    for q, count in ((qs[0], 3), (qs[5], 1)):
+        found, center_hits, _ = scan.preimages(q)
+        expected = ruling_fiber_by_brute_force(
+            coned["base"]["components"], coned["vertex"], blueprint["h"], proj.entries, q, p
+        )
+        assert (found, center_hits) == expected
+        assert len(found) == count
+
+
+def test_ruling_scan_solves_only_the_solvable_rulings(monkeypatch):
+    """``preimages`` solves the proportionality system ``A mu = -N y`` only on
+    the rulings where it has a solution, once each, in curve order: exactly
+    those on which a fresh rank test finds rank [A | -N y] = rank A."""
+    p = 257
+    xp, proj, (q,) = _counter1_probes(p, 1)
+    calls = []
+    solve = LinearSystem.solve
+
+    def spy(self, rhs):
+        calls.append(list(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(LinearSystem, "solve", spy)
+    fiber._RulingScan(xp, proj, ENUM_BUDGET).preimages(q)
+
+    rows, j = proj.entries, max(i for i, v in enumerate(q) if v)
+    minors = [[(q[j] * a - q[i] * b) % p for a, b in zip(rows[i], rows[j])] for i in range(len(rows)) if i != j]
+    a = [list(row) for row in Matrix(xp.field, minors).matmul(xp.base.vertex).entries]
+    rank = rank_by_reverse_echelon(a, p)
+    embedded = [xp.base.base._apply(c) for c in _curve_points_int(xp.base.base.base, ENUM_BUDGET)]
+    rhss = [[-sum(n * t for n, t in zip(row, y)) % p for row in minors] for y in embedded if any(y)]
+    solvable = [rhs for rhs in rhss if rank_by_reverse_echelon([r + [b] for r, b in zip(a, rhs)], p) == rank]
+    assert calls == solvable
+    assert 0 < len(solvable) < len(rhss)
 
 
 def test_grid_scan_memory_is_bounded():
