@@ -30,10 +30,9 @@ Two enumeration strategies cover every built-in shape:
 * cone sections enumerate the base curve's points with the same grid
   kernel, and one matrix product per probe point picks the rulings on
   which the linear proportionality conditions are solvable; only those are
-  solved and see the cutting polynomial.  The section restricts its
-  constraints to each such ruling through its own ruling kernel, as
-  polynomials in the vertex coefficients, and builds the witnesses of
-  enumerated preimages; probe points are drawn by the projection handle.
+  solved, and the section finds the solutions that lie on it.  The handles
+  build the witnesses of enumerated preimages as they build drawn ones,
+  and probe points are drawn by the projection handle.
 
 Points mapping into the projection center are excluded from counts and
 tallied separately.  The cone scan covers the smooth ruling stratum; vertex
@@ -57,8 +56,6 @@ from .algebra import (
     exact_rank,
     inverse,
     normalize_point,
-    restrict_univariate,
-    uni_roots_mod_p,
 )
 from .errors import BudgetExhausted, ConfigError, DegenerateWitness
 from .instances import ENUM_PRIMES
@@ -73,7 +70,6 @@ from .varieties import (
     ProjectionHandle,
     SectionHandle,
     VarietyHandle,
-    Witness,
     build,
 )
 
@@ -420,9 +416,7 @@ def _route(
     return cells[picked], np.repeat([t for _, t in routed], [len(pick) for pick in picks]), rj[picked]
 
 
-def _scan_parametric(
-    xp: ParametricHandle, proj: Matrix, qs: list[list[int]], budget: int
-) -> tuple[list[int], int]:
+def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) -> tuple[list[int], int]:
     """Preimage count of each probe point [q] over the chart grid, and the
     number of grid points mapped into the projection center.
 
@@ -456,10 +450,8 @@ def _scan_parametric(
     """
     p = xp.field.modulus
     n = xp.n
-    if n > 2 or p**n > budget:
-        raise BudgetExhausted(
-            f"parametric grid {p}^{n} exceeds the enumeration budget {budget}"
-        )
+    if n > 2 or p**n > ENUM_BUDGET:
+        raise BudgetExhausted(f"parametric grid {p}^{n} exceeds the enumeration budget {ENUM_BUDGET}")
     comps = _coefficients(xp.polys, n)
     degree = max((a + b for a, b in zip(*np.nonzero(comps.any(axis=0)))), default=0)
     rows = _matmul(np.array(proj.entries, dtype=np.float64), comps.reshape(len(comps), -1), p)
@@ -508,19 +500,19 @@ def _scan_parametric(
 # ---------------------------------------------------------------------------
 
 
-def _curve_points_int(curve: ImplicitPlaneCurveHandle, budget: int) -> list[tuple[int, int, int]]:
-    """Every projective point of the plane curve over its prime field."""
-    fp = curve.field
-    p = fp.modulus
-    if p * p > budget:
-        raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {budget}")
+def _curve_points_int(curve: ImplicitPlaneCurveHandle) -> list[tuple[int, int, int]]:
+    """Every projective point of the plane curve over its prime field, in
+    the order (u, v, 1) by grid cell, (u, 1, 0) by u, then (1, 0, 0)."""
+    p = curve.field.modulus
+    if p * p > ENUM_BUDGET:
+        raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {ENUM_BUDGET}")
     pts = []
     for start, vals in _grid_blocks(_coefficients([curve.f_affine], 2), p, 2):
         us, vs = np.divmod(start + np.flatnonzero(vals[0] == 0), p)
         pts += [(u, v, 1) for u, v in zip(us.tolist(), vs.tolist())]
-    # the line at infinity: z = 0, y = 1, then the lone corner point
-    line = restrict_univariate(curve.f, [[0, 1], [1], []])
-    at_infinity = MultiPoly(fp, 1, {(e,): c for e, c in enumerate(line)})
+    # the line at infinity: x2 = 0, x1 = 1, where only the terms without x2
+    # are left, then the lone corner point
+    at_infinity = MultiPoly(curve.field, 1, {e[:1]: c for e, c in curve.f.terms.items() if not e[2]})
     for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1):
         pts += [(u, 1, 0) for u in (start + np.flatnonzero(vals[0] == 0)).tolist()]
     if curve.f.evaluate((1, 0, 0)) == 0:
@@ -534,24 +526,24 @@ class _RulingScan:
     Y.  A point y + V mu lies over [q] when ``A mu = -N y``, for the probe's
     minors ``N = q_j P_i - q_i P_j`` (i != j, j its pivot) and ``A = N V``.
     That has a solution exactly when ``w N y = 0`` for every cokernel row w
-    of A, so one product ``W N Y`` picks the solvable rulings."""
+    of A, so one product ``W N Y`` picks the solvable rulings; the section
+    finds the solutions on it (``SectionHandle._ruling_points``)."""
 
-    def __init__(self, x: SectionHandle, proj: Matrix, budget: int) -> None:
+    def __init__(self, x: SectionHandle, proj: Matrix) -> None:
         self.x = x
-        self.p = x.field.modulus
         self.kone, self.emb = x.base, x.base.base
         self.proj = proj
         self.vertex = np.array(self.kone.vertex.entries, dtype=float)
         self.rulings: list[tuple[tuple[int, int, int], tuple[int, ...]]] = []
-        for c in _curve_points_int(self.emb.base, budget):
+        for c in _curve_points_int(self.emb.base):
             y = self.emb._apply(c)
             if any(y):  # else c is in the base locus of the embedding
                 self.rulings.append((c, y))
         self.points = np.array([y for _, y in self.rulings], dtype=float).reshape(-1, proj.cols).T
 
     def preimages(self, q: list[int]) -> tuple[set[tuple[int, ...]], int, list[tuple]]:
-        """Distinct preimage points of [q], excluded-center tally, details."""
-        p = self.p
+        """Distinct preimage points of [q], excluded-center tally, (c, mu)s."""
+        p = self.x.field.modulus
         jq = _last_nonzero(q)
         rows = self.proj.entries
         minors = [
@@ -567,7 +559,7 @@ class _RulingScan:
         for t in np.flatnonzero(solvable).tolist():
             c, y = self.rulings[t]
             part = system.solve([-sum(a * b for a, b in zip(row, y)) % p for row in minors])
-            for mu in self._on_ruling(part, system.basis, y):
+            for mu in self.x._ruling_points(y, part, system.basis):
                 xpt = self.kone._point(y, mu)
                 if not any(self.proj.matvec(xpt)):
                     center_hits += 1
@@ -575,45 +567,8 @@ class _RulingScan:
                 key = normalize_point(xpt, p)
                 if key not in found:
                     found.add(key)
-                    details.append((c, y, mu))
+                    details.append((c, mu))
         return found, center_hits, details
-
-    def _on_ruling(self, part: list[int], basis: list[tuple[int, ...]], y) -> list[list[int]]:
-        """Vertex coefficients on the ruling over y that solve the
-        proportionality system and lie on the section: the particular
-        solution, if every constraint vanishes there, or the common roots of
-        the constraints on the line of leftover freedom.  The section hands
-        over its constraints restricted to the ruling, as polynomials in mu."""
-        p = self.p
-        restricted = [MultiPoly(self.x.field, self.kone.m, terms) for terms in self.x._restrict_to_ruling(y)]
-        if not basis:
-            return [] if any(g.evaluate(part) for g in restricted) else [part]
-        if len(basis) > 1:
-            # a plane of candidates inside one ruling only happens at special
-            # probe points; declare the trial degenerate rather than guess
-            raise DegenerateWitness("probe point has a positive-dimensional fiber")
-        line = list(zip(part, basis[0]))
-        roots = None
-        for g in restricted:
-            on_line = restrict_univariate(g, line)
-            if not on_line:
-                # the whole candidate line lies inside the section: the fiber
-                # over this probe point is a curve, so the probe is no good
-                raise DegenerateWitness("probe point has a positive-dimensional fiber")
-            found = uni_roots_mod_p(on_line, p)
-            roots = found if roots is None else roots & found
-        out = [[(c + r * dc) % p for c, dc in line] for r in sorted(roots)]
-        # one constraint lists its points by root, several by coordinates
-        return out if len(restricted) == 1 else sorted(out)
-
-    def witness_for(self, c, y, mu) -> Witness:
-        """Rebuild a full witness chain for an enumerated preimage on the
-        ruling over the curve point c, whose embedded point is y."""
-        if c[2] != 1:
-            raise DegenerateWitness("preimage ruling is off the affine curve chart")
-        curve_w = Witness(c[:2], c, c)
-        emb_w = Witness(curve_w.params, normalize_point(y, self.p), y, base=curve_w)
-        return self.x._ruling_witness(emb_w, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +609,25 @@ def _one_prime(
 
 
 def _grid_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.Random):
+    """Scan fresh probe points for the trials not yet below
+    ``DEGENERATE_COUNT_FLOOR``, in at most ``MAX_RESAMPLE`` scans in all.
+    The center points do not depend on the probes, so every scan counts
+    the same center hits."""
     xp, proj = projected.base, projected.proj
-    qs = [projected.sample(rng).point for _ in range(trials)]
-    counts, hits = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+    counts = [0] * trials
+    bad = list(range(trials))
     for _ in range(MAX_RESAMPLE):
-        bad = [t for t, c in enumerate(counts) if c >= DEGENERATE_COUNT_FLOOR]
-        if not bad:
-            break
-        redraw = [projected.sample(rng).point for _ in bad]
-        fresh, _ = _scan_parametric(xp, proj, redraw, ENUM_BUDGET)
+        fresh, hits = _scan_parametric(xp, proj, [projected.sample(rng).point for _ in bad])
         for t, c in zip(bad, fresh):
             counts[t] = c
-    else:
-        raise DegenerateWitness("every probe point had a degenerate fiber")
-    return tuple(counts), hits, None
+        bad = [t for t in bad if counts[t] >= DEGENERATE_COUNT_FLOOR]
+        if not bad:
+            return tuple(counts), hits, None
+    raise DegenerateWitness("every probe point had a degenerate fiber")
 
 
 def _ruling_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.Random):
-    scan = _RulingScan(projected.base, projected.proj, ENUM_BUDGET)
+    scan = _RulingScan(projected.base, projected.proj)
     counts = []
     hits = 0
     agreement: Optional[bool] = None
@@ -704,10 +660,11 @@ def _same_span(a: Matrix, b: Matrix, n: int) -> tuple[int, bool]:
 def _fiber_span_agreement(scan: _RulingScan, details: list[tuple], n: int) -> Optional[bool]:
     """Two preimages of one image point must project to the same tangent
     space of the image; comparing their pushed frames tests exactly that."""
+    x, emb = scan.x, scan.emb
     pushed = []
-    for c, y, mu in details:
+    for c, mu in details:
         try:
-            frame = scan.x.tangent_frame(scan.witness_for(c, y, mu))
+            frame = x.tangent_frame(x._ruling_witness(emb._witness_over(emb.base._witness_at(c)), mu))
         except DegenerateWitness:
             continue
         pushed.append(scan.proj.matmul(frame))

@@ -30,7 +30,9 @@ values only.
 
 Charts are affine and a draw that lands off-chart is resampled; misses are
 measure zero over the large analysis primes.  The resample cap is 64
-everywhere.
+everywhere.  A draw and the fiber scan build witnesses with the same
+methods (``_witness_at``, ``_witness_over``, ``_ruling_witness``), and a
+section finds the scan's points on a ruling (``_ruling_points``).
 """
 
 from __future__ import annotations
@@ -274,8 +276,13 @@ class VarietyHandle:
 
 
 def _resample_loop(fn, what: str):
+    """The first draw ``fn()`` that gives a witness; a draw that gives None
+    or raises ``DegenerateWitness`` is a miss, and is resampled."""
     for _ in range(MAX_RESAMPLE):
-        out = fn()
+        try:
+            out = fn()
+        except DegenerateWitness:
+            continue
         if out is not None:
             return out
     raise SamplingExhausted(f"resample cap hit while sampling {what}")
@@ -436,16 +443,20 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
             s0 = _random_root(f, list(zip(a, b)), rng)
             if s0 is None:
                 return None
-            pt = tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))
-            if pt[2] == 0:
-                return None  # off the working chart
-            pt = normalize_point(pt, p)
-            params = (pt[0], pt[1])
-            if not any(self.jets.gradients(self.jets.powers(params))[0]):
-                return None  # singular point, resample
-            return Witness(params, pt, pt)
+            return self._witness_at(tuple((ai + s0 * bi) % p for ai, bi in zip(a, b)))
 
         return _resample_loop(one, self.label)
+
+    def _witness_at(self, pt: Sequence[int]) -> Witness:
+        """The witness at the curve point pt, drawn or enumerated; a point off
+        the working chart x2 = 1, or a singular one, is degenerate."""
+        if pt[2] == 0:
+            raise DegenerateWitness("curve point is off the working chart x2 = 1")
+        pt = normalize_point(pt, self.field.modulus)
+        params = pt[:2]
+        if not any(self.jets.gradients(self.jets.powers(params))[0]):
+            raise DegenerateWitness("singular curve point")
+        return Witness(params, pt, pt)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
@@ -534,14 +545,15 @@ class MapImageHandle(VarietyHandle):
         return self.jets.values(self.jets.powers(x))
 
     def sample(self, rng: random.Random) -> Witness:
-        def one():
-            bw = self.base.sample(rng)
-            pt = self._apply(bw.raw)
-            if not any(pt):
-                return None  # base-locus hit
-            return Witness(bw.params, normalize_point(pt, self.field.modulus), pt, base=bw)
+        return _resample_loop(lambda: self._witness_over(self.base.sample(rng)), self.label)
 
-        return _resample_loop(one, self.label)
+    def _witness_over(self, bw: Witness) -> Witness:
+        """The witness over the base witness bw, drawn or enumerated; a base
+        point in the base locus of the map is degenerate."""
+        pt = self._apply(bw.raw)
+        if not any(pt):
+            raise DegenerateWitness("base point is in the base locus of the map")
+        return Witness(bw.params, normalize_point(pt, self.field.modulus), pt, base=bw)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
@@ -697,9 +709,9 @@ class SectionHandle(VarietyHandle):
     restriction to a random line (in mu over a cone, in the chart over a
     parametric base) depends on the draw and is made per draw, on
     coefficient lists (``restrict_univariate``).  This handle is the one
-    owner of that geometry: the fiber scan's ruling candidates come from
-    ``_restrict_to_ruling`` too, and every witness on a ruling, drawn or
-    enumerated, is built by ``_ruling_witness``.
+    owner of that geometry: it finds the fiber scan's points on a ruling
+    (``_ruling_points``) and builds every witness on a ruling, drawn or
+    enumerated (``_ruling_witness``).
     """
 
     kind = "section"
@@ -833,6 +845,33 @@ class SectionHandle(VarietyHandle):
             if c:
                 out[g][mu_e] = c
         return out
+
+    def _ruling_points(self, y: Sequence[int], part: list[int], basis: list[tuple[int, ...]]) -> list[list[int]]:
+        """Vertex coefficients on the ruling over y that solve the fiber
+        scan's proportionality system, ``part + span(basis)``, and lie on the
+        section: ``part``, if every constraint vanishes there, or the common
+        roots of the constraints on the line of leftover freedom."""
+        p = self.field.modulus
+        restricted = [MultiPoly(self.field, self.base.m, terms) for terms in self._restrict_to_ruling(y)]
+        if not basis:
+            return [] if any(g.evaluate(part) for g in restricted) else [part]
+        if len(basis) > 1:
+            # a plane of candidates inside one ruling only happens at special
+            # probe points; declare the trial degenerate rather than guess
+            raise DegenerateWitness("probe point has a positive-dimensional fiber")
+        line = list(zip(part, basis[0]))
+        roots = None
+        for g in restricted:
+            on_line = restrict_univariate(g, line)
+            if not on_line:
+                # the whole candidate line lies inside the section: the fiber
+                # over this probe point is a curve, so the probe is no good
+                raise DegenerateWitness("probe point has a positive-dimensional fiber")
+            found = uni_roots_mod_p(on_line, p)
+            roots = found if roots is None else roots & found
+        out = [[(c + r * dc) % p for c, dc in line] for r in sorted(roots)]
+        # one constraint lists its points by root, several by coordinates
+        return out if len(restricted) == 1 else sorted(out)
 
     # -- jets ---------------------------------------------------------------
 

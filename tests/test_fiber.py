@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terracini import fiber
-from terracini.algebra import FieldSpec, LinearSystem, Matrix, MultiPoly, exact_rank, is_prime
-from terracini.errors import BudgetExhausted, ConfigError
+from terracini.algebra import FieldSpec, LinearSystem, Matrix, MultiPoly, exact_rank, is_prime, normalize_point
+from terracini.errors import BudgetExhausted, ConfigError, DegenerateWitness
 from terracini.fiber import (
     DEFAULT_FIBER_TRIALS,
     ENUM_BUDGET,
@@ -33,6 +33,8 @@ from terracini.instances import ANALYSIS_PRIME, builtin, builtin_blueprint
 from terracini.secant import tangential_projection
 from terracini.seeding import derive_rng
 from terracini.varieties import (
+    MAX_RESAMPLE,
+    Witness,
     build,
     cone,
     hypersurface_section,
@@ -340,7 +342,7 @@ def test_grid_scan_matches_brute_force_enumeration(case):
         stack.enter_context(mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells))
         stack.enter_context(mock.patch.object(fiber, "KEY_PRODUCT_DEGREE", cap))
         stack.enter_context(_stretched(stretch))
-        got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs, ENUM_BUDGET)
+        got = _scan_parametric(xp, SimpleNamespace(entries=proj), qs)
     assert got == fiber_counts_by_brute_force(polys, proj, qs, p, n)
 
 
@@ -361,7 +363,7 @@ def test_int64_grid_scan_matches_brute_force_enumeration(case):
             stack.enter_context(mock.patch.object(fiber, "GRID_BLOCK_CELLS", block_cells))
             stack.enter_context(mock.patch.object(fiber, "KEY_PRODUCT_DEGREE", cap))
             stack.enter_context(_stretched(1))
-            got = _scan_parametric(xp, SimpleNamespace(entries=entries), points, ENUM_BUDGET)
+            got = _scan_parametric(xp, SimpleNamespace(entries=entries), points)
         assert got == want, cap
 
 
@@ -425,7 +427,7 @@ def test_grid_scan_takes_one_pass_per_pivot_group():
                 yield start, vals
 
         with mock.patch.object(fiber, "_grid_blocks", counted):
-            counts, _ = _scan_parametric(xp, proj, batch, ENUM_BUDGET)
+            counts, _ = _scan_parametric(xp, proj, batch)
         return counts, starts
 
     one, one_pass = scan(qs[:1])
@@ -444,7 +446,7 @@ def test_grid_scan_memory_does_not_grow_with_probe_points():
     def peak(batch):
         tracemalloc.start()
         try:
-            counts, _ = _scan_parametric(xp, proj, batch, ENUM_BUDGET)
+            counts, _ = _scan_parametric(xp, proj, batch)
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -463,10 +465,56 @@ def test_curve_points_match_brute_force_in_scan_order():
         FieldSpec.prime(257),
         random.Random(0),
     )
-    pts = _curve_points_int(curve, ENUM_BUDGET)
+    pts = _curve_points_int(curve)
     assert pts == sorted(pts, key=lambda c: (c[2] == 0, c == (1, 0, 0), c))
     assert len(pts) == len(set(pts))
     assert set(pts) == fermat_cubic_points(257)
+
+
+def _curve_points_by_brute_force(terms, p):
+    """The zeros of the form with these integer terms in P^2(F_p), in the
+    cone scan's order: (u, v, 1) u-major, (u, 1, 0), then (1, 0, 0)."""
+    points = [(u, v, 1) for u in range(p) for v in range(p)] + [(u, 1, 0) for u in range(p)] + [(1, 0, 0)]
+    return [x for x in points if sum(c * prod(pow(a, e, p) for a, e in zip(x, expo)) for c, expo in terms) % p == 0]
+
+
+@pytest.mark.parametrize(
+    "terms, count, at_infinity",
+    [
+        # x1^3 - x0^2 x1 + x2^3 + x0 x1 x2 meets x2 = 0 where x1 (x1 - x0) (x1 + x0) = 0
+        ([[1, [0, 3, 0]], [-1, [2, 1, 0]], [1, [0, 0, 3]], [1, [1, 1, 1]]], 260, [(1, 1, 0), (256, 1, 0), (1, 0, 0)]),
+        # x2 (x0^2 + x1^2 + x2^2) holds the whole line x2 = 0
+        ([[1, [2, 0, 1]], [1, [0, 2, 1]], [1, [0, 0, 3]]], 514, [(u, 1, 0) for u in range(257)] + [(1, 0, 0)]),
+    ],
+    ids=["corner-point", "line-at-infinity"],
+)
+def test_curve_points_at_infinity_match_brute_force(terms, count, at_infinity):
+    """The line at infinity, read off the terms without x2: a curve through
+    the corner point (1, 0, 0) with two more points at infinity, and one
+    that holds the whole line x2 = 0, whose restriction there is zero."""
+    p = 257
+    curve = build({"constructor": "implicit_plane_curve", "terms": terms, "genus_hint": 0}, FieldSpec.prime(p), random.Random(0))
+    pts = _curve_points_int(curve)
+    assert pts == _curve_points_by_brute_force(terms, p)
+    assert len(pts) == count
+    assert [c for c in pts if c[2] == 0] == at_infinity
+
+
+def test_shared_witness_builders_match_the_field_by_field_chain():
+    """``_witness_at`` and ``_witness_over``, which draws and the cone scan
+    share, build at every affine point c of counter1's curve at p = 257 the
+    witness chain the scan once built field by field, with c's embedding y
+    taken straight from the map's components."""
+    p = 257
+    emb = build(builtin_blueprint("counter1"), FieldSpec.prime(p), random.Random(1)).base.base
+    curve = emb.base
+    affine = sorted(c for c in fermat_cubic_points(p) if c[2] == 1)
+    assert affine
+    for c in affine:
+        y = tuple(g.evaluate(c) for g in emb.polys)
+        assert any(y)
+        want = Witness(c[:2], normalize_point(y, p), y, base=Witness(c[:2], c, c))
+        assert emb._witness_over(curve._witness_at(c)) == want
 
 
 def _counter1_probes(p: int, draws: int):
@@ -487,7 +535,7 @@ def test_ruling_scan_matches_brute_force_enumeration():
     p = 257
     blueprint = builtin_blueprint("counter1")
     xp, proj, qs = _counter1_probes(p, 6)
-    scan = fiber._RulingScan(xp, proj, ENUM_BUDGET)
+    scan = fiber._RulingScan(xp, proj)
     coned = blueprint["base"]
     for q, count in ((qs[0], 3), (qs[5], 1)):
         found, center_hits, _ = scan.preimages(q)
@@ -512,17 +560,46 @@ def test_ruling_scan_solves_only_the_solvable_rulings(monkeypatch):
         return solve(self, rhs)
 
     monkeypatch.setattr(LinearSystem, "solve", spy)
-    fiber._RulingScan(xp, proj, ENUM_BUDGET).preimages(q)
+    fiber._RulingScan(xp, proj).preimages(q)
 
     rows, j = proj.entries, max(i for i, v in enumerate(q) if v)
     minors = [[(q[j] * a - q[i] * b) % p for a, b in zip(rows[i], rows[j])] for i in range(len(rows)) if i != j]
     a = [list(row) for row in Matrix(xp.field, minors).matmul(xp.base.vertex).entries]
     rank = rank_by_reverse_echelon(a, p)
-    embedded = [xp.base.base._apply(c) for c in _curve_points_int(xp.base.base.base, ENUM_BUDGET)]
+    embedded = [xp.base.base._apply(c) for c in _curve_points_int(xp.base.base.base)]
     rhss = [[-sum(n * t for n, t in zip(row, y)) % p for row in minors] for y in embedded if any(y)]
     solvable = [rhs for rhs in rhss if rank_by_reverse_echelon([r + [b] for r, b in zip(a, rhs)], p) == rank]
     assert calls == solvable
     assert 0 < len(solvable) < len(rhss)
+
+
+def test_grid_counts_scan_at_most_max_resample_times(monkeypatch):
+    """Probe points whose count reaches ``DEGENERATE_COUNT_FLOOR`` are drawn
+    again and rescanned, alone, in at most ``MAX_RESAMPLE`` scans in all,
+    and every scan is checked: a last allowed scan that clears every probe
+    gives its counts, and ``MAX_RESAMPLE`` degenerate scans raise."""
+    floor = fiber.DEGENERATE_COUNT_FLOOR
+
+    def run(clean_at):
+        # the first draw is the one probe point the first scan finds clean
+        draws = iter(range(10**6))
+        projected = SimpleNamespace(base=None, proj=None, sample=lambda rng: SimpleNamespace(point=[next(draws)]))
+        sizes = []
+
+        def scan(xp, proj, qs):
+            sizes.append(len(qs))
+            if len(sizes) == clean_at:
+                return [2] * len(qs), 10
+            return [1 if q[0] == 0 else floor for q in qs], 10
+
+        monkeypatch.setattr(fiber, "_scan_parametric", scan)
+        try:
+            return fiber._grid_counts(projected, 2, 3, None), sizes
+        except DegenerateWitness:
+            return None, sizes
+
+    assert run(MAX_RESAMPLE) == (((1, 2, 2), 10, None), [3] + [2] * (MAX_RESAMPLE - 1))
+    assert run(None) == (None, [3] + [2] * (MAX_RESAMPLE - 1))
 
 
 def test_grid_scan_memory_is_bounded():
@@ -534,7 +611,7 @@ def test_grid_scan_memory_is_bounded():
     qs = [projected.sample(rng).point for _ in range(5)]
     tracemalloc.start()
     try:
-        counts, _ = _scan_parametric(xp, projected.proj, qs, ENUM_BUDGET)
+        counts, _ = _scan_parametric(xp, projected.proj, qs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -556,7 +633,7 @@ def test_grid_scan_memory_is_bounded_on_a_cut_row():
     assert -(-p // width) == 13
     tracemalloc.start()
     try:
-        counts, _ = _scan_parametric(xp, projected.proj, qs, ENUM_BUDGET)
+        counts, _ = _scan_parametric(xp, projected.proj, qs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -588,7 +665,7 @@ def test_grid_scan_pass_follows_key_count_times_degree(tree, p, k, count, tables
         return table(q)
 
     with mock.patch.object(fiber, "_inverse_table", spy):
-        counts, _ = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+        counts, _ = _scan_parametric(xp, proj, qs)
     assert calls == [p] * tables
     assert min(counts) >= 1
 
@@ -601,7 +678,7 @@ def test_product_pass_holds_no_table_of_p_entries():
     xp, proj, qs = _projection_probes({"constructor": "rnc", "d": 5}, p, 1, 5)
     tracemalloc.start()
     try:
-        counts, _ = _scan_parametric(xp, proj, qs, ENUM_BUDGET)
+        counts, _ = _scan_parametric(xp, proj, qs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

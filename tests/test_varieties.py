@@ -403,7 +403,7 @@ def test_ruling_forms_match_term_by_term_oracle_on_dense_vertices(case):
 
 def test_only_varieties_reads_section_internals():
     """How a section of a cone restricts to a ruling is known in one module:
-    every other module asks the handle (``_restrict_to_ruling``) instead of
+    every other module asks the handle (``_ruling_points``) instead of
     reading its constraints or its ruling kernel."""
     internals = {"constraints", "_ruling_keys", "_ruling_jets"}
     package = Path(varieties.__file__).parent
@@ -413,6 +413,22 @@ def test_only_varieties_reads_section_internals():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert not names & internals, f"{path.name} reads {sorted(names & internals)}"
+
+
+def test_fiber_scan_asks_the_handles_for_ruling_points_and_witnesses():
+    """The fiber scan neither restricts a section to a ruling nor builds a
+    witness: it reads no ``_restrict_to_ruling``, constructs no ``Witness``
+    and imports no line restriction or root finder.  The handles do that
+    (``_ruling_points``, ``_witness_at``, ``_witness_over``,
+    ``_ruling_witness``)."""
+    tree = ast.parse((Path(varieties.__file__).parent / "fiber.py").read_text(encoding="utf-8"))
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    called = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    called |= {n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    assert "_restrict_to_ruling" not in attrs
+    assert "Witness" not in called | imported
+    assert not imported & {"restrict_univariate", "uni_roots_mod_p"}
 
 
 def test_compiled_veronese_kernel_stores_only_nonzero_derivatives():
