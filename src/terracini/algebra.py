@@ -27,22 +27,26 @@ matrix once for its rank, its kernel and any number of right-hand sides.
 
 Every derivative is taken in one kernel, ``PolyJets``, and every order,
 values included, is compiled by one routine, ``_derivative_rows``: each
-nonzero output is a sparse row of (monomial index, coefficient) pairs read
+nonzero output is a sparse row of (monomial slot, coefficient) pairs read
 straight off the terms, and an identically zero output has no row and costs
-nothing.  One routine, ``_evaluate``, reads any order at a point: each
-monomial once, then a short dot product mod p per output.  Each order is
-compiled on first read, so first-order work (tangent frames, and so every
-secant dimension) never builds Hessian rows, and a kernel that only
-evaluates builds neither.
+nothing.  The monomials of an order form a prefix chain, so one routine,
+``_evaluate``, reads any order at a point with one multiplication per
+monomial, its prefix's value times a power, then a short dot product mod p
+per output.  Each order is compiled on first read and kept by its kernel
+alone, so first-order work (tangent frames, and so every secant dimension)
+never builds Hessian rows, a kernel that only evaluates builds neither, and
+the tables go when the kernel does.
 
 A ``MultiPoly`` is a validated map from exponent tuples to coefficients,
 with no ring arithmetic: it reduces, evaluates and reports its degree.  The
 one expansion the package needs, of a cone section's constraints along the
 rulings, runs on plain dicts in ``varieties._ruling_forms``.
 
-Univariate polynomials are coefficient lists, lowest degree first.  One
-long division, ``_poly_divmod``, serves the gcd and the exact quotients of
-the root finder, ``uni_roots_mod_p``, which takes the list that
+Univariate polynomials are coefficient lists, lowest degree first.
+``restrict_univariate`` substitutes them into a ``MultiPoly`` by Kronecker
+substitution, as big-int products with no list arithmetic.  One long
+division, ``_poly_divmod``, serves the gcd and the exact quotients of the
+root finder, ``uni_roots_mod_p``, which takes the list that
 ``restrict_univariate`` returns.
 """
 
@@ -75,11 +79,14 @@ __all__ = [
     "normalize_point",
 ]
 
-# Witness set is deterministic for every n < 3.3 * 10^24, far above any
-# modulus this package accepts.  The same primes are the trial divisors.
+# The twelve prime bases up to 37 make Miller-Rabin deterministic below
+# psi_12 = 318,665,857,834,031,151,167,461 (a strong pseudoprime to all of
+# them), so ``FieldSpec`` accepts no modulus of 2^64 or more.  The same
+# primes are the trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MIN_MODULUS = 257
+_MODULUS_BOUND = 1 << 64
 
 # Matrices with at least this many cells reduce as one int64 array; below it
 # numpy's per-call overhead loses to plain int lists.
@@ -89,7 +96,8 @@ _INT64_MODULUS_BOUND = 1 << 31
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the modulus range used here."""
+    """Miller-Rabin on the bases ``_MR_WITNESSES``: deterministic below
+    psi_12, and so for every modulus ``FieldSpec`` accepts."""
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -118,11 +126,12 @@ def is_prime(n: int) -> bool:
 class FieldSpec:
     """The working field F_p; its elements are plain ints in ``[0, p)``.
 
-    The modulus must be a verified prime of at least 257; small
-    characteristics would collide with the degrees (up to 6) handled by the
-    geometry layers.  The field object itself carries no elements: it rides
-    on the containers (``Matrix``, ``MultiPoly``) so that mixing two fields
-    raises, and it is the entry point for outside data via ``scalar``.
+    The modulus must be a verified prime of at least 257 and below 2^64;
+    small characteristics would collide with the degrees (up to 6) handled
+    by the geometry layers, and below 2^64 ``is_prime`` is a proof.  The
+    field object itself carries no elements: it rides on the containers
+    (``Matrix``, ``MultiPoly``) so that mixing two fields raises, and it is
+    the entry point for outside data via ``scalar``.
     """
 
     modulus: int
@@ -132,6 +141,8 @@ class FieldSpec:
             raise ConstructionError(
                 f"modulus must be an int >= {_MIN_MODULUS}, got {self.modulus!r}"
             )
+        if self.modulus >= _MODULUS_BOUND:
+            raise ConstructionError(f"modulus must be below 2^64, got {self.modulus}")
         if not is_prime(self.modulus):
             raise ConstructionError(f"modulus {self.modulus} is not prime")
 
@@ -629,29 +640,46 @@ def restrict_univariate(f: MultiPoly, args: Sequence[Sequence[int]]) -> list[int
     variable i.  Arguments are coefficient lists; a line ``a + s b`` is the
     argument list ``[a_i, b_i]``.
 
-    The expansion runs on plain int lists: the powers of each argument are
-    built once, and each term is one product of cached powers.
+    The expansion runs by Kronecker substitution (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 8.4): each argument, reduced mod p,
+    is packed into one int with a slot of ``shift`` bits per coefficient,
+    so a product of packed polynomials is the packing of their exact
+    integer product.  Each term is its coefficient times cached packed
+    powers, and the terms sum as one int.  With T terms of total degree at
+    most D and arguments of at most w coefficients, no coefficient of the
+    exact sum exceeds T (p-1)^(D+1) w^D < 2^shift, so no slot carries into
+    the next; the slots are read off one by one and reduced mod p.
     """
     if len(args) != f.nvars:
         raise ConstructionError("restriction arity mismatch")
     p = f.field.modulus
+    terms = f.terms
+    if not terms:
+        return []
+    degree = max(map(sum, terms))
+    width = max([1, *map(len, args)])
+    shift = (len(terms) * (p - 1) ** (degree + 1) * width**degree).bit_length()
     powers = []
     for arg, top in zip(args, max_exponents(f.nvars, (f,))):
-        row = [[1]]
+        packed = 0
+        for c in reversed(arg):
+            packed = packed << shift | c % p
+        row = [1]
         for _ in range(top):
-            row.append(_poly_mul(row[-1], arg, p))
+            row.append(row[-1] * packed)
         powers.append(row)
-    acc: list[int] = []
-    for expo, coef in f.terms.items():
-        term = [coef]
+    total = 0
+    for expo, coef in terms.items():
         for row, e in zip(powers, expo):
             if e:
-                term = _poly_mul(term, row[e], p)
-        if len(term) > len(acc):
-            acc += [0] * (len(term) - len(acc))
-        for k, c in enumerate(term):
-            acc[k] += c
-    return _poly_trim([c % p for c in acc])
+                coef *= row[e]
+        total += coef
+    mask = (1 << shift) - 1
+    out = []
+    while total:
+        out.append((total & mask) % p)
+        total >>= shift
+    return _poly_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +719,12 @@ class PolyJets:
     """Values, gradients and Hessians of a tuple of polynomials in one arity:
     the package's one place where derivatives are taken.
 
-    Each order is one table, ``_derivative_rows``' (monomials, rows),
-    compiled on first read, so a kernel builds only the orders its callers
-    read.  ``powers`` gives a point's power table, and ``_evaluate`` reads
-    every order from it: derivatives never raise an exponent, so the
-    polynomials' power table covers every monomial of every order.
+    Each order is one table, ``_derivative_rows``' (chain, rows), compiled
+    on first read and held by this kernel alone, so a kernel builds only
+    the orders its callers read, and its tables are freed with it.
+    ``powers`` gives a point's power table, and ``_evaluate`` reads every
+    order from it: derivatives never raise an exponent, so the polynomials'
+    power table covers every monomial of every order.
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int) -> None:
@@ -735,16 +764,20 @@ class PolyJets:
 
 
 def _derivative_rows(polys: Sequence[MultiPoly], nvars: int, p: int, order: int) -> tuple[tuple, tuple]:
-    """(monomials, rows) of every nonzero partial derivative of the given
-    order of each polys[k]: row (..(k*n + i_1)*n + ..)*n + i_order holds
+    """(chain, rows) of every nonzero partial derivative of the given order
+    of each polys[k]: row (..(k*n + i_1)*n + ..)*n + i_order holds
     d/dx_i_1 .. d/dx_i_order of polys[k].
 
     A monomial is its support, ((variable, exponent), ...) in variable
-    order, and its index is its first position in the list; a row is
-    (output position, [(monomial index, coefficient), ...]), read straight
-    off the terms, and an identically zero output has no row.  Every
-    ordering of the variables is listed, so mixed partials that agree are
-    read from identical rows.
+    order, and the chain lists the monomials as a prefix chain: entry
+    (parent, i, e) is the monomial of slot ``parent`` times x_i^e, its
+    parent being its support less the last pair.  Slot 0 is the constant
+    monomial and entry k is slot k + 1, after its parent; a prefix that is
+    not itself a monomial of the table has a slot that no row reads.  A row
+    is (output position, [(slot, coefficient), ...]), read straight off the
+    terms, and an identically zero output has no row.  Every ordering of
+    the variables is listed, so mixed partials that agree are read from
+    identical rows.
     """
     partials = [
         (k, tuple([(i, e) for i, e in enumerate(expo) if e]), coef)
@@ -757,12 +790,22 @@ def _derivative_rows(polys: Sequence[MultiPoly], nvars: int, p: int, order: int)
             for pos, mono, c in partials
             for a, (i, e) in enumerate(mono)
         ]
-    index: dict[tuple[tuple[int, int], ...], int] = {}
+    chain: list[tuple[int, int, int]] = []
+    slots: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+
+    def slot(mono: tuple[tuple[int, int], ...]) -> int:
+        found = slots.get(mono)
+        if found is None:
+            i, e = mono[-1]
+            chain.append((slot(mono[:-1]), i, e))
+            found = slots[mono] = len(chain)
+        return found
+
     rows: dict[int, list[tuple[int, int]]] = {}
     for pos, mono, c in partials:
         if c:
-            rows.setdefault(pos, []).append((index.setdefault(mono, len(index)), c))
-    return tuple(index), tuple(rows.items())
+            rows.setdefault(pos, []).append((slot(mono), c))
+    return tuple(chain), tuple(rows.items())
 
 
 def _lower(mono: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, int], ...]:
@@ -772,16 +815,15 @@ def _lower(mono: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, int], 
 
 
 def _evaluate(table: tuple[tuple, tuple], powers: Sequence[Sequence[int]], size: int, p: int) -> list[int]:
-    """``size`` outputs of a (monomials, rows) table at a point, from its
-    power table: each monomial's value once, then each row's dot product
-    with those values mod p, and 0 where there is no row."""
-    monomials, rows = table
-    values = []
-    for support in monomials:
-        v = 1
-        for i, e in support:
-            v = v * powers[i][e] % p
-        values.append(v)
+    """``size`` outputs of a (chain, rows) table at a point, from its power
+    table: each slot's value by one multiplication, its parent's value times
+    a power, then each row's dot product with those values mod p, and 0
+    where there is no row."""
+    chain, rows = table
+    values = [1]
+    append = values.append
+    for parent, i, e in chain:
+        append(values[parent] * powers[i][e] % p)
     out = [0] * size
     for pos, pairs in rows:
         acc = 0
@@ -817,12 +859,14 @@ def uni_roots_mod_p(coeffs: Sequence[int], p: int, rng: random.Random | None = N
     reduction step.  The random shifts only steer the recursion; the
     returned set is a deterministic function of the polynomial.
 
-    Most calls come from a cubic section restricted to a random line, so
-    the modulus is most often a cubic, and these powers, about log2(p)
-    squarings each, are most of the sampling time.  A cubic modulus gets
-    its own power routine, which keeps the working power in three locals
-    instead of building lists at every bit; it returns the same lists, so
-    the random draws do not depend on which routine ran.
+    Most calls come from the Fermat cubic curve's draws, a plane cubic
+    restricted to a random line (1,340 of 1,869 in one benchmark
+    ``paper-suite`` round at seed 0), and the rest from cone sections cut
+    by a cubic, so the modulus is almost always a cubic, and these powers,
+    about log2(p) squarings each, are most of the sampling time.  A cubic
+    modulus gets its own power routine, which keeps the working power in
+    three locals instead of building lists at every bit; it returns the
+    same lists, so the random draws do not depend on which routine ran.
     """
     coeffs = _poly_trim([c % p for c in coeffs])
     if not coeffs:
@@ -847,18 +891,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Product of two coefficient lists, reduced into [0, p)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % p for c in out]
 
 
 def _poly_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -255,6 +255,50 @@ def _split_linear_reference(g: list[int], p: int, rng, out: set[int]) -> None:
             return
 
 
+def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product of two coefficient lists, reduced into [0, p)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def restriction_by_list_products(terms: dict[tuple[int, ...], int], args, p: int) -> list[int]:
+    """The polynomial ``sum coef * x^expo`` with the coefficient list
+    ``args[i]`` substituted for x_i, lowest degree first and trimmed.
+
+    The library's former ``restrict_univariate`` body, kept as the reference
+    for its Kronecker substitution: the powers of each argument are built
+    once as lists, and each term is one product of cached powers, reduced
+    mod p at every step.  It imports nothing from the package.
+    """
+    max_e = [max((expo[i] for expo in terms), default=0) for i in range(len(args))]
+    powers = []
+    for arg, top in zip(args, max_e):
+        row = [[1]]
+        for _ in range(top):
+            row.append(poly_mul(row[-1], arg, p))
+        powers.append(row)
+    acc: list[int] = []
+    for expo, coef in terms.items():
+        term = [coef]
+        for row, e in zip(powers, expo):
+            if e:
+                term = poly_mul(term, row[e], p)
+        if len(term) > len(acc):
+            acc += [0] * (len(term) - len(acc))
+        for k, c in enumerate(term):
+            acc[k] += c
+    acc = [c % p for c in acc]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
 def roots_by_scan(f: MultiPoly, field: FieldSpec) -> frozenset[int]:
     """Every root of a univariate polynomial by testing all p field elements."""
     assert f.nvars == 1

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: fields, matrices, polynomials, jets, roots."""
 
 import ast
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +26,6 @@ from terracini.algebra import (
     _linear_power_mod,
     _poly_divmod,
     _poly_monic,
-    _poly_mul,
     dot,
     exact_rank,
     inverse,
@@ -43,10 +43,12 @@ from oracles import (
     jet2_by_term_bookkeeping,
     jet_by_symbolic_diff,
     poly_mod,
+    poly_mul,
     poly_powmod,
     rank_by_minors,
     rank_by_reverse_echelon,
     random_fraction_matrix,
+    restriction_by_list_products,
     roots_by_scan,
     roots_reference,
 )
@@ -66,6 +68,19 @@ def test_field_spec_rejects_small_or_composite_modulus():
     with pytest.raises(ConstructionError):
         FieldSpec(modulus=None)
     assert FieldSpec.prime(257).modulus == 257
+
+
+def test_field_spec_refuses_moduli_past_the_proven_range():
+    """Miller-Rabin on the bases up to 37 proves primality only below
+    psi_12, which it takes for a prime; every modulus of 2^64 or more is
+    refused before the test runs."""
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 and algebra.is_prime(psi_12)
+    for modulus in (psi_12, 3317044064679887385961981, 2**64):
+        with pytest.raises(ConstructionError, match="2\\^64"):
+            FieldSpec.prime(modulus)
+    assert FieldSpec.prime(2**61 - 1).modulus == 2**61 - 1
+    assert FieldSpec.prime(2**64 - 59).modulus == 2**64 - 59  # the largest prime below 2^64
 
 
 def test_scalar_arithmetic_and_fermat_inverse():
@@ -586,6 +601,46 @@ def test_restriction_kernel_matches_compose(case):
         assert _horner(restricted, s, p) == at_s
 
 
+_RESTRICTION_PRIMES = (257, 1009, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def wide_restriction_cases(draw):
+    """A polynomial in 1-4 variables over one of ``_RESTRICTION_PRIMES`` and
+    one argument per variable of 0-5 entries, unreduced and negative ones
+    included; coefficients and entries are drawn near 0, near +-p and past
+    it, so packed slots run from empty to full."""
+    p = draw(st.sampled_from(_RESTRICTION_PRIMES))
+    nvars = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(p - 3, p + 3), st.integers(-3, 3))
+    expo = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.lists(st.tuples(entry, expo), max_size=10))
+    args = draw(st.lists(st.lists(entry, max_size=5), min_size=nvars, max_size=nvars))
+    return MultiPoly.from_int_terms(FieldSpec.prime(p), nvars, terms), args
+
+
+@given(wide_restriction_cases())
+@settings(max_examples=300, deadline=None)
+def test_restriction_matches_list_products_at_large_primes(case):
+    """The Kronecker restriction gives exactly the list the old list
+    expansion gave, so the root finder sees the same input."""
+    f, args = case
+    assert restrict_univariate(f, args) == restriction_by_list_products(f.terms, args, f.field.modulus)
+
+
+def test_restriction_fills_every_slot_at_the_bound():
+    """Degree 12 in 4 variables with arguments of length 5 and every entry
+    p - 1 at p = 2^61 - 1: every packed slot holds as much as the bound
+    allows, and the restriction still matches the list expansion."""
+    p = 2**61 - 1
+    exponents = [e for e in itertools.product(range(13), repeat=4) if sum(e) == 12]
+    f = MultiPoly.from_int_terms(FieldSpec.prime(p), 4, [(p - 1, e) for e in exponents])
+    args = [[p - 1] * 5 for _ in range(4)]
+    restricted = restrict_univariate(f, args)
+    assert len(restricted) == 12 * 4 + 1
+    assert restricted == restriction_by_list_products(f.terms, args, p)
+
+
 def test_multipoly_homogeneity_and_support():
     f_terms = [(2, (2, 1, 0)), (5, (0, 0, 3))]
     f = MultiPoly.from_int_terms(F1009, 3, f_terms)
@@ -716,7 +771,7 @@ def test_roots_match_bruteforce_scan_on_pinned_cubic():
 
 def test_roots_of_factored_cubic():
     # (x - 3)(x - 17)(x - 500) over F_1009
-    f = _poly_mul(_poly_mul([-3, 1], [-17, 1], 1009), [-500, 1], 1009)
+    f = poly_mul(poly_mul([-3, 1], [-17, 1], 1009), [-500, 1], 1009)
     assert uni_roots_mod_p(f, 1009) == {3, 17, 500}
 
 
@@ -729,7 +784,7 @@ def test_roots_value_independent_of_rng():
 
 
 def test_roots_handle_multiplicity_and_rootless():
-    sq = _poly_mul([-42, 1], [-42, 1], 2003)
+    sq = poly_mul([-42, 1], [-42, 1], 2003)
     assert uni_roots_mod_p(sq, 2003) == {42}
     # x^2 + 1 has no roots when p = 3 mod 4
     f = _uni(F2003, [1, 0, 1])

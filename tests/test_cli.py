@@ -263,6 +263,23 @@ def test_invalid_flags_exit_2(tmp_path, capsys, argv):
     assert err.startswith("terracini:")
 
 
+# psi_12 and psi_13: strong pseudoprimes to every base up to 37, which
+# Miller-Rabin on those bases takes for primes
+@pytest.mark.parametrize("modulus", [318665857834031151167461, 3317044064679887385961981])
+def test_field_primes_past_2_64_exit_2(tmp_path, capsys, modulus):
+    cfg = write_config(tmp_path, {"variety": "veronese-2-2"})
+    code, out, err = run_cli(["defect-scan", "--config", cfg, "--field-prime", str(modulus)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("terracini:") and "2^64" in err and "Traceback" not in err
+
+
+def test_field_prime_below_2_64_is_accepted(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"variety": "veronese-2-2", "k_range": [1, 1]})
+    code, out, _ = run_cli(["defect-scan", "--config", cfg, "--field-prime", str(2**61 - 1)], capsys)
+    assert code == 0
+    assert json.loads(out)["per_k"][0]["delta"] == 1
+
+
 def test_scan_without_variety_exits_2(tmp_path, capsys):
     code, _, err = run_cli(
         ["defect-scan", "--config", write_config(tmp_path, {"seed": 1})], capsys

@@ -1,9 +1,11 @@
 """Handles: sampling, chart jets, composition, blueprints."""
 
 import ast
+import gc
 import itertools
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,12 @@ from terracini.varieties import (
     veronese,
 )
 
-from oracles import fermat_cubic_points, rank_by_reverse_echelon, ruling_restriction_by_terms
+from oracles import (
+    fermat_cubic_points,
+    jet2_by_term_bookkeeping,
+    rank_by_reverse_echelon,
+    ruling_restriction_by_terms,
+)
 from test_cli import PINNED_TREES, map_image_chain
 
 F = FieldSpec.prime(2147483647)
@@ -209,9 +216,9 @@ class _Poisoned:
 
 def _poison_second_derivatives(handle):
     jets = handle.jets
-    monomials, rows = jets.hessian_table
+    chain, rows = jets.hessian_table
     assert rows, "a kernel without second derivatives proves nothing here"
-    jets.hessian_table = (monomials, tuple((pos, [(j, _Poisoned()) for j, _ in pairs]) for pos, pairs in rows))
+    jets.hessian_table = (chain, tuple((pos, [(j, _Poisoned()) for j, _ in pairs]) for pos, pairs in rows))
 
 
 def _kernel_layers(handle):
@@ -436,15 +443,47 @@ def test_compiled_veronese_kernel_stores_only_nonzero_derivatives():
     derivatives, of which only the 14 + 196 of the linear and quadratic
     monomials are nonzero, and 196 nonzero Hessian entries."""
     jets = veronese(F, 14, 2).jets
-    monomials, rows = jets.value_table
+    chain, rows = jets.value_table
     assert len(rows) == 120
-    assert len(monomials) == 120
+    assert len(chain) + 1 == 120  # slot 0, the constant monomial, has no entry
     _, rows = jets.gradient_table
     assert len(rows) == 210
     assert all(len(pairs) == 1 for _, pairs in rows)
     assert "hessian_table" not in vars(jets)  # compiled on first use only
-    monomials, rows = jets.hessian_table
-    assert len(rows) == 14 + 2 * 91 and monomials == ((),)
+    chain, rows = jets.hessian_table
+    assert len(rows) == 14 + 2 * 91 and chain == ()
+
+
+@pytest.mark.parametrize("kernel", ["jets", "_ruling_jets"])
+def test_dense_section_kernels_match_term_by_term_oracle(kernel):
+    """counter2's section kernel (one cubic with all 165 monomials in nine
+    coordinates) and its ruling kernel (ten coefficient forms over 220
+    monomial slots), every order at three points, against the term-by-term
+    2-jet."""
+    x = cli._construct(cli.RunConfig({"variety": "counter2"}))
+    jets = getattr(x, kernel)
+    if kernel == "jets":
+        assert [len(f.terms) for f in jets.polys] == [165]
+    rng = random.Random(28)
+    p = jets.p
+    for _ in range(3):
+        point = [rng.randrange(p) for _ in range(jets.nvars)]
+        powers = jets.powers(point)
+        values, grads, hessians = jets.values(powers), jets.gradients(powers), jets.hessians(powers)
+        for k, f in enumerate(jets.polys):
+            ref = jet2_by_term_bookkeeping(f, point)
+            assert (values[k], grads[k], hessians[k]) == (ref.value, ref.gradient, ref.hessian)
+
+
+def test_compiled_kernels_are_freed_with_their_handle():
+    """No cache outside a handle keeps its kernels or their tables alive."""
+    x = cli._construct(cli.RunConfig({"variety": "counter1"}))
+    w = x.sample(random.Random(31))
+    assert x.chart_jet2(w).second
+    refs = [weakref.ref(x.jets), weakref.ref(x._ruling_jets)]
+    del x, w
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def _compiled_orders(jets):
