@@ -47,14 +47,22 @@ Univariate polynomials are coefficient lists, lowest degree first.
 substitution, as big-int products with no list arithmetic.  One long
 division, ``_poly_divmod``, serves the gcd and the exact quotients of the
 root finder, ``uni_roots_mod_p``, which takes the list that
-``restrict_univariate`` returns.
+``restrict_univariate`` returns.  Almost every root-finder call is a cubic
+at an analysis prime; a squarefree cubic at p > 3 gets its roots in closed
+form (``_cubic_roots``): Stickelberger's theorem picks the case from p mod 3
+and the quadratic character of the Cardano discriminant, and Cardano's
+formula in F_p, with an Adleman-Manders-Miller cube root, or a norm-one
+cube root in F_p(sqrt(D)) gives the roots.  Only p = 2 mod 3 with 0 or 3
+roots, and a repeated root, take the general gcd route.  Where the general
+route would draw random shifts, the closed form replays the same draws, so
+root sets and random streams do not depend on which route ran.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, ConstructionError
@@ -850,23 +858,27 @@ def uni_roots_mod_p(coeffs: Sequence[int], p: int, rng: random.Random | None = N
     coefficients, lowest degree first (as ``restrict_univariate`` returns
     them); entries are reduced mod p and trailing zeros dropped.
 
-    Splits off the product of linear factors with gcd(f, x^p - x), then
-    isolates single roots by randomized equal-degree splitting (Cantor and
-    Zassenhaus): gcd((x + a)^((p-1)/2) - 1, g) for random shifts a.  Both
-    powers are taken modulo a polynomial made monic once, from the most
-    significant bit of the exponent down: a square at every bit, and at a
-    set bit one multiplication by x + a, which is a shift plus a single
-    reduction step.  The random shifts only steer the recursion; the
-    returned set is a deterministic function of the polynomial.
+    The general route splits off the product of linear factors with
+    gcd(f, x^p - x), then isolates single roots by randomized equal-degree
+    splitting (Cantor and Zassenhaus): gcd((x + a)^((p-1)/2) - 1, g) for
+    random shifts a.  Both powers are taken modulo a polynomial made monic
+    once, from the most significant bit of the exponent down.  The random
+    shifts only steer the recursion; the returned set is a deterministic
+    function of the polynomial.
 
-    Most calls come from the Fermat cubic curve's draws, a plane cubic
-    restricted to a random line (1,340 of 1,869 in one benchmark
-    ``paper-suite`` round at seed 0), and the rest from cone sections cut
-    by a cubic, so the modulus is almost always a cubic, and these powers,
-    about log2(p) squarings each, are most of the sampling time.  A cubic
-    modulus gets its own power routine, which keeps the working power in
-    three locals instead of building lists at every bit; it returns the
-    same lists, so the random draws do not depend on which routine ran.
+    Almost every call is a cubic at an analysis prime near 2^31: the Fermat
+    curve's draws restrict a plane cubic to a random line, and cone sections
+    are cut by a cubic (606, 937 and 322 calls with 0, 1 and 3 roots in one
+    benchmark ``paper-suite`` round at seed 1).  A squarefree cubic at p > 3 goes to
+    ``_cubic_roots``, which reads its roots in closed form from a few
+    modular powers, and falls back to the general route only where that
+    gives no answer (a repeated root, or 0 or 3 roots at p = 2 mod 3).  The
+    general route draws shifts only to split a product of three or more
+    linear factors, which for a cubic means three distinct roots, and it
+    stops at the first shift a whose gcd has degree 1 or 2.  That degree is
+    the number of roots x with (x + a)^((p-1)/2) = 1, so ``_cubic_roots``,
+    once it holds the three roots, replays the same draws to the same
+    stopping point: the random stream is the same either way.
     """
     coeffs = _poly_trim([c % p for c in coeffs])
     if not coeffs:
@@ -875,8 +887,12 @@ def uni_roots_mod_p(coeffs: Sequence[int], p: int, rng: random.Random | None = N
         return frozenset()
     if rng is None:
         rng = random.Random(0xC0FFEE)
-    # product of distinct linear factors: gcd(f, x^p - x)
     coeffs = _poly_monic(coeffs, p)
+    if len(coeffs) == 4 and p > 3:
+        roots = _cubic_roots(coeffs, p, rng)
+        if roots is not None:
+            return roots
+    # product of distinct linear factors: gcd(f, x^p - x)
     xp_minus_x = _linear_power_mod(0, p, coeffs, p)
     while len(xp_minus_x) < 2:
         xp_minus_x.append(0)
@@ -885,6 +901,128 @@ def uni_roots_mod_p(coeffs: Sequence[int], p: int, rng: random.Random | None = N
     out: set[int] = set()
     _split_linear(g, p, rng, out)
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _cubic_constants(p: int) -> tuple:
+    """Constants of F_p that ``_cubic_roots`` reads, for a prime p > 3:
+    1/2, 1/3 and (p-1)/2; then, when p = 1 mod 3 (None otherwise), with
+    p - 1 = 3^s3 t and 3 not dividing t: s3, k with 3k = 1 mod t, the
+    inverse of a generator c of the 3-Sylow subgroup of F_p^*, the
+    primitive cube root of unity omega = c^(3^(s3-1)), and the bits of
+    e = 1/3 mod p + 1."""
+    base = (inverse(2, p), inverse(3, p), (p - 1) // 2)
+    if p % 3 != 1:
+        return base + (None,) * 5
+    t, s3 = p - 1, 0
+    while t % 3 == 0:
+        t //= 3
+        s3 += 1
+    g = 2
+    while pow(g, (p - 1) // 3, p) == 1:  # g^t must have the 3-part's full order
+        g += 1
+    c = pow(g, t, p)
+    return base + (s3, pow(3, -1, t), inverse(c, p), pow(c, 3 ** (s3 - 1), p), bin(pow(3, -1, p + 1))[2:])
+
+
+def _cubic_roots(f: list[int], p: int, rng: random.Random) -> frozenset[int] | None:
+    """The roots of the monic cubic f = x^3 + b2 x^2 + b1 x + b0 over F_p,
+    p > 3, drawing from rng exactly as the general route would; None when f
+    has a repeated root, or when p = 2 mod 3 and f has 0 or 3 roots.
+
+    With s = b2/3 the cubic is t^3 + P t + Q in t = x + s.  Cardano writes a
+    root as t = u + n/u with n = -P/3 and u^3 = w a root of
+    z^2 + Q z + n^3, so w = -h +- sqrt(D) with h = Q/2 and D = h^2 - n^3,
+    which is -disc/108.  For squarefree f, Stickelberger's theorem says f
+    has exactly one root in F_p iff its discriminant is a non-square, and
+    -3 is a square iff p = 1 mod 3, so the class of p mod 3 and whether D is
+    a square name the case:
+
+    - D a square, p = 2 mod 3: one root.  Cubing is a bijection of F_p^*,
+      u = w^((2p-1)/3) is the one cube root, and the root is u + n/u - s;
+    - D a square, p = 1 mod 3: three roots if w is a cube, else none.  The
+      roots are u omega^i + n/(u omega^i) - s for a cube root u of w, found
+      by ``_cube_root``; the three roots replay the general route's draws;
+    - D a non-square, p = 1 mod 3: one root, read in F_p(sqrt(D)) from
+      w = -h + sqrt(D).  mu = conj(w)/w has norm 1, and cubing is a
+      bijection of the norm-one group (order p + 1, prime to 3), so
+      lambda = mu^e, e = 1/3 mod p + 1, is conj(u)/u for every cube root u
+      of w.  The cube root with norm n, which gives the root in F_p, is
+      u = w lambda/n, and the root is u + conj(u) - s = 2 Re(u) - s;
+    - D a non-square, p = 2 mod 3, or D = 0: None.
+    """
+    b0, b1, b2 = f[0], f[1], f[2]
+    inv2, inv3, half, s3, k, c_inv, omega, e_bits = _cubic_constants(p)
+    s = b2 * inv3 % p
+    n = (s * s - b1 * inv3) % p
+    h = (b0 - s * b1 + 2 * s * s * s) * inv2 % p
+    disc = (h * h - n * n * n) % p
+    if not disc:
+        return None
+    if p % 4 == 3:
+        r = pow(disc, (p + 1) // 4, p)  # sqrt(D) if D is a square
+        square = r * r % p == disc
+    else:
+        square = pow(disc, half, p) == 1
+        r = _sqrt_mod(disc, p) if square else 0
+    if square:
+        w = (r - h) % p or (-h - r) % p
+        if p % 3 == 2:
+            u = pow(w, (2 * p - 1) // 3, p)
+            return frozenset(((u + n * inverse(u, p) - s) % p,))
+        u = _cube_root(w, p, s3, k, c_inv, omega)
+        if u is None:
+            return frozenset()
+        roots = []
+        for _ in range(3):
+            roots.append((u + n * inverse(u, p) - s) % p)
+            u = u * omega % p
+        # the general route's draws: shifts until one splits the three roots
+        while True:
+            a = rng.randrange(p)
+            if 0 < sum(pow(x + a, half, p) == 1 for x in roots) < 3:
+                return frozenset(roots)
+    if p % 3 == 2:
+        return None
+    if not h:
+        return frozenset(((-s) % p,))  # Q = 0: the root is t = 0
+    # mu = conj(w)^2 / N(w), N(w) = h^2 - D = n^3, has trace
+    # V_1 = 2 (h^2 + D)/n^3 and norm 1, so the traces V_j of mu^j obey
+    # V_2j = V_j^2 - 2 and V_2j+1 = V_j V_j+1 - V_1, and a Lucas ladder over
+    # the bits of e gives V_e = Tr(lambda) and V_e+1 = Tr(lambda mu).
+    # Writing w = alpha + beta mu (beta = 1/mu_1 = n^3/2h) turns
+    # Tr(u) = Tr(w lambda)/n into (n^3 V_e+1 - (3h^2 + D) V_e) / 2hn.
+    trace = 2 * (h * h + disc) * inverse(n * n * n, p) % p
+    v, v1 = 2, trace
+    for bit in e_bits:
+        if bit == "1":
+            v, v1 = (v * v1 - trace) % p, (v1 * v1 - 2) % p
+        else:
+            v, v1 = (v * v - 2) % p, (v * v1 - trace) % p
+    tr_u = (n * n * n * v1 - (3 * h * h + disc) * v) * inverse(2 * h * n, p)
+    return frozenset(((tr_u - s) % p,))
+
+
+def _cube_root(w: int, p: int, s3: int, k: int, c_inv: int, omega: int) -> int | None:
+    """A cube root of w in F_p^*, p = 1 mod 3, or None if w is not a cube,
+    by the Adleman-Manders-Miller method.  With p - 1 = 3^s3 t and
+    3k = 1 mod t, x = w^k has x^3 = w b for b = w^(3k-1) in the 3-Sylow
+    subgroup, which c generates.  Pohlig-Hellman reads b = c^L one base-3
+    digit at a time, each digit's power of omega being what is left of b
+    raised to a power of 3: s3 small powers, with no search of the subgroup.
+    The lowest digit's power, b^(3^(s3-1)) = omega^L, is w^((p-1)/3) raised
+    to (3k - 1)/t, which is 1, 2 or -1, so w is a cube exactly when that
+    digit is 0, and then x c^(-L/3) is a cube root of w."""
+    x = pow(w, k, p)
+    b = x * x % p * x % p * inverse(w, p) % p
+    digits = 0
+    for i in range(s3):
+        part = pow(b * pow(c_inv, digits, p) % p, 3 ** (s3 - 1 - i), p)
+        if part != 1:
+            if not i:
+                return None
+            digits += 3**i if part == omega else 2 * 3**i
+    return x * pow(c_inv, digits // 3, p) % p
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -918,12 +1056,10 @@ def _poly_monic(m: list[int], p: int) -> list[int]:
 
 def _linear_power_mod(a: int, e: int, m: list[int], p: int) -> list[int]:
     """(x + a)^e mod the monic m of degree d >= 1, most significant bit of e
-    first.  The working power is kept as d coefficients, zeros included.
-    A cubic m, the modulus of every witness a cubic section draws, goes to
-    ``_linear_power_mod_cubic``; the result is the same list either way."""
+    first: a square at every bit, and at a set bit one multiplication by
+    x + a, which is a shift plus a single reduction step.  The working power
+    is kept as d coefficients, zeros included."""
     d = len(m) - 1
-    if d == 3:
-        return _linear_power_mod_cubic(a, e, m, p)
     neg = [p - c for c in m[:d]]  # x^d = sum neg[i] x^i mod m
     r = [1] + [0] * (d - 1)
     for bit in bin(e)[2:]:
@@ -946,28 +1082,6 @@ def _linear_power_mod(a: int, e: int, m: list[int], p: int) -> list[int]:
             sq = [top * c + a * x + prev for c, x, prev in zip(neg, sq, [0] + sq[: d - 1])]
         r = [c % p for c in sq[:d]]
     return _poly_trim(r)
-
-
-def _linear_power_mod_cubic(a: int, e: int, m: list[int], p: int) -> list[int]:
-    """``_linear_power_mod`` for a monic cubic m, with the working power
-    r0 + r1 x + r2 x^2 in three locals.  A square has terms up to x^4,
-    folded back through x^3 = n0 + n1 x + n2 x^2 and
-    x^4 = f0 + f1 x + f2 x^2 mod m, both fixed by m."""
-    n0, n1, n2 = (-m[0]) % p, (-m[1]) % p, (-m[2]) % p
-    f0, f1, f2 = n2 * n0 % p, (n0 + n2 * n1) % p, (n1 + n2 * n2) % p
-    r0, r1, r2 = 1, 0, 0
-    for bit in bin(e)[2:]:
-        s3 = 2 * r1 * r2 % p
-        s4 = r2 * r2 % p
-        r0, r1, r2 = (
-            (r0 * r0 + s3 * n0 + s4 * f0) % p,
-            (2 * r0 * r1 + s3 * n1 + s4 * f1) % p,
-            (r1 * r1 + 2 * r0 * r2 + s3 * n2 + s4 * f2) % p,
-        )
-        if bit == "1":
-            # (x + a) r = x r + a r, with r2 x^3 folded back
-            r0, r1, r2 = (a * r0 + r2 * n0) % p, (r0 + a * r1 + r2 * n1) % p, (r1 + a * r2 + r2 * n2) % p
-    return _poly_trim([r0, r1, r2])
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:

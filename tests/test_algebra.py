@@ -1,6 +1,7 @@
 """Exact arithmetic layer: fields, matrices, polynomials, jets, roots."""
 
 import ast
+import functools
 import itertools
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import terracini.algebra as algebra
@@ -20,6 +21,8 @@ from terracini.algebra import (
     Matrix,
     MultiPoly,
     PolyJets,
+    _cube_root,
+    _cubic_constants,
     _gauss_jordan,
     _gauss_jordan_int64,
     _gauss_jordan_lists,
@@ -866,9 +869,9 @@ def cubic_moduli(draw):
 @given(cubic_moduli())
 @settings(max_examples=300, deadline=None)
 def test_cubic_linear_power_matches_square_and_multiply_reference(case):
-    """The three-local cubic branch of ``_linear_power_mod`` against the
-    oracle's square-and-multiply on full products, at the root finder's
-    exponents and at random ones."""
+    """``_linear_power_mod`` on cubic moduli, the ones the root finder's
+    general route meets, against the oracle's square-and-multiply on full
+    products, at the root finder's exponents and at random ones."""
     p, m, a, e = case
     assert _linear_power_mod(a, e, _poly_monic(m, p), p) == poly_powmod([a, 1], e, m, p)
 
@@ -924,3 +927,140 @@ def test_roots_and_random_draws_match_reference(case):
     assert rng.getstate() == ref_rng.getstate()
     if p == 1009:
         assert roots == roots_by_scan(_uni(field, coeffs), field)
+
+
+# primes on both sides of 3 and of 4: 1013 and 2003 are 2 mod 3, the rest
+# 1 mod 3, and 3^6 exactly divides 1459 - 1
+_CUBIC_PRIMES = (1009, 1013, 2003, 1459, 2**31 - 1, 2**31 - 19, 2**61 - 1)
+_ANALYSIS_PRIMES = (2**31 - 1, 2**31 - 19)
+
+
+def _times_linear(coeffs, r, p):
+    """coeffs times x - r, mod p."""
+    return [(lo - r * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+
+
+def _shift(coeffs, beta, p):
+    """The polynomial f(x - beta), by Horner's rule on x - beta."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = _times_linear(out, beta, p)
+        out[0] = (out[0] + c) % p
+    return out
+
+
+def _cubic_discriminant(f, p):
+    """The discriminant mod p of d + c x + b x^2 + a x^3, zero exactly when
+    it has a repeated root."""
+    d, c, b, a = f
+    return (b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d) % p
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducible_cubic(p):
+    """The first x^3 + x + c, c = 1, 2, ..., with no root in F_p, by the
+    reference root finder's x^p mod f: a cubic with no root is irreducible."""
+    c = 1
+    while roots_reference([c, 1, 0, 1], p, random.Random(0)):
+        c += 1
+    return [c, 1, 0, 1]
+
+
+@st.composite
+def planted_cubics(draw, primes=_CUBIC_PRIMES, repeated=True):
+    """(p, coefficients, seed, root count) of a cubic with a random leading
+    coefficient and a planted factorization: three distinct roots, one root
+    times an irreducible quadratic, an irreducible cubic (the irreducible
+    x^3 + x + c moved by x -> x - beta), x^3 - a (P = 0), t^3 + b t (Q = 0)
+    moved by x -> x - beta, or a repeated root."""
+    p = draw(st.sampled_from(primes))
+    kinds = ["three roots", "root and quadratic", "irreducible", "P = 0", "Q = 0"]
+    kind = draw(st.sampled_from(kinds + ["repeated root"] * repeated))
+    elem, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    if kind == "three roots":
+        f = [1]
+        for r in draw(st.lists(elem, min_size=3, max_size=3, unique=True)):
+            f = _times_linear(f, r, p)
+        count = 3
+    elif kind == "root and quadratic":
+        # x^2 + b x + c has discriminant b^2 - 4c = d z^2 for a non-square d
+        d = next(q for q in range(2, p) if pow(q, (p - 1) // 2, p) == p - 1)
+        b, z = draw(elem), draw(unit)
+        quadratic = [(b * b - d * z * z) * pow(4, -1, p) % p, b, 1]
+        f, count = _times_linear(quadratic, draw(elem), p), 1
+    elif kind == "irreducible":
+        f, count = _shift(_irreducible_cubic(p), draw(elem), p), 0
+    elif kind == "P = 0":
+        # cubing is a bijection at p = 2 mod 3, else a has 3 cube roots or none
+        a = draw(unit)
+        f = [-a % p, 0, 0, 1]
+        count = 1 if p % 3 == 2 else 3 * (pow(a, (p - 1) // 3, p) == 1)
+    elif kind == "Q = 0":
+        # t (t^2 + b): the root 0, and two more when -b is a square
+        b = draw(unit)
+        f = _shift([0, b, 0, 1], draw(elem), p)
+        count = 1 + 2 * (pow(-b, (p - 1) // 2, p) == 1)
+    else:
+        r, q = draw(elem), draw(elem)
+        f = _times_linear(_times_linear(_times_linear([1], r, p), r, p), q, p)
+        count = len({r, q})
+    lead = draw(unit)
+    return p, [c * lead % p for c in f], draw(st.integers(0, 2**32)), count
+
+
+@given(planted_cubics())
+@settings(max_examples=400, deadline=None)
+def test_cubic_roots_and_random_draws_match_reference_on_every_branch(case):
+    """Every case of the closed-form cubic front end, and the general route
+    it leaves to, against the reference root finder: the same root set, the
+    planted number of roots, and the same random stream afterwards; below
+    p = 3000 the set is also a brute scan's."""
+    p, coeffs, seed, count = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    roots = uni_roots_mod_p(coeffs, p, rng)
+    assert roots == roots_reference(coeffs, p, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    assert len(roots) == count
+    if p < 3000:
+        field = FieldSpec.prime(p)
+        assert roots == roots_by_scan(_uni(field, coeffs), field)
+
+
+@given(planted_cubics(primes=_ANALYSIS_PRIMES, repeated=False), st.data())
+@settings(max_examples=200, deadline=None)
+def test_squarefree_cubics_at_analysis_primes_skip_polynomial_powers_and_gcds(case, data):
+    """At both analysis primes every squarefree cubic, planted or random,
+    gets its roots in closed form: no power of x + a modulo the cubic and
+    no polynomial gcd, with the reference's roots and draws."""
+    p, coeffs, seed, _ = case
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3)) + [data.draw(st.integers(1, p - 1))]
+        assume(_cubic_discriminant(coeffs, p))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_linear_power_mod", counted(algebra._linear_power_mod))
+        mp.setattr(algebra, "_poly_gcd", counted(algebra._poly_gcd))
+        roots = uni_roots_mod_p(coeffs, p, rng)
+        assert not calls
+    assert roots == roots_reference(coeffs, p, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("p", [7, 19, 163, 1009, 1459])
+def test_cube_root_on_every_unit(p):
+    """``_cube_root`` on every unit of F_p, with 3^s3 exactly dividing
+    p - 1 for s3 = 1, 2, 4, 2 and 6: a cube root for each cube, None for
+    each non-cube."""
+    _, _, _, s3, k, c_inv, omega, _ = _cubic_constants(p)
+    cubes = {x**3 % p for x in range(1, p)}
+    for w in range(1, p):
+        u = _cube_root(w, p, s3, k, c_inv, omega)
+        assert (u is not None and pow(u, 3, p) == w) if w in cubes else u is None
