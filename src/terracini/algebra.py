@@ -31,11 +31,12 @@ nonzero output is a sparse row of (monomial slot, coefficient) pairs read
 straight off the terms, and an identically zero output has no row and costs
 nothing.  The monomials of an order form a prefix chain, so one routine,
 ``_evaluate``, reads any order at a point with one multiplication per
-monomial, its prefix's value times a power, then a short dot product mod p
-per output.  Each order is compiled on first read and kept by its kernel
-alone, so first-order work (tangent frames, and so every secant dimension)
-never builds Hessian rows, a kernel that only evaluates builds neither, and
-the tables go when the kernel does.
+monomial, its prefix's value times a power, then a short dot product per
+output.  Monomial values stay unreduced integers (below p^s over s support
+variables), and each output is reduced mod p once.  Each order is compiled
+on first read and kept by its kernel alone, so first-order work (tangent
+frames, and so every secant dimension) never builds Hessian rows, a kernel
+that only evaluates builds neither, and the tables go when the kernel does.
 
 A ``MultiPoly`` is a validated map from exponent tuples to coefficients,
 with no ring arithmetic: it reduces, evaluates and reports its degree.  The
@@ -825,13 +826,19 @@ def _lower(mono: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, int], 
 def _evaluate(table: tuple[tuple, tuple], powers: Sequence[Sequence[int]], size: int, p: int) -> list[int]:
     """``size`` outputs of a (chain, rows) table at a point, from its power
     table: each slot's value by one multiplication, its parent's value times
-    a power, then each row's dot product with those values mod p, and 0
-    where there is no row."""
+    a power, then each row's dot product with those values, and 0 where
+    there is no row.
+
+    A slot keeps its exact integer product, unreduced: the product of one
+    reduced power per support variable, so below p^s for a monomial over s
+    variables.  Each output is reduced once, at the end of its row: on the
+    cone sections' value tables that is a third faster than a reduction per
+    slot, and no slower on their gradient and Hessian tables."""
     chain, rows = table
     values = [1]
     append = values.append
     for parent, i, e in chain:
-        append(values[parent] * powers[i][e] % p)
+        append(values[parent] * powers[i][e])
     out = [0] * size
     for pos, pairs in rows:
         acc = 0
@@ -1123,14 +1130,10 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: set[int]) -> No
             return
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """Tonelli-Shanks; callers guarantee n is a quadratic residue."""
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # general case
+@lru_cache(maxsize=None)
+def _sqrt_constants(p: int) -> tuple[int, int, int]:
+    """Tonelli-Shanks constants of F_p for a prime p = 1 mod 4: s and q with
+    p - 1 = 2^s q and q odd, and z^q for the least quadratic non-residue z."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -1138,7 +1141,19 @@ def _sqrt_mod(n: int, p: int) -> int:
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    return s, q, pow(z, q, p)
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """Tonelli-Shanks; callers guarantee n is a quadratic residue.  At
+    p = 1 mod 4 the non-residue's power is read from ``_sqrt_constants``."""
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    m, q, c = _sqrt_constants(p)
+    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
     while t != 1:
         t2 = t
         i = 0

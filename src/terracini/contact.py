@@ -89,14 +89,13 @@ def nu_estimate(
     best: Optional[int] = None
     space_dim: Optional[int] = None
     for _ in range(WITNESS_TUPLES):
-        ws, frames = _nondegenerate_tuple(x, k + 1, n, rng)
+        _, charts, frames = _nondegenerate_tuple(x, k + 1, n, rng)
         space = _hyperplanes_through(frames)
         if space.cols == 0:
             return NuEstimate(k=k, nu=None, hyperplane_space_dim=0)
         space_dim = space.cols if space_dim is None else min(space_dim, space.cols)
-        # chart jets draw no randomness; each is built once and its second
-        # order, on first read, serves every drawn hyperplane
-        charts = [x.chart_jet2(w) for w in ws]
+        # each chart's second order, computed on first read, serves every
+        # drawn hyperplane
         p = x.field.modulus
         for _ in range(hyperplane_draws):
             coeffs = _draw_hyperplane(x, space, rng)

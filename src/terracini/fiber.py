@@ -768,7 +768,14 @@ def fiber_probe(
 
 def tangent_functoriality_check(x: VarietyHandle, k: int, rng: random.Random) -> FunctorialityReport:
     """Push source tangent frames through the k-tangential projection and
-    compare them with the image handle's own frames at the image witnesses."""
+    compare them with the image handle's own frames at the image witnesses.
+
+    The comparison is not independent: ``ProjectionHandle.chart_jet2``
+    pushes its base's chart jet through ``proj``, so the image frame at pw
+    is ``proj`` times x's frame at ``pw.base``, the very matrix pushed here.
+    The two are equal entry for entry (all 30 comparisons of criterion 10
+    at seed 0), and ``span_consistent`` reduces to both having rank n + 1.
+    """
     child = derive_rng(rng.randrange(2**63), "functoriality", k)
     n = x.intrinsic_dim(child)
     projected, _ = tangential_projection(x, k, child)

@@ -17,6 +17,7 @@ from .algebra import Matrix, exact_rank
 from .errors import CenterFillsAmbient, ConfigError, DegenerateWitness
 from .varieties import (
     MAX_RESAMPLE,
+    ChartJet,
     ProjectionHandle,
     VarietyHandle,
     Witness,
@@ -48,19 +49,23 @@ def expected_secant_dim(x: VarietyHandle, k: int, rng: random.Random) -> int:
 
 def _nondegenerate_tuple(
     x: VarietyHandle, count: int, n: int, rng: random.Random
-) -> tuple[list[Witness], list[Matrix]]:
+) -> tuple[list[Witness], list[ChartJet], list[Matrix]]:
     """Distinct witnesses whose tangent frames all have full rank n + 1,
-    returned with those frames so callers never rebuild them."""
+    returned with the chart jets those frames were read from and the frames
+    themselves, so callers never rebuild either.  A chart jet has read only
+    its first order; its second is computed on the caller's first read."""
     for _ in range(MAX_RESAMPLE):
         ws = sample_distinct(x, count, rng)
-        frames = []
+        charts, frames = [], []
         for w in ws:
-            frame = x.tangent_frame(w)
+            chart = x.chart_jet2(w)
+            frame = chart.frame(x.field)
             if exact_rank(frame) != n + 1:
                 break
+            charts.append(chart)
             frames.append(frame)
         else:
-            return ws, frames
+            return ws, charts, frames
     raise DegenerateWitness(
         f"could not draw {count} witnesses with full frames on {x.label}"
     )
@@ -77,7 +82,7 @@ def terracini_dim(
     n = x.intrinsic_dim(rng)
     best, best_ws = -1, ()
     for _ in range(trials):
-        ws, frames = _nondegenerate_tuple(x, k + 1, n, rng)
+        ws, _, frames = _nondegenerate_tuple(x, k + 1, n, rng)
         dim = exact_rank(Matrix.hstack(frames)) - 1
         if dim > best:
             best, best_ws = dim, tuple(ws)
@@ -147,7 +152,7 @@ def tangential_projection(
     if h < 1:
         raise ConfigError("need at least one tangent space to project from")
     n = x.intrinsic_dim(rng)
-    ws, frames = _nondegenerate_tuple(x, h, n, rng)
+    ws, _, frames = _nondegenerate_tuple(x, h, n, rng)
     hyperplanes = _hyperplanes_through(frames)
     if hyperplanes.cols == 0:
         raise CenterFillsAmbient(

@@ -148,6 +148,11 @@ class ChartJet:
     def dim(self) -> int:
         return len(self.first)
 
+    def frame(self, field: FieldSpec) -> Matrix:
+        """The tangent frame this chart gives: its point, then its first
+        derivatives, as columns."""
+        return Matrix.from_columns(field, [self.point, *self.first])
+
 
 def _contract_hessian(gradient, hessian, chart: ChartJet, p: int) -> tuple[tuple[int, ...], ...]:
     """Chart Hessian of an ambient function with this gradient and Hessian at
@@ -234,8 +239,7 @@ class VarietyHandle:
         witness, which is full column rank only on a chart generically
         finite onto X: a map image of a larger base has dependent columns.
         """
-        jet = self.chart_jet2(w)
-        return Matrix.from_columns(self.field, [jet.point] + list(jet.first))
+        return self.chart_jet2(w).frame(self.field)
 
     def pullback_jet2(self, coeffs: Sequence[int], w: Witness) -> Jet2:
         """2-jet on the local chart of the linear form with these coefficients.
@@ -705,7 +709,11 @@ class SectionHandle(VarietyHandle):
     Over a cone, the restriction to a ruling happens once per handle: the
     constructor expands each constraint as g(y + V mu), grouped into
     coefficient polynomials in y per mu-monomial and compiled into one
-    kernel, and a draw only evaluates those at its base point y.  The
+    kernel, and a draw only evaluates those at its base point y.  Every
+    base point y is zero off the cone base's coordinate support (the cone
+    base's own witnesses and the fiber scan's curve points are), so the
+    expansion keeps y_i only on that support, and ``_restrict_to_ruling``
+    refuses a y that is not.  The
     restriction to a random line (in mu over a cone, in the chart over a
     parametric base) depends on the draw and is made per draw, on
     coefficient lists (``restrict_univariate``).  This handle is the one
@@ -741,7 +749,9 @@ class SectionHandle(VarietyHandle):
                 )
         self.jets = PolyJets(self.constraints, base.ambient_r + 1)
         if isinstance(base, ConeHandle):
-            self._ruling_keys, self._ruling_jets = _ruling_forms(self.constraints, base.vertex)
+            support = base.base.coord_support
+            self._off_support = [i for i in range(base.ambient_r + 1) if i not in support]
+            self._ruling_keys, self._ruling_jets = _ruling_forms(self.constraints, base.vertex, support)
 
     @property
     def chart_dim(self) -> int:
@@ -838,7 +848,11 @@ class SectionHandle(VarietyHandle):
     def _restrict_to_ruling(self, y: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
         """The nonzero terms, keyed by mu-exponent, of each constraint
         restricted to the ruling x = y + V mu: its mu-coefficients evaluated
-        at y by one compiled kernel."""
+        at y by one compiled kernel.  The kernel reads y only on the cone
+        base's coordinate support, so a y with a nonzero coordinate off it
+        raises ``ConstructionError``."""
+        if any(y[i] for i in self._off_support):
+            raise ConstructionError("ruling base point is nonzero off the cone base's coordinate support")
         jets = self._ruling_jets
         out: list[dict[tuple[int, ...], int]] = [{} for _ in self.constraints]
         for (g, mu_e), c in zip(self._ruling_keys, jets.values(jets.powers(y))):
@@ -915,23 +929,30 @@ class SectionHandle(VarietyHandle):
         return ChartJet(w.raw, first, second)
 
 
-def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix):
+def _ruling_forms(constraints: Sequence[MultiPoly], vertex: Matrix, support: frozenset[int]):
     """Each constraint g as g(y + V mu), a polynomial in (y, mu), with its
     terms grouped by mu-monomial into coefficient polynomials in y: the
     (constraint index, mu-exponent) of each coefficient polynomial, and one
     kernel over them in the same order.
 
+    Only points y that vanish off ``support`` are ever passed in, so
+    coordinate i's linear form keeps y_i only for i in ``support``: it is
+    y_i + sum_j V_ij mu_j there and sum_j V_ij mu_j elsewhere.  That drops
+    every term a y-coordinate off the support would carry, and nothing else:
+    the expansion is the general one, so a vertex with nonzero rows on the
+    support expands correctly too.
+
     The expansion runs on {exponents over (y, mu): coefficient} dicts.  Each
-    coordinate's linear form y_i + sum_j V_ij mu_j keeps one list of its
-    powers, grown on demand and shared by every constraint, and each term of
-    g is its coefficient times a product of cached powers."""
+    coordinate's linear form keeps one list of its powers, grown on demand
+    and shared by every constraint, and each term of g is its coefficient
+    times a product of cached powers."""
     field = vertex.field
     p = field.modulus
     r1, m = vertex.rows, vertex.cols
     zero = (0,) * (r1 + m)
     powers = []
     for i in range(r1):
-        form = {_unit(r1 + m, i): 1}
+        form = {_unit(r1 + m, i): 1} if i in support else {}
         for j in range(m):
             if vertex[i, j]:
                 form[_unit(r1 + m, r1 + j)] = vertex[i, j]
@@ -986,13 +1007,18 @@ def _linear_combo(vectors, coeffs, p: int) -> tuple[int, ...]:
     return tuple(x % p for x in out)
 
 
-def _check_not_identically_zero(base: VarietyHandle, g: MultiPoly, rng: random.Random) -> None:
-    hits = 0
+def _check_not_identically_zero(x: VarietyHandle, cut: SectionHandle, rng: random.Random) -> None:
+    """Refuse a cut whose newest constraint, the last of ``cut``'s, vanishes
+    at five draws from x, the handle it cuts.  The values are read off the
+    cut's own kernel, whose value table every later draw from the cut reads
+    too.  All five draws are made even after a nonzero value, so the random
+    stream does not depend on the values."""
+    jets = cut.jets
+    hit = False
     for _ in range(5):
-        w = base.sample(rng)
-        if g.evaluate(w.raw) != 0:
-            hits += 1
-    if hits == 0:
+        w = x.sample(rng)
+        hit = hit or jets.values(jets.powers(w.raw))[-1] != 0
+    if not hit:
         raise ConstructionError("constraint vanishes identically on the base (5 samples)")
 
 
@@ -1004,8 +1030,9 @@ def hypersurface_section(
         raise FieldMismatchError("hypersurface field differs")
     if h.nvars != base.ambient_r + 1 or not h.is_homogeneous() or h.total_degree() < 1:
         raise ConstructionError("hypersurface must be homogeneous on the ambient coordinates")
-    _check_not_identically_zero(base, h, rng)
-    return SectionHandle(base, [h], label or f"section-of-{base.label}")
+    cut = SectionHandle(base, [h], label or f"section-of-{base.label}")
+    _check_not_identically_zero(base, cut, rng)
+    return cut
 
 
 def hyperplane_section(
@@ -1021,9 +1048,10 @@ def hyperplane_section(
     if not isinstance(coeffs, list) or len(coeffs) != n:
         raise ConstructionError(f"a hyperplane needs a list of {n} coefficients, got {coeffs!r}")
     lam = MultiPoly.from_int_terms(x.field, n, [(c, _unit(n, i)) for i, c in enumerate(coeffs)])
-    _check_not_identically_zero(x, lam, rng)
     base, constraints = (x.base, [*x.constraints, lam]) if isinstance(x, SectionHandle) else (x, [lam])
-    return SectionHandle(base, constraints, label or f"hyperplane-cut-{x.label}")
+    cut = SectionHandle(base, constraints, label or f"hyperplane-cut-{x.label}")
+    _check_not_identically_zero(x, cut, rng)
+    return cut
 
 
 def generic_hyperplane_section(

@@ -358,6 +358,35 @@ def jet2_by_term_bookkeeping(f: MultiPoly, point) -> Jet2:
     )
 
 
+def sqrt_reference(n: int, p: int) -> int:
+    """Tonelli-Shanks as the library's ``_sqrt_mod`` was before its per-prime
+    constants were cached: it searches for the least non-residue z, and
+    takes z^q, on every call.  For a quadratic residue n."""
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        t2 = t
+        i = 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def ruling_restriction_by_terms(terms, vertex_columns, y, p: int) -> dict[tuple[int, ...], int]:
     """g(y + V mu) as {mu-exponent: coefficient}, nonzero coefficients only,
     for g = sum coef * x^expo given as integer (coefficient, exponents)

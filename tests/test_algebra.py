@@ -54,6 +54,7 @@ from oracles import (
     restriction_by_list_products,
     roots_by_scan,
     roots_reference,
+    sqrt_reference,
 )
 
 F1009 = FieldSpec.prime(1009)
@@ -758,6 +759,34 @@ def test_jet_kernel_matches_term_by_term_reference(case):
                 assert type(x) is int and 0 <= x < p
 
 
+def test_unreduced_chain_is_exact_on_wide_monomials_at_a_61_bit_prime():
+    """Chain slots keep unreduced products, below p^s over s support
+    variables: at p = 2^61 - 1, monomials over 20 to 24 of 24 variables make
+    slots of up to ~1,500 bits, and every order still equals the term-by-term
+    2-jet, with each output reduced into [0, p)."""
+    p = 2**61 - 1
+    field = FieldSpec.prime(p)
+    n = 24
+    rng = random.Random(61)
+    entry = lambda: rng.choice([1, p - 1, rng.randrange(p)])  # noqa: E731
+    polys = []
+    for _ in range(3):
+        terms = []
+        for _ in range(6):
+            support = rng.sample(range(n), rng.randint(20, n))
+            terms.append((entry(), tuple(rng.randint(1, 3) if i in support else 0 for i in range(n))))
+        polys.append(MultiPoly.from_int_terms(field, n, terms))
+    jets = PolyJets(polys, n)
+    for point in ([p - 1] * n, [entry() for _ in range(n)], [rng.randrange(p) for _ in range(n)]):
+        powers = jets.powers(point)
+        values, grads, hessians = jets.values(powers), jets.gradients(powers), jets.hessians(powers)
+        for k, f in enumerate(polys):
+            ref = jet2_by_term_bookkeeping(f, point)
+            assert (values[k], grads[k], hessians[k]) == (ref.value, ref.gradient, ref.hessian)
+            for x in (values[k], *grads[k], *(h for row in hessians[k] for h in row)):
+                assert type(x) is int and 0 <= x < p
+
+
 # -- univariate roots ----------------------------------------------------------
 
 
@@ -793,6 +822,27 @@ def test_roots_handle_multiplicity_and_rootless():
     f = _uni(F2003, [1, 0, 1])
     assert uni_roots_mod_p([1, 0, 1], 2003) == frozenset()
     assert uni_roots_mod_p([1, 0, 1], 2003) == roots_by_scan(f, F2003)
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 2**31 - 19])
+def test_sqrt_mod_matches_brute_force_and_the_uncached_reference(p):
+    """The cached per-prime constants leave every root as it was: at 1009
+    and 1013 every residue's root is one of its two square roots by scan and
+    equals the uncached Tonelli-Shanks root; at 2^31 - 19 the same holds for
+    the squares of 300 random units, whose square roots are known."""
+    if p < 2000:
+        roots: dict[int, set[int]] = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, set()).add(x)
+    else:
+        rng = random.Random(19)
+        roots = {}
+        for x in (rng.randrange(1, p) for _ in range(300)):
+            roots[x * x % p] = {x, p - x}
+    for n, expected in roots.items():
+        r = algebra._sqrt_mod(n, p)
+        assert r in expected
+        assert r == sqrt_reference(n, p)
 
 
 def test_roots_reject_bad_inputs():

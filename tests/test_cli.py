@@ -14,6 +14,7 @@ import pytest
 
 from terracini import cli, fiber, varieties
 from terracini.errors import ConfigError
+from terracini.instances import builtin_blueprint
 from terracini.suite import CriterionResult, SuiteResult
 
 
@@ -145,6 +146,33 @@ def test_both_cuts_of_a_curve_exit_2(tmp_path, capsys, cut, verb):
     code, out, err = run_cli([verb, "--config", write_config(tmp_path, {"variety": CURVE_CUTS[cut]})], capsys)
     assert (code, out) == (2, "")
     assert "a cut needs dimension >= 2" in err
+
+
+# cubic cuts by forms that vanish on their base: x0 x3 - x1^2 on the conic
+# Veronese surface (1 * v^2 - v * v), and x0 x2 - x1^2 on counter1's cone,
+# whose first coordinates are z^2, yz and y^2
+VANISHING_CUTS = {
+    "veronese-2-2": (
+        {"constructor": "veronese", "n": 2, "d": 2},
+        [[1, [1, 0, 0, 1, 0, 0]], [-1, [0, 2, 0, 0, 0, 0]]],
+    ),
+    "counter1-cone": (
+        builtin_blueprint("counter1")["base"],
+        [[1, [1, 0, 1, 0, 0, 0, 0, 0]], [-1, [0, 2, 0, 0, 0, 0, 0, 0]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(VANISHING_CUTS))
+def test_cut_by_a_form_vanishing_on_its_base_exits_2(tmp_path, capsys, key):
+    """The zero check reads the cut's own kernel at five base draws, and a
+    form that vanishes on the whole base is still refused."""
+    base, h = VANISHING_CUTS[key]
+    tree = {"constructor": "hypersurface_section", "base": base, "h": h}
+    config = write_config(tmp_path, {"variety": tree, "k_range": [1, 1]})
+    code, out, err = run_cli(["defect-scan", "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("terracini:") and "vanishes identically" in err and "Traceback" not in err
 
 
 # trees outside the paper's standing hypotheses that used to read as a

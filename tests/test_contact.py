@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
+from terracini import contact
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, dot, exact_rank
 from terracini.contact import (
+    WITNESS_TUPLES,
     _draw_hyperplane,
     _tangent_corank,
     check_nu_ge_delta,
@@ -14,6 +16,7 @@ from terracini.contact import (
     nu_estimate,
 )
 from terracini.errors import DegenerateWitness
+from terracini.instances import builtin_blueprint
 from terracini.secant import _hyperplanes_through, _nondegenerate_tuple
 from terracini.varieties import (
     _contract_linear_form,
@@ -180,7 +183,7 @@ def test_contact_corank_rejects_non_tangent_hyperplanes():
 def test_tangent_hyperplane_really_contains_the_frames():
     rng = random.Random(47)
     ver = veronese(F, 2, 3)
-    _, frames = _nondegenerate_tuple(ver, 2, 2, rng)
+    _, _, frames = _nondegenerate_tuple(ver, 2, 2, rng)
     space = _hyperplanes_through(frames)
     coeffs = _draw_hyperplane(ver, space, rng)
     for frame in frames:
@@ -188,6 +191,33 @@ def test_tangent_hyperplane_really_contains_the_frames():
             assert dot(coeffs, frame.column(j), P) == 0
             for h in range(space.cols):
                 assert dot(space.column(h), frame.column(j), P) == 0
+
+
+def test_nu_estimate_charts_each_witness_once(monkeypatch):
+    """The chart jets a tuple's frames were read from serve its hyperplane
+    draws too: on counter1 at k = 1, ``chart_jet2`` runs exactly once per
+    witness of each tuple, in draw order."""
+    rng = random.Random(30)
+    x = build(builtin_blueprint("counter1"), F, rng, label="counter1")
+    x.intrinsic_dim(rng)  # the dimension's own draws are cached before counting
+    charted, tuples = [], []
+    chart_jet2, nondegenerate = x.chart_jet2, contact._nondegenerate_tuple
+
+    def counted(w):
+        charted.append(w)
+        return chart_jet2(w)
+
+    def recorded(*args):
+        out = nondegenerate(*args)
+        tuples.append(out[0])
+        return out
+
+    monkeypatch.setattr(x, "chart_jet2", counted)
+    monkeypatch.setattr(contact, "_nondegenerate_tuple", recorded)
+    est = nu_estimate(x, 1, rng)
+    assert est.nu is not None
+    assert len(tuples) == WITNESS_TUPLES
+    assert charted == [w for ws in tuples for w in ws]
 
 
 # -- towers and the defect comparison -----------------------------------------

@@ -327,7 +327,9 @@ def test_section_over_parametric_solves_one_constraint():
 def test_ruling_form_matches_direct_restriction(name):
     """The per-handle form g(y + V mu), evaluated at y, is the constraint
     restricted to the ruling over y, term for term.  The threefold is also
-    cut by a hyperplane, which gives a second, linear constraint."""
+    cut by a hyperplane, which gives a second, linear constraint.  Random
+    points lie on the cone base's coordinate support, with zeros elsewhere,
+    as every point a caller passes does."""
     x = cli._construct(cli.RunConfig({"variety": name}))
     if name == "counter3-n3":
         x = generic_hyperplane_section(x, random.Random(5))
@@ -335,12 +337,13 @@ def test_ruling_form_matches_direct_restriction(name):
     field, vertex = x.field, x.base.vertex
     columns = [list(col) for col in vertex.columns()]
     terms = [[(c, e) for e, c in g.terms.items()] for g in x.constraints]
+    support = x.base.base.coord_support
     rng = random.Random(314)
     for trial in range(5):
         if trial == 0:
             y = [0] * (x.ambient_r + 1)  # every coefficient but g(V mu)'s vanishes
         elif trial < 3:
-            y = [field.random_scalar(rng) for _ in range(x.ambient_r + 1)]
+            y = [field.random_scalar(rng) if i in support else 0 for i in range(x.ambient_r + 1)]
         else:
             base = x.base.base
             y = base.sample(rng).raw
@@ -352,7 +355,8 @@ def test_ruling_form_matches_direct_restriction(name):
 def test_compiled_ruling_restriction_matches_term_by_term_oracle(name):
     """The compiled restriction to a ruling agrees with each constraint
     expanded term by term as g(y + V mu) on plain integers, at the vertex
-    (y = 0), at random points and at points of the base curve's image."""
+    (y = 0), at random points on the base curve's coordinate support (zero
+    elsewhere) and at points of the base curve's image."""
     x = cli._construct(cli.RunConfig({"variety": name}))
     if name == "counter3-n3":
         x = generic_hyperplane_section(x, random.Random(6))
@@ -362,11 +366,28 @@ def test_compiled_ruling_restriction_matches_term_by_term_oracle(name):
     base = x.base.base
     rng = random.Random(2718)
     points = [[0] * (x.ambient_r + 1)]
-    points += [[rng.randrange(p) for _ in range(x.ambient_r + 1)] for _ in range(4)]
+    points += [[rng.randrange(p) if i in base.coord_support else 0 for i in range(x.ambient_r + 1)] for _ in range(4)]
     points += [list(base.sample(rng).raw) for _ in range(4)]
     for y in points:
         expected = [ruling_restriction_by_terms(t, columns, y, p) for t in terms]
         assert x._restrict_to_ruling(y) == expected
+
+
+@pytest.mark.parametrize("name", ["counter1", "counter3-n3"])
+def test_restrict_to_ruling_refuses_a_point_off_the_base_support(name):
+    """The ruling kernel reads y only on the cone base's coordinate support,
+    so a point that is nonzero on a vertex coordinate is refused rather than
+    restricted wrongly."""
+    x = cli._construct(cli.RunConfig({"variety": name}))
+    support = x.base.base.coord_support
+    y = list(x.base.base.sample(random.Random(9)).raw)
+    x._restrict_to_ruling(y)
+    for i in range(x.ambient_r + 1):
+        if i not in support:
+            bad = y[:]
+            bad[i] = 1
+            with pytest.raises(ConstructionError, match="off the cone base's coordinate support"):
+                x._restrict_to_ruling(bad)
 
 
 @st.composite
@@ -395,9 +416,10 @@ def dense_ruling_cases(draw):
 def test_ruling_forms_match_term_by_term_oracle_on_dense_vertices(case):
     """The ruling kernel, evaluated at y and grouped by constraint, is each
     constraint expanded term by term as g(y + V mu), for a vertex whose
-    columns mix every coordinate."""
+    columns mix every coordinate, with every coordinate as the support."""
     field, constraints, columns, points = case
-    keys, jets = varieties._ruling_forms(constraints, Matrix.from_columns(field, columns))
+    support = frozenset(range(len(columns[0])))
+    keys, jets = varieties._ruling_forms(constraints, Matrix.from_columns(field, columns), support)
     assert len(set(keys)) == len(keys)
     terms = [[(c, e) for e, c in g.terms.items()] for g in constraints]
     for y in points:
@@ -457,7 +479,7 @@ def test_compiled_veronese_kernel_stores_only_nonzero_derivatives():
 @pytest.mark.parametrize("kernel", ["jets", "_ruling_jets"])
 def test_dense_section_kernels_match_term_by_term_oracle(kernel):
     """counter2's section kernel (one cubic with all 165 monomials in nine
-    coordinates) and its ruling kernel (ten coefficient forms over 220
+    coordinates) and its ruling kernel (ten coefficient forms over 120
     monomial slots), every order at three points, against the term-by-term
     2-jet."""
     x = cli._construct(cli.RunConfig({"variety": "counter2"}))
