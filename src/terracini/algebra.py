@@ -39,12 +39,13 @@ frames, and so every secant dimension) never builds Hessian rows, a kernel
 that only evaluates builds neither, and the tables go when the kernel does.
 
 A ``MultiPoly`` is a validated map from exponent tuples to coefficients,
-with no ring arithmetic: it reduces, evaluates and reports its degree.  The
-one expansion the package needs, of a cone section's constraints along the
-rulings, runs on plain dicts in ``varieties._ruling_forms``.
+with no ring arithmetic.  The draw path and the fiber grid read its
+``terms``, ``{exponents: coefficient}`` maps, as they read the maps the
+package computes itself (``varieties._ruling_forms``), which are never
+wrapped and validated again.  ``MultiPoly.evaluate`` has no production caller.
 
 Univariate polynomials are coefficient lists, lowest degree first.
-``restrict_univariate`` substitutes them into a ``MultiPoly`` by Kronecker
+``restrict_univariate`` substitutes them into a term map by Kronecker
 substitution, as big-int products with no list arithmetic.  One long
 division, ``_poly_divmod``, serves the gcd and the exact quotients of the
 root finder, ``uni_roots_mod_p``, which takes the list that
@@ -643,11 +644,12 @@ def power_table(point: Sequence[int], max_e: Sequence[int], p: int) -> list[list
     return table
 
 
-def restrict_univariate(f: MultiPoly, args: Sequence[Sequence[int]]) -> list[int]:
-    """Coefficients, lowest degree first and trimmed (the zero polynomial is
-    ``[]``), of f with the univariate polynomial ``args[i]`` substituted for
-    variable i.  Arguments are coefficient lists; a line ``a + s b`` is the
-    argument list ``[a_i, b_i]``.
+def restrict_univariate(terms: dict[tuple[int, ...], int], args: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Coefficients mod p, lowest degree first and trimmed (the zero
+    polynomial is ``[]``), of the term map ``{exponents: coefficient}``,
+    coefficients in ``[0, p)``, with the univariate polynomial ``args[i]``
+    substituted for variable i.  Arguments are coefficient lists; a line
+    ``a + s b`` is the argument list ``[a_i, b_i]``.
 
     The expansion runs by Kronecker substitution (von zur Gathen and
     Gerhard, *Modern Computer Algebra*, 8.4): each argument, reduced mod p,
@@ -659,17 +661,16 @@ def restrict_univariate(f: MultiPoly, args: Sequence[Sequence[int]]) -> list[int
     exact sum exceeds T (p-1)^(D+1) w^D < 2^shift, so no slot carries into
     the next; the slots are read off one by one and reduced mod p.
     """
-    if len(args) != f.nvars:
-        raise ConstructionError("restriction arity mismatch")
-    p = f.field.modulus
-    terms = f.terms
     if not terms:
         return []
+    tops = [max(column) for column in zip(*terms)]
+    if len(tops) != len(args):
+        raise ConstructionError("restriction arity mismatch")
     degree = max(map(sum, terms))
     width = max([1, *map(len, args)])
     shift = (len(terms) * (p - 1) ** (degree + 1) * width**degree).bit_length()
     powers = []
-    for arg, top in zip(args, max_exponents(f.nvars, (f,))):
+    for arg, top in zip(args, tops):
         packed = 0
         for c in reversed(arg):
             packed = packed << shift | c % p

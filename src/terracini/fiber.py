@@ -52,7 +52,6 @@ from .algebra import (
     FieldSpec,
     LinearSystem,
     Matrix,
-    MultiPoly,
     exact_rank,
     inverse,
     normalize_point,
@@ -147,14 +146,14 @@ def _last_nonzero(vals: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coefficients(polys: Sequence[MultiPoly], n: int) -> np.ndarray:
-    """Coefficient arrays ``C[k, a, b]`` of ``u^a v^b``, in float64.  A
-    one-parameter chart is the line ``u = 0`` of the same grid, its parameter
-    being ``v``."""
-    terms = [[((0,) * (2 - n) + e, c) for e, c in poly.terms.items()] for poly in polys]
+def _coefficients(term_maps: Sequence[dict], n: int) -> np.ndarray:
+    """Coefficient arrays ``C[k, a, b]`` of ``u^a v^b``, in float64, of term
+    maps ``{exponents: coefficient}`` in n <= 2 variables.  A one-parameter
+    chart is the line ``u = 0`` of the same grid, its parameter being ``v``."""
+    terms = [[((0,) * (2 - n) + e, c) for e, c in tm.items()] for tm in term_maps]
     na = 1 + max((e[0] for ts in terms for e, _ in ts), default=0)
     nb = 1 + max((e[1] for ts in terms for e, _ in ts), default=0)
-    out = np.zeros((len(polys), na, nb))
+    out = np.zeros((len(term_maps), na, nb))
     for k, ts in enumerate(terms):
         for (a, b), c in ts:
             out[k, a, b] = c
@@ -452,7 +451,7 @@ def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) ->
     n = xp.n
     if n > 2 or p**n > ENUM_BUDGET:
         raise BudgetExhausted(f"parametric grid {p}^{n} exceeds the enumeration budget {ENUM_BUDGET}")
-    comps = _coefficients(xp.polys, n)
+    comps = _coefficients([g.terms for g in xp.polys], n)
     degree = max((a + b for a, b in zip(*np.nonzero(comps.any(axis=0)))), default=0)
     rows = _matmul(np.array(proj.entries, dtype=np.float64), comps.reshape(len(comps), -1), p)
     rows = rows.reshape(-1, *comps.shape[1:])
@@ -507,15 +506,17 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle) -> list[tuple[int, int, i
     if p * p > ENUM_BUDGET:
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {ENUM_BUDGET}")
     pts = []
-    for start, vals in _grid_blocks(_coefficients([curve.f_affine], 2), p, 2):
+    terms = curve.f.terms
+    for start, vals in _grid_blocks(_coefficients([curve.f_affine.terms], 2), p, 2):
         us, vs = np.divmod(start + np.flatnonzero(vals[0] == 0), p)
         pts += [(u, v, 1) for u, v in zip(us.tolist(), vs.tolist())]
     # the line at infinity: x2 = 0, x1 = 1, where only the terms without x2
-    # are left, then the lone corner point
-    at_infinity = MultiPoly(curve.field, 1, {e[:1]: c for e, c in curve.f.terms.items() if not e[2]})
+    # are left, then the lone corner point, where the homogeneous f of
+    # degree d is its x0^d coefficient
+    at_infinity = {e[:1]: c for e, c in terms.items() if not e[2]}
     for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1):
         pts += [(u, 1, 0) for u in (start + np.flatnonzero(vals[0] == 0)).tolist()]
-    if curve.f.evaluate((1, 0, 0)) == 0:
+    if not terms.get((curve.f.total_degree(), 0, 0)):
         pts.append((1, 0, 0))
     return pts
 
@@ -617,7 +618,7 @@ def _grid_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.R
     counts = [0] * trials
     bad = list(range(trials))
     for _ in range(MAX_RESAMPLE):
-        fresh, hits = _scan_parametric(xp, proj, [projected.sample(rng).point for _ in bad])
+        fresh, hits = _scan_parametric(xp, proj, [projected.sample(rng).raw for _ in bad])
         for t, c in zip(bad, fresh):
             counts[t] = c
         bad = [t for t in bad if counts[t] >= DEGENERATE_COUNT_FLOOR]
@@ -633,7 +634,7 @@ def _ruling_counts(projected: ProjectionHandle, n: int, trials: int, rng: random
     agreement: Optional[bool] = None
     for _ in range(trials):
         for _ in range(MAX_RESAMPLE):
-            q = projected.sample(rng).point
+            q = projected.sample(rng).raw
             try:
                 found, center_hits, details = scan.preimages(q)
             except DegenerateWitness:

@@ -17,9 +17,10 @@ and so every secant dimension, need only ``point`` and ``first``, while the
 ``second`` block (Hessians, section corrections) is computed on first read.
 Every check that can reject a witness runs on the first-order part.
 
-A witness carries its ambient representative, ``raw``, computed once when it
-is drawn or built: it is the first column of every tangent frame, and every
-chart jet reads it as its point instead of recomputing it.
+A witness carries one ambient point, ``raw``, computed once when it is
+drawn or built: it is the first column of every tangent frame and every
+chart jet's point.  Points are normalized only where they are compared
+(``sample_distinct``) and on the plane curve's chart x2 = 1.
 
 Derivatives are taken in one place, ``algebra.PolyJets``: each parametric,
 plane-curve, map-image and section handle keeps one kernel over its
@@ -30,9 +31,10 @@ values only.
 
 Charts are affine and a draw that lands off-chart is resampled; misses are
 measure zero over the large analysis primes.  The resample cap is 64
-everywhere.  A draw and the fiber scan build witnesses with the same
-methods (``_witness_at``, ``_witness_over``, ``_ruling_witness``), and a
-section finds the scan's points on a ruling (``_ruling_points``).
+everywhere.  Each kind builds its witnesses, drawn or enumerated, in one
+method (``_witness_at``, ``_witness_on``, ``_witness_over``), which raises
+``DegenerateWitness`` at a zero point.  A section finds the fiber scan's
+points on a ruling (``_ruling_points``).
 """
 
 from __future__ import annotations
@@ -108,16 +110,13 @@ class Witness:
     """One sampled point: chart coordinates plus its ambient representative.
 
     ``params`` are the handle's own chart coordinates, including any solved
-    ruling parameter.  ``raw`` is the unnormalized ambient point the chart
-    map gives at ``params``, computed once where the witness is built; every
-    chart jet takes it as its point.  ``point`` is ``raw`` scaled so its last
-    nonzero coordinate is one, which is the identity used for dedup
-    everywhere.  ``base`` chains to the witness of the underlying handle for
-    composite kinds.
+    ruling parameter.  ``raw``, the one ambient point, is what the chart map
+    gives at ``params``, not rescaled; a caller that compares points
+    normalizes it, as ``sample_distinct`` does.  ``base`` chains to the
+    witness of the underlying handle for composite kinds.
     """
 
     params: tuple[int, ...]
-    point: tuple[int, ...]
     raw: tuple[int, ...]
     base: Optional["Witness"] = None
 
@@ -199,6 +198,7 @@ class VarietyHandle:
 
     kind = "abstract"
     blueprint: Optional[dict] = None
+    base: Optional["VarietyHandle"] = None  # a composite kind's underlying handle
 
     def __init__(self, field: FieldSpec, ambient_r: int, label: str) -> None:
         self.field = field
@@ -227,7 +227,8 @@ class VarietyHandle:
         return self.ambient_r
 
     def assumptions(self) -> tuple[str, ...]:
-        return ()
+        """What the reports take on faith: a composite kind's are its base's."""
+        return () if self.base is None else self.base.assumptions()
 
     # -- shared capabilities ----------------------------------------------
 
@@ -293,15 +294,17 @@ def _resample_loop(fn, what: str):
 
 
 def sample_distinct(handle: VarietyHandle, count: int, rng: random.Random) -> list[Witness]:
-    """Draw witnesses with pairwise distinct normalized points."""
+    """Draw witnesses with pairwise distinct points, keyed by normalized ``raw``."""
+    p = handle.field.modulus
     seen: set[tuple] = set()
     out: list[Witness] = []
 
     def one():
         w = handle.sample(rng)
-        if w.point in seen:
+        key = normalize_point(w.raw, p)
+        if key in seen:
             return None
-        seen.add(w.point)
+        seen.add(key)
         return w
 
     for _ in range(count):
@@ -309,14 +312,14 @@ def sample_distinct(handle: VarietyHandle, count: int, rng: random.Random) -> li
     return out
 
 
-def _random_root(g: MultiPoly, line: Sequence[Sequence[int]], rng: random.Random) -> int | None:
-    """A root s, drawn uniformly, of g restricted to the line (each variable
-    replaced by its univariate polynomial in ``line``), or None when the
-    restriction is constant or has no root: the draw is then resampled."""
-    restricted = restrict_univariate(g, line)
+def _random_root(terms: dict, line: Sequence[Sequence[int]], p: int, rng: random.Random) -> int | None:
+    """A root s, drawn uniformly, of the term map restricted to the line
+    (``restrict_univariate``), or None when the restriction is constant or
+    has no root: the draw is then resampled."""
+    restricted = restrict_univariate(terms, line, p)
     if len(restricted) < 2:
         return None
-    roots = sorted(uni_roots_mod_p(restricted, g.field.modulus, rng))
+    roots = sorted(uni_roots_mod_p(restricted, p, rng))
     if not roots:
         return None
     return rng.choice(roots)
@@ -357,14 +360,17 @@ class ParametricHandle(VarietyHandle):
         return self.jets.values(self.jets.powers(u))
 
     def sample(self, rng: random.Random) -> Witness:
-        def one():
-            u = tuple(self.field.random_scalar(rng) for _ in range(self.n))
-            pt = self._eval_map(u)
-            if not any(pt):
-                return None
-            return Witness(u, normalize_point(pt, self.field.modulus), pt)
+        return _resample_loop(
+            lambda: self._witness_at(tuple(self.field.random_scalar(rng) for _ in range(self.n))), self.label
+        )
 
-        return _resample_loop(one, self.label)
+    def _witness_at(self, u: tuple[int, ...]) -> Witness:
+        """The witness at the chart point u, for this handle's draws and its
+        sections'; a u the map sends to zero is degenerate."""
+        pt = self._eval_map(u)
+        if not any(pt):
+            raise DegenerateWitness("chart point maps to zero")
+        return Witness(u, pt)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         powers = self.jets.powers(w.params)
@@ -444,7 +450,7 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
             b = [field.random_scalar(rng) for _ in range(3)]
             if not any(b):
                 return None
-            s0 = _random_root(f, list(zip(a, b)), rng)
+            s0 = _random_root(f.terms, list(zip(a, b)), p, rng)
             if s0 is None:
                 return None
             return self._witness_at(tuple((ai + s0 * bi) % p for ai, bi in zip(a, b)))
@@ -460,7 +466,7 @@ class ImplicitPlaneCurveHandle(VarietyHandle):
         params = pt[:2]
         if not any(self.jets.gradients(self.jets.powers(params))[0]):
             raise DegenerateWitness("singular curve point")
-        return Witness(params, pt, pt)
+        return Witness(params, pt)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
@@ -493,7 +499,7 @@ def _squarefree_by_line_restriction(f: MultiPoly, field: FieldSpec, rng: random.
     for _ in range(6):
         a = [field.random_scalar(rng) for _ in range(3)]
         b = [field.random_scalar(rng) for _ in range(3)]
-        coeffs = restrict_univariate(f, list(zip(a, b)))
+        coeffs = restrict_univariate(f.terms, list(zip(a, b)), p)
         if len(coeffs) != f.total_degree() + 1:
             continue
         deriv = [(i * coeffs[i]) % p for i in range(1, len(coeffs))]
@@ -542,9 +548,6 @@ class MapImageHandle(VarietyHandle):
     def span_dim(self) -> int:
         return self._span_r
 
-    def assumptions(self) -> tuple[str, ...]:
-        return self.base.assumptions()
-
     def _apply(self, x: Sequence[int]) -> tuple[int, ...]:
         return self.jets.values(self.jets.powers(x))
 
@@ -557,7 +560,7 @@ class MapImageHandle(VarietyHandle):
         pt = self._apply(bw.raw)
         if not any(pt):
             raise DegenerateWitness("base point is in the base locus of the map")
-        return Witness(bw.params, normalize_point(pt, self.field.modulus), pt, base=bw)
+        return Witness(bw.params, pt, base=bw)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         p = self.field.modulus
@@ -601,10 +604,11 @@ def map_image(
     if len(degs) != 1:
         raise ConstructionError("map components must share one common degree")
     handle = MapImageHandle(base, polys, label or f"image-of-{base.label}", span_r=len(polys) - 1)
-    pts = [handle.sample(rng).point for _ in range(20)]
+    # scaling a row keeps the rank, so the raw points serve
+    pts = [handle.sample(rng).raw for _ in range(20)]
     rank = exact_rank(Matrix(base.field, pts))
     while rank == len(pts):
-        pts.append(handle.sample(rng).point)
+        pts.append(handle.sample(rng).raw)
         rank = exact_rank(Matrix(base.field, pts))
     if rank == 1:
         raise ConstructionError(f"{handle.label} spans one point: the map collapses its base")
@@ -645,18 +649,18 @@ class ConeHandle(VarietyHandle):
     def span_dim(self) -> int:
         return self.base.span_dim() + self.m
 
-    def assumptions(self) -> tuple[str, ...]:
-        return self.base.assumptions()
-
     def _point(self, y: Sequence[int], mu: Sequence[int]) -> tuple[int, ...]:
         p = self.field.modulus
         return tuple((a + b) % p for a, b in zip(y, self.vertex.matvec(mu)))
 
     def sample(self, rng: random.Random) -> Witness:
         bw = self.base.sample(rng)
-        mu = tuple(self.field.random_scalar(rng) for _ in range(self.m))
-        pt = self._point(bw.raw, mu)
-        return Witness(bw.params + mu, normalize_point(pt, self.field.modulus), pt, base=bw)
+        return self._witness_on(bw, tuple(self.field.random_scalar(rng) for _ in range(self.m)))
+
+    def _witness_on(self, bw: Witness, mu: Sequence[int]) -> Witness:
+        """The witness y + V mu over the base witness bw, whose point is y:
+        never zero, as V is zero on y's coordinates (``cone`` checks)."""
+        return Witness(bw.params + tuple(mu), self._point(bw.raw, mu), base=bw)
 
     def chart_jet2(self, w: Witness) -> ChartJet:
         base_chart = self.base.chart_jet2(w.base)
@@ -788,16 +792,11 @@ class SectionHandle(VarietyHandle):
         if not any(b):
             return None
         line = list(zip(a, b))
-        phi_line = [restrict_univariate(g, line) for g in base.polys]
-        s0 = _random_root(self.constraints[0], phi_line, rng)
+        phi_line = [restrict_univariate(g.terms, line, p) for g in base.polys]
+        s0 = _random_root(self.constraints[0].terms, phi_line, p, rng)
         if s0 is None:
             return None
-        u = tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))
-        pt = base._eval_map(u)
-        if not any(pt):
-            return None
-        bw = Witness(u, normalize_point(pt, p), pt)
-        return Witness(u, bw.point, pt, base=bw)
+        return self._witness_over(base._witness_at(tuple((ai + s0 * bi) % p for ai, bi in zip(a, b))))
 
     def _sample_cone(self, rng: random.Random) -> Witness | None:
         base: ConeHandle = self.base
@@ -811,7 +810,7 @@ class SectionHandle(VarietyHandle):
                 lin_rows.append([terms.get(_unit(m, j), 0) for j in range(m)])
                 lin_rhs.append(-terms.get((0,) * m, 0) % p)
             else:
-                nonlinear.append(MultiPoly(field, m, terms))
+                nonlinear.append(terms)
         system = LinearSystem(lin_rows, m, p)
         mu_part = system.solve(lin_rhs)
         if mu_part is None:
@@ -826,7 +825,7 @@ class SectionHandle(VarietyHandle):
             if not any(d):
                 return None
             mu_line = list(zip(_linear_combo([mu_part, *basis], [1, *t0], p), _linear_combo(basis, d, p)))
-            s0 = _random_root(nonlinear[0], mu_line, rng)
+            s0 = _random_root(nonlinear[0], mu_line, p, rng)
             if s0 is None:
                 return None
             mu = tuple((start + s0 * slope) % p for start, slope in mu_line)
@@ -835,15 +834,18 @@ class SectionHandle(VarietyHandle):
             mu = _linear_combo([mu_part, *basis], [1, *t], p)
         return self._ruling_witness(bw, mu)
 
+    def _witness_over(self, bw: Witness) -> Witness:
+        """The witness over bw, a base witness on the section."""
+        return Witness(bw.params, bw.raw, base=bw)
+
     def _ruling_witness(self, bw: Witness, mu: Sequence[int]) -> Witness:
         """The witness of the point y + V mu on the ruling of the cone over
         the base witness bw, whose representative is y: the one way a
         section-over-cone witness is built, whether drawn or enumerated."""
-        pt = self.base._point(bw.raw, mu)
-        if any(self.jets.values(self.jets.powers(pt))):
+        cone_w = self.base._witness_on(bw, mu)
+        if any(self.jets.values(self.jets.powers(cone_w.raw))):
             raise ConstructionError("internal: constraint not satisfied at sample")
-        cone_w = Witness(bw.params + tuple(mu), normalize_point(pt, self.field.modulus), pt, base=bw)
-        return Witness(cone_w.params, cone_w.point, pt, base=cone_w)
+        return self._witness_over(cone_w)
 
     def _restrict_to_ruling(self, y: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
         """The nonzero terms, keyed by mu-exponent, of each constraint
@@ -863,20 +865,21 @@ class SectionHandle(VarietyHandle):
     def _ruling_points(self, y: Sequence[int], part: list[int], basis: list[tuple[int, ...]]) -> list[list[int]]:
         """Vertex coefficients on the ruling over y that solve the fiber
         scan's proportionality system, ``part + span(basis)``, and lie on the
-        section: ``part``, if every constraint vanishes there, or the common
-        roots of the constraints on the line of leftover freedom."""
+        section: ``part``, if the section's value kernel vanishes at
+        y + V part, or the common roots of the constraints restricted to the
+        ruling on the line of leftover freedom."""
         p = self.field.modulus
-        restricted = [MultiPoly(self.field, self.base.m, terms) for terms in self._restrict_to_ruling(y)]
         if not basis:
-            return [] if any(g.evaluate(part) for g in restricted) else [part]
+            return [] if any(self.jets.values(self.jets.powers(self.base._point(y, part)))) else [part]
         if len(basis) > 1:
             # a plane of candidates inside one ruling only happens at special
             # probe points; declare the trial degenerate rather than guess
             raise DegenerateWitness("probe point has a positive-dimensional fiber")
         line = list(zip(part, basis[0]))
+        restricted = self._restrict_to_ruling(y)
         roots = None
-        for g in restricted:
-            on_line = restrict_univariate(g, line)
+        for terms in restricted:
+            on_line = restrict_univariate(terms, line, p)
             if not on_line:
                 # the whole candidate line lies inside the section: the fiber
                 # over this probe point is a curve, so the probe is no good
@@ -1073,13 +1076,7 @@ class ProjectionHandle(VarietyHandle):
 
     kind = "projection"
 
-    def __init__(
-        self,
-        base: VarietyHandle,
-        proj: Matrix,
-        label: str,
-        span_r: int | None = None,
-    ) -> None:
+    def __init__(self, base: VarietyHandle, proj: Matrix, label: str, span_r: int) -> None:
         if proj.field != base.field:
             raise FieldMismatchError("projection field differs")
         if proj.cols != base.ambient_r + 1:
@@ -1087,7 +1084,7 @@ class ProjectionHandle(VarietyHandle):
         super().__init__(base.field, proj.rows - 1, label)
         self.base = base
         self.proj = proj
-        self._span_r = span_r if span_r is not None else proj.rows - 1
+        self._span_r = span_r
 
     @property
     def chart_dim(self) -> int:
@@ -1096,18 +1093,15 @@ class ProjectionHandle(VarietyHandle):
     def span_dim(self) -> int:
         return self._span_r
 
-    def assumptions(self) -> tuple[str, ...]:
-        return self.base.assumptions()
-
     def sample(self, rng: random.Random) -> Witness:
-        def one():
-            bw = self.base.sample(rng)
-            img = self.proj.matvec(bw.raw)
-            if not any(img):
-                return None  # witness in the projection center
-            return Witness(bw.params, normalize_point(img, self.field.modulus), img, base=bw)
+        return _resample_loop(lambda: self._witness_over(self.base.sample(rng)), self.label)
 
-        return _resample_loop(one, self.label)
+    def _witness_over(self, bw: Witness) -> Witness:
+        """The witness over the base witness bw, off the projection center."""
+        img = self.proj.matvec(bw.raw)
+        if not any(img):
+            raise DegenerateWitness("witness is in the projection center")
+        return Witness(bw.params, img, base=bw)
 
     def generically_finite(self, rng: random.Random) -> bool:
         """Whether the projection keeps the dimension of its base, so that its

@@ -4,6 +4,10 @@ The suite runs once (seed 0) for the whole module; each test then checks its
 criterion's verdict against the frozen expectations and the stated time budget.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from terracini.suite import run_paper_suite
@@ -122,3 +126,33 @@ def test_criterion_11_determinism_and_primes(suite):
     crit = check(suite, 11)
     assert crit.details["rerun_byte_identical"]
     assert crit.details["cross_prime_dims_agree"]
+
+
+# The report digests ``perfbench/check.py`` prints, by workload and seed.  A
+# change that keeps every report byte leaves them alone; only a change that
+# means to change reports may update them, and says so.
+BENCHMARK_DIGESTS = {
+    ("veronese-sweep", 1): "6f31a5433cc3cf2b",
+    ("veronese-sweep", 7): "6f31a5433cc3cf2b",
+    ("fiber-enum", 1): "19487fde5e705fdd",
+    ("fiber-enum", 7): "2c26cb6054ba5d8c",
+    ("paper-suite", 1): "8045ffc2f5d8ef7f",
+    ("paper-suite", 7): "8045ffc2f5d8ef7f",
+}
+
+
+@pytest.mark.slow
+def test_benchmark_check_keeps_its_report_digests():
+    """``perfbench/check.py`` passes: every workload is deterministic and
+    correct, and prints the pinned digest at each seed."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "perfbench/check.py"], cwd=root, capture_output=True, text=True, timeout=900
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    printed = {}
+    for line in done.stdout.splitlines():
+        fields = dict(f.split("=", 1) for f in line.split()[1:] if "=" in f)
+        if "digest" in fields:
+            printed.setdefault((line.split()[0], int(fields["seed"])), set()).add(fields["digest"])
+    assert printed == {key: {digest} for key, digest in BENCHMARK_DIGESTS.items()}

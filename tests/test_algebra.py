@@ -595,7 +595,7 @@ def test_restriction_kernel_matches_compose(case):
     trimmed and reduced."""
     f, args = case
     p = F1009.modulus
-    restricted = restrict_univariate(f, args)
+    restricted = restrict_univariate(f.terms, args, p)
     assert not restricted or restricted[-1] != 0
     assert all(0 <= c < p for c in restricted)
     deg = max((sum(e * max(len(a) - 1, 0) for e, a in zip(expo, args)) for expo in f.terms), default=0)
@@ -629,7 +629,7 @@ def test_restriction_matches_list_products_at_large_primes(case):
     """The Kronecker restriction gives exactly the list the old list
     expansion gave, so the root finder sees the same input."""
     f, args = case
-    assert restrict_univariate(f, args) == restriction_by_list_products(f.terms, args, f.field.modulus)
+    assert restrict_univariate(f.terms, args, f.field.modulus) == restriction_by_list_products(f.terms, args, f.field.modulus)
 
 
 def test_restriction_fills_every_slot_at_the_bound():
@@ -640,7 +640,7 @@ def test_restriction_fills_every_slot_at_the_bound():
     exponents = [e for e in itertools.product(range(13), repeat=4) if sum(e) == 12]
     f = MultiPoly.from_int_terms(FieldSpec.prime(p), 4, [(p - 1, e) for e in exponents])
     args = [[p - 1] * 5 for _ in range(4)]
-    restricted = restrict_univariate(f, args)
+    restricted = restrict_univariate(f.terms, args, p)
     assert len(restricted) == 12 * 4 + 1
     assert restricted == restriction_by_list_products(f.terms, args, p)
 

@@ -409,7 +409,7 @@ def _projection_probes(tree, p, k, count):
     rng = random.Random(3)
     xp = build(tree, FieldSpec.prime(p), rng)
     projected, _ = tangential_projection(xp, k, rng)
-    return xp, projected.proj, [list(projected.sample(rng).point) for _ in range(count)]
+    return xp, projected.proj, [list(normalize_point(projected.sample(rng).raw, p)) for _ in range(count)]
 
 
 def test_grid_scan_takes_one_pass_per_pivot_group():
@@ -513,7 +513,7 @@ def test_shared_witness_builders_match_the_field_by_field_chain():
     for c in affine:
         y = tuple(g.evaluate(c) for g in emb.polys)
         assert any(y)
-        want = Witness(c[:2], normalize_point(y, p), y, base=Witness(c[:2], c, c))
+        want = Witness(c[:2], y, base=Witness(c[:2], c))
         assert emb._witness_over(curve._witness_at(c)) == want
 
 
@@ -523,7 +523,7 @@ def _counter1_probes(p: int, draws: int):
     rng = random.Random(1)
     xp = build(builtin_blueprint("counter1"), FieldSpec.prime(p), rng)
     projected, _ = tangential_projection(xp, 1, rng)
-    return xp, projected.proj, [projected.sample(rng).point for _ in range(draws)]
+    return xp, projected.proj, [normalize_point(projected.sample(rng).raw, p) for _ in range(draws)]
 
 
 def test_ruling_scan_matches_brute_force_enumeration():
@@ -583,7 +583,7 @@ def test_grid_counts_scan_at_most_max_resample_times(monkeypatch):
     def run(clean_at):
         # the first draw is the one probe point the first scan finds clean
         draws = iter(range(10**6))
-        projected = SimpleNamespace(base=None, proj=None, sample=lambda rng: SimpleNamespace(point=[next(draws)]))
+        projected = SimpleNamespace(base=None, proj=None, sample=lambda rng: SimpleNamespace(raw=[next(draws)]))
         sizes = []
 
         def scan(xp, proj, qs):
@@ -608,7 +608,7 @@ def test_grid_scan_memory_is_bounded():
     rng = random.Random(3)
     xp = build(builtin_blueprint("veronese-2-4"), fp, rng)
     projected, _ = tangential_projection(xp, 1, rng)
-    qs = [projected.sample(rng).point for _ in range(5)]
+    qs = [normalize_point(projected.sample(rng).raw, fp.modulus) for _ in range(5)]
     tracemalloc.start()
     try:
         counts, _ = _scan_parametric(xp, projected.proj, qs)
@@ -628,7 +628,7 @@ def test_grid_scan_memory_is_bounded_on_a_cut_row():
     rng = random.Random(3)
     xp = rational_normal_curve(FieldSpec.prime(p), 95)
     projected, _ = tangential_projection(xp, 1, rng)
-    qs = [projected.sample(rng).point for _ in range(5)]
+    qs = [normalize_point(projected.sample(rng).raw, p) for _ in range(5)]
     width = fiber.GRID_BLOCK_CELLS // 2
     assert -(-p // width) == 13
     tracemalloc.start()
@@ -781,7 +781,7 @@ def test_grid_blocks_agree_across_stretch_lengths(name, p):
     chart's coordinates: two on veronese-2-4, as the scan does, and all six
     on rnc-5, whose one grid row they cut into parts."""
     xp = build(builtin_blueprint(name), FieldSpec.prime(p), random.Random(0))
-    coeffs = fiber._coefficients(xp.polys, xp.n)
+    coeffs = fiber._coefficients([g.terms for g in xp.polys], xp.n)
     mix = np.random.default_rng(0).integers(0, p, (2 if xp.n == 2 else len(coeffs), len(coeffs)))
     coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(len(mix), *coeffs.shape[1:])
 
@@ -837,7 +837,7 @@ def test_grid_blocks_match_horner_on_a_cut_row():
     value Horner's rule gives in Python ints."""
     p = 8209
     xp = rational_normal_curve(FieldSpec.prime(p), 11)
-    coeffs = fiber._coefficients(xp.polys, xp.n)
+    coeffs = fiber._coefficients([g.terms for g in xp.polys], xp.n)
     mix = np.random.default_rng(1).integers(0, p, (2, len(coeffs)))
     mix[1] = p - 1
     coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(2, *coeffs.shape[1:])
