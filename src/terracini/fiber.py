@@ -23,12 +23,16 @@ Two enumeration strategies cover every built-in shape:
   ``R_i`` and ``R_j`` and keys every cell by their ratio.  Every product
   and key is float64 arithmetic on exact integers: one helper,
   ``_matmul``, forms every matrix product through BLAS and sums each
-  contraction in stretches that stay below 2^53.  Only the candidate cells
+  contraction in stretches that stay below 2^53.  The product pass only
+  asks which cells are zero, so it takes each block's values as their
+  exact sum of one stretch, unreduced, and ``_divisible`` tests them with
+  no division; the keyed pass reads residues.  Only the candidate cells
   either pass finds are checked, exactly, against the other coordinates.
   Every grid point is still visited and a candidate is only a necessary
   condition, so the counts are exhaustive and exact;
 * cone sections enumerate the base curve's points with the same grid
-  kernel, and one matrix product per probe point picks the rulings on
+  kernel, tested for zero as the product pass tests its cells, and one
+  matrix product per probe point picks the rulings on
   which the linear proportionality conditions are solvable; only those are
   solved, and the section finds the solutions that lie on it.  The handles
   build the witnesses of enumerated preimages as they build drawn ones,
@@ -88,10 +92,12 @@ DEFAULT_FIBER_PRIMES = ENUM_PRIMES
 # image witnesses at which the functoriality check compares tangent frames
 FUNCTORIALITY_WITNESSES = 3
 # grid cells the grid kernel evaluates at once: a block's values fill at most
-# this many cells, at least one per polynomial.  That bounds the values, not
-# the one power table each call builds, max(na, nb) x max(rows, width) for
-# na row and nb column terms: on a one-parameter chart, whose rows are cut,
-# the nb x width table holds about nb / count blocks of count polynomials
+# this many cells, at least one per polynomial, and the coefficient rows of a
+# band of blocks, count x rows x nb, at most a quarter of it (or one block's,
+# if they fill more).  That bounds the values, not the one power table each
+# call builds, max(na, nb) x max(rows, width) for na row and nb column terms:
+# on a one-parameter chart, whose rows are cut, the nb x width table holds
+# about nb / count blocks of count polynomials
 GRID_BLOCK_CELLS = 1 << 14
 # any positive-dimensional fiber over F_p carries on the order of p points,
 # while honest finite fibers stay tiny; counts past this floor mark a probe
@@ -100,11 +106,12 @@ DEGENERATE_COUNT_FLOOR = 64
 # a pivot group of the grid scan whose distinct keys, times the chart's
 # degree, exceed this scans through the ratio key instead of the key product.
 # The product's contraction grows with that figure, the key pipeline's cost
-# per cell does not.  Measured on 2 vCPUs, the product pass took 0.4-0.9 of
-# the keyed time up to 80 on v_3 and v_4(P^2) at p = 3001, and 1.0-1.2 of
-# it at 90-120; on rational normal curves the two broke even near 100 at
-# p = 1000003 and near 180 at p = 9999991, where the keyed pass also builds
-# its O(p) inverse table
+# per cell does not.  Measured on 2 vCPUs, with the product pass testing its
+# cells for zero unreduced, it took 0.45-0.94 of the keyed time up to 81-92
+# on v_3 and v_4(P^2) at p = 3001, and 1.1-1.3 of it at 90-120, as when it
+# reduced every block; on rational normal curves the two broke even near
+# 150 at p = 1000003 and near 180-200 at p = 9999991, where the keyed pass
+# also builds its O(p) inverse table
 KEY_PRODUCT_DEGREE = 64
 
 VERDICT_BIRATIONAL = "BirationalEvidence"
@@ -181,13 +188,45 @@ def _stretch(p: int) -> int:
     return (2**53 - 1) // (p - 1) ** 2
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _zero_stretch(p: int) -> int:
+    """How many products of two residues mod p a sum may hold for
+    ``_divisible`` to test it unreduced: one stretch, kept within ``p 2^50``.
+    From p = 8 on that is all of ``_stretch(p)``."""
+    return min(_stretch(p), (p << 50) // (p - 1) ** 2)
+
+
+def _divisible(values: np.ndarray, p: int) -> np.ndarray:
+    """Where p divides the float64 integers ``0 <= v <= min(p 2^50, 2^53 - 1)``,
+    with no division: p divides v exactly when ``q p == v`` for
+    ``q = rint(v fl(1/p))``.
+
+    No non-multiple passes: q is an integer, and ``q p`` is exact up to 2^53
+    and rounds to at least 2^53 past it, so it equals v only when p divides
+    v.  No multiple fails: for ``v = m p`` with ``m <= 2^50``, ``fl(1/p)`` is
+    ``(1 + d) / p`` with ``|d| <= 2^-53``, so ``v fl(1/p) = m (1 + d)`` lies
+    within ``m 2^-53 <= 1/8`` of m.  It is below 2^51, where float64 spacing
+    is at most 1/4, so rounding the product moves it by at most 1/8 more.
+    The product lies within 1/4 of m, q = m, and ``m p`` is exact."""
+    quotient = values * (1.0 / p)
+    np.rint(quotient, out=quotient)
+    quotient *= p
+    return quotient == values
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int, reduced: bool = True) -> np.ndarray:
     """``a @ b mod p`` through BLAS, for float64 arrays whose entries multiply
     pairwise to at most ``(p - 1)^2``, as residues do.  The contraction is
     summed in stretches of at most ``_stretch(p)`` products, each reduced
     before it is added to a running sum kept in ``[0, p)``, so every value
-    is an exact integer."""
+    is an exact integer.
+
+    With ``reduced`` false, a contraction of at most ``_zero_stretch(p)``
+    products comes back as its exact sum, unreduced, for ``_divisible`` to
+    test; a longer one comes back as residues, which ``_divisible`` tests
+    as well."""
     step = _stretch(p)
+    if not reduced and a.shape[-1] <= _zero_stretch(p):
+        return a @ b
     out = _reduce(a[..., :step] @ b[..., :step, :], p)
     for s in range(step, a.shape[-1], step):
         out += _reduce(a[..., s : s + step] @ b[..., s : s + step, :], p)
@@ -217,7 +256,9 @@ def _shift(s: int, count: int, p: int) -> np.ndarray:
     return out
 
 
-def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+def _grid_blocks(
+    coeffs: np.ndarray, p: int, n: int, reduced: bool = True
+) -> Iterator[tuple[int, np.ndarray]]:
     """Values of the polynomials ``coeffs[k]`` on the chart grid F_p^n, one
     block of cells at a time: the one grid kernel of this module.
 
@@ -225,31 +266,40 @@ def _grid_blocks(coeffs: np.ndarray, p: int, n: int) -> Iterator[tuple[int, np.n
     (whole grid rows, or part of one row when a whole row is too wide) sized
     so that all polynomials together fill at most ``GRID_BLOCK_CELLS`` cells,
     at least one each.  Yields ``(start, vals)`` in cell order, where
-    ``vals[k].flat[c]`` is polynomial k at cell ``start + c``.
+    ``vals[k].flat[c]`` is polynomial k at cell ``start + c``: a residue, or
+    with ``reduced`` false, for callers that only ask which cells are zero,
+    an integer congruent to it that ``_divisible`` tests exactly.
 
     Each call builds one power table, of ``x^e`` for the first
     ``max(rows, width)`` residues x and ``e < max(na, nb)``, once.  A block
     is ``(U @ C) @ V`` for the table's slices U, over its rows, and V, over
-    the first columns.  For each later part of a cut row, ``U @ C``, the
-    polynomials' coefficients in v, is translated by one part's width
+    the first columns.  ``U @ C``, the polynomials' coefficients in v at
+    each row, is formed once for a band of whole blocks whose coefficient
+    rows fill at most a quarter of ``GRID_BLOCK_CELLS`` (or for one block,
+    if its own fill more), and sliced for each block.  For each later part
+    of a cut row, a row's coefficients are translated by one part's width
     through the step matrix of ``_shift``, so V serves every part.  Every
-    product is formed by ``_matmul``, so the values are exact residues.
+    product is formed by ``_matmul``, so the values are exact: the last,
+    with ``reduced`` false, is the unreduced sum of one stretch, and a
+    longer contraction falls back to residues.
     """
     count, na, nb = coeffs.shape
     width = min(p, max(1, GRID_BLOCK_CELLS // count))
     height = max(1, GRID_BLOCK_CELLS // (count * width))
+    band = height * max(1, GRID_BLOCK_CELLS // (4 * count * nb * height))
     u_count = p if n == 2 else 1
     pows = _powers(np.arange(max(u_count, width)), max(na, nb), p)
     step = _shift(width, nb, p)
-    for u0 in range(0, u_count, height):
-        u_pows = pows[:na, u0 : min(u0 + height, u_count)].T
-        # every polynomial's rows stacked, so each block is one matrix product
-        left = _matmul(u_pows, coeffs, p).reshape(-1, nb)
-        for v0 in range(0, p, width):
-            if v0:
-                left = _matmul(left, step, p)
-            vals = _matmul(left, pows[:nb, : min(width, p - v0)], p)
-            yield u0 * p + v0, vals.reshape(count, len(u_pows), -1)
+    for b0 in range(0, u_count, band):
+        lefts = _matmul(pows[:na, b0 : min(b0 + band, u_count)].T, coeffs, p)
+        for u0 in range(0, lefts.shape[1], height):
+            # every polynomial's rows stacked, so each block is one matrix product
+            left = lefts[:, u0 : u0 + height].reshape(-1, nb)
+            for v0 in range(0, p, width):
+                if v0:
+                    left = _matmul(left, step, p)
+                vals = _matmul(left, pows[:nb, : min(width, p - v0)], p, reduced)
+                yield (b0 + u0) * p + v0, vals.reshape(count, -1, vals.shape[-1])
 
 
 def _cell_powers(cells: np.ndarray, shape: tuple[int, int], p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +420,8 @@ def _product_candidates(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The zero cells of the key product, with their values of ``R_i`` and
     ``R_j``, evaluated ``chunk`` cells at a time."""
-    blocks = _grid_blocks(_key_product(pair, keys, p)[None], p, n)
-    for (cells,) in _gathered(((start + np.flatnonzero(vals == 0),) for start, vals in blocks), chunk):
+    blocks = _grid_blocks(_key_product(pair, keys, p)[None], p, n, reduced=False)
+    for (cells,) in _gathered(((start + np.flatnonzero(_divisible(vals, p)),) for start, vals in blocks), chunk):
         for s in range(0, len(cells), chunk):
             part = cells[s : s + chunk]
             u_pows, v_pows = _cell_powers(part, pair.shape[1:], p)
@@ -507,15 +557,15 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle) -> list[tuple[int, int, i
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {ENUM_BUDGET}")
     pts = []
     terms = curve.f.terms
-    for start, vals in _grid_blocks(_coefficients([curve.f_affine.terms], 2), p, 2):
-        us, vs = np.divmod(start + np.flatnonzero(vals[0] == 0), p)
+    for start, vals in _grid_blocks(_coefficients([curve.f_affine.terms], 2), p, 2, reduced=False):
+        us, vs = np.divmod(start + np.flatnonzero(_divisible(vals[0], p)), p)
         pts += [(u, v, 1) for u, v in zip(us.tolist(), vs.tolist())]
     # the line at infinity: x2 = 0, x1 = 1, where only the terms without x2
     # are left, then the lone corner point, where the homogeneous f of
     # degree d is its x0^d coefficient
     at_infinity = {e[:1]: c for e, c in terms.items() if not e[2]}
-    for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1):
-        pts += [(u, 1, 0) for u in (start + np.flatnonzero(vals[0] == 0)).tolist()]
+    for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1, reduced=False):
+        pts += [(u, 1, 0) for u in (start + np.flatnonzero(_divisible(vals[0], p))).tolist()]
     if not terms.get((curve.f.total_degree(), 0, 0)):
         pts.append((1, 0, 0))
     return pts

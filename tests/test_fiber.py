@@ -288,15 +288,22 @@ def _stretched(stretch):
     """Sum every contraction of the grid in stretches of ``stretch`` products,
     or of the natural length for None, and check that every value the grid
     reduces is a sum of at most that many products of two residues: as if
-    float64 held no larger integer exactly."""
+    float64 held no larger integer exactly.  Every value tested for zero
+    unreduced is such a sum too, within the bound of ``_divisible``."""
     reduce = fiber._reduce
+    divisible = fiber._divisible
 
     def checked(values, p):
         assert values.max(initial=0) <= (stretch or fiber._stretch(p)) * (p - 1) ** 2
         return reduce(values, p)
 
+    def tested(values, p):
+        assert values.max(initial=0) <= fiber._zero_stretch(p) * (p - 1) ** 2
+        return divisible(values, p)
+
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(fiber, "_reduce", checked))
+        stack.enter_context(mock.patch.object(fiber, "_divisible", tested))
         if stretch is not None:
             stack.enter_context(mock.patch.object(fiber, "_stretch", lambda p: stretch))
         yield
@@ -421,8 +428,8 @@ def test_grid_scan_takes_one_pass_per_pivot_group():
     def scan(batch):
         starts = []
 
-        def counted(*args):
-            for start, vals in evaluate(*args):
+        def counted(*args, **kwargs):
+            for start, vals in evaluate(*args, **kwargs):
                 starts.append(start)
                 yield start, vals
 
@@ -438,6 +445,50 @@ def test_grid_scan_takes_one_pass_per_pivot_group():
     split = qs[:2] + [qs[2][:-1] + [0]]
     _, split_pass = scan(split)
     assert split_pass == one_pass * 2
+
+
+def _kernel_reductions(run):
+    """Run ``run()``; return how many ``_reduce`` calls the grid kernel made
+    while it produced its blocks, and how many blocks it yielded."""
+    reduce, evaluate = fiber._reduce, fiber._grid_blocks
+    inside, calls, blocks = [False], [0], [0]
+
+    def counted_reduce(*args):
+        calls[0] += inside[0]
+        return reduce(*args)
+
+    def counted_blocks(*args, **kwargs):
+        inner = evaluate(*args, **kwargs)
+        while True:
+            inside[0] = True
+            try:
+                block = next(inner)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            blocks[0] += 1
+            yield block
+
+    with mock.patch.object(fiber, "_reduce", counted_reduce), mock.patch.object(fiber, "_grid_blocks", counted_blocks):
+        run()
+    return calls[0], blocks[0]
+
+
+def test_zero_tests_reduce_less_than_once_per_grid_block():
+    """The product pass and the curve enumeration test their blocks for zero
+    unreduced: the grid kernel reduces once per power of its table and once
+    per band of blocks, not once or twice per block.  Five probes of
+    veronese-2-4 and counter1's curve, both at p = 1009, scan 64 and 65
+    blocks."""
+    xp, proj, qs = _projection_probes(builtin_blueprint("veronese-2-4"), 1009, 1, 5)
+    calls, blocks = _kernel_reductions(lambda: _scan_parametric(xp, proj, qs))
+    assert blocks == 64
+    assert calls < blocks
+    curve = build(builtin_blueprint("counter1"), FieldSpec.prime(1009), random.Random(1)).base.base.base
+    calls, blocks = _kernel_reductions(lambda: _curve_points_int(curve))
+    assert blocks == 65
+    assert calls < blocks
 
 
 def test_grid_scan_memory_does_not_grow_with_probe_points():
@@ -735,6 +786,57 @@ def test_float64_grid_arithmetic_is_exact(case):
     assert (ENUM_BUDGET - 1) ** 2 < 2**53
 
 
+# the grid's primes and the smallest ones.  At 103 and 65521, fl(1/p) is
+# short of 1/p by enough that v fl(1/p) rounds to just below m at some
+# multiples v = m p, m = 1 among them: rounding the quotient to the nearest
+# integer recovers m there, flooring it does not
+_DIVISIBLE_PRIMES = (2, 3, 5, 7, 31, 103, 1009, 3001, 65521, 100003, 9_999_991)
+
+
+def _largest_unreduced(p):
+    """The largest value a block product hands ``_divisible`` unreduced."""
+    return fiber._zero_stretch(p) * (p - 1) ** 2
+
+
+@st.composite
+def _divisibility_cases(draw):
+    """A prime and integers up to the largest unreduced block value, about
+    half of them a multiple of the prime or next to one."""
+    p = draw(st.sampled_from(_DIVISIBLE_PRIMES))
+    top = _largest_unreduced(p)
+    near = st.builds(lambda m, e: m * p + e, st.integers(0, top // p), st.sampled_from([-1, 0, 1]))
+    values = st.one_of(st.integers(0, top), near.filter(lambda v: 0 <= v <= top))
+    return p, draw(st.lists(values, min_size=1, max_size=64))
+
+
+def _multiples_at_the_bound(p):
+    """The multiples of p at the largest unreduced value and their
+    neighbours, the small ones, and ``(2^k - 1) p``, just below where the
+    spacing of float64 quotients doubles."""
+    top = _largest_unreduced(p)
+    edges = [m * p + e for m in (1, 2, top // p - 1, top // p) for e in (-1, 0, 1)]
+    edges += [(2**k - 1) * p for k in range(1, 53) if (2**k - 1) * p <= top]
+    return p, [v for v in edges if 0 <= v <= top] + [0, top]
+
+
+def _divisibility_examples(test):
+    for p in reversed(_DIVISIBLE_PRIMES):
+        test = example(_multiples_at_the_bound(p))(test)
+    return test
+
+
+@given(_divisibility_cases())
+@_divisibility_examples
+@settings(max_examples=200, deadline=None)
+def test_divisibility_test_matches_python_remainders(case):
+    """The division-free zero test agrees with Python's % on every integer a
+    block product can hand it unreduced, which stays within its bound."""
+    p, values = case
+    assert _largest_unreduced(p) <= min(p << 50, 2**53 - 1)
+    got = fiber._divisible(np.array(values, dtype=np.float64), p)
+    assert got.tolist() == [v % p == 0 for v in values]
+
+
 @st.composite
 def _product_cases(draw):
     """Residue matrices a (m x t) and b (t x w), with t up to 121, at primes
@@ -774,16 +876,23 @@ def test_matmul_matches_python_integer_products(case):
     assert got.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
 
 
+def _mixed_coordinates(name, p):
+    """The built-in chart over F_p, and the coefficients of general
+    combinations of its coordinates: two on a surface, as the scan
+    evaluates, and as many as it has on a curve."""
+    xp = build(builtin_blueprint(name), FieldSpec.prime(p), random.Random(0))
+    coeffs = fiber._coefficients([g.terms for g in xp.polys], xp.n)
+    mix = np.random.default_rng(0).integers(0, p, (2 if xp.n == 2 else len(coeffs), len(coeffs)))
+    return xp, (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(len(mix), *coeffs.shape[1:])
+
+
 @pytest.mark.parametrize("name, p", [("veronese-2-4", 3001), ("rnc-5", 3001)])
 def test_grid_blocks_agree_across_stretch_lengths(name, p):
     """Forced stretches of one and two products yield the natural stretch's
     blocks on the same chart.  They evaluate general combinations of the
     chart's coordinates: two on veronese-2-4, as the scan does, and all six
     on rnc-5, whose one grid row they cut into parts."""
-    xp = build(builtin_blueprint(name), FieldSpec.prime(p), random.Random(0))
-    coeffs = fiber._coefficients([g.terms for g in xp.polys], xp.n)
-    mix = np.random.default_rng(0).integers(0, p, (2 if xp.n == 2 else len(coeffs), len(coeffs)))
-    coeffs = (mix @ coeffs.reshape(len(coeffs), -1) % p).reshape(len(mix), *coeffs.shape[1:])
+    xp, coeffs = _mixed_coordinates(name, p)
 
     def blocks(stretch):
         with _stretched(stretch):
@@ -795,6 +904,50 @@ def test_grid_blocks_agree_across_stretch_lengths(name, p):
     natural = blocks(None)
     assert blocks(1) == blocks(2) == natural
     assert sum(prod(shape[1:]) for _, shape, _ in natural) == p**xp.n
+
+
+@pytest.mark.parametrize("name, p", [("veronese-2-4", 1009), ("rnc-5", 3001)])
+def test_unreduced_blocks_have_the_zero_cells_of_the_residues(name, p):
+    """The blocks a zero test reads unreduced are congruent to the residue
+    blocks, cell for cell, and ``_divisible`` finds exactly their zero
+    cells.  At the natural stretch the values arrive as unreduced sums;
+    stretches of one and two products split the last contraction, so its
+    values fall back to residues.  veronese-2-4 at p = 1009 spans several
+    bands of blocks, the last one partial; rnc-5 cuts its one row in two."""
+    xp, coeffs = _mixed_coordinates(name, p)
+    for stretch in (1, 2, None):
+        top = 0
+        with _stretched(stretch):
+            reduced = fiber._grid_blocks(coeffs, p, xp.n)
+            unreduced = fiber._grid_blocks(coeffs, p, xp.n, reduced=False)
+            for (start, vals), (raw_start, raw) in zip(reduced, unreduced, strict=True):
+                assert (raw_start, raw.shape) == (start, vals.shape)
+                assert np.array_equal(raw % p, vals)
+                assert np.array_equal(fiber._divisible(raw, p), vals == 0)
+                top = max(top, raw.max())
+        assert (top >= p) == (stretch is None), stretch
+
+
+def test_curve_points_match_brute_force_at_every_stretch():
+    """counter1's plane cubic at p = 257 has the points a brute force finds,
+    in scan order, whether its blocks reach the zero test unreduced, at the
+    natural stretch, or as residues, at stretches of one and two
+    products."""
+    p = 257
+    curve = build(builtin_blueprint("counter1"), FieldSpec.prime(p), random.Random(1)).base.base.base
+    want = _curve_points_by_brute_force([(c, e) for e, c in curve.f.terms.items()], p)
+    for stretch in (1, 2, None):
+        tops = []
+        with _stretched(stretch):
+            divisible = fiber._divisible
+
+            def spy(values, q):
+                tops.append(values.max(initial=0))
+                return divisible(values, q)
+
+            with mock.patch.object(fiber, "_divisible", spy):
+                assert _curve_points_int(curve) == want, stretch
+        assert (max(tops) >= p) == (stretch is None), stretch
 
 
 @st.composite
