@@ -27,16 +27,20 @@ Two enumeration strategies cover every built-in shape:
   asks which cells are zero, so it takes each block's values as their
   exact sum of one stretch, unreduced, and ``_divisible`` tests them with
   no division; the keyed pass reads residues.  Only the candidate cells
-  either pass finds are checked, exactly, against the other coordinates.
-  Every grid point is still visited and a candidate is only a necessary
-  condition, so the counts are exhaustive and exact;
+  either pass finds are checked, exactly, against the other coordinates,
+  in batches: a batch forms its cells' powers once and evaluates many
+  coordinates in each product, so a few products check it however many
+  coordinates there are.  Every grid point is still visited and a
+  candidate is only a necessary condition, so the counts are exhaustive
+  and exact;
 * cone sections enumerate the base curve's points with the same grid
-  kernel, tested for zero as the product pass tests its cells, and one
-  matrix product per probe point picks the rulings on
-  which the linear proportionality conditions are solvable; only those are
-  solved, and the section finds the solutions that lie on it.  The handles
-  build the witnesses of enumerated preimages as they build drawn ones,
-  and probe points are drawn by the projection handle.
+  kernel, tested for zero as the product pass tests its cells, and embed
+  them all in one product of the map's coefficients and the monomials'
+  values at every point.  One matrix product per probe point picks the
+  rulings on which the linear proportionality conditions are solvable;
+  only those are solved, and the section finds the solutions that lie on
+  it.  The handles build the witnesses of enumerated preimages as they
+  build drawn ones, and probe points are drawn by the projection handle.
 
 Points mapping into the projection center are excluded from counts and
 tallied separately.  The cone scan covers the smooth ruling stratum; vertex
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -196,17 +201,19 @@ def _zero_stretch(p: int) -> int:
 
 
 def _divisible(values: np.ndarray, p: int) -> np.ndarray:
-    """Where p divides the float64 integers ``0 <= v <= min(p 2^50, 2^53 - 1)``,
+    """Where p divides the float64 integers ``|v| <= min(p 2^50, 2^53 - 1)``,
     with no division: p divides v exactly when ``q p == v`` for
     ``q = rint(v fl(1/p))``.
 
     No non-multiple passes: q is an integer, and ``q p`` is exact up to 2^53
-    and rounds to at least 2^53 past it, so it equals v only when p divides
-    v.  No multiple fails: for ``v = m p`` with ``m <= 2^50``, ``fl(1/p)`` is
-    ``(1 + d) / p`` with ``|d| <= 2^-53``, so ``v fl(1/p) = m (1 + d)`` lies
-    within ``m 2^-53 <= 1/8`` of m.  It is below 2^51, where float64 spacing
-    is at most 1/4, so rounding the product moves it by at most 1/8 more.
-    The product lies within 1/4 of m, q = m, and ``m p`` is exact."""
+    in magnitude and rounds to at least 2^53 past it, so it equals v only
+    when p divides v.  No multiple fails: for ``v = m p`` with
+    ``|m| <= 2^50``, ``fl(1/p)`` is ``(1 + d) / p`` with ``|d| <= 2^-53``, so
+    ``v fl(1/p) = m (1 + d)`` lies within ``|m| 2^-53 <= 1/8`` of m.  It is
+    below 2^51 in magnitude, where float64 spacing is at most 1/4, so
+    rounding the product moves it by at most 1/8 more.  The product lies
+    within 1/4 of m, q = m, and ``m p`` is exact.  Rounding is symmetric,
+    so negative v test as their magnitudes do."""
     quotient = values * (1.0 / p)
     np.rint(quotient, out=quotient)
     quotient *= p
@@ -235,13 +242,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int, reduced: bool = True) -> np.nd
 
 
 def _powers(xs: np.ndarray, count: int, p: int) -> np.ndarray:
-    """Power table ``T[e, k] = xs[k]^e mod p`` for ``e < count``, in float64,
-    for xs in ``[0, p)``."""
-    out = np.ones((count, len(xs)))
+    """Power table ``T[e, ...] = xs^e mod p`` for ``e < count``, in float64,
+    for xs in ``[0, p)``.  Each step multiplies the last power into the
+    ones before it, ``x^(e-1) x^k``, so the table doubles per step.  A step
+    forms at most as many powers as fill ``GRID_BLOCK_CELLS`` values (at
+    least one), so its reduction's scratch stays within a block."""
+    out = np.ones((count, *xs.shape))
     if count > 1:
         out[1] = xs
-    for e in range(2, count):
-        _reduce(np.multiply(out[e - 1], out[1], out=out[e]), p)
+    rows = max(1, GRID_BLOCK_CELLS // max(1, xs.size))
+    e = 2
+    while e < count:
+        top = min(2 * e - 1, e + rows, count)
+        _reduce(np.multiply(out[e - 1], out[1 : top - e + 1], out=out[e:top]), p)
+        e = top
     return out
 
 
@@ -302,47 +316,103 @@ def _grid_blocks(
                 yield (b0 + u0) * p + v0, vals.reshape(count, -1, vals.shape[-1])
 
 
+def _monomials(xs: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
+    """Values mod p of the monomials with exponent rows ``exps`` at the
+    points whose coordinates, residues, are the columns of ``xs``, one row
+    per variable: row m, one column per point.  The powers of every
+    coordinate come from one table, and each further variable is one
+    product of two residues, reduced."""
+    pows = _powers(xs, int(exps.max(initial=0)) + 1, p)
+    out = pows[exps[:, 0], 0]
+    for var in range(1, len(xs)):
+        out *= pows[exps[:, var], var]
+        _reduce(out, p)
+    return out
+
+
 def _cell_powers(cells: np.ndarray, shape: tuple[int, int], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of powers ``u^a`` and ``v^b`` at each grid cell ``u p + v``, for
-    polynomials of coefficient shape ``(na, nb)``."""
-    us, vs = np.divmod(cells, p)
-    return _powers(us, shape[0], p).T, _powers(vs, shape[1], p).T
+    """Powers ``u^a`` and ``v^b`` at each grid cell ``u p + v``, one column
+    per cell, for polynomials of coefficient shape ``(na, nb)``: slices of
+    one table."""
+    pows = _powers(np.stack(np.divmod(cells, p)), max(shape), p)
+    return pows[: shape[0], 0], pows[: shape[1], 1]
 
 
-def _cell_values(u_pows: np.ndarray, v_pows: np.ndarray, poly: np.ndarray, p: int) -> np.ndarray:
-    """The polynomial ``poly`` at the cells whose power rows these are."""
-    vals = _matmul(u_pows, poly, p)
-    vals *= v_pows
-    # row sums of products of two residues, in stretches like any other
+def _cell_values(polys: np.ndarray, u_pows: np.ndarray, v_pows: np.ndarray, p: int) -> np.ndarray:
+    """The polynomials ``polys[k]`` at the cells whose power columns these
+    are, one row per polynomial.  One product takes every polynomial's
+    coefficient of each ``v^b`` at every cell, and one more sums them
+    against the powers of v."""
+    count, na, nb = polys.shape
+    inner = _matmul(polys.transpose(0, 2, 1).reshape(count * nb, na), u_pows, p).reshape(count, nb, -1)
+    inner *= v_pows
+    # sums of products of two residues, in stretches like any other
     # contraction
-    return _matmul(vals, np.ones((poly.shape[1], 1)), p)[:, 0]
+    return _matmul(np.ones((1, nb)), inner, p)[:, 0]
+
+
+def _claims(matches: np.ndarray, ri: np.ndarray, rj: np.ndarray) -> np.ndarray:
+    """Which candidate cells each key claims, one row per key, and one more
+    row of the center candidates.  ``matches[k]`` marks the cells with
+    ``R_i = k R_j`` for the k-th key; a claim also needs ``R_j != 0``, and
+    the last row marks the cells with ``R_i = R_j = 0``."""
+    on = rj != 0
+    return np.vstack([matches & on, ~on & (ri == 0)])
+
+
+def _agree(vals: np.ndarray, rj: np.ndarray, w0: np.ndarray, wk: np.ndarray, p: int) -> np.ndarray:
+    """Which cells satisfy ``R_k w0 = R_j w_k`` mod p for every row ``R_k``
+    of ``vals``, with ``w_k`` the same column of ``wk``: one entry of w0
+    and one row of wk per cell.  The difference of two products of
+    residues is tested for zero unreduced."""
+    return _divisible(vals * w0 - rj * wk.T, p).all(axis=0)
 
 
 def _count_over(
-    cells: np.ndarray, owners: np.ndarray, rj: np.ndarray, weights: np.ndarray, rest: np.ndarray, p: int, chunk: int
+    cells: np.ndarray,
+    rj: Optional[np.ndarray],
+    claims: Optional[np.ndarray],
+    claimed: list[int],
+    weights: np.ndarray,
+    keys: np.ndarray,
+    pair: np.ndarray,
+    rest: np.ndarray,
+    p: int,
 ) -> np.ndarray:
-    """For each owner t, how many of the grid cells it owns lie over its
-    point: the exact check behind every candidate.  A cell with
-    ``R_j = rj`` lies over owner t when ``R_k w_t0 = R_j w_tk`` for every
-    row ``R_k`` of ``rest``, with ``w_t = weights[t]``.  Cells go ``chunk``
-    at a time, and each row is evaluated only on the cells still left."""
-    total = np.zeros(len(weights), dtype=np.int64)
-    for s in range(0, len(cells), chunk):
-        u_pows, v_pows = _cell_powers(cells[s : s + chunk], rest.shape[1:], p)
-        left, lj = owners[s : s + chunk], rj[s : s + chunk]
-        for k, poly in enumerate(rest, 1):
-            vals = _cell_values(u_pows, v_pows, poly, p)
-            ok = _reduce(vals * weights[left, 0], p) == _reduce(lj * weights[left, k], p)
-            u_pows, v_pows, left, lj = u_pows[ok], v_pows[ok], left[ok], lj[ok]
-            if not len(left):
-                break
-        total += np.bincount(left, minlength=len(weights))
-    return total
+    """For each owner t, how many of one batch of candidate cells lie over
+    its point: the exact check behind every candidate.
+
+    The batch's power columns are formed once, and each ``_cell_values``
+    below evaluates all its rows at every cell it needs in two products.
+    Owner t checks the cells that row ``claimed[t]`` of the keys'
+    ``_claims`` marks.  The product pass hands in no claims and no
+    ``R_j``: one evaluation of ``pair`` gives ``R_i`` and ``R_j``, and the
+    claims are read off them.  A claimed cell lies over owner t when
+    ``R_k w_t0 = R_j w_tk`` for every row ``R_k`` of ``rest``, with
+    ``w_t = weights[t]``.  One evaluation checks the first row on every
+    cell, and one more all the other rows together on the claims it
+    leaves, so a batch takes at most six products however many rows there
+    are."""
+    u_pows, v_pows = _cell_powers(cells, pair.shape[1:], p)
+    if claims is None:
+        ri, rj = _cell_values(pair, u_pows, v_pows, p)
+        claims = _claims(_reduce(np.multiply.outer(keys, rj), p) == ri, ri, rj)
+    owners, picked = np.nonzero(claims[claimed])
+    lj = rj[picked]
+    if len(rest) and len(picked):
+        first = _cell_values(rest[:1], u_pows, v_pows, p)[:, picked]
+        ok = _agree(first, lj, weights[owners, 0], weights[owners, 1:2], p)
+        owners, picked, lj = owners[ok], picked[ok], lj[ok]
+    if len(rest) > 1 and len(picked):
+        w = weights[owners]
+        vals = _cell_values(rest[1:], u_pows[:, picked], v_pows[:, picked], p)
+        owners = owners[_agree(vals, lj, w[:, 0], w[:, 2:], p)]
+    return np.bincount(owners, minlength=len(weights))
 
 
 def _gathered(pieces: Iterator[tuple[np.ndarray, ...]], chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Join the nonempty pieces, tuples of arrays of equal length, into
-    batches of at least ``chunk`` entries; the last batch may hold fewer."""
+    """Join the pieces, tuples of arrays of equal length, and cut them into
+    batches of ``chunk`` entries; the last batch may hold fewer."""
     held: list[tuple[np.ndarray, ...]] = []
     size = 0
     for piece in pieces:
@@ -350,8 +420,12 @@ def _gathered(pieces: Iterator[tuple[np.ndarray, ...]], chunk: int) -> Iterator[
             held.append(piece)
             size += len(piece[0])
         if size >= chunk:
-            yield tuple(np.concatenate(part) for part in zip(*held))
-            held, size = [], 0
+            joined = [np.concatenate(part) for part in zip(*held)]
+            cut = size - size % chunk
+            for s in range(0, cut, chunk):
+                yield tuple(a[s : s + chunk] for a in joined)
+            held = [tuple(a[cut:] for a in joined)] if cut < size else []
+            size -= cut
     if held:
         yield tuple(np.concatenate(part) for part in zip(*held))
 
@@ -417,52 +491,44 @@ def _key_product(pair: np.ndarray, keys: Sequence[int], p: int) -> np.ndarray:
 
 def _product_candidates(
     pair: np.ndarray, keys: Sequence[int], p: int, n: int, chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The zero cells of the key product, with their values of ``R_i`` and
-    ``R_j``, evaluated ``chunk`` cells at a time."""
+) -> Iterator[tuple[np.ndarray, None, None]]:
+    """The zero cells of the key product, ``chunk`` at a time; their values
+    of ``R_j`` and the keys' claims on them are left to the check."""
     blocks = _grid_blocks(_key_product(pair, keys, p)[None], p, n, reduced=False)
-    for (cells,) in _gathered(((start + np.flatnonzero(_divisible(vals, p)),) for start, vals in blocks), chunk):
-        for s in range(0, len(cells), chunk):
-            part = cells[s : s + chunk]
-            u_pows, v_pows = _cell_powers(part, pair.shape[1:], p)
-            yield part, _cell_values(u_pows, v_pows, pair[0], p), _cell_values(u_pows, v_pows, pair[1], p)
+    # the flat view's nonzero: np.flatnonzero's wrappers cost about as much
+    # as the search itself on one block
+    zeros = ((start + _divisible(vals, p).ravel().nonzero()[0],) for start, vals in blocks)
+    for (cells,) in _gathered(zeros, chunk):
+        yield cells, None, None
 
 
 def _keyed_candidates(
-    pair: np.ndarray, keys: Sequence[int], p: int, n: int, table: np.ndarray
+    pair: np.ndarray, keys: np.ndarray, p: int, n: int, table: np.ndarray, chunk: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The cells whose ratio key ``R_i / R_j`` is one of the keys or 0, with
-    their values of ``R_i`` and ``R_j``.  The zero entry of the inverse
-    table gives cells with ``R_j = 0`` the key 0."""
+    """The cells that some key claims or that may lie in the center, at
+    most ``chunk`` at a time, with their values of ``R_j`` and the keys'
+    ``_claims`` on them.  A block yields the cells whose ratio key
+    ``R_i / R_j``, read through one inverse table, is one of the keys or 0;
+    the zero entry of the table gives cells with ``R_j = 0`` the key 0.
+    Those wait for a batch, where the claims are read off the keys."""
     wanted = np.zeros(p, dtype=bool)
-    wanted[list(keys)] = True
+    wanted[keys.astype(np.intp)] = True
     wanted[0] = True
-    for start, (ri, rj) in _grid_blocks(pair, p, n):
-        ri, rj = ri.ravel(), rj.ravel()
-        # a key is one product of two residues, an exact float64 integer
-        key = table[rj.astype(np.intp, copy=False)]
-        key *= ri
-        key = _reduce(key, p).astype(np.intp, copy=False)
-        cells = np.flatnonzero(wanted[key])
-        yield start + cells, ri[cells], rj[cells]
 
+    def pieces():
+        for start, (ri, rj) in _grid_blocks(pair, p, n):
+            ri, rj = ri.ravel(), rj.ravel()
+            # a key is one product of two residues, an exact float64 integer
+            key = table[rj.astype(np.intp, copy=False)]
+            key *= ri
+            key = _reduce(key, p).astype(np.intp, copy=False)
+            cells = wanted[key].nonzero()[0]
+            yield start + cells, ri[cells], rj[cells], key[cells]
 
-def _route(
-    cells: np.ndarray, ri: np.ndarray, rj: np.ndarray, owned: dict[int, list[int]], center: Optional[int], p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates' cells, each once per owner that checks it, with their
-    owners and their values of ``R_j``.  A cell with ``R_j != 0`` goes to
-    every probe whose minor ``R_i q_j = R_j q_i`` it satisfies: to the
-    probes ``owned[k]`` of the key k with ``R_i = k R_j``.  With ``center``
-    given, a cell with ``R_i = R_j = 0`` goes to that owner."""
-    on = rj != 0
-    routed = [] if center is None else [(~on & (ri == 0), center)]
-    for key, owners in owned.items():
-        over = on & (_reduce(rj * float(key), p) == ri)
-        routed += [(over, t) for t in owners]
-    picks = [np.flatnonzero(mask) for mask, _ in routed]
-    picked = np.concatenate(picks)
-    return cells[picked], np.repeat([t for _, t in routed], [len(pick) for pick in picks]), rj[picked]
+    for cells, ri, rj, key in _gathered(pieces(), chunk):
+        claims = _claims(key == keys[:, None], ri, rj)
+        kept = claims.any(axis=0)
+        yield cells[kept], rj[kept], claims[:, kept]
 
 
 def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) -> tuple[list[int], int]:
@@ -479,8 +545,10 @@ def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) ->
     to every probe whose minor it satisfies and checked there, exactly,
     against the rest of the family ``q_j R_k - q_k R_j``; in the first
     group, candidates with ``R_i = R_j = 0`` are checked against the other
-    coordinates for the center.  Candidates wait and are checked together,
-    for every probe at once, a block's worth of power tables at a time.
+    coordinates for the center.  Candidates wait and are checked in
+    batches, for every probe at once (``_count_over``): each batch forms its
+    cells' power columns once, and evaluates the rows it needs in at most
+    three passes of two products each, however many rows there are.
 
     With K the group's distinct keys ``q_i / q_j``, a pass yields either
 
@@ -506,7 +574,7 @@ def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) ->
     rows = _matmul(np.array(proj.entries, dtype=np.float64), comps.reshape(len(comps), -1), p)
     rows = rows.reshape(-1, *comps.shape[1:])
     table = None
-    # the exact check's power tables and products stay within one block
+    # the exact check's power columns and products stay within one block
     chunk = max(1, GRID_BLOCK_CELLS // (2 * (rows.shape[1] + rows.shape[2])))
     groups: dict[int, list[int]] = {}
     for t, q in enumerate(qs):
@@ -523,21 +591,22 @@ def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) ->
         # last owner is the center, R_k = 0, for cells with R_i = R_j = 0
         weights = np.zeros((len(members) + 1, 1 + len(others)))
         weights[-1, 0] = 1
-        owned: dict[int, list[int]] = {}
+        owned = []
         for t, member in enumerate(members):
             q = np.array(qs[member], dtype=np.float64)
             weights[t] = q[[j] + others]
-            owned.setdefault(int(q[i]) * inverse(int(q[j]), p) % p, []).append(t)
-        keys = sorted(owned)
+            owned.append(int(q[i]) * inverse(int(q[j]), p) % p)
+        keys = np.array(sorted(set(owned)), dtype=np.float64)
+        # the row of the claims each owner reads: its key's, and the center's last
+        claimed = np.searchsorted(keys, owned).tolist() + ([len(keys)] if first == 0 else [])
         if len(keys) * degree > KEY_PRODUCT_DEGREE:
             if table is None:
                 table = _inverse_table(p)
-            candidates = _keyed_candidates(pair, keys, p, n, table)
+            batches = _keyed_candidates(pair, keys, p, n, table, chunk)
         else:
-            candidates = _product_candidates(pair, keys, p, n, chunk)
-        center = len(members) if first == 0 else None
-        for batch in _gathered(candidates, chunk):
-            total = _count_over(*_route(*batch, owned, center, p), weights, rest, p, chunk)
+            batches = _product_candidates(pair, keys.tolist(), p, n, chunk)
+        for cells, rj, claims in batches:
+            total = _count_over(cells, rj, claims, claimed, weights, keys, pair, rest, p)
             for t, member in enumerate(members):
                 counts[member] += int(total[t])
             center_hits += int(total[-1])
@@ -585,12 +654,20 @@ class _RulingScan:
         self.kone, self.emb = x.base, x.base.base
         self.proj = proj
         self.vertex = np.array(self.kone.vertex.entries, dtype=float)
-        self.rulings: list[tuple[tuple[int, int, int], tuple[int, ...]]] = []
-        for c in _curve_points_int(self.emb.base):
-            y = self.emb._apply(c)
-            if any(y):  # else c is in the base locus of the embedding
-                self.rulings.append((c, y))
-        self.points = np.array([y for _, y in self.rulings], dtype=float).reshape(-1, proj.cols).T
+        p = x.field.modulus
+        curve = _curve_points_int(self.emb.base)
+        forms = [g.terms for g in self.emb.polys]
+        exps = sorted({e for terms in forms for e in terms})
+        coeffs = np.array([[terms.get(e, 0) for e in exps] for terms in forms], dtype=np.float64)
+        # every curve point's embedding, as a column: one product of the
+        # forms' coefficients and the monomials' values at every point
+        values = _monomials(np.array(curve, dtype=np.float64).reshape(-1, 3).T, np.array(exps).reshape(-1, 3), p)
+        ys = _matmul(coeffs, values, p)
+        kept = ys.any(axis=0)  # else the point is in the base locus of the embedding
+        self.points = ys[:, kept]
+        self.rulings: list[tuple[tuple[int, int, int], tuple[int, ...]]] = list(
+            zip(compress(curve, kept.tolist()), map(tuple, self.points.T.astype(np.int64).tolist()))
+        )
 
     def preimages(self, q: list[int]) -> tuple[set[tuple[int, ...]], int, list[tuple]]:
         """Distinct preimage points of [q], excluded-center tally, (c, mu)s."""

@@ -441,8 +441,8 @@ PINNED_REPORTS = {
 }
 
 
-def report_digest(tmp_path, capsys, verb, tree, k_range, seed):
-    cfg = write_config(tmp_path, {"variety": tree, "k_range": list(k_range), "seed": seed})
+def report_digest(tmp_path, capsys, verb, tree, k_range, seed, **options):
+    cfg = write_config(tmp_path, {"variety": tree, "k_range": list(k_range), "seed": seed, **options})
     out_path = tmp_path / "report.json"
     assert cli.main([verb, "--config", cfg, "--out", str(out_path)]) == 0
     capsys.readouterr()
@@ -485,6 +485,22 @@ GRID_SCAN_REPORTS = {
 def test_grid_scan_fiber_reports_are_pinned(tmp_path, capsys, variety, seed):
     digest = report_digest(tmp_path, capsys, "fiber-probe", GRID_SCAN_TREES[variety], (1, 1), seed)
     assert digest == GRID_SCAN_REPORTS[(variety, seed)]
+
+
+# 30-trial fiber-probe reports, digested as above.  Thirty keys times the
+# chart's degree pass KEY_PRODUCT_DEGREE, so both scan through the ratio
+# key: the keyed pass, with the exact check behind it.  They were captured
+# from the check that evaluated one projected row at a time.
+KEYED_PASS_REPORTS = {
+    ("veronese-2-4", 1, 3): "ab14cc8522295388612bed582503e2f1f587340d332aedc4dcc8e300f76e5363",
+    ("veronese-2-6", 8, 5): "8fd7d92f8df18386f5bcb049c25cff8c6b5517f8cff8a95eba840e109f92bfc0",
+}
+
+
+@pytest.mark.parametrize("variety, k, seed", list(KEYED_PASS_REPORTS))
+def test_keyed_pass_fiber_reports_are_pinned(tmp_path, capsys, variety, k, seed):
+    digest = report_digest(tmp_path, capsys, "fiber-probe", variety, (k, k), seed, trials=30)
+    assert digest == KEYED_PASS_REPORTS[(variety, k, seed)]
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -34,6 +34,7 @@ from terracini.secant import tangential_projection
 from terracini.seeding import derive_rng
 from terracini.varieties import (
     MAX_RESAMPLE,
+    MapImageHandle,
     Witness,
     build,
     cone,
@@ -289,7 +290,8 @@ def _stretched(stretch):
     or of the natural length for None, and check that every value the grid
     reduces is a sum of at most that many products of two residues: as if
     float64 held no larger integer exactly.  Every value tested for zero
-    unreduced is such a sum too, within the bound of ``_divisible``."""
+    unreduced is such a sum too, or a difference of two products, within
+    the bound of ``_divisible``."""
     reduce = fiber._reduce
     divisible = fiber._divisible
 
@@ -298,7 +300,7 @@ def _stretched(stretch):
         return reduce(values, p)
 
     def tested(values, p):
-        assert values.max(initial=0) <= fiber._zero_stretch(p) * (p - 1) ** 2
+        assert np.abs(values).max(initial=0) <= fiber._zero_stretch(p) * (p - 1) ** 2
         return divisible(values, p)
 
     with contextlib.ExitStack() as stack:
@@ -321,9 +323,12 @@ _ZERO_AT_KEY = (31, 2, [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}], [[1, 0, 0], [0, 
 _LINEAR_FACTOR = (31, 2, [{(1, 0): 1, (0, 0): 27}, {(0, 1): 1}, {(1, 1): 1}], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[5, 30, 1], [0, 0, 1], [1, 0, 0]], 64)
 # one projection row: i = j, and every nonzero cell takes the key 1
 _ONE_ROW = (101, 2, [{(2, 0): 1, (0, 1): 3}, {(1, 1): 1}], [[1, 2]], [[5]], 64)
+# the image [1 : 2 : 3 : 6] of (2, 3) listed twice: two owners share one key,
+# and each counts the preimage
+_TWICE = (101, 2, _FIVE_PROBES[2], _FIVE_PROBES[3], [[1, 2, 3, 6], [1, 5, 0, 0], [1, 2, 3, 6]], 64)
 
 
-_SCAN_EXAMPLES = (_SPLIT_PIVOTS, _ZERO_CHART, _FIVE_PROBES, _ZERO_AT_KEY, _LINEAR_FACTOR, _ONE_ROW)
+_SCAN_EXAMPLES = (_SPLIT_PIVOTS, _ZERO_CHART, _FIVE_PROBES, _ZERO_AT_KEY, _LINEAR_FACTOR, _ONE_ROW, _TWICE)
 
 
 def _scan_examples(test):
@@ -447,15 +452,16 @@ def test_grid_scan_takes_one_pass_per_pivot_group():
     assert split_pass == one_pass * 2
 
 
-def _kernel_reductions(run):
-    """Run ``run()``; return how many ``_reduce`` calls the grid kernel made
-    while it produced its blocks, and how many blocks it yielded."""
-    reduce, evaluate = fiber._reduce, fiber._grid_blocks
-    inside, calls, blocks = [False], [0], [0]
+def _kernel_calls(run, name):
+    """Run ``run()``; return how many calls of the fiber helper ``name`` the
+    grid kernel made while it produced its blocks, how many were made
+    outside it, and how many blocks it yielded."""
+    helper, evaluate = getattr(fiber, name), fiber._grid_blocks
+    inside, calls, blocks = [False], [0, 0], [0]
 
-    def counted_reduce(*args):
-        calls[0] += inside[0]
-        return reduce(*args)
+    def counted_helper(*args, **kwargs):
+        calls[not inside[0]] += 1
+        return helper(*args, **kwargs)
 
     def counted_blocks(*args, **kwargs):
         inner = evaluate(*args, **kwargs)
@@ -470,9 +476,9 @@ def _kernel_reductions(run):
             blocks[0] += 1
             yield block
 
-    with mock.patch.object(fiber, "_reduce", counted_reduce), mock.patch.object(fiber, "_grid_blocks", counted_blocks):
+    with mock.patch.object(fiber, name, counted_helper), mock.patch.object(fiber, "_grid_blocks", counted_blocks):
         run()
-    return calls[0], blocks[0]
+    return calls[0], calls[1], blocks[0]
 
 
 def test_zero_tests_reduce_less_than_once_per_grid_block():
@@ -482,13 +488,40 @@ def test_zero_tests_reduce_less_than_once_per_grid_block():
     veronese-2-4 and counter1's curve, both at p = 1009, scan 64 and 65
     blocks."""
     xp, proj, qs = _projection_probes(builtin_blueprint("veronese-2-4"), 1009, 1, 5)
-    calls, blocks = _kernel_reductions(lambda: _scan_parametric(xp, proj, qs))
+    calls, _, blocks = _kernel_calls(lambda: _scan_parametric(xp, proj, qs), "_reduce")
     assert blocks == 64
     assert calls < blocks
     curve = build(builtin_blueprint("counter1"), FieldSpec.prime(1009), random.Random(1)).base.base.base
-    calls, blocks = _kernel_reductions(lambda: _curve_points_int(curve))
+    calls, _, blocks = _kernel_calls(lambda: _curve_points_int(curve), "_reduce")
     assert blocks == 65
     assert calls < blocks
+
+
+@pytest.mark.parametrize("name, rows", [("veronese-2-3", 7), ("veronese-2-4", 12)])
+def test_exact_check_makes_a_few_products_per_batch(name, rows):
+    """Each batch of candidate cells forms its power columns once and
+    evaluates projected rows in at most three passes of two products: the
+    pivot rows R_i and R_j together, the first other row on every cell,
+    and all the remaining rows together on the claims it leaves.  So
+    outside the grid kernel, a five-probe scan at p = 1009 makes at most
+    six products per batch, and one more for the projected rows, whether
+    its projection keeps 7 rows or 12."""
+    xp, proj, qs = _projection_probes(builtin_blueprint(name), 1009, 1, 5)
+    assert len(proj.entries) == rows
+    count_over = fiber._count_over
+    batches = []
+
+    def counted(*args, **kwargs):
+        batches.append(len(args[0]))
+        return count_over(*args, **kwargs)
+
+    def run():
+        with mock.patch.object(fiber, "_count_over", counted):
+            assert _scan_parametric(xp, proj, qs)[0] == [1] * 5
+
+    _, products, _ = _kernel_calls(run, "_matmul")
+    assert len(batches) > 1
+    assert products <= 1 + 6 * len(batches)
 
 
 def test_grid_scan_memory_does_not_grow_with_probe_points():
@@ -595,6 +628,50 @@ def test_ruling_scan_matches_brute_force_enumeration():
         )
         assert (found, center_hits) == expected
         assert len(found) == count
+
+
+def test_ruling_scan_embeds_its_curve_points_without_apply(monkeypatch):
+    """The scan's rulings are counter1's curve points at p = 257, in curve
+    order, each with the embedding ``MapImageHandle._apply`` gives it, and
+    its point matrix holds those embeddings as columns; the scan itself
+    makes no ``_apply`` call."""
+    p = 257
+    xp, proj, _ = _counter1_probes(p, 0)
+    emb = xp.base.base
+    want = [(c, emb._apply(c)) for c in _curve_points_int(emb.base)]
+    want = [(c, y) for c, y in want if any(y)]
+
+    def refused(self, x):
+        raise AssertionError("the ruling scan embeds curve points one at a time")
+
+    monkeypatch.setattr(MapImageHandle, "_apply", refused)
+    scan = fiber._RulingScan(xp, proj)
+    assert scan.rulings == want
+    assert scan.points.T.tolist() == [list(y) for _, y in want]
+
+
+def test_ruling_scan_drops_the_base_locus_of_the_embedding():
+    """A map whose forms all vanish on the line x2 = 0 sends the Fermat
+    cubic's one point there at p = 257, (256, 1, 0), to zero; the scan
+    keeps every other curve point, in curve order, with the forms' values
+    there in Python ints."""
+    p = 257
+    curve = build(
+        {"constructor": "implicit_plane_curve", "terms": [[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]]], "genus_hint": 1},
+        FieldSpec.prime(p),
+        random.Random(0),
+    )
+    forms = [{(1, 0, 1): 1}, {(0, 1, 1): 3, (1, 0, 1): 250}, {(0, 0, 2): 1}, {}]
+    emb = SimpleNamespace(base=curve, polys=[SimpleNamespace(terms=f) for f in forms])
+    cone_ = SimpleNamespace(base=emb, vertex=SimpleNamespace(entries=[[0], [0], [0], [1]]))
+    scan = fiber._RulingScan(SimpleNamespace(base=cone_, field=curve.field), None)
+    values = [
+        (c, tuple(sum(a * prod(pow(x, e, p) for x, e in zip(c, expo)) for expo, a in f.items()) % p for f in forms))
+        for c in _curve_points_int(curve)
+    ]
+    assert (256, 1, 0) in [c for c, y in values if not any(y)]
+    assert scan.rulings == [(c, y) for c, y in values if any(y)]
+    assert {type(v) for _, y in scan.rulings for v in y} == {int}
 
 
 def test_ruling_scan_solves_only_the_solvable_rulings(monkeypatch):
@@ -830,11 +907,13 @@ def _divisibility_examples(test):
 @settings(max_examples=200, deadline=None)
 def test_divisibility_test_matches_python_remainders(case):
     """The division-free zero test agrees with Python's % on every integer a
-    block product can hand it unreduced, which stays within its bound."""
+    block product can hand it unreduced, which stays within its bound, and
+    on their negatives."""
     p, values = case
     assert _largest_unreduced(p) <= min(p << 50, 2**53 - 1)
-    got = fiber._divisible(np.array(values, dtype=np.float64), p)
-    assert got.tolist() == [v % p == 0 for v in values]
+    want = [v % p == 0 for v in values]
+    assert fiber._divisible(np.array(values, dtype=np.float64), p).tolist() == want
+    assert fiber._divisible(-np.array(values, dtype=np.float64), p).tolist() == want
 
 
 @st.composite
