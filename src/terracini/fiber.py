@@ -24,23 +24,23 @@ Two enumeration strategies cover every built-in shape:
   and key is float64 arithmetic on exact integers: one helper,
   ``_matmul``, forms every matrix product through BLAS and sums each
   contraction in stretches that stay below 2^53.  The product pass only
-  asks which cells are zero, so it takes each block's values as their
-  exact sum of one stretch, unreduced, and ``_divisible`` tests them with
-  no division; the keyed pass reads residues.  Only the candidate cells
-  either pass finds are checked, exactly, against the other coordinates,
-  in batches: a batch forms its cells' powers once and evaluates many
-  coordinates in each product, so a few products check it however many
-  coordinates there are.  Every grid point is still visited and a
-  candidate is only a necessary condition, so the counts are exhaustive
-  and exact;
-* cone sections enumerate the base curve's points with the same grid
-  kernel, tested for zero as the product pass tests its cells, and embed
-  them all in one product of the map's coefficients and the monomials'
-  values at every point.  One matrix product per probe point picks the
-  rulings on which the linear proportionality conditions are solvable;
-  only those are solved, and the section finds the solutions that lie on
-  it.  The handles build the witnesses of enumerated preimages as they
-  build drawn ones, and probe points are drawn by the projection handle.
+  asks which cells are zero, so one finder, ``_zero_cells``, takes each
+  block's values as their exact sum of one stretch, unreduced, and
+  ``_divisible`` tests them with no division; the keyed pass reads
+  residues.  Only the candidate cells either pass finds are checked,
+  exactly, against the other coordinates, in batches: a batch forms its
+  cells' powers once and evaluates many coordinates in each product, so a
+  few products check it however many coordinates there are.  Every grid
+  point is still visited and a candidate is only a necessary condition,
+  so the counts are exhaustive and exact;
+* cone sections enumerate the base curve's points with the product
+  pass's zero-cell finder, and embed them all in one product of the map's
+  coefficients and the monomials' values at every point.  One matrix
+  product per probe point picks the rulings on which the linear
+  proportionality conditions are solvable; only those are solved, and the
+  section finds the solutions that lie on it.  The handles build the
+  witnesses of enumerated preimages as they build drawn ones, and probe
+  points are drawn by the projection handle.
 
 Points mapping into the projection center are excluded from counts and
 tallied separately.  The cone scan covers the smooth ruling stratum; vertex
@@ -180,6 +180,8 @@ def _reduce(values: np.ndarray, p: int) -> np.ndarray:
     reaches the next integer, so its floor is the true quotient and every
     step is exact.  Multiplying by a rounded ``1 / p`` instead can be off by
     one."""
+    # a float modulus spares each ufunc call a conversion of the int
+    p = float(p)
     quotient = np.divide(values, p)
     np.floor(quotient, out=quotient)
     quotient *= p
@@ -243,19 +245,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int, reduced: bool = True) -> np.nd
 
 def _powers(xs: np.ndarray, count: int, p: int) -> np.ndarray:
     """Power table ``T[e, ...] = xs^e mod p`` for ``e < count``, in float64,
-    for xs in ``[0, p)``.  Each step multiplies the last power into the
-    ones before it, ``x^(e-1) x^k``, so the table doubles per step.  A step
-    forms at most as many powers as fill ``GRID_BLOCK_CELLS`` values (at
-    least one), so its reduction's scratch stays within a block."""
-    out = np.ones((count, *xs.shape))
-    if count > 1:
-        out[1] = xs
-    rows = max(1, GRID_BLOCK_CELLS // max(1, xs.size))
-    e = 2
-    while e < count:
-        top = min(2 * e - 1, e + rows, count)
-        _reduce(np.multiply(out[e - 1], out[1 : top - e + 1], out=out[e:top]), p)
-        e = top
+    for xs in ``[0, p)``: each power is the one before it times x, one
+    product of two residues, reduced."""
+    out = np.empty((count, *xs.shape))
+    out[:1] = 1
+    out[1:2] = xs
+    for e in range(2, count):
+        _reduce(np.multiply(out[e - 1], out[1], out=out[e]), p)
     return out
 
 
@@ -281,8 +277,8 @@ def _grid_blocks(
     so that all polynomials together fill at most ``GRID_BLOCK_CELLS`` cells,
     at least one each.  Yields ``(start, vals)`` in cell order, where
     ``vals[k].flat[c]`` is polynomial k at cell ``start + c``: a residue, or
-    with ``reduced`` false, for callers that only ask which cells are zero,
-    an integer congruent to it that ``_divisible`` tests exactly.
+    with ``reduced`` false, for ``_zero_cells``, an integer congruent to it
+    that ``_divisible`` tests exactly.
 
     Each call builds one power table, of ``x^e`` for the first
     ``max(rows, width)`` residues x and ``e < max(na, nb)``, once.  A block
@@ -314,6 +310,17 @@ def _grid_blocks(
                     left = _matmul(left, step, p)
                 vals = _matmul(left, pows[:nb, : min(width, p - v0)], p, reduced)
                 yield (b0 + u0) * p + v0, vals.reshape(count, -1, vals.shape[-1])
+
+
+def _zero_cells(coeffs: np.ndarray, p: int, n: int) -> Iterator[np.ndarray]:
+    """The zero cells of the polynomial with coefficients ``C[a, b]`` of
+    ``u^a v^b`` on the chart grid F_p^n, one block of ``_grid_blocks`` at a
+    time, in cell order: each block's values are taken unreduced and
+    tested with ``_divisible``."""
+    for start, vals in _grid_blocks(coeffs[None], p, n, reduced=False):
+        # the flat view's nonzero: np.flatnonzero's wrappers cost about as
+        # much as the search itself on one block
+        yield start + _divisible(vals, p).ravel().nonzero()[0]
 
 
 def _monomials(xs: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
@@ -489,19 +496,6 @@ def _key_product(pair: np.ndarray, keys: Sequence[int], p: int) -> np.ndarray:
     return out
 
 
-def _product_candidates(
-    pair: np.ndarray, keys: Sequence[int], p: int, n: int, chunk: int
-) -> Iterator[tuple[np.ndarray, None, None]]:
-    """The zero cells of the key product, ``chunk`` at a time; their values
-    of ``R_j`` and the keys' claims on them are left to the check."""
-    blocks = _grid_blocks(_key_product(pair, keys, p)[None], p, n, reduced=False)
-    # the flat view's nonzero: np.flatnonzero's wrappers cost about as much
-    # as the search itself on one block
-    zeros = ((start + _divisible(vals, p).ravel().nonzero()[0],) for start, vals in blocks)
-    for (cells,) in _gathered(zeros, chunk):
-        yield cells, None, None
-
-
 def _keyed_candidates(
     pair: np.ndarray, keys: np.ndarray, p: int, n: int, table: np.ndarray, chunk: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -604,7 +598,9 @@ def _scan_parametric(xp: ParametricHandle, proj: Matrix, qs: list[list[int]]) ->
                 table = _inverse_table(p)
             batches = _keyed_candidates(pair, keys, p, n, table, chunk)
         else:
-            batches = _product_candidates(pair, keys.tolist(), p, n, chunk)
+            zeros = _zero_cells(_key_product(pair, keys.tolist(), p), p, n)
+            # 1-tuples of cells for _gathered; the check reads their R_j and claims
+            batches = ((cells, None, None) for (cells,) in _gathered(zip(zeros), chunk))
         for cells, rj, claims in batches:
             total = _count_over(cells, rj, claims, claimed, weights, keys, pair, rest, p)
             for t, member in enumerate(members):
@@ -626,15 +622,15 @@ def _curve_points_int(curve: ImplicitPlaneCurveHandle) -> list[tuple[int, int, i
         raise BudgetExhausted(f"curve grid {p}^2 exceeds the enumeration budget {ENUM_BUDGET}")
     pts = []
     terms = curve.f.terms
-    for start, vals in _grid_blocks(_coefficients([curve.f_affine.terms], 2), p, 2, reduced=False):
-        us, vs = np.divmod(start + np.flatnonzero(_divisible(vals[0], p)), p)
+    for cells in _zero_cells(_coefficients([curve.f_affine.terms], 2)[0], p, 2):
+        us, vs = np.divmod(cells, p)
         pts += [(u, v, 1) for u, v in zip(us.tolist(), vs.tolist())]
     # the line at infinity: x2 = 0, x1 = 1, where only the terms without x2
     # are left, then the lone corner point, where the homogeneous f of
     # degree d is its x0^d coefficient
     at_infinity = {e[:1]: c for e, c in terms.items() if not e[2]}
-    for start, vals in _grid_blocks(_coefficients([at_infinity], 1), p, 1, reduced=False):
-        pts += [(u, 1, 0) for u in (start + np.flatnonzero(_divisible(vals[0], p))).tolist()]
+    for cells in _zero_cells(_coefficients([at_infinity], 1)[0], p, 1):
+        pts += [(u, 1, 0) for u in cells.tolist()]
     if not terms.get((curve.f.total_degree(), 0, 0)):
         pts.append((1, 0, 0))
     return pts
@@ -847,6 +843,8 @@ def fiber_probe(
         raise ConfigError("trials must be positive")
     if len(primes) < 1:
         raise ConfigError("need at least one enumeration prime")
+    if len(set(primes)) < len(primes):
+        raise ConfigError(f"enumeration primes list a prime twice: {tuple(primes)}")
 
     # one draw from the caller, children for everything else: the amount of
     # sampling done here must not depend on which handle caches are warm

@@ -184,6 +184,25 @@ def test_fiber_probe_refuses_a_handle_without_a_tree():
     assert probe_rng.getstate() == state
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 0}, "trials must be positive"),
+        ({"primes": ()}, "at least one enumeration prime"),
+        ({"primes": (1009, 1009)}, "list a prime twice"),
+    ],
+    ids=["no-trials", "no-primes", "repeated-prime"],
+)
+def test_fiber_probe_refuses_bad_arguments_before_it_draws(kwargs, message):
+    """Zero trials, no primes and a prime listed twice are config errors,
+    raised before the probe takes its draw from the caller's generator."""
+    rng = random.Random(2)
+    state = rng.getstate()
+    with pytest.raises(ConfigError, match=message):
+        fiber_probe(handle("veronese-2-2"), 1, rng, **kwargs)
+    assert rng.getstate() == state
+
+
 def test_report_is_deterministic_and_thread_independent():
     x = handle("counter1")
     a = fiber_probe(x, 1, random.Random(77))
@@ -1110,6 +1129,20 @@ def test_grid_blocks_build_one_power_table(n, p, block_cells):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p", [7, 1009, 3001, 9_999_991])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 65])
+def test_powers_match_python_pow(p, count):
+    """Every entry of a power table is ``pow(x, e, p)``, on one row of
+    residues and on two, with 0, 1 and p - 1 among them; 65 rows is the
+    largest table the key product takes."""
+    rng = random.Random(p * 100 + count)
+    xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(9)]
+    for shape in [(12,), (2, 6)]:
+        table = fiber._powers(np.array(xs, dtype=np.float64).reshape(shape), count, p)
+        assert table.shape == (count, *shape)
+        assert table.reshape(count, len(xs)).tolist() == [[float(pow(x, e, p)) for x in xs] for e in range(count)]
+
+
 def test_every_grid_product_goes_through_matmul():
     """Every matrix product in fiber.py is formed by ``_matmul``, in exact
     stretches, and no module keeps a rule that picks another arithmetic."""
@@ -1126,6 +1159,33 @@ def test_every_grid_product_goes_through_matmul():
     helpers = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_matmul"]
     inside = {n for helper in helpers for n in ast.walk(helper)}
     assert products and products <= inside, sorted(n.lineno for n in products - inside)
+
+
+def test_one_helper_tests_grid_blocks_for_zero():
+    """Only ``_zero_cells`` asks ``_grid_blocks`` for unreduced values, and
+    the curve enumeration reads its zero cells from it, not from a search
+    of its own."""
+    tree = ast.parse(Path(fiber.__file__).read_text(encoding="utf-8"))
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+    def calls(node, name):
+        return [
+            c
+            for c in ast.walk(node)
+            if isinstance(c, ast.Call) and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+        ]
+
+    # a call that passes ``reduced`` at all, by keyword or by position
+    unreduced = {
+        caller
+        for caller, node in functions.items()
+        for call in calls(node, "_grid_blocks")
+        if len(call.args) > 3 or any(k.arg == "reduced" for k in call.keywords)
+    }
+    assert unreduced == {"_zero_cells"}
+    for name in ("_zero_cells", "_curve_points_int"):
+        assert not calls(functions[name], "flatnonzero"), name
+    assert calls(functions["_curve_points_int"], "_zero_cells")
 
 
 # -- identifiability: fiber degrees against decompositions of forms ----------
