@@ -4,7 +4,10 @@ The workhorse identity: the affine cone over the span of tangent spaces at
 k+1 general points has the dimension of the k-th secant variety plus one, so
 stacking exact tangent frames and taking a rank settles dim S^k.  Ranks can
 only drop on special draws, hence every dimension here is a max over a few
-independent trials and degenerate witness tuples are redrawn.
+independent trials and degenerate witness tuples are redrawn.  No trial can
+read more than the parameter count min(r, n(k+1) + k), so once one reaches
+it the later trials draw their witnesses, keeping the caller's stream, but
+form no stacked rank.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 3
+
+
+def _check_k_and_trials(k: int, trials: int) -> None:
+    """Refuse a bad index or trial count before anything is drawn."""
+    if k < 0:
+        raise ConfigError("secant index must be nonnegative")
+    if trials < 1:
+        raise ConfigError("trials must be positive")
 
 
 def expected_secant_dim(x: VarietyHandle, k: int, rng: random.Random) -> int:
@@ -74,15 +85,20 @@ def _nondegenerate_tuple(
 def terracini_dim(
     x: VarietyHandle, k: int, rng: random.Random, trials: int = DEFAULT_TRIALS
 ) -> tuple[int, tuple[Witness, ...]]:
-    """dim S^k as the max over trials of a stacked-frame rank minus one."""
-    if k < 0:
-        raise ConfigError("secant index must be nonnegative")
-    if trials < 1:
-        raise ConfigError("trials must be positive")
+    """dim S^k as the max over trials of a stacked-frame rank minus one.
+
+    The k + 1 frames have rank n + 1 each and r + 1 rows, so no trial reads
+    more than min(r, n(k+1) + k).  Once one does, the later trials still draw
+    their witnesses, so the caller's generator ends where it would, but skip
+    the stacked rank: a tie never replaces the first witnesses."""
+    _check_k_and_trials(k, trials)
     n = x.intrinsic_dim(rng)
+    ceiling = min(x.ambient_r, n * (k + 1) + k)
     best, best_ws = -1, ()
     for _ in range(trials):
         ws, _, frames = _nondegenerate_tuple(x, k + 1, n, rng)
+        if best == ceiling:
+            continue
         dim = exact_rank(Matrix.hstack(frames)) - 1
         if dim > best:
             best, best_ws = dim, tuple(ws)
@@ -105,6 +121,7 @@ class DefectProfile:
 def defect(
     x: VarietyHandle, k: int, rng: random.Random, trials: int = DEFAULT_TRIALS
 ) -> DefectProfile:
+    _check_k_and_trials(k, trials)
     n = x.intrinsic_dim(rng)
     expected = expected_secant_dim(x, k, rng)
     actual, _ = terracini_dim(x, k, rng, trials=trials)

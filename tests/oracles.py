@@ -6,7 +6,9 @@ exponent bookkeeping.  Nothing here imports library elimination or jet
 internals; the root-finder reference shares only the univariate gcd, trim,
 long division (``_poly_divmod``, for its exact quotients and inside the
 gcd) and square root with the library, and the jet reference only the power
-table and the ``Jet2`` container.
+table and the ``Jet2`` container.  The every-trial Terracini loop shares the
+witness draw and the rank with the library: it checks only that skipping
+ranks that cannot raise the max changes no result and no draw.
 """
 
 from __future__ import annotations
@@ -21,15 +23,18 @@ import numpy as np
 from terracini.algebra import (
     FieldSpec,
     Jet2,
+    Matrix,
     MultiPoly,
     _poly_divmod,
     _poly_gcd,
     _poly_trim,
     _sqrt_mod,
+    exact_rank,
     max_exponents,
     power_table,
 )
 from terracini.errors import ConstructionError
+from terracini.secant import _nondegenerate_tuple
 
 
 def det_cofactor(rows):
@@ -559,6 +564,19 @@ def double_point_condition_nullity(d: int, points, p: int) -> int:
                 )
             rows.append(row)
     return len(monos) - rank_by_reverse_echelon(rows, p)
+
+
+def terracini_dim_ranking_every_trial(x, k: int, rng, trials: int):
+    """``secant.terracini_dim`` as it was before it skipped trials: every
+    trial forms its stacked rank, and a strictly larger rank wins."""
+    n = x.intrinsic_dim(rng)
+    best, best_ws = -1, ()
+    for _ in range(trials):
+        ws, _, frames = _nondegenerate_tuple(x, k + 1, n, rng)
+        dim = exact_rank(Matrix.hstack(frames)) - 1
+        if dim > best:
+            best, best_ws = dim, tuple(ws)
+    return best, best_ws
 
 
 # (n, d, k) of the four sporadic defective secants of Veronese varieties

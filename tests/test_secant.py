@@ -5,9 +5,11 @@ from math import comb
 
 import pytest
 
+from terracini import secant
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank
 from terracini.contact import check_nu_tower
-from terracini.errors import CenterFillsAmbient, ConfigError
+from terracini.errors import CenterFillsAmbient, ConfigError, DegenerateWitness
+from terracini.instances import builtin
 from terracini.secant import (
     check_delta_tower,
     defect,
@@ -23,6 +25,7 @@ from oracles import (
     ah_secant_dim,
     double_point_condition_nullity,
     rank_by_reverse_echelon,
+    terracini_dim_ranking_every_trial,
 )
 from test_varieties import coordinates
 
@@ -162,7 +165,62 @@ def test_full_alexander_hirschowitz_sweep():
     assert not mismatches, mismatches
 
 
+# -- trials at the parameter count --------------------------------------------
+
+# v_2(P^14) at k = 14 reaches its span, v_2(P^4) at k = 2 is defective, and
+# v_4(P^2) at k = 3 reaches n(k+1) + k below its span
+SKIP_CASES = [
+    ("veronese-14-2", 14),
+    ("veronese-4-2", 2),
+    ("veronese-2-4", 3),
+    ("rnc-5", 2),
+    ("counter1", 1),
+    ("counter2", 1),
+    ("counter3-n3", 1),
+]
+
+
+@pytest.mark.parametrize("trials", [1, 3, 7])
+@pytest.mark.parametrize("name, k", SKIP_CASES, ids=[f"{name}-k{k}" for name, k in SKIP_CASES])
+def test_terracini_dim_matches_the_loop_that_ranks_every_trial(name, k, trials):
+    """Skipping the ranks of trials that cannot raise the max changes no
+    dimension, no witness and no draw of the caller's generator."""
+    sides = []
+    for run in (terracini_dim, terracini_dim_ranking_every_trial):
+        x = builtin(name, F, random.Random(36))
+        rng = random.Random(f"skip/{name}/{k}/{trials}")
+        dim, ws = run(x, k, rng, trials=trials)
+        sides.append((dim, [w.raw for w in ws], rng.getstate()))
+    assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("n, d, k, stacked", [(2, 4, 3, 1), (4, 2, 2, 3)])
+def test_trials_after_the_parameter_count_form_no_stacked_rank(monkeypatch, n, d, k, stacked):
+    """v_4(P^2) reaches n(k+1) + k = 11 on its first trial, so the other two
+    form no stacked rank; defective v_2(P^4) never reaches 14 and ranks all
+    three.  A frame alone has n + 1 columns, a stacked one more."""
+    calls = []
+
+    def spy(m):
+        if m.cols > n + 1:
+            calls.append(m.cols)
+        return exact_rank(m)
+
+    monkeypatch.setattr(secant, "exact_rank", spy)
+    dim, _ = terracini_dim(veronese(F, n, d), k, random.Random(38), trials=3)
+    assert dim == ah_secant_dim(n, d, k)
+    assert calls == [(k + 1) * (n + 1)] * stacked
+
+
 # -- span awareness -----------------------------------------------------------
+
+
+def test_defect_refuses_a_dimension_above_the_parameter_count(monkeypatch):
+    """A handle that under-reports its span is caught by its own rank."""
+    ver = veronese(F, 2, 2)
+    monkeypatch.setattr(ver, "span_dim", lambda: 3)
+    with pytest.raises(DegenerateWitness, match="measured dim 4 above the parameter count 3"):
+        defect(ver, 1, random.Random(37))
 
 
 def test_expected_dim_uses_the_measured_span():
@@ -277,3 +335,22 @@ def test_bad_indices_are_rejected():
         terracini_dim(ver, -1, rng)
     with pytest.raises(ConfigError):
         check_delta_tower(ver, 0, rng)
+
+
+def test_defect_refuses_bad_arguments_before_it_draws():
+    """A bad index or trial count is refused before the dimension of x is
+    measured, so the caller's generator and x's cached dimension are as
+    they were."""
+    ver = veronese(F, 2, 2)
+    rng = random.Random(39)
+    state = rng.getstate()
+    for call in (
+        lambda: defect(ver, -1, rng),
+        lambda: defect(ver, 1, rng, trials=0),
+        lambda: min_defective_k(ver, 3, rng, trials=0),
+        lambda: check_delta_tower(ver, 2, rng, trials=0),
+    ):
+        with pytest.raises(ConfigError):
+            call()
+        assert rng.getstate() == state
+        assert ver._dim_cache is None
