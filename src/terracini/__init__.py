@@ -30,7 +30,6 @@ from .errors import (
     ConstructionError,
     DegenerateWitness,
     FieldMismatchError,
-    NoTangentHyperplane,
     SamplingExhausted,
     TerraciniError,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "FunctorialityReport",
     "Matrix",
     "MultiPoly",
-    "NoTangentHyperplane",
     "NuEstimate",
     "NuTowerReport",
     "SamplingExhausted",

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import FieldSpec, Jet2, Matrix, exact_rank
-from .errors import ConfigError, DegenerateWitness, NoTangentHyperplane
+from .errors import ConfigError, DegenerateWitness
 from .secant import _TowerStep, _hyperplanes_through, _nondegenerate_tuple, _tower, defect, min_defective_k
-from .varieties import MAX_RESAMPLE, VarietyHandle, _contract_linear_form
+from .varieties import VarietyHandle, _contract_linear_form, _resample_loop
 
 __all__ = [
     "DEFAULT_HYPERPLANE_DRAWS",
@@ -38,11 +38,13 @@ WITNESS_TUPLES = 3
 
 
 def _draw_hyperplane(x: VarietyHandle, space: Matrix, rng: random.Random) -> tuple[int, ...]:
-    for _ in range(MAX_RESAMPLE):
+    """A random nonzero combination of the columns of ``space``."""
+
+    def one():
         cs = [x.field.random_scalar(rng) for _ in range(space.cols)]
-        if any(cs):
-            return space.matvec(cs)
-    raise NoTangentHyperplane("could not draw a nonzero combination")
+        return space.matvec(cs) if any(cs) else None
+
+    return _resample_loop(one, f"a tangent hyperplane on {x.label}")
 
 
 def _tangent_corank(jet: Jet2, field: FieldSpec, n: int) -> int:

@@ -22,15 +22,12 @@ class ConfigError(TerraciniError):
 
 
 class SamplingExhausted(TerraciniError):
-    """Resampling hit the retry cap without producing a usable witness."""
+    """``varieties._resample_loop`` hit the resample cap without a usable draw."""
 
 
 class DegenerateWitness(TerraciniError):
-    """A witness sits on a non-generic locus where a chart jet is undefined."""
-
-
-class NoTangentHyperplane(TerraciniError):
-    """The tangent spaces at the given witnesses already fill the ambient space."""
+    """A witness sits on a non-generic locus where a chart jet is undefined;
+    inside a draw it is a miss, which ``varieties._resample_loop`` redraws."""
 
 
 class CenterFillsAmbient(TerraciniError):

@@ -70,7 +70,6 @@ from .instances import ENUM_PRIMES
 from .secant import tangential_projection
 from .seeding import derive_rng
 from .varieties import (
-    MAX_RESAMPLE,
     ConeHandle,
     ImplicitPlaneCurveHandle,
     MapImageHandle,
@@ -78,6 +77,7 @@ from .varieties import (
     ProjectionHandle,
     SectionHandle,
     VarietyHandle,
+    _resample_loop,
     build,
 )
 
@@ -733,21 +733,23 @@ def _one_prime(
 
 
 def _grid_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.Random):
-    """Scan fresh probe points for the trials not yet below
-    ``DEGENERATE_COUNT_FLOOR``, in at most ``MAX_RESAMPLE`` scans in all.
-    The center points do not depend on the probes, so every scan counts
-    the same center hits."""
+    """Scan fresh probe points for the trials whose count is still at or
+    above ``DEGENERATE_COUNT_FLOOR``, one scan per ``_resample_loop`` draw,
+    so the cap bounds the scans in all.  The center points do not depend on
+    the probes, so every scan counts the same center hits."""
     xp, proj = projected.base, projected.proj
     counts = [0] * trials
     bad = list(range(trials))
-    for _ in range(MAX_RESAMPLE):
+
+    def scan():
+        nonlocal bad
         fresh, hits = _scan_parametric(xp, proj, [projected.sample(rng).raw for _ in bad])
         for t, c in zip(bad, fresh):
             counts[t] = c
         bad = [t for t in bad if counts[t] >= DEGENERATE_COUNT_FLOOR]
-        if not bad:
-            return tuple(counts), hits, None
-    raise DegenerateWitness("every probe point had a degenerate fiber")
+        return None if bad else (tuple(counts), hits, None)
+
+    return _resample_loop(scan, "probe points with finite fibers")
 
 
 def _ruling_counts(projected: ProjectionHandle, n: int, trials: int, rng: random.Random):
@@ -755,17 +757,13 @@ def _ruling_counts(projected: ProjectionHandle, n: int, trials: int, rng: random
     counts = []
     hits = 0
     agreement: Optional[bool] = None
+
+    def probe():
+        found, center_hits, details = scan.preimages(projected.sample(rng).raw)
+        return (found, center_hits, details) if len(found) < DEGENERATE_COUNT_FLOOR else None
+
     for _ in range(trials):
-        for _ in range(MAX_RESAMPLE):
-            q = projected.sample(rng).raw
-            try:
-                found, center_hits, details = scan.preimages(q)
-            except DegenerateWitness:
-                continue
-            if len(found) < DEGENERATE_COUNT_FLOOR:
-                break
-        else:
-            raise DegenerateWitness("every probe point had a degenerate fiber")
+        found, center_hits, details = _resample_loop(probe, "probe points with finite fibers")
         counts.append(len(found))
         hits += center_hits
         if len(details) >= 2 and agreement is None:

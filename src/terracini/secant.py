@@ -19,11 +19,11 @@ from typing import Callable, Optional, Sequence
 from .algebra import Matrix, exact_rank
 from .errors import CenterFillsAmbient, ConfigError, DegenerateWitness
 from .varieties import (
-    MAX_RESAMPLE,
     ChartJet,
     ProjectionHandle,
     VarietyHandle,
     Witness,
+    _resample_loop,
     sample_distinct,
 )
 
@@ -64,22 +64,22 @@ def _nondegenerate_tuple(
     """Distinct witnesses whose tangent frames all have full rank n + 1,
     returned with the chart jets those frames were read from and the frames
     themselves, so callers never rebuild either.  A chart jet has read only
-    its first order; its second is computed on the caller's first read."""
-    for _ in range(MAX_RESAMPLE):
+    its first order; its second is computed on the caller's first read.  A
+    tuple with a frame below rank n + 1 is redrawn whole."""
+
+    def one():
         ws = sample_distinct(x, count, rng)
         charts, frames = [], []
         for w in ws:
             chart = x.chart_jet2(w)
             frame = chart.frame(x.field)
             if exact_rank(frame) != n + 1:
-                break
+                return None
             charts.append(chart)
             frames.append(frame)
-        else:
-            return ws, charts, frames
-    raise DegenerateWitness(
-        f"could not draw {count} witnesses with full frames on {x.label}"
-    )
+        return ws, charts, frames
+
+    return _resample_loop(one, f"{count}-witness tuples with full frames on {x.label}")
 
 
 def terracini_dim(
@@ -141,6 +141,9 @@ def min_defective_k(
     Stops early once a secant fills the span: every later secant fills too,
     so no later defect can appear.
     """
+    if kmax < 1:
+        raise ConfigError("kmax must be at least 1")
+    _check_k_and_trials(kmax, trials)
     for k in range(1, kmax + 1):
         profile = defect(x, k, rng, trials=trials)
         if profile.defective:

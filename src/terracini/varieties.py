@@ -30,9 +30,10 @@ order on first read, so the ruling kernel, which only evaluates, compiles
 values only.
 
 Charts are affine and a draw that lands off-chart is resampled; misses are
-measure zero over the large analysis primes.  The resample cap is 64
-everywhere.  Each kind builds its witnesses, drawn or enumerated, in one
-method (``_witness_at``, ``_witness_on``, ``_witness_over``), which raises
+measure zero over the large analysis primes.  Every capped redraw goes
+through ``_resample_loop``, the one reader of the cap ``MAX_RESAMPLE``
+(64).  Each kind builds its witnesses, drawn or enumerated, in one method
+(``_witness_at``, ``_witness_on``, ``_witness_over``), which raises
 ``DegenerateWitness`` at a zero point.  A section finds the fiber scan's
 points on a ruling (``_ruling_points``).
 """
@@ -281,8 +282,8 @@ class VarietyHandle:
 
 
 def _resample_loop(fn, what: str):
-    """The first draw ``fn()`` that gives a witness; a draw that gives None
-    or raises ``DegenerateWitness`` is a miss, and is resampled."""
+    """The first draw ``fn()`` that is not a miss (None, or a raised
+    ``DegenerateWitness``); ``MAX_RESAMPLE`` misses raise ``SamplingExhausted``."""
     for _ in range(MAX_RESAMPLE):
         try:
             out = fn()

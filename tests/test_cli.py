@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from terracini import cli, fiber, varieties
-from terracini.errors import ConfigError
+from terracini import cli, fiber, secant, varieties
+from terracini.errors import ConfigError, DegenerateWitness
 from terracini.instances import builtin_blueprint
 from terracini.suite import CriterionResult, SuiteResult
 
@@ -354,6 +354,28 @@ def test_tower_row_is_a_note_when_the_projection_drops_dimension(tmp_path, capsy
     assert [row["delta"] for row in report["per_k"]] == [3]
     assert report["delta_towers"] == [
         {"k": 8, "note": "tower degenerates: the 7-tangential projection has dimension 3, below 10"}
+    ]
+
+
+def test_tower_row_is_a_note_when_the_projection_exhausts_its_frame_draws(tmp_path, capsys, monkeypatch):
+    """A projection center whose every draw misses hits the resample cap,
+    and its tower becomes a note row, not a failed scan.  At k = 2 only the
+    1-tangential projection draws single witnesses; each of those draws
+    is made a miss."""
+    real = secant.sample_distinct
+
+    def sample_distinct(x, count, rng):
+        if count == 1:
+            raise DegenerateWitness("forced miss")
+        return real(x, count, rng)
+
+    monkeypatch.setattr(secant, "sample_distinct", sample_distinct)
+    cfg = write_config(tmp_path, {"variety": "veronese-2-3", "k_range": [2, 2], "seed": 0})
+    code, out, _ = run_cli(["defect-scan", "--config", cfg], capsys)
+    assert code == 0
+    assert json.loads(out)["delta_towers"] == [
+        {"k": 2, "note": "tower degenerates: resample cap hit while sampling "
+         "1-witness tuples with full frames on veronese-2-3"}
     ]
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from terracini import fiber
 from terracini.algebra import FieldSpec, LinearSystem, Matrix, MultiPoly, exact_rank, is_prime, normalize_point
-from terracini.errors import BudgetExhausted, ConfigError, DegenerateWitness
+from terracini.errors import BudgetExhausted, ConfigError, DegenerateWitness, SamplingExhausted
 from terracini.fiber import (
     DEFAULT_FIBER_TRIALS,
     ENUM_BUDGET,
@@ -742,7 +742,7 @@ def test_grid_counts_scan_at_most_max_resample_times(monkeypatch):
         monkeypatch.setattr(fiber, "_scan_parametric", scan)
         try:
             return fiber._grid_counts(projected, 2, 3, None), sizes
-        except DegenerateWitness:
+        except SamplingExhausted:
             return None, sizes
 
     assert run(MAX_RESAMPLE) == (((1, 2, 2), 10, None), [3] + [2] * (MAX_RESAMPLE - 1))

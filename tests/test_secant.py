@@ -348,6 +348,8 @@ def test_defect_refuses_bad_arguments_before_it_draws():
         lambda: defect(ver, -1, rng),
         lambda: defect(ver, 1, rng, trials=0),
         lambda: min_defective_k(ver, 3, rng, trials=0),
+        lambda: min_defective_k(ver, 0, rng, trials=0),
+        lambda: min_defective_k(ver, -3, rng, trials=-1),
         lambda: check_delta_tower(ver, 2, rng, trials=0),
     ):
         with pytest.raises(ConfigError):

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terracini import algebra, cli, varieties
+from terracini import algebra, cli, contact, fiber, secant, varieties
 from terracini.algebra import FieldSpec, Matrix, MultiPoly, exact_rank, inverse, normalize_point
-from terracini.errors import ConfigError, ConstructionError, DegenerateWitness
+from terracini.errors import ConfigError, ConstructionError, DegenerateWitness, SamplingExhausted
 from terracini.instances import SUITE_MEMBERS, builtin, builtin_blueprint
 from terracini.secant import tangential_projection, terracini_dim
 from terracini.varieties import (
+    MAX_RESAMPLE,
     ProjectionHandle,
     build,
     cone,
@@ -490,6 +491,80 @@ def _callers(tree, name):
     found = {qual: _calls(node, name) for qual, node in _definitions(tree)}
     assert sum(found.values()) == _calls(tree, name), f"{name} is called outside any function"
     return {qual for qual, count in found.items() if count}
+
+
+def test_the_resample_cap_is_read_and_raised_only_in_the_resample_loop():
+    """Every capped redraw goes through ``varieties._resample_loop``: it is
+    the one reader of ``MAX_RESAMPLE``, apart from its definition and
+    ``__all__``, and the one raiser of ``SamplingExhausted``; no other
+    module imports the cap."""
+    for path in sorted(Path(varieties.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = dict(_definitions(tree))
+        loop = defs.get("_resample_loop") if path.name == "varieties.py" else None
+        inside = {id(n) for n in ast.walk(loop)} if loop else set()
+        reads = [
+            n
+            for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and n.id == "MAX_RESAMPLE" and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Attribute) and n.attr == "MAX_RESAMPLE")
+            or (isinstance(n, ast.alias) and n.name == "MAX_RESAMPLE")
+        ]
+        raises = [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Raise)
+            and "SamplingExhausted" in {getattr(m, "id", None) for m in ast.walk(n.exc)}
+        ]
+        assert all(id(n) in inside for n in reads + raises), path.name
+        if loop:
+            assert len(reads) == len(raises) == 1
+
+
+def _cap_on_tuples(monkeypatch):
+    """A frame has rank at most n + 1, so with n one above the dimension
+    every tuple misses; one ``sample_distinct`` call is one draw."""
+    ver = veronese(F, 2, 2)
+    rng = random.Random(41)
+    n = ver.intrinsic_dim(rng)
+    draws = []
+    real = secant.sample_distinct
+    monkeypatch.setattr(secant, "sample_distinct", lambda *a: draws.append(1) or real(*a))
+    what = "2-witness tuples with full frames on veronese-2-2"
+    return lambda: secant._nondegenerate_tuple(ver, 2, n + 1, rng), draws, what
+
+
+def _cap_on_hyperplanes(monkeypatch):
+    """Every scalar drawn is 0, so every combination of the one column is
+    zero; a draw takes one scalar."""
+    ver = veronese(F, 2, 2)
+    space = Matrix(F, [[1], [0], [0], [0], [0], [0]])
+    draws = []
+    monkeypatch.setattr(FieldSpec, "random_scalar", lambda self, rng: draws.append(1) or 0)
+    return lambda: contact._draw_hyperplane(ver, space, random.Random(41)), draws, "a tangent hyperplane on veronese-2-2"
+
+
+def _cap_on_ruling_probes(monkeypatch):
+    """Every probe point's fiber reaches ``DEGENERATE_COUNT_FLOOR``."""
+    rng = random.Random(1)
+    xp = build(builtin_blueprint("counter1"), FieldSpec.prime(257), rng)
+    n = xp.intrinsic_dim(rng)
+    projected, _ = tangential_projection(xp, 1, rng)
+    draws = []
+    floor = set(range(fiber.DEGENERATE_COUNT_FLOOR))
+    monkeypatch.setattr(fiber._RulingScan, "preimages", lambda self, q: draws.append(1) or (floor, 0, []))
+    return lambda: fiber._ruling_counts(projected, n, 2, rng), draws, "probe points with finite fibers"
+
+
+@pytest.mark.parametrize("site", [_cap_on_tuples, _cap_on_hyperplanes, _cap_on_ruling_probes])
+def test_each_capped_redraw_raises_sampling_exhausted_after_max_resample_draws(monkeypatch, site):
+    """A draw site forced to miss every time makes exactly ``MAX_RESAMPLE``
+    draws, then raises ``SamplingExhausted`` naming what it sampled."""
+    run, draws, what = site(monkeypatch)
+    with pytest.raises(SamplingExhausted) as exc:
+        run()
+    assert str(exc.value) == f"resample cap hit while sampling {what}"
+    assert len(draws) == MAX_RESAMPLE
 
 
 def test_each_handle_kind_builds_witnesses_in_one_method():
